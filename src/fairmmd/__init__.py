@@ -25,6 +25,7 @@ from .kernels import (
     KernelSpec,
     eval_kernel,
     gram,
+    kernel_matmul,
     kernel_sum,
     laplacian,
     linear,
@@ -126,7 +127,7 @@ __all__ = [
     "TrainingError",
     # kernels
     "KernelSpec", "rbf", "laplacian", "linear", "product", "kernel_sum",
-    "pairwise", "gram", "eval_kernel", "lipschitz_constant",
+    "pairwise", "kernel_matmul", "gram", "eval_kernel", "lipschitz_constant",
     "median_heuristic",
     # synthetic populations
     "CellGaussian", "PopulationSpec", "LabeledDataset", "sample_population",

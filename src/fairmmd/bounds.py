@@ -59,18 +59,22 @@ from ._rng import rng_for
 from .eok import eok_hat_plugin
 from .errors import InapplicableError, ValidationError
 from .fairness import (
+    GROUP_CELLS,
+    OUTCOME_CELLS,
     Classifier,
+    _ball_scores,
     balanced_accuracy,
     dc,
+    evaluate_batch,
+    external_scores_classifier,
     group_stats,
     random_ball_classifier,
     sup_dp,
-    witness_classifier,
-    evaluate_batch,
+    witness_scores,
 )
-from .kernels import KernelSpec, kernel_sum, linear, product, rbf
-from .mmd import gamma_biased
-from .synth import LabeledDataset, cell_rows
+from .kernels import KernelSpec, kernel_matmul, kernel_sum, linear, product, rbf
+from .mmd import cell_sums, gamma_biased
+from .synth import LabeledDataset
 
 __all__ = [
     "BoundReport",
@@ -145,8 +149,9 @@ def check_unbiased_equality(
             f"outcome rates differ by {rate_gap:.4f} > {rate_threshold}; "
             "the equality clause assumes matched rates"
         )
-    lhs = sup_dp(spec, data)
-    rhs = eok_hat_plugin(spec, data).eok / (2.0 * np.sqrt(spec.nu))
+    sums = cell_sums(spec, data)
+    lhs = sup_dp(spec, data, sums=sums)
+    rhs = eok_hat_plugin(spec, data, sums=sums).eok / (2.0 * np.sqrt(spec.nu))
     return _report(
         "sup_dp_equals_scaled_eok", "eq", lhs, rhs, tol,
         _digest(data, spec, "unbiased_equality", tol, rate_threshold),
@@ -165,9 +170,10 @@ def check_biased_lower_bound(spec: KernelSpec, data: LabeledDataset, tol: float 
         if stats.counts[1, y] == 0:
             raise InapplicableError(f"beta_hat needs rows in cell (s=1, y={y})")
     rate_gap = abs(stats.p_y_given_s[0, 0] - stats.p_y_given_s[1, 0])
-    beta = gamma_biased(spec, data.z[cell_rows(data, 1, 0)], data.z[cell_rows(data, 1, 1)])
-    eok = eok_hat_plugin(spec, data).eok
-    lhs = sup_dp(spec, data)
+    sums = cell_sums(spec, data)
+    beta = sums.mmd2(((1, 0),), ((1, 1),)).mmd
+    eok = eok_hat_plugin(spec, data, sums=sums).eok
+    lhs = sup_dp(spec, data, sums=sums)
     rhs = abs(rate_gap * beta - eok) / (2.0 * np.sqrt(spec.nu))
     return _report(
         "sup_dp_biased_floor", "ge", lhs, rhs, tol,
@@ -175,10 +181,10 @@ def check_biased_lower_bound(spec: KernelSpec, data: LabeledDataset, tol: float 
     )
 
 
-def _best_balanced_accuracy(h: Classifier, data: LabeledDataset, label: str) -> float:
-    """BA of the better orientation of h (the ball is symmetric under g -> -g,
-    which maps h to 1 - h and BA to 1 - BA)."""
-    ba = balanced_accuracy(h, data, label)
+def _best_balanced_accuracy(t: np.ndarray, data: LabeledDataset, label: str) -> float:
+    """BA of the better orientation of scores t (the ball is symmetric under
+    g -> -g, which maps h to 1 - h and BA to 1 - BA)."""
+    ba = balanced_accuracy(external_scores_classifier(t), data, label)
     return max(ba, 1.0 - ba)
 
 
@@ -196,28 +202,31 @@ def check_ba_bounds(
     random ball classifiers anchored at ``n_anchors`` subsampled rows, each
     tried in both orientations; lhs is the bound, rhs the best probe.
     outcome_lower evaluates the outcome witness against its guarantee.
+    The discrepancies and both witnesses are read from one pass of cell
+    sums; the probes share their anchors, so one more pass against the
+    anchors scores them all.
     """
-    z0 = data.z[data.s == 0]
-    z1 = data.z[data.s == 1]
-    gamma_s = gamma_biased(spec, z0, z1)
+    sums = cell_sums(spec, data)
+    gamma_s = sums.mmd2(GROUP_CELLS[0], GROUP_CELLS[1]).mmd
     if gamma_s > 2.0 * np.sqrt(spec.nu) * (1 + 1e-9):  # pragma: no cover
         raise ValidationError("discrepancy exceeded its kernel-bounded maximum")
-    probes = [witness_classifier(spec, z1, z0)]
     rng = rng_for(seed, 29)
-    anchors_idx = rng.choice(data.n, size=min(n_anchors, data.n), replace=False)
-    for t in range(trials):
-        probes.append(random_ball_classifier(spec, data.z[anchors_idx], seed=int(seed) * 100003 + t))
-    best = max(_best_balanced_accuracy(h, data, "s") for h in probes)
+    anchors = data.z[rng.choice(data.n, size=min(n_anchors, data.n), replace=False)]
+    probes = [random_ball_classifier(spec, anchors, seed=int(seed) * 100003 + t)
+              for t in range(trials)]
+    scores = [witness_scores(sums, GROUP_CELLS[1], GROUP_CELLS[0])]
+    if probes:
+        coefs = np.column_stack([h.coefs * h.scale for h in probes])
+        scores.extend(_ball_scores(kernel_matmul(spec, data.z, anchors, coefs)).T)
+    best = max(_best_balanced_accuracy(t, data, "s") for t in scores)
     upper_bound = (2.0 + gamma_s / np.sqrt(spec.nu)) / 4.0
     upper = _report(
         "ba_group_upper", "ge", upper_bound, best, tol,
         _digest(data, spec, "ba_upper", trials, tol, seed, n_anchors),
     )
 
-    zy0 = data.z[data.y == 0]
-    zy1 = data.z[data.y == 1]
-    gamma_y = gamma_biased(spec, zy0, zy1)
-    h_y = witness_classifier(spec, zy1, zy0)
+    gamma_y = sums.mmd2(OUTCOME_CELLS[0], OUTCOME_CELLS[1]).mmd
+    h_y = external_scores_classifier(witness_scores(sums, OUTCOME_CELLS[1], OUTCOME_CELLS[0]))
     lower = _report(
         "ba_outcome_lower", "ge",
         balanced_accuracy(h_y, data, "y"), (2.0 + gamma_y / np.sqrt(spec.nu)) / 4.0, tol,
@@ -243,27 +252,26 @@ def check_calibration_chain(
     score atoms (no binning), keeping clause A an identity-level inequality
     on the empirical laws.
     """
+    sums = cell_sums(spec, data)
     if h is None:
-        h = witness_classifier(spec, data.z[data.s == 1], data.z[data.s == 0])
-    scores = evaluate_batch(h, data.z)
+        scores = witness_scores(sums, GROUP_CELLS[1], GROUP_CELLS[0])
+    else:
+        scores = evaluate_batch(h, data.z)
     k_u = kernel_sum(linear(1.0), rbf(sigma_u))
     k_t = product(k_u, rbf(sigma_y), split=1)
     pairs = np.column_stack([scores, data.y.astype(float)])
     gamma_t = gamma_biased(k_t, pairs[data.s == 0], pairs[data.s == 1])
 
-    from .fairness import external_scores_classifier
-
-    h_aligned = external_scores_classifier(scores)
     clause_a = _report(
         "dc_dominates_tensor", "ge",
-        dc(h_aligned, data, bins=None),
+        dc(external_scores_classifier(scores), data, bins=None),
         gamma_t / (4.0 * np.sqrt(k_u.nu * rbf(sigma_y).nu)),
         tol,
         _digest(data, spec, "calibration_a", sigma_u, sigma_y, tol),
     )
     clause_b = _report(
         "tensor_dominates_sup_dp", "ge",
-        gamma_t, sup_dp(spec, data), tol,
+        gamma_t, sup_dp(spec, data, sums=sums), tol,
         _digest(data, spec, "calibration_b", sigma_u, sigma_y, tol),
     )
     return clause_a, clause_b

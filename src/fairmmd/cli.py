@@ -33,6 +33,7 @@ import json
 import sys
 import time
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,7 @@ from .complexity import concentration_check, suggest_radius
 from .eok import eok_hat_bootstrap, eok_hat_plugin
 from .errors import ConfigurationError, FairmmdError
 from .fairness import (
+    GROUP_CELLS,
     balanced_accuracy,
     constant_classifier,
     dc,
@@ -58,14 +60,16 @@ from .fairness import (
     dp,
     dpc,
     dr,
+    evaluate_batch,
     external_scores_classifier,
     group_stats,
     logistic_head_classifier,
     sup_dp,
-    witness_classifier,
+    witness_scores,
 )
 from .frl import TrainConfig, lambda_sweep, train
 from .kernels import KernelSpec, laplacian, linear, median_heuristic, rbf
+from .mmd import cell_sums
 from .synth import (
     LabeledDataset,
     population_from_dict,
@@ -95,6 +99,14 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _parse(value, convert, what: str):
+    """``convert(value)`` for one config field; ConfigurationError if it is malformed."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed {what} in config: {value!r}") from exc
+
+
 def _effective(cfg: dict, args) -> dict:
     eff = {k: v for k, v in cfg.items() if not k.startswith("_")}
     if args.seed is not None:
@@ -103,6 +115,7 @@ def _effective(cfg: dict, args) -> dict:
         eff["out"] = args.out
     eff.setdefault("seed", 0)
     eff.setdefault("out", "reports")
+    _parse(eff["seed"], int, '"seed"')
     return eff
 
 
@@ -118,7 +131,7 @@ def _resolve_dataset(cfg: dict, eff: dict) -> tuple[LabeledDataset, np.ndarray |
             path = Path(cfg.get("_dir", ".")) / path
         return read_csv(path)
     pop = population_from_dict(eff["population"])
-    n = int(eff.get("n", 1000))
+    n = _parse(eff.get("n", 1000), int, '"n"')
     return sample_population(pop, n, int(eff["seed"])), None
 
 
@@ -133,11 +146,12 @@ def _resolve_kernel(eff: dict, data: LabeledDataset | None) -> KernelSpec:
             if data is None:
                 raise ConfigurationError("median bandwidth needs a dataset in scope")
             sigma = median_heuristic(data.z, seed=int(eff["seed"]))
-        return rbf(float(sigma)) if fam == "rbf" else laplacian(float(sigma))
+        sigma = _parse(sigma, float, 'kernel "sigma"')
+        return rbf(sigma) if fam == "rbf" else laplacian(sigma)
     if fam == "linear":
         if "radius" not in kc:
             raise ConfigurationError('linear kernel config needs a "radius"')
-        return linear(float(kc["radius"]))
+        return linear(_parse(kc["radius"], float, 'kernel "radius"'))
     raise ConfigurationError(f"unsupported kernel family in config: {fam!r}")
 
 
@@ -150,16 +164,22 @@ def _kernel_dict(spec: KernelSpec) -> dict:
     return out
 
 
-def _resolve_classifier(eff: dict, data: LabeledDataset, spec: KernelSpec, csv_scores):
+def _resolve_classifier(eff: dict, csv_scores):
+    """The configured classifier and its kind; None stands for the group
+    witness, whose scores are read from the dataset's cell sums."""
     mc = eff.get("metrics", {})
     cc = mc.get("classifier", {"kind": "witness"})
     kind = cc.get("kind", "witness")
     if kind == "witness":
-        return witness_classifier(spec, data.z[data.s == 1], data.z[data.s == 0]), kind
+        return None, kind
     if kind == "constant":
-        return constant_classifier(float(cc.get("value", 0.5))), kind
+        return constant_classifier(_parse(cc.get("value", 0.5), float, 'classifier "value"')), kind
     if kind == "logistic_head":
-        return logistic_head_classifier(cc["weights"], float(cc["bias"])), kind
+        if "weights" not in cc or "bias" not in cc:
+            raise ConfigurationError('logistic_head classifier needs "weights" and "bias"')
+        weights = _parse(cc["weights"], partial(np.asarray, dtype=float), 'classifier "weights"')
+        bias = _parse(cc["bias"], float, 'classifier "bias"')
+        return logistic_head_classifier(weights, bias), kind
     if kind == "external_scores":
         if csv_scores is None:
             raise ConfigurationError(
@@ -232,7 +252,7 @@ def _cmd_generate(eff: dict, cfg: dict, fmt: str) -> int:
     if "population" not in eff:
         raise ConfigurationError('generate needs a "population" section')
     pop = population_from_dict(eff["population"])
-    n = int(eff.get("n", 1000))
+    n = _parse(eff.get("n", 1000), int, '"n"')
     data = sample_population(pop, n, int(eff["seed"]))
     out_dir = Path(eff["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -258,19 +278,25 @@ def _cmd_metrics(eff: dict, cfg: dict, fmt: str) -> int:
     started = time.time()
     data, csv_scores = _resolve_dataset(cfg, eff)
     spec = _resolve_kernel(eff, data)
-    h, kind = _resolve_classifier(eff, data, spec, csv_scores)
+    h, kind = _resolve_classifier(eff, csv_scores)
+    sums = cell_sums(spec, data)
+    if h is None:
+        t = witness_scores(sums, GROUP_CELLS[1], GROUP_CELLS[0])
+    else:
+        t = evaluate_batch(h, data.z)
+    t = external_scores_classifier(t)
     bins = eff.get("metrics", {}).get("bins")
     metrics = {
-        "dp": dp(h, data),
-        "dopp": dopp(h, data),
-        "dr": dr(h, data),
-        "dodds": dodds(h, data),
-        "dpc": dpc(h, data, bins),
-        "dnc": dnc(h, data, bins),
-        "dc": dc(h, data, bins),
-        "balanced_accuracy_s": balanced_accuracy(h, data, "s"),
-        "balanced_accuracy_y": balanced_accuracy(h, data, "y"),
-        "sup_dp": sup_dp(spec, data),
+        "dp": dp(t, data),
+        "dopp": dopp(t, data),
+        "dr": dr(t, data),
+        "dodds": dodds(t, data),
+        "dpc": dpc(t, data, bins),
+        "dnc": dnc(t, data, bins),
+        "dc": dc(t, data, bins),
+        "balanced_accuracy_s": balanced_accuracy(t, data, "s"),
+        "balanced_accuracy_y": balanced_accuracy(t, data, "y"),
+        "sup_dp": sup_dp(spec, data, sums=sums),
     }
     result = {"metrics": metrics, "classifier_kind": kind, "kernel": _kernel_dict(spec),
               "n": data.n, "bins": bins}
@@ -448,7 +474,7 @@ def _cmd_sweep(eff: dict, cfg: dict, fmt: str) -> int:
     lambdas = opts.get("lambdas", [0.0, 0.1, 1.0, 10.0])
     res = lambda_sweep(
         pop, lambdas, _train_config(eff, spec),
-        n=int(eff.get("n", 1000)), seed=int(eff["seed"]),
+        n=_parse(eff.get("n", 1000), int, '"n"'), seed=int(eff["seed"]),
         dc_bins=opts.get("dc_bins", 20),
     )
     from scipy.stats import spearmanr

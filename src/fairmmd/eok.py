@@ -25,9 +25,13 @@ Two estimation routes are kept deliberately distinct:
       eok2 = sum_{y, y'} w_y w_{y'} [ <m_0y, m_0y'> + <m_1y, m_1y'>
                                       - <m_0y, m_1y'> - <m_1y, m_0y'> ],
 
-  with <m_c, m_c'> the mean of the cross Gram block between cells.  This is
-  the V-statistic of the mixture discrepancy, nonnegative up to rounding,
-  and differentiable — :func:`eok_gradient_plugin` gives its exact gradient
+  with <m_c, m_c'> the mean of the cross Gram block between cells.  That is
+  the quadratic form eok2 = v' K v with one coefficient per row,
+  v_i = (2 s_i - 1) w_{y_i} / n_{cell(i)}, so it is read off the per-cell
+  kernel sums of one pass (:func:`fairmmd.mmd.cell_sums`) as a' S a, with
+  a the per-cell coefficients and S the 4 x 4 cell-block sums.  This is the
+  V-statistic of the mixture discrepancy, nonnegative up to rounding, and
+  differentiable — :func:`eok_gradient_plugin` gives its exact gradient
   with respect to a linear encoder, which is what the penalized trainer uses.
 
 Weights default to the empirical S=0 outcome rates; passing explicit weights
@@ -49,9 +53,9 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .kernels import KernelSpec
-from .mmd import _pairwise_unchecked, _prep, _sum_cross, mmd2_unbiased
-from .synth import LabeledDataset, cell_rows
+from .kernels import KernelSpec, kernel_matmul
+from .mmd import CellSums, cell_sums, mmd2_unbiased
+from .synth import CELLS, LabeledDataset, cell_rows
 
 __all__ = [
     "ReweightedSample",
@@ -62,8 +66,6 @@ __all__ = [
     "eok_hat_plugin",
     "eok_gradient_plugin",
 ]
-
-CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -175,40 +177,27 @@ def eok_hat_bootstrap(
     )
 
 
-def eok_hat_plugin(spec: KernelSpec, data: LabeledDataset, weights=None) -> EokEstimate:
+def eok_hat_plugin(
+    spec: KernelSpec, data: LabeledDataset, weights=None, sums: CellSums | None = None
+) -> EokEstimate:
     """Plug-in estimator: weighted cell embeddings, no resampling.
 
-    Computes the squared-norm expansion from the module docstring with Gram
-    block means between the four (s, y) cells.  All four cells must be
-    populated.
+    Evaluates the squared-norm expansion from the module docstring as the
+    quadratic form a' S a over the per-cell kernel sums S of one pass.  All
+    four cells must be populated.  ``sums``, when given, must be
+    ``cell_sums(spec, data)``; it is read instead of a fresh kernel pass.
     """
     w, source = _resolve_weights(data, weights)
-    cells = {}
-    for (s, y) in CELLS:
-        rows = cell_rows(data, s, y)
-        if rows.size == 0:
+    counts = np.bincount(2 * data.s + data.y, minlength=4)
+    for c, (s, y) in enumerate(CELLS):
+        if counts[c] == 0:
             raise EmptyCellError(f"plugin estimator needs rows in cell (s={s}, y={y})")
-        cells[(s, y)] = np.ascontiguousarray(data.z[rows])
-
-    def block_mean(c1, c2) -> float:
-        a, b = cells[c1], cells[c2]
-        a, b = _prep(spec, a, b)
-        return _sum_cross(spec, a, b) / (a.shape[0] * b.shape[0])
-
-    eok2 = 0.0
-    for y in (0, 1):
-        for yp in (0, 1):
-            coeff = w[y] * w[yp]
-            if coeff == 0.0:
-                continue
-            eok2 += coeff * (
-                block_mean((0, y), (0, yp))
-                + block_mean((1, y), (1, yp))
-                - block_mean((0, y), (1, yp))
-                - block_mean((1, y), (0, yp))
-            )
+    if sums is None:
+        sums = cell_sums(spec, data)
+    a = np.array([(2 * s - 1) * w[y] for (s, y) in CELLS]) / counts
+    eok2 = float(a @ sums.block @ a)
     return EokEstimate(
-        eok2=float(eok2), eok=float(np.sqrt(max(eok2, 0.0))), method="plugin",
+        eok2=eok2, eok=float(np.sqrt(max(eok2, 0.0))), method="plugin",
         weights=w, weights_source=source, clipped=bool(eok2 < 0),
     )
 
@@ -226,9 +215,20 @@ def eok_gradient_plugin(
     coefficient vector v_i = (2 s_i - 1) w_{y_i} / n_{cell(i)}, so for the
     linear kernel the gradient collapses to 2 (Z'v) (X'v)' and for the rbf
     kernel to (-2 / sigma^2) [Z' diag(r) X - Z' A X] with A = K * vv' and
-    r = A 1.  Only those two families are differentiable here; laplacian and
-    composite kernels raise UnsupportedError.
+    r = A 1 = v * (K v).  Both K terms come from one streamed pass,
+    K @ [v, X * v], which never forms the n x n K.  Only those two families
+    are differentiable here; laplacian and composite kernels raise
+    UnsupportedError.
     """
+    return _plugin_value_and_gradient(spec, data, encoder, weights)[1]
+
+
+def _plugin_value_and_gradient(
+    spec: KernelSpec, data: LabeledDataset, encoder, weights=None
+) -> tuple[float, np.ndarray]:
+    """The plug-in eok2 of the encoded rows and its encoder gradient, from
+    the one kernel pass of :func:`eok_gradient_plugin` (whose docstring has
+    the formulas); the value is v' K v read from that pass."""
     if spec.family not in ("rbf", "linear"):
         raise UnsupportedError(
             f"gradient defined for rbf and linear kernels only, got {spec.family!r}"
@@ -251,11 +251,9 @@ def eok_gradient_plugin(
     Z = X @ W.T
     if spec.family == "linear":
         zv = Z.T @ v
-        xv = X.T @ v
-        return 2.0 * np.outer(zv, xv)
-    K = _pairwise_unchecked(spec, Z, Z)
-    Kv = K @ v
-    r = v * Kv
-    term_diag = (Z * r[:, None]).T @ X
-    term_full = (Z * v[:, None]).T @ (K @ (X * v[:, None]))
-    return (-2.0 / spec.sigma**2) * (term_diag - term_full)
+        return float(zv @ zv), 2.0 * np.outer(zv, X.T @ v)
+    KM = kernel_matmul(spec, Z, Z, np.column_stack([v, X * v[:, None]]))
+    Kv = KM[:, 0]
+    term_diag = (Z * (v * Kv)[:, None]).T @ X
+    term_full = (Z * v[:, None]).T @ KM[:, 1:]
+    return float(v @ Kv), (-2.0 / spec.sigma**2) * (term_diag - term_full)

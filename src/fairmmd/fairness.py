@@ -2,7 +2,10 @@
 
 A classifier here is a score function h mapping representations to [0, 1],
 read as h(z) = P(Yhat = 1 | z).  All metrics are phrased as expectations of
-h over conditional empirical laws, never as thresholded counts:
+h over conditional empirical laws, never as thresholded counts.  dodds and
+dc score the classifier once and hand the scores to their two parts as
+``external_scores_classifier(scores)``; callers that compute many metrics
+do the same:
 
   dp     | E[h | S=1] - E[h | S=0] |                  (demographic parity)
   dopp   | E[h | Y=1, S=1] - E[h | Y=1, S=0] |        (opportunity)
@@ -42,8 +45,8 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .kernels import KernelSpec, pairwise
-from .mmd import BLOCK, mmd2_biased, mmd2_unbiased
+from .kernels import KernelSpec, kernel_matmul
+from .mmd import CellSums, cell_sums, mmd2_biased
 from .synth import LabeledDataset
 
 __all__ = [
@@ -67,7 +70,13 @@ __all__ = [
     "dc",
     "balanced_accuracy",
     "sup_dp",
+    "witness_scores",
 ]
+
+
+# The (s, y) cells of each S-group and of each outcome, as CellSums reads them.
+GROUP_CELLS = (((0, 0), (0, 1)), ((1, 0), (1, 1)))
+OUTCOME_CELLS = (((0, 0), (1, 0)), ((0, 1), (1, 1)))
 
 
 @dataclass(frozen=True)
@@ -153,7 +162,7 @@ def ball_classifier(spec: KernelSpec, anchors, coefs) -> Classifier:
     coefs = np.asarray(coefs, dtype=float)
     if coefs.shape != (anchors.shape[0],):
         raise ValidationError("coefs must align with anchor rows")
-    norm2 = float(coefs @ pairwise(spec, anchors, anchors) @ coefs)
+    norm2 = float(coefs @ kernel_matmul(spec, anchors, anchors, coefs))
     if norm2 <= 0.0:
         raise ValidationError("expansion has zero RKHS norm; cannot normalize")
     return Classifier(
@@ -198,11 +207,7 @@ def evaluate_batch(h: Classifier, Z) -> np.ndarray:
     if Z.ndim != 2:
         raise ValidationError("Z must be an (n, d) array")
     if h.kind == "rkhs_witness":
-        g = np.empty(Z.shape[0])
-        for i in range(0, Z.shape[0], BLOCK):
-            g[i : i + BLOCK] = pairwise(h.spec, Z[i : i + BLOCK], h.anchors) @ h.coefs
-        g *= h.scale
-        return (np.clip(g, -1.0, 1.0) + 1.0) / 2.0
+        return _ball_scores(kernel_matmul(h.spec, Z, h.anchors, h.coefs) * h.scale)
     if h.kind == "constant":
         return np.full(Z.shape[0], h.value)
     if h.kind == "logistic_head":
@@ -220,6 +225,21 @@ def evaluate_batch(h: Classifier, Z) -> np.ndarray:
     raise ValidationError(f"unknown classifier kind {h.kind!r}")  # pragma: no cover
 
 
+def _ball_scores(g: np.ndarray) -> np.ndarray:
+    """Scores h = (clip(g, -1, 1) + 1) / 2 of ball members with values g."""
+    return (np.clip(g, -1.0, 1.0) + 1.0) / 2.0
+
+
+def witness_scores(sums: CellSums, p, q) -> np.ndarray:
+    """Scores at the summarized rows of the witness ball classifier of
+    (cells ``p``, cells ``q``), read from their kernel sums.
+
+    Equal, up to float rounding, to ``evaluate_batch(witness_classifier(
+    spec, z[p], z[q]), z)``, without a kernel pass of its own.
+    """
+    return _ball_scores(sums.witness(p, q) / np.sqrt(sums.spec.nu))
+
+
 def evaluate(h: Classifier, z) -> float:
     """Score a single point (undefined for external_scores)."""
     if h.kind == "external_scores":
@@ -232,6 +252,10 @@ def evaluate(h: Classifier, z) -> float:
 
 
 def _scores(h: Classifier, data: LabeledDataset) -> np.ndarray:
+    # The metrics only read the scores, so aligned external scores are used
+    # as they are, without evaluate_batch's defensive copy.
+    if h.kind == "external_scores" and h.scores.size == data.n:
+        return h.scores
     return evaluate_batch(h, data.z)
 
 
@@ -270,6 +294,7 @@ def dr(h: Classifier, data: LabeledDataset) -> float:
 
 def dodds(h: Classifier, data: LabeledDataset) -> float:
     """Equalized-odds gap: mean of the two per-outcome gaps."""
+    h = external_scores_classifier(_scores(h, data))
     return 0.5 * (dopp(h, data) + dr(h, data))
 
 
@@ -316,6 +341,7 @@ def dnc(h: Classifier, data: LabeledDataset, bins: int | None = None) -> float:
 
 def dc(h: Classifier, data: LabeledDataset, bins: int | None = None) -> float:
     """Calibration gap: mean of dpc and dnc."""
+    h = external_scores_classifier(_scores(h, data))
     return 0.5 * (dpc(h, data, bins) + dnc(h, data, bins))
 
 
@@ -329,16 +355,17 @@ def balanced_accuracy(h: Classifier, data: LabeledDataset, label: str) -> float:
     return 0.5 * ((1.0 - m0) + m1)
 
 
-def sup_dp(spec: KernelSpec, data: LabeledDataset) -> float:
+def sup_dp(spec: KernelSpec, data: LabeledDataset, sums: CellSums | None = None) -> float:
     """Closed-form dp supremum over the nu^(-1/2) RKHS ball.
 
     (2 sqrt(nu))^(-1) times the root of the unbiased squared discrepancy
     between the two group-conditional representation samples (clipped at
-    zero before the root).
+    zero before the root).  ``sums``, when given, must be
+    ``cell_sums(spec, data)``; it is read instead of a fresh kernel pass.
     """
-    z0 = data.z[data.s == 0]
-    z1 = data.z[data.s == 1]
-    if z0.shape[0] < 2 or z1.shape[0] < 2:
+    if (data.s == 0).sum() < 2 or (data.s == 1).sum() < 2:
         raise StratificationError("sup_dp needs at least two rows in each S-group")
-    est = mmd2_unbiased(spec, z0, z1)
+    if sums is None:
+        sums = cell_sums(spec, data)
+    est = sums.mmd2(GROUP_CELLS[0], GROUP_CELLS[1], unbiased=True)
     return est.mmd / (2.0 * np.sqrt(spec.nu))

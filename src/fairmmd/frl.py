@@ -13,7 +13,8 @@ first step.  Mini-batches are stratified per (s, y) cell (proportional
 counts, at least one row each) so the penalty stays defined; the frozen
 weights are *not* recomputed per batch.  Both gradient components are
 analytic: the cross-entropy part in closed form, the penalty part through
-:func:`fairmmd.eok.eok_gradient_plugin`.  The per-step trace records the
+:func:`fairmmd.eok.eok_gradient_plugin`, whose one kernel pass also gives
+the penalty value when lambda > 0.  The per-step trace records the
 objective at the pre-update parameters, and total = sup + lambda * penalty
 holds exactly by construction.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import rng_for
-from .eok import empirical_weights, eok_gradient_plugin, eok_hat_plugin
+from .eok import _plugin_value_and_gradient, empirical_weights, eok_hat_plugin
 from .errors import TrainingError, ValidationError
 from .fairness import (
     balanced_accuracy,
@@ -38,11 +39,12 @@ from .fairness import (
     dodds,
     dp,
     evaluate_batch,
+    external_scores_classifier,
     logistic_head_classifier,
     sup_dp,
 )
 from .kernels import KernelSpec
-from .mmd import gamma_biased
+from .mmd import cell_sums
 from .synth import LabeledDataset, PopulationSpec, cell_rows, sample_population
 
 __all__ = [
@@ -144,10 +146,12 @@ def objective_gradient(
     d_head_b = float(resid.sum())
     d_enc = np.outer(w, X.T @ resid)
 
-    encoded = LabeledDataset(z=Z, s=data.s, y=data.y)
-    penalty = eok_hat_plugin(cfg.kernel, encoded, weights=weights).eok2
     if cfg.lam > 0:
-        d_enc = d_enc + cfg.lam * eok_gradient_plugin(cfg.kernel, data, W, weights=weights)
+        penalty, d_pen = _plugin_value_and_gradient(cfg.kernel, data, W, weights=weights)
+        d_enc = d_enc + cfg.lam * d_pen
+    else:
+        encoded = LabeledDataset(z=Z, s=data.s, y=data.y)
+        penalty = eok_hat_plugin(cfg.kernel, encoded, weights=weights).eok2
     total = ce + cfg.lam * penalty
     return ObjectiveEval(
         sup=ce, penalty=float(penalty), total=float(total),
@@ -250,8 +254,9 @@ def lambda_sweep(
     for lam in lambdas:
         res = train(data, replace(cfg, lam=lam))
         encoded = LabeledDataset(z=data.z @ res.encoder.T, s=data.s, y=data.y)
-        head = logistic_head_classifier(res.head_w, res.head_b)
-        t = evaluate_batch(head, encoded.z)
+        t = evaluate_batch(logistic_head_classifier(res.head_w, res.head_b), encoded.z)
+        head = external_scores_classifier(t)
+        sums = cell_sums(cfg.kernel, encoded)
         yf = encoded.y.astype(float)
         rows.append({
             "lambda": lam,
@@ -260,12 +265,8 @@ def lambda_sweep(
             "dp": dp(head, encoded),
             "dodds": dodds(head, encoded),
             "dc": dc(head, encoded, bins=dc_bins),
-            "eok2": eok_hat_plugin(cfg.kernel, encoded).eok2,
-            "sup_dp": sup_dp(cfg.kernel, encoded),
-            "beta_hat": gamma_biased(
-                cfg.kernel,
-                encoded.z[cell_rows(encoded, 1, 0)],
-                encoded.z[cell_rows(encoded, 1, 1)],
-            ),
+            "eok2": eok_hat_plugin(cfg.kernel, encoded, sums=sums).eok2,
+            "sup_dp": sup_dp(cfg.kernel, encoded, sums=sums),
+            "beta_hat": sums.mmd2(((1, 0),), ((1, 1),)).mmd,
         })
     return SweepResult(rows=tuple(rows), lambdas=tuple(lambdas), n=n, seed=seed)

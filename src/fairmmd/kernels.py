@@ -48,12 +48,18 @@ __all__ = [
     "kernel_sum",
     "eval_kernel",
     "pairwise",
+    "kernel_matmul",
     "gram",
     "lipschitz_constant",
     "median_heuristic",
 ]
 
 _FAMILIES = ("rbf", "laplacian", "linear", "product", "sum")
+
+# Side of the square tiles :func:`kernel_matmul` streams over.  One 256 x 256
+# float64 tile (512 KB) stays in cache while it is reduced; at n = 5000 (rbf)
+# a full pass over such tiles beat 512 x 512 tiles and full-width row strips.
+TILE = 256
 
 
 @dataclass(frozen=True)
@@ -177,39 +183,99 @@ def _check_domain(spec: KernelSpec, X: np.ndarray, name: str) -> None:
         _check_domain(spec.parts[1], X, name)
 
 
-def pairwise(spec: KernelSpec, A, B) -> np.ndarray:
-    """Dense kernel matrix between row sets ``A`` (n x d) and ``B`` (m x d).
-
-    This is the single evaluation path shared by :func:`gram`,
-    :func:`eval_kernel`, and the streaming accumulators in the MMD module, so
-    a value computed anywhere in the package is the same number everywhere.
-    """
+def _checked_pair(spec: KernelSpec, A, B) -> tuple[np.ndarray, np.ndarray]:
+    """Both row sets as float arrays, after the shape and domain checks."""
     A = _as_points(A, "A")
     B = _as_points(B, "B")
     if A.shape[1] != B.shape[1]:
         raise DomainError(f"dimension mismatch: A has d={A.shape[1]}, B has d={B.shape[1]}")
     _check_domain(spec, A, "A")
     _check_domain(spec, B, "B")
-    return _pairwise_unchecked(spec, A, B)
+    return A, B
+
+
+def pairwise(spec: KernelSpec, A, B) -> np.ndarray:
+    """Dense kernel matrix between row sets ``A`` (n x d) and ``B`` (m x d).
+
+    This is the single evaluation path shared by :func:`gram`,
+    :func:`eval_kernel`, and the tiles of :func:`kernel_matmul`, so a value
+    computed anywhere in the package is the same number everywhere.
+    """
+    return _pairwise_unchecked(spec, *_checked_pair(spec, A, B))
+
+
+def kernel_matmul(spec: KernelSpec, A, B, M) -> np.ndarray:
+    """``K(A, B) @ M`` without materializing the kernel matrix.
+
+    The product is accumulated over ``TILE`` x ``TILE`` tiles of K(A, B),
+    columns in ascending order, so memory stays O(TILE^2) whatever the
+    sizes.  Each tile is reduced one output row at a time (a dot product of
+    that row with each column of ``M``), so an output row depends only on
+    its own input row: identical rows of ``A`` get bit-identical outputs.
+    For the linear kernel the product is A (B' M), and no tile is formed.
+
+    Args:
+        spec: kernel description.
+        A: (n, d) rows.
+        B: (m, d) rows.
+        M: (m,) or (m, k) coefficients, one row per row of ``B``.
+
+    Returns:
+        (n,) or (n, k) array, matching the shape of ``M``.
+    """
+    A, B = _checked_pair(spec, A, B)
+    M = np.asarray(M, dtype=float)
+    if M.ndim not in (1, 2) or M.shape[0] != B.shape[0]:
+        raise ValidationError(
+            f"M must have one row per row of B ({B.shape[0]}), got shape {M.shape}"
+        )
+    if not np.all(np.isfinite(M)):
+        raise ValidationError("M contains non-finite entries")
+    return _matmul_unchecked(spec, A, B, M)
+
+
+def _matmul_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, M: np.ndarray) -> np.ndarray:
+    # Columns of M as contiguous rows, so every output entry is one dot
+    # product over contiguous memory; einsum, unlike BLAS, reduces every
+    # output row in the same order wherever the row sits in the tile.
+    Mt = np.ascontiguousarray(M.reshape(M.shape[0], -1).T)
+    if spec.family == "linear":
+        out = np.einsum("id,kd->ik", A, Mt @ B)
+    else:
+        out = np.zeros((A.shape[0], Mt.shape[0]))
+        for i in range(0, A.shape[0], TILE):
+            Ai = A[i : i + TILE]
+            acc = out[i : i + TILE]
+            for j in range(0, B.shape[0], TILE):
+                acc += np.einsum(
+                    "ij,kj->ik", _pairwise_unchecked(spec, Ai, B[j : j + TILE]), Mt[:, j : j + TILE]
+                )
+    return out.reshape(A.shape[0]) if M.ndim == 1 else out
 
 
 def _pairwise_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # Each family works in place on one fresh array: with a temporary per
+    # step, a 256-tile rbf pass over 5000 rows took 0.46 s instead of 0.18 s.
+    # Dividing by the negated scale gives the same bits as negating first.
     if spec.family == "rbf":
-        sq = cdist(A, B, "sqeuclidean")
-        return np.exp(-sq / (2.0 * spec.sigma**2))
+        K = cdist(A, B, "sqeuclidean")
+        K /= -(2.0 * spec.sigma**2)
+        return np.exp(K, out=K)
     if spec.family == "laplacian":
-        return np.exp(-cdist(A, B, "cityblock") / spec.sigma)
+        K = cdist(A, B, "cityblock")
+        K /= -spec.sigma
+        return np.exp(K, out=K)
     if spec.family == "linear":
         return A @ B.T
     if spec.family == "product":
         s = spec.split
-        return _pairwise_unchecked(spec.parts[0], A[:, :s], B[:, :s]) * _pairwise_unchecked(
-            spec.parts[1], A[:, s:], B[:, s:]
-        )
+        K = _pairwise_unchecked(spec.parts[0], A[:, :s], B[:, :s])
+        K *= _pairwise_unchecked(spec.parts[1], A[:, s:], B[:, s:])
+        return K
     if spec.family == "sum":
-        return _pairwise_unchecked(spec.parts[0], A, B) + _pairwise_unchecked(
-            spec.parts[1], A, B
-        )
+        K = _pairwise_unchecked(spec.parts[0], A, B)
+        K += _pairwise_unchecked(spec.parts[1], A, B)
+        return K
     raise ValidationError(f"unknown kernel family {spec.family!r}")  # pragma: no cover
 
 

@@ -26,11 +26,21 @@ attains it:
   (mu_A - mu_B) / ||mu_A - mu_B|| at query points, normalized by the biased
   root so that its A-mean minus B-mean reproduces that root exactly.
 
-Gram matrices are never materialized beyond a fixed block size: sums stream
-over row/column blocks in a fixed order, so results are deterministic and
-memory stays O(block^2) regardless of sample size.  For the linear kernel
-the Gram sums collapse to inner products of sample sums, which is used as an
-exact-arithmetic fast path.
+The Gram block sums of the U- and V-statistics (Gretton et al., *A Kernel
+Two-Sample Test*, JMLR 2012) come from two calls of
+:func:`fairmmd.kernels.kernel_matmul` against a vector of ones: K([A; B], A)
+gives the A-A and B-A sums from its two row ranges and K(B, B) the B-B sum,
+so no kernel entry is evaluated twice.  The primitive streams over
+fixed tiles in a fixed order, so results are deterministic and memory stays
+O(TILE^2) regardless of sample size.  For the linear kernel the sums collapse
+to inner products of sample sums, which is used as an exact closed form; the
+unbiased form centres both samples on their pooled mean first (the linear
+U-statistic is translation invariant), so data far from the origin do not
+cancel away its digits.
+
+:class:`CellSums` is the same pass for a labelled dataset, with one column
+per (s, y) cell: every estimate between unions of cells, and the witness
+between them at the dataset's own rows, is then an O(n) read.
 """
 
 from __future__ import annotations
@@ -41,10 +51,13 @@ import numpy as np
 
 from ._rng import rng_for
 from .errors import SizeError, ValidationError
-from .kernels import KernelSpec, _as_points, _check_domain, _pairwise_unchecked
+from .kernels import TILE, KernelSpec, _checked_pair, _matmul_unchecked, kernel_matmul
+from .synth import LabeledDataset
 
 __all__ = [
     "MmdEstimate",
+    "CellSums",
+    "cell_sums",
     "mmd2_unbiased",
     "mmd2_biased",
     "mmd2_linear_time",
@@ -52,8 +65,8 @@ __all__ = [
     "gamma_biased",
 ]
 
-# Side length of the streamed Gram blocks; 2048^2 float64 entries is ~32 MB.
-BLOCK = 2048
+# Side of the kernel tiles every sum in this module streams over.
+BLOCK = TILE
 
 
 @dataclass(frozen=True)
@@ -74,31 +87,34 @@ class MmdEstimate:
     clipped: bool
 
 
-def _prep(spec: KernelSpec, A, B) -> tuple[np.ndarray, np.ndarray]:
-    A = _as_points(A, "A")
-    B = _as_points(B, "B")
-    if A.shape[1] != B.shape[1]:
-        raise ValidationError(
-            f"dimension mismatch: A has d={A.shape[1]}, B has d={B.shape[1]}"
-        )
-    _check_domain(spec, A, "A")
-    _check_domain(spec, B, "B")
-    return A, B
+def _estimate(mmd2: float, variant: str, n0: int, n1: int) -> MmdEstimate:
+    mmd2 = float(mmd2)
+    return MmdEstimate(
+        mmd2=mmd2, mmd=float(np.sqrt(max(mmd2, 0.0))), variant=variant,
+        n0=n0, n1=n1, clipped=bool(mmd2 < 0),
+    )
 
 
-def _sum_cross(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> float:
-    """Sum of the full cross Gram block, streamed."""
-    if spec.family == "linear":
-        return float(A.sum(axis=0) @ B.sum(axis=0))
-    n, m = A.shape[0], B.shape[0]
-    if n * m <= BLOCK * BLOCK:
-        return float(_pairwise_unchecked(spec, A, B).sum())
-    total = 0.0
-    for i in range(0, n, BLOCK):
-        Ai = A[i : i + BLOCK]
-        for j in range(0, m, BLOCK):
-            total += float(_pairwise_unchecked(spec, Ai, B[j : j + BLOCK]).sum())
-    return total
+def _from_sums(n0: int, n1: int, tot_a, cross, tot_b, diags=None) -> MmdEstimate:
+    """The V-statistic from Gram block sums, or the U-statistic when the
+    diagonal sums (diag_a, diag_b) are given."""
+    if diags is None:
+        mmd2 = tot_a / (n0 * n0) + tot_b / (n1 * n1) - 2.0 * cross / (n0 * n1)
+        return _estimate(mmd2, "biased", n0, n1)
+    mmd2 = (
+        (tot_a - diags[0]) / (n0 * (n0 - 1))
+        + (tot_b - diags[1]) / (n1 * (n1 - 1))
+        - 2.0 * cross / (n0 * n1)
+    )
+    return _estimate(mmd2, "unbiased", n0, n1)
+
+
+def _pooled_sums(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> tuple[float, float, float]:
+    """(sum K_AA, sum K_AB, sum K_BB), evaluating no kernel entry twice."""
+    n0 = A.shape[0]
+    to_a = _matmul_unchecked(spec, np.vstack([A, B]), A, np.ones(n0))
+    tot_b = _matmul_unchecked(spec, B, B, np.ones(B.shape[0])).sum()
+    return float(to_a[:n0].sum()), float(to_a[n0:].sum()), float(tot_b)
 
 
 def _rowwise(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -120,15 +136,6 @@ def _rowwise(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     raise ValidationError(f"unknown kernel family {spec.family!r}")  # pragma: no cover
 
 
-def _sums_within(spec: KernelSpec, A: np.ndarray) -> tuple[float, float]:
-    """(full Gram sum, diagonal sum) of one sample against itself."""
-    if spec.family == "linear":
-        sa = A.sum(axis=0)
-        return float(sa @ sa), float(np.einsum("ij,ij->", A, A))
-    diag = float(_rowwise(spec, A, A).sum())
-    return _sum_cross(spec, A, A), diag
-
-
 def mmd2_unbiased(spec: KernelSpec, A, B) -> MmdEstimate:
     """U-statistic estimate of the squared discrepancy (may be negative).
 
@@ -137,37 +144,30 @@ def mmd2_unbiased(spec: KernelSpec, A, B) -> MmdEstimate:
         A: (n0, d) sample from the first law, n0 >= 2.
         B: (n1, d) sample from the second law, n1 >= 2.
     """
-    A, B = _prep(spec, A, B)
+    A, B = _checked_pair(spec, A, B)
     n0, n1 = A.shape[0], B.shape[0]
     if n0 < 2 or n1 < 2:
         raise SizeError(f"unbiased estimator needs >= 2 rows per sample, got {n0} and {n1}")
-    tot_a, diag_a = _sums_within(spec, A)
-    tot_b, diag_b = _sums_within(spec, B)
-    cross = _sum_cross(spec, A, B)
-    mmd2 = (
-        (tot_a - diag_a) / (n0 * (n0 - 1))
-        + (tot_b - diag_b) / (n1 * (n1 - 1))
-        - 2.0 * cross / (n0 * n1)
-    )
-    return MmdEstimate(
-        mmd2=float(mmd2), mmd=float(np.sqrt(max(mmd2, 0.0))), variant="unbiased",
-        n0=n0, n1=n1, clipped=bool(mmd2 < 0),
-    )
+    if spec.family == "linear":
+        centre = (A.sum(axis=0) + B.sum(axis=0)) / (n0 + n1)
+        A, B = A - centre, B - centre
+        sa, sb = A.sum(axis=0), B.sum(axis=0)
+        tot_a, cross, tot_b = sa @ sa, sa @ sb, sb @ sb
+    else:
+        tot_a, cross, tot_b = _pooled_sums(spec, A, B)
+    diags = (_rowwise(spec, A, A).sum(), _rowwise(spec, B, B).sum())
+    return _from_sums(n0, n1, tot_a, cross, tot_b, diags)
 
 
 def mmd2_biased(spec: KernelSpec, A, B) -> MmdEstimate:
     """V-statistic (plug-in) estimate: the squared norm of the difference of
     empirical mean embeddings.  Nonnegative up to float rounding."""
-    A, B = _prep(spec, A, B)
+    A, B = _checked_pair(spec, A, B)
     n0, n1 = A.shape[0], B.shape[0]
-    tot_a, _ = _sums_within(spec, A)
-    tot_b, _ = _sums_within(spec, B)
-    cross = _sum_cross(spec, A, B)
-    mmd2 = tot_a / (n0 * n0) + tot_b / (n1 * n1) - 2.0 * cross / (n0 * n1)
-    return MmdEstimate(
-        mmd2=float(mmd2), mmd=float(np.sqrt(max(mmd2, 0.0))), variant="biased",
-        n0=n0, n1=n1, clipped=bool(mmd2 < 0),
-    )
+    if spec.family == "linear":
+        diff = A.mean(axis=0) - B.mean(axis=0)
+        return _estimate(diff @ diff, "biased", n0, n1)
+    return _from_sums(n0, n1, *_pooled_sums(spec, A, B))
 
 
 def mmd2_linear_time(spec: KernelSpec, A, B, seed: int) -> MmdEstimate:
@@ -178,7 +178,7 @@ def mmd2_linear_time(spec: KernelSpec, A, B, seed: int) -> MmdEstimate:
     contributes k(a,a') + k(b,b') - k(a,b') - k(a',b).  Averaging the
     contributions costs O(m) kernel evaluations.
     """
-    A, B = _prep(spec, A, B)
+    A, B = _checked_pair(spec, A, B)
     n0, n1 = A.shape[0], B.shape[0]
     if min(n0, n1) < 4:
         raise SizeError(f"linear-time estimator needs >= 4 rows per sample, got {n0} and {n1}")
@@ -195,11 +195,7 @@ def mmd2_linear_time(spec: KernelSpec, A, B, seed: int) -> MmdEstimate:
         - _rowwise(spec, a0, b1)
         - _rowwise(spec, a1, b0)
     )
-    mmd2 = float(h.mean())
-    return MmdEstimate(
-        mmd2=mmd2, mmd=float(np.sqrt(max(mmd2, 0.0))), variant="linear_time",
-        n0=m, n1=m, clipped=bool(mmd2 < 0),
-    )
+    return _estimate(h.mean(), "linear_time", m, m)
 
 
 def witness_eval(spec: KernelSpec, A, B, query) -> np.ndarray | float:
@@ -215,29 +211,14 @@ def witness_eval(spec: KernelSpec, A, B, query) -> np.ndarray | float:
     embeddings coincide (r = 0), since no direction is defined.
     """
     single = np.asarray(query, dtype=float).ndim == 1
-    A, B = _prep(spec, A, B)
-    Q, _ = _prep(spec, query, A[:1])
+    A, B = _checked_pair(spec, A, B)
     root = mmd2_biased(spec, A, B).mmd
     if root <= 0.0:
         raise ValidationError("witness undefined: the empirical mean embeddings coincide")
-    out = np.empty(Q.shape[0])
-    for i in range(0, Q.shape[0], BLOCK):
-        Qi = Q[i : i + BLOCK]
-        mean_a = _cross_row_means(spec, Qi, A)
-        mean_b = _cross_row_means(spec, Qi, B)
-        out[i : i + BLOCK] = (mean_a - mean_b) / root
+    n0, n1 = A.shape[0], B.shape[0]
+    coefs = np.concatenate([np.full(n0, 1.0 / n0), np.full(n1, -1.0 / n1)])
+    out = kernel_matmul(spec, query, np.vstack([A, B]), coefs) / root
     return float(out[0]) if single else out
-
-
-def _cross_row_means(spec: KernelSpec, Q: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """mean_j k(Q[i], A[j]) for each query row, streamed over A."""
-    if spec.family == "linear":
-        return Q @ (A.mean(axis=0))
-    n = A.shape[0]
-    acc = np.zeros(Q.shape[0])
-    for j in range(0, n, BLOCK):
-        acc += _pairwise_unchecked(spec, Q, A[j : j + BLOCK]).sum(axis=1)
-    return acc / n
 
 
 def gamma_biased(spec: KernelSpec, A, B) -> float:
@@ -248,3 +229,83 @@ def gamma_biased(spec: KernelSpec, A, B) -> float:
     distribution-level inequalities then apply to the data verbatim.
     """
     return mmd2_biased(spec, A, B).mmd
+
+
+@dataclass(frozen=True)
+class CellSums:
+    """Kernel sums of a labelled dataset against each of its four (s, y) cells.
+
+    ``rows[i, c]`` is the sum of k(z_i, z_j) over the rows j of cell c, i.e.
+    ``K(Z, Z) @ onehot(cell)`` from one kernel pass; ``block[c, c']`` sums
+    ``rows`` over the rows of cell c, ``diag[c]`` sums k(z_i, z_i) over cell
+    c, and ``counts[c]`` is its size.  Cells are indexed c = 2 s + y, the
+    order of :data:`fairmmd.synth.CELLS`.  Groups of cells are given as
+    tuples of (s, y) pairs.
+
+    For the linear kernel ``block`` and ``diag`` are taken from the rows
+    centred on their pooled mean, so data far from the origin do not cancel
+    their digits away.  Every estimate between unions of cells, and every
+    quadratic form a' block a with sum_c a_c counts[c] = 0 (the plug-in
+    eok2), is translation invariant, so the centring changes none of them.
+    ``rows`` stays uncentred: the witness value at a row depends on where
+    the row lies.
+    """
+
+    spec: KernelSpec
+    rows: np.ndarray
+    block: np.ndarray
+    diag: np.ndarray
+    counts: np.ndarray
+
+    def mmd2(self, p, q, unbiased: bool = False) -> MmdEstimate:
+        """Two-sample estimate between the rows of cells ``p`` and of cells
+        ``q``: what :func:`mmd2_unbiased` (or :func:`mmd2_biased`) returns
+        for those two row sets, up to float rounding."""
+        P, Q = _cell_ids(p), _cell_ids(q)
+        n0, n1 = int(self.counts[P].sum()), int(self.counts[Q].sum())
+        least = 2 if unbiased else 1
+        if n0 < least or n1 < least:
+            raise SizeError(f"estimator needs >= {least} rows per sample, got {n0} and {n1}")
+        diags = (self.diag[P].sum(), self.diag[Q].sum()) if unbiased else None
+        return _from_sums(
+            n0, n1, self.block[np.ix_(P, P)].sum(), self.block[np.ix_(P, Q)].sum(),
+            self.block[np.ix_(Q, Q)].sum(), diags,
+        )
+
+    def witness(self, p, q) -> np.ndarray:
+        """The unit witness of (cells ``p``, cells ``q``) at every row: what
+        :func:`witness_eval` returns for those samples queried at all rows.
+
+        Each value reads only its own row of ``rows``, so identical data rows
+        get identical values.
+        """
+        root = self.mmd2(p, q).mmd
+        if root <= 0.0:
+            raise ValidationError("witness undefined: the empirical mean embeddings coincide")
+        P, Q = _cell_ids(p), _cell_ids(q)
+        coef = np.zeros(4)
+        coef[P] = 1.0 / self.counts[P].sum()
+        coef[Q] = -1.0 / self.counts[Q].sum()
+        return np.einsum("ic,c->i", self.rows, coef) / root
+
+
+def _cell_ids(cells) -> list:
+    return [2 * s + y for (s, y) in cells]
+
+
+def cell_sums(spec: KernelSpec, data: LabeledDataset) -> CellSums:
+    """One kernel pass over ``data.z`` summarized per (s, y) cell."""
+    cell = 2 * data.s + data.y
+    onehot = (cell[:, None] == np.arange(4)).astype(float)
+    rows = kernel_matmul(spec, data.z, data.z, onehot)
+    if spec.family == "linear":
+        zc = data.z - data.z.mean(axis=0)
+        per_cell = onehot.T @ zc
+        block, diag = per_cell @ per_cell.T, _rowwise(spec, zc, zc)
+    else:
+        block, diag = onehot.T @ rows, _rowwise(spec, data.z, data.z)
+    return CellSums(
+        spec=spec, rows=rows, block=block,
+        diag=np.bincount(cell, weights=diag, minlength=4),
+        counts=np.bincount(cell, minlength=4),
+    )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import rng_for
-from .errors import NormalizationError, StratificationError, ValidationError
+from .errors import NormalizationError, ValidationError
 
 __all__ = [
     "CellGaussian",
@@ -37,7 +37,6 @@ __all__ = [
     "analytic_eok2_linear",
     "analytic_mmd2_rbf_gaussians",
     "cell_rows",
-    "group_rows",
     "write_csv",
     "read_csv",
     "population_to_dict",
@@ -145,11 +144,6 @@ class LabeledDataset:
     @property
     def dim(self) -> int:
         return self.z.shape[1]
-
-
-def group_rows(data: LabeledDataset, s: int) -> np.ndarray:
-    """Row indices of group S = s."""
-    return np.flatnonzero(data.s == s)
 
 
 def cell_rows(data: LabeledDataset, s: int, y: int) -> np.ndarray:
@@ -303,9 +297,3 @@ def population_from_dict(obj: dict) -> PopulationSpec:
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed population description: {exc!r}") from exc
 
-
-def _require_cells(data: LabeledDataset, pairs=CELLS, context: str = "operation") -> None:
-    """Raise StratificationError unless every requested (s, y) cell is populated."""
-    for (s, y) in pairs:
-        if not ((data.s == s) & (data.y == y)).any():
-            raise StratificationError(f"{context} needs rows in cell (s={s}, y={y})")

@@ -1,7 +1,35 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from fairmmd import CellGaussian, PopulationSpec, sample_population
+from fairmmd import (
+    CellGaussian,
+    PopulationSpec,
+    kernel_sum,
+    laplacian,
+    linear,
+    product,
+    rbf,
+    sample_population,
+)
+from fairmmd.kernels import TILE
+
+# One spec per kernel family, for checks of the streamed paths against dense
+# kernel matrices; rows have d = 3, so the product kernel splits 1 + 2.
+STREAMED_SPECS = {
+    "rbf": rbf(0.8),
+    "laplacian": laplacian(1.3),
+    "linear": linear(50.0),
+    "product": product(rbf(1.0), laplacian(2.0), split=1),
+    "kernel_sum": kernel_sum(linear(50.0), rbf(0.7)),
+}
+# Below, at and just over one tile.
+STREAMED_SIZES = (57, TILE, TILE + 37)
+
+
+def assert_matches_dense(got, want):
+    """Agreement with a dense reference to 1e-12, relative to its largest entry."""
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def make_population(pi_s=0.5, p=((0.5, 0.5), (0.5, 0.5)), means=None, var=0.25, dim=2):

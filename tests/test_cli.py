@@ -158,6 +158,17 @@ def test_config_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()  # errors went to stderr, keep the terminal clean
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("generate", {"n": "abc"}),
+    ("metrics", {"kernel": {"family": "rbf", "sigma": "wide"}}),
+    ("metrics", {"metrics": {"classifier": {"kind": "logistic_head", "bias": 0.0}}}),
+], ids=["n-not-a-number", "sigma-not-a-number", "logistic-head-without-weights"])
+def test_malformed_config_value_exits_two(tmp_path, capsys, command, extra):
+    cfg = write_config(tmp_path, **extra)
+    assert run([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_inapplicable_check_exits_two(tmp_path):
     biased = dict(POPULATION, p_y_given_s=[[0.8, 0.2], [0.2, 0.8]])
     cfg = write_config(tmp_path, population=biased,

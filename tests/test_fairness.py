@@ -29,7 +29,9 @@ from fairmmd import (
     sup_dp,
     witness_classifier,
 )
-from fairmmd.fairness import evaluate_batch
+from fairmmd.fairness import GROUP_CELLS, evaluate_batch, witness_scores
+from fairmmd.kernels import TILE
+from fairmmd.mmd import cell_sums
 
 
 def hand_dataset():
@@ -165,3 +167,36 @@ def test_witness_classifier_attains_sup_dp(unbiased_pop):
     achieved = dp(h, data)
     assert achieved <= bound + 0.01
     assert achieved >= bound - 0.01
+
+
+def test_metrics_agree_on_wrapped_scores(unbiased_pop):
+    """Every metric reads the same numbers from a classifier and from its
+    scores wrapped as external scores, and the witness scores read off the
+    cell sums match the witness classifier's own pass."""
+    data = sample_population(unbiased_pop, 300, seed=7)
+    spec = rbf(0.9)
+    h = witness_classifier(spec, data.z[data.s == 1], data.z[data.s == 0])
+    t = evaluate_batch(h, data.z)
+    assert_allclose(witness_scores(cell_sums(spec, data), GROUP_CELLS[1], GROUP_CELLS[0]), t,
+                    rtol=1e-12, atol=1e-12)
+    wrapped = external_scores_classifier(t)
+    for metric in (dp, dopp, dr, dodds, dpc, dnc, dc):
+        assert metric(wrapped, data) == metric(h, data)
+    assert balanced_accuracy(wrapped, data, "s") == balanced_accuracy(h, data, "s")
+    with pytest.raises(ValidationError):
+        dp(external_scores_classifier(t[:-1]), data)
+
+
+def test_witness_scores_of_duplicate_rows_are_identical(unbiased_pop):
+    """Exact-atom calibration groups scores by value, so copies of one row
+    must score bit-identically wherever they sit among the kernel tiles."""
+    data = sample_population(unbiased_pop, TILE + 60, seed=8)
+    z = data.z.copy()
+    copies = [2, 97, TILE - 1, TILE, TILE + 59]
+    z[copies] = z[copies[0]]
+    data = LabeledDataset(z=z, s=data.s, y=data.y)
+    spec = rbf(0.6)
+    h = witness_classifier(spec, z[data.s == 1], z[data.s == 0])
+    for t in (witness_scores(cell_sums(spec, data), GROUP_CELLS[1], GROUP_CELLS[0]),
+              evaluate_batch(h, z)):
+        np.testing.assert_array_equal(t[copies], np.full(len(copies), t[copies[0]]))

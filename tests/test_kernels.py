@@ -7,6 +7,7 @@ from fairmmd import (
     ValidationError,
     eval_kernel,
     gram,
+    kernel_matmul,
     kernel_sum,
     laplacian,
     linear,
@@ -16,6 +17,8 @@ from fairmmd import (
     product,
     rbf,
 )
+from fairmmd.kernels import TILE
+from conftest import STREAMED_SIZES, STREAMED_SPECS, assert_matches_dense
 
 
 def _naive_rbf(a, b, sigma):
@@ -212,3 +215,47 @@ def test_median_heuristic_subsampling_is_seeded():
     a = median_heuristic(X, cap=500, seed=3)
     b = median_heuristic(X, cap=500, seed=3)
     assert a == b and a > 0.0
+
+
+@pytest.mark.parametrize("family", sorted(STREAMED_SPECS))
+def test_kernel_matmul_matches_dense_product(family):
+    spec = STREAMED_SPECS[family]
+    rng = np.random.default_rng(12)
+    for n in STREAMED_SIZES:
+        for m in STREAMED_SIZES:
+            A = rng.normal(size=(n, 3))
+            B = rng.normal(size=(m, 3)) + 0.3
+            K = pairwise(spec, A, B)
+            M = rng.uniform(-1.0, 1.0, size=(m, 3))
+            assert_matches_dense(kernel_matmul(spec, A, B, M), K @ M)
+            out = kernel_matmul(spec, A, B, M[:, 0])
+            assert out.shape == (n,)
+            assert_matches_dense(out, K @ M[:, 0])
+
+
+def test_kernel_matmul_validates_inputs():
+    A = np.zeros((4, 2))
+    with pytest.raises(ValidationError):
+        kernel_matmul(rbf(1.0), A, A, np.ones(3))
+    with pytest.raises(ValidationError):
+        kernel_matmul(rbf(1.0), A, A, np.full(4, np.nan))
+    with pytest.raises(DomainError):
+        kernel_matmul(rbf(1.0), A, np.zeros((4, 3)), np.ones(4))
+    with pytest.raises(DomainError):
+        kernel_matmul(linear(1.0), A + 2.0, A, np.ones(4))
+
+
+@pytest.mark.parametrize("family", ["rbf", "laplacian", "linear"])
+def test_kernel_matmul_duplicate_rows_get_identical_outputs(family):
+    """An output row depends only on its own input row, so copies of a row at
+    different places in (and across) tiles give bit-identical outputs."""
+    spec = STREAMED_SPECS[family]
+    rng = np.random.default_rng(13)
+    A = rng.normal(size=(TILE + 50, 3))
+    copies = [3, 130, TILE - 1, TILE + 7, TILE + 49]
+    A[copies] = A[copies[0]]
+    B = rng.normal(size=(TILE + 11, 3))
+    for M in (rng.normal(size=TILE + 11), rng.normal(size=(TILE + 11, 5))):
+        out = kernel_matmul(spec, A, B, M)
+        for i in copies[1:]:
+            np.testing.assert_array_equal(out[i], out[copies[0]])

@@ -3,8 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fairmmd import (
+    LabeledDataset,
     SizeError,
     ValidationError,
+    eok_hat_plugin,
     eval_kernel,
     gamma_biased,
     laplacian,
@@ -12,9 +14,13 @@ from fairmmd import (
     mmd2_biased,
     mmd2_linear_time,
     mmd2_unbiased,
+    pairwise,
     rbf,
+    sup_dp,
     witness_eval,
 )
+from fairmmd.mmd import cell_sums
+from conftest import STREAMED_SIZES, STREAMED_SPECS, assert_matches_dense
 
 FAMILIES = (rbf(0.8), laplacian(1.2), linear(25.0))
 
@@ -205,3 +211,52 @@ def test_blocked_streaming_matches_direct():
     direct = (pairwise(spec, A, A).mean() + pairwise(spec, B, B).mean()
               - 2.0 * pairwise(spec, A, B).mean())
     assert_allclose(est, direct, atol=1e-10)
+
+
+def test_linear_fast_paths_ignore_a_far_offset():
+    """The linear-kernel closed forms must not cancel their digits away when
+    both samples sit far from the origin: the statistics are translation
+    invariant, so moving the data by 1e6 must leave them unchanged."""
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(500, 2))
+    B = rng.normal(size=(500, 2)) + 0.01
+    spec = linear(1e7)
+    for estimator in (mmd2_unbiased, mmd2_biased):
+        near = estimator(spec, A, B).mmd2
+        far = estimator(spec, A + 1e6, B + 1e6).mmd2
+        assert_allclose(far, near, rtol=1e-6)
+    # The same for the statistics read from the per-cell kernel sums.
+    s, y = rng.integers(0, 2, size=2000), rng.integers(0, 2, size=2000)
+    z = rng.normal(size=(2000, 2)) + 0.3 * s[:, None] + 0.2 * y[:, None]
+    near, far = (LabeledDataset(z=z + offset, s=s, y=y) for offset in (0.0, 1e6))
+    assert_allclose(sup_dp(spec, far), sup_dp(spec, near), rtol=1e-6)
+    assert_allclose(eok_hat_plugin(spec, far).eok2, eok_hat_plugin(spec, near).eok2, rtol=1e-6)
+
+
+@pytest.mark.parametrize("family", sorted(STREAMED_SPECS))
+def test_cell_sums_match_dense_kernel(family):
+    """The per-cell summary, and every estimate read from it, agrees with
+    the dense kernel matrix and with the two-sample estimators."""
+    spec = STREAMED_SPECS[family]
+    rng = np.random.default_rng(14)
+    for n in STREAMED_SIZES:
+        data = LabeledDataset(z=rng.normal(size=(n, 3)) + rng.integers(0, 2, size=(n, 1)),
+                              s=rng.integers(0, 2, size=n), y=rng.integers(0, 2, size=n))
+        cell = 2 * data.s + data.y
+        onehot = (cell[:, None] == np.arange(4)).astype(float)
+        K = pairwise(spec, data.z, data.z)
+        sums = cell_sums(spec, data)
+        assert_matches_dense(sums.rows, K @ onehot)
+        # The linear blocks are taken from the rows centred on their mean.
+        zc = data.z - data.z.mean(axis=0)
+        Kb = zc @ zc.T if family == "linear" else K
+        assert_matches_dense(sums.block, onehot.T @ Kb @ onehot)
+        assert_matches_dense(sums.diag, onehot.T @ np.diag(Kb))
+        assert sums.counts.tolist() == onehot.sum(axis=0).tolist()
+        groups = (((0, 0), (0, 1)), ((1, 0), (1, 1)))
+        z0, z1 = data.z[data.s == 0], data.z[data.s == 1]
+        scale = np.abs(K).max()
+        for unbiased, estimator in ((False, mmd2_biased), (True, mmd2_unbiased)):
+            assert_allclose(sums.mmd2(*groups, unbiased=unbiased).mmd2,
+                            estimator(spec, z0, z1).mmd2, rtol=1e-12, atol=1e-12 * scale)
+        assert_matches_dense(sums.witness(*groups), witness_eval(spec, z0, z1, data.z))
