@@ -73,7 +73,7 @@ from .fairness import (
     witness_scores,
 )
 from .kernels import KernelSpec, kernel_matmul, kernel_sum, linear, product, rbf
-from .mmd import cell_sums, gamma_biased
+from .mmd import CellSums, cell_sums, gamma_biased
 from .synth import LabeledDataset
 
 __all__ = [
@@ -135,12 +135,15 @@ def check_unbiased_equality(
     data: LabeledDataset,
     tol: float = 0.02,
     rate_threshold: float = 0.02,
+    sums: CellSums | None = None,
 ) -> BoundReport:
     """Equality of the dp supremum and the scaled eok root under matched rates.
 
     Applicable only when |p_hat(Y=0|S=0) - p_hat(Y=0|S=1)| <= rate_threshold;
     otherwise the premise fails and InapplicableError is raised rather than
-    returning a meaningless verdict.
+    returning a meaningless verdict.  ``sums``, when given, must be
+    ``cell_sums(spec, data)``; it is read instead of a fresh kernel pass, as
+    in every check below that takes it.
     """
     stats = group_stats(data)
     rate_gap = abs(stats.p_y_given_s[0, 0] - stats.p_y_given_s[1, 0])
@@ -149,7 +152,8 @@ def check_unbiased_equality(
             f"outcome rates differ by {rate_gap:.4f} > {rate_threshold}; "
             "the equality clause assumes matched rates"
         )
-    sums = cell_sums(spec, data)
+    if sums is None:
+        sums = cell_sums(spec, data)
     lhs = sup_dp(spec, data, sums=sums)
     rhs = eok_hat_plugin(spec, data, sums=sums).eok / (2.0 * np.sqrt(spec.nu))
     return _report(
@@ -158,7 +162,9 @@ def check_unbiased_equality(
     )
 
 
-def check_biased_lower_bound(spec: KernelSpec, data: LabeledDataset, tol: float = 0.03) -> BoundReport:
+def check_biased_lower_bound(
+    spec: KernelSpec, data: LabeledDataset, tol: float = 0.03, sums: CellSums | None = None
+) -> BoundReport:
     """General floor under the dp supremum from outcome-rate bias.
 
     rhs = (2 sqrt(nu))^(-1) * | |p_hat(0|0) - p_hat(0|1)| * beta_hat - eok |,
@@ -170,7 +176,8 @@ def check_biased_lower_bound(spec: KernelSpec, data: LabeledDataset, tol: float 
         if stats.counts[1, y] == 0:
             raise InapplicableError(f"beta_hat needs rows in cell (s=1, y={y})")
     rate_gap = abs(stats.p_y_given_s[0, 0] - stats.p_y_given_s[1, 0])
-    sums = cell_sums(spec, data)
+    if sums is None:
+        sums = cell_sums(spec, data)
     beta = sums.mmd2(((1, 0),), ((1, 1),)).mmd
     eok = eok_hat_plugin(spec, data, sums=sums).eok
     lhs = sup_dp(spec, data, sums=sums)
@@ -195,6 +202,7 @@ def check_ba_bounds(
     tol: float = 0.01,
     seed: int = 0,
     n_anchors: int = 100,
+    sums: CellSums | None = None,
 ) -> tuple[BoundReport, BoundReport]:
     """Both balanced-accuracy clauses; returns (group_upper, outcome_lower).
 
@@ -206,7 +214,8 @@ def check_ba_bounds(
     sums; the probes share their anchors, so one more pass against the
     anchors scores them all.
     """
-    sums = cell_sums(spec, data)
+    if sums is None:
+        sums = cell_sums(spec, data)
     gamma_s = sums.mmd2(GROUP_CELLS[0], GROUP_CELLS[1]).mmd
     if gamma_s > 2.0 * np.sqrt(spec.nu) * (1 + 1e-9):  # pragma: no cover
         raise ValidationError("discrepancy exceeded its kernel-bounded maximum")
@@ -242,6 +251,7 @@ def check_calibration_chain(
     sigma_u: float = 0.5,
     sigma_y: float = 1.0,
     tol: float = 0.05,
+    sums: CellSums | None = None,
 ) -> tuple[BoundReport, BoundReport]:
     """Calibration-vs-parity chain through the score-outcome tensor kernel.
 
@@ -252,7 +262,8 @@ def check_calibration_chain(
     score atoms (no binning), keeping clause A an identity-level inequality
     on the empirical laws.
     """
-    sums = cell_sums(spec, data)
+    if sums is None:
+        sums = cell_sums(spec, data)
     if h is None:
         scores = witness_scores(sums, GROUP_CELLS[1], GROUP_CELLS[0])
     else:

@@ -46,7 +46,7 @@ from .bounds import (
     check_tvd_dominance,
     check_unbiased_equality,
 )
-from .complexity import concentration_check, suggest_radius
+from .complexity import concentration_check, finite_grid, suggest_radius
 from .eok import eok_hat_bootstrap, eok_hat_plugin
 from .errors import ConfigurationError, FairmmdError
 from .fairness import (
@@ -105,6 +105,25 @@ def _parse(value, convert, what: str):
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed {what} in config: {value!r}") from exc
+
+
+def _parse_optional(value, convert, what: str):
+    """:func:`_parse` for a field whose absence (None) is meaningful."""
+    return None if value is None else _parse(value, convert, what)
+
+
+def _section(cfg: dict, key: str) -> dict:
+    """The config object under ``key`` ({} if absent); ConfigurationError if
+    it is not an object."""
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigurationError(f'"{key}" in config must be an object, got {value!r}')
+    return value
+
+
+def _list_of(convert):
+    """A converter for :func:`_parse` that converts a list entry by entry."""
+    return lambda values: [convert(v) for v in values]
 
 
 def _effective(cfg: dict, args) -> dict:
@@ -167,8 +186,7 @@ def _kernel_dict(spec: KernelSpec) -> dict:
 def _resolve_classifier(eff: dict, csv_scores):
     """The configured classifier and its kind; None stands for the group
     witness, whose scores are read from the dataset's cell sums."""
-    mc = eff.get("metrics", {})
-    cc = mc.get("classifier", {"kind": "witness"})
+    cc = _section(_section(eff, "metrics"), "classifier")
     kind = cc.get("kind", "witness")
     if kind == "witness":
         return None, kind
@@ -285,7 +303,7 @@ def _cmd_metrics(eff: dict, cfg: dict, fmt: str) -> int:
     else:
         t = evaluate_batch(h, data.z)
     t = external_scores_classifier(t)
-    bins = eff.get("metrics", {}).get("bins")
+    bins = _parse_optional(_section(eff, "metrics").get("bins"), int, 'metrics "bins"')
     metrics = {
         "dp": dp(t, data),
         "dopp": dopp(t, data),
@@ -310,11 +328,12 @@ def _cmd_eok(eff: dict, cfg: dict, fmt: str) -> int:
     started = time.time()
     data, _ = _resolve_dataset(cfg, eff)
     spec = _resolve_kernel(eff, data)
-    opts = eff.get("eok", {})
+    opts = _section(eff, "eok")
     method = opts.get("method", "both")
     if method not in ("both", "plugin", "bootstrap"):
         raise ConfigurationError(f'eok method must be both|plugin|bootstrap, got {method!r}')
-    weights = opts.get("weights")
+    weights = _parse_optional(opts.get("weights"), partial(np.asarray, dtype=float),
+                              'eok "weights"')
     result = {"kernel": _kernel_dict(spec), "n": data.n}
     lines = []
     if method in ("both", "plugin"):
@@ -324,8 +343,10 @@ def _cmd_eok(eff: dict, cfg: dict, fmt: str) -> int:
     if method in ("both", "bootstrap"):
         est = eok_hat_bootstrap(
             spec, data,
-            m0=opts.get("m0"), m1=opts.get("m1"),
-            seed=int(opts.get("bootstrap_seed", eff["seed"])), weights=weights,
+            m0=_parse_optional(opts.get("m0"), int, 'eok "m0"'),
+            m1=_parse_optional(opts.get("m1"), int, 'eok "m1"'),
+            seed=_parse(opts.get("bootstrap_seed", eff["seed"]), int, 'eok "bootstrap_seed"'),
+            weights=weights,
         )
         result["bootstrap"] = dataclasses.asdict(est)
         lines.append(f"bootstrap  eok2={est.eok2:.6f}  eok={est.eok:.6f}  weights={est.weights}")
@@ -347,37 +368,48 @@ def _cmd_bounds(eff: dict, cfg: dict, fmt: str) -> int:
     started = time.time()
     data, _ = _resolve_dataset(cfg, eff)
     spec = _resolve_kernel(eff, data)
-    opts = eff.get("bounds", {})
-    checks = opts.get("checks", ["biased_lower_bound", "ba_bounds", "calibration_chain"])
-    tols = opts.get("tolerances", {})
-    reports = []
+    opts = _section(eff, "bounds")
+    checks = _parse(opts.get("checks", ["biased_lower_bound", "ba_bounds", "calibration_chain"]),
+                    list, 'bounds "checks"')
     for name in checks:
         if name not in _BOUND_CHECKS:
             raise ConfigurationError(f"unknown bound check {name!r}; known: {_BOUND_CHECKS}")
+    tols = _section(opts, "tolerances")
+
+    def option(key, default, convert):
+        return _parse(opts.get(key, default), convert, f'bounds "{key}"')
+
+    def tol(name, default):
+        return _parse(tols.get(name, default), float, f'"{name}" tolerance')
+
+    # Every check but tvd_dominance reads the cell sums, so one pass serves them all.
+    sums = cell_sums(spec, data) if set(checks) - {"tvd_dominance"} else None
+    reports = []
+    for name in checks:
         if name == "unbiased_equality":
             reports.append(check_unbiased_equality(
-                spec, data, tol=float(tols.get(name, 0.02)),
-                rate_threshold=float(opts.get("rate_threshold", 0.02)),
+                spec, data, tol=tol(name, 0.02),
+                rate_threshold=option("rate_threshold", 0.02, float), sums=sums,
             ))
         elif name == "biased_lower_bound":
-            reports.append(check_biased_lower_bound(spec, data, tol=float(tols.get(name, 0.03))))
+            reports.append(check_biased_lower_bound(spec, data, tol=tol(name, 0.03), sums=sums))
         elif name == "ba_bounds":
             reports.extend(check_ba_bounds(
-                spec, data, trials=int(opts.get("trials", 50)),
-                tol=float(tols.get(name, 0.01)), seed=int(eff["seed"]),
-                n_anchors=int(opts.get("n_anchors", 100)),
+                spec, data, trials=option("trials", 50, int),
+                tol=tol(name, 0.01), seed=int(eff["seed"]),
+                n_anchors=option("n_anchors", 100, int), sums=sums,
             ))
         elif name == "calibration_chain":
             reports.extend(check_calibration_chain(
                 spec, data,
-                sigma_u=float(opts.get("sigma_u", 0.5)),
-                sigma_y=float(opts.get("sigma_y", 1.0)),
-                tol=float(tols.get(name, 0.05)),
+                sigma_u=option("sigma_u", 0.5, float),
+                sigma_y=option("sigma_y", 1.0, float),
+                tol=tol(name, 0.05), sums=sums,
             ))
         else:
             reports.append(check_tvd_dominance(
-                spec, data, tol=float(tols.get(name, 1e-9)),
-                max_support=int(opts.get("max_support", 64)),
+                spec, data, tol=tol(name, 1e-9),
+                max_support=option("max_support", 64, int),
             ))
     all_hold = all(r.holds for r in reports)
     result = {"clauses": [r.as_dict() for r in reports], "all_hold": all_hold,
@@ -397,21 +429,22 @@ def _cmd_concentration(eff: dict, cfg: dict, fmt: str) -> int:
     if "population" not in eff:
         raise ConfigurationError('concentration needs a "population" section')
     pop = population_from_dict(eff["population"])
-    opts = eff.get("concentration", {})
+    opts = _section(eff, "concentration")
     if "grid" not in opts:
         raise ConfigurationError('concentration needs a "grid" of encoder matrices')
-    grid = [np.asarray(W, dtype=float) for W in opts["grid"]]
-    radius = opts.get("radius")
-    if radius is None:
-        radius = suggest_radius(pop, grid)
-    spec = linear(float(radius))
+    grid = finite_grid(_parse(
+        opts["grid"], _list_of(partial(np.asarray, dtype=float)), 'concentration "grid"'
+    )).maps
+    radius = _parse_optional(opts.get("radius"), float, 'concentration "radius"')
+    spec = linear(suggest_radius(pop, grid) if radius is None else radius)
     rep = concentration_check(
         pop, grid, spec,
-        n_grid=opts.get("n_grid", [100, 200, 400, 800]),
-        trials=int(opts.get("trials", 100)),
-        delta=float(opts.get("delta", 0.05)),
+        n_grid=_parse(opts.get("n_grid", [100, 200, 400, 800]), _list_of(int),
+                      'concentration "n_grid"'),
+        trials=_parse(opts.get("trials", 100), int, 'concentration "trials"'),
+        delta=_parse(opts.get("delta", 0.05), float, 'concentration "delta"'),
         seed=int(eff["seed"]),
-        g_trials=int(opts.get("g_trials", 64)),
+        g_trials=_parse(opts.get("g_trials", 64), int, 'concentration "g_trials"'),
     )
     result = dict(rep.as_dict(), kernel=_kernel_dict(spec))
     report, path = _write_report("concentration", eff, result, started)
@@ -425,16 +458,20 @@ def _cmd_concentration(eff: dict, cfg: dict, fmt: str) -> int:
 
 
 def _train_config(eff: dict, spec: KernelSpec) -> TrainConfig:
-    t = eff.get("train", {})
+    t = _section(eff, "train")
+
+    def option(key, default, convert):
+        return _parse(t.get(key, default), convert, f'train "{key}"')
+
     return TrainConfig(
         kernel=spec,
-        lam=float(t.get("lambda", 1.0)),
-        steps=int(t.get("steps", 200)),
-        step_size=float(t.get("step_size", 0.5)),
-        encoder_dim=int(t.get("encoder_dim", 2)),
-        batch=t.get("batch"),
+        lam=option("lambda", 1.0, float),
+        steps=option("steps", 200, int),
+        step_size=option("step_size", 0.5, float),
+        encoder_dim=option("encoder_dim", 2, int),
+        batch=_parse_optional(t.get("batch"), int, 'train "batch"'),
         seed=int(eff["seed"]),
-        init_scale=float(t.get("init_scale", 0.1)),
+        init_scale=option("init_scale", 0.1, float),
     )
 
 
@@ -470,12 +507,13 @@ def _cmd_sweep(eff: dict, cfg: dict, fmt: str) -> int:
         raise ConfigurationError('sweep needs a "population" section')
     pop = population_from_dict(eff["population"])
     spec = _resolve_kernel(eff, None)
-    opts = eff.get("sweep", {})
-    lambdas = opts.get("lambdas", [0.0, 0.1, 1.0, 10.0])
+    opts = _section(eff, "sweep")
+    lambdas = _parse(opts.get("lambdas", [0.0, 0.1, 1.0, 10.0]), _list_of(float),
+                     'sweep "lambdas"')
     res = lambda_sweep(
         pop, lambdas, _train_config(eff, spec),
         n=_parse(eff.get("n", 1000), int, '"n"'), seed=int(eff["seed"]),
-        dc_bins=opts.get("dc_bins", 20),
+        dc_bins=_parse_optional(opts.get("dc_bins", 20), int, 'sweep "dc_bins"'),
     )
     from scipy.stats import spearmanr
 

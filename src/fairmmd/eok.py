@@ -55,7 +55,7 @@ from .errors import (
 )
 from .kernels import KernelSpec, kernel_matmul
 from .mmd import CellSums, cell_sums, mmd2_unbiased
-from .synth import CELLS, LabeledDataset, cell_rows
+from .synth import CELLS, LabeledDataset
 
 __all__ = [
     "ReweightedSample",
@@ -110,15 +110,17 @@ def empirical_weights(data: LabeledDataset) -> np.ndarray:
     return np.array([(n0 - n01) / n0, n01 / n0])
 
 
-def _require_weighted_cells(data: LabeledDataset, w: np.ndarray, context: str) -> dict:
-    """Cell index pools; every cell carrying weight must be populated."""
-    pools = {}
-    for (s, y) in CELLS:
-        rows = cell_rows(data, s, y)
-        if rows.size == 0 and w[y] > 0:
+def _cell_counts(
+    data: LabeledDataset, w: np.ndarray, context: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's cell index c = 2 s + y and the four cell sizes; every cell
+    carrying weight must be populated."""
+    cell = 2 * data.s + data.y
+    counts = np.bincount(cell, minlength=4)
+    for c, (s, y) in enumerate(CELLS):
+        if counts[c] == 0 and w[y] > 0:
             raise EmptyCellError(f"{context} needs rows in cell (s={s}, y={y})")
-        pools[(s, y)] = rows
-    return pools
+    return cell, counts
 
 
 def reweight_sample(
@@ -133,22 +135,28 @@ def reweight_sample(
     if m0 < 1 or m1 < 1:
         raise SizeError(f"mixture sizes must be >= 1, got {m0} and {m1}")
     w, source = _resolve_weights(data, weights)
-    pools = _require_weighted_cells(data, w, "reweight_sample")
+    cell, counts = _cell_counts(data, w, "reweight_sample")
+    # The rows of cell c are order[start[c]:start[c] + counts[c]].  A stable
+    # sort keeps them in ascending order, which fixes the row each draw
+    # picks; numpy sorts int8 keys by radix.
+    order = np.argsort(cell.astype(np.int8), kind="stable")
+    start = np.cumsum(counts) - counts
     rng = rng_for(seed)
     groups = []
     for s, m in ((0, m0), (1, m1)):
         ys = (rng.random(m) < w[1]).astype(np.int64)
-        out = np.empty((m, data.dim))
+        idx = np.empty(m, dtype=np.int64)
         for y in (0, 1):
             mask = ys == y
             if not mask.any():
                 continue
-            pool = pools[(s, y)]
-            if pool.size == 0:
+            c = 2 * s + y
+            if counts[c] == 0:
                 # zero-weight cell can still be hit is impossible: w[y] == 0
                 raise EmptyCellError(f"cell (s={s}, y={y}) is empty")  # pragma: no cover
-            out[mask] = data.z[pool[rng.integers(0, pool.size, size=int(mask.sum()))]]
-        groups.append(out)
+            draws = rng.integers(0, counts[c], size=int(mask.sum()))
+            idx[mask] = order[start[c] + draws]
+        groups.append(data.z.take(idx, axis=0))
     return ReweightedSample(z0=groups[0], z1=groups[1], weights=w, weights_source=source)
 
 
@@ -239,13 +247,8 @@ def _plugin_value_and_gradient(
             f"encoder must be (d_out, {data.dim}), got {W.shape if W.ndim == 2 else W.ndim}"
         )
     w, _ = _resolve_weights(data, weights)
-    counts = np.zeros((2, 2))
-    for (s, y) in CELLS:
-        rows = cell_rows(data, s, y)
-        if rows.size == 0 and w[y] > 0:
-            raise EmptyCellError(f"gradient needs rows in cell (s={s}, y={y})")
-        counts[s, y] = max(rows.size, 1)
-    v = (2.0 * data.s - 1.0) * w[data.y] / counts[data.s, data.y]
+    cell, counts = _cell_counts(data, w, "gradient")
+    v = (2.0 * data.s - 1.0) * w[data.y] / np.maximum(counts, 1)[cell]
 
     X = data.z
     Z = X @ W.T

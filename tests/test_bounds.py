@@ -13,6 +13,7 @@ from fairmmd import (
     sample_population,
 )
 from fairmmd.bounds import _report
+from fairmmd.mmd import cell_sums
 from conftest import make_population, random_population
 
 
@@ -93,6 +94,22 @@ def test_calibration_chain_random_specs():
         data = sample_population(pop, 1000, seed=400 + trial)
         a, b = check_calibration_chain(rbf(1.0), data)
         assert a.holds and b.holds, (trial, a, b)
+
+
+def test_checks_read_shared_cell_sums(biased_pop):
+    """Each check reports the same clauses whether it makes its own kernel
+    pass or reads the cell sums it is given."""
+    data = sample_population(biased_pop, 400, seed=21)
+    spec = rbf(1.0)
+    sums = cell_sums(spec, data)
+    checks = [
+        lambda **kw: [check_unbiased_equality(spec, data, rate_threshold=1.0, **kw)],
+        lambda **kw: [check_biased_lower_bound(spec, data, **kw)],
+        lambda **kw: list(check_ba_bounds(spec, data, trials=5, seed=3, **kw)),
+        lambda **kw: list(check_calibration_chain(spec, data, **kw)),
+    ]
+    for check in checks:
+        assert [r.as_dict() for r in check()] == [r.as_dict() for r in check(sums=sums)]
 
 
 def test_tvd_dominance_exact_small_support():

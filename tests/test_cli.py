@@ -158,11 +158,27 @@ def test_config_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()  # errors went to stderr, keep the terminal clean
 
 
+GRID = [[[1.0, 0.0], [0.0, 1.0]]]
+
+
 @pytest.mark.parametrize("command, extra", [
     ("generate", {"n": "abc"}),
     ("metrics", {"kernel": {"family": "rbf", "sigma": "wide"}}),
     ("metrics", {"metrics": {"classifier": {"kind": "logistic_head", "bias": 0.0}}}),
-], ids=["n-not-a-number", "sigma-not-a-number", "logistic-head-without-weights"])
+    ("concentration", {"concentration": {"grid": GRID, "trials": "x"}}),
+    ("concentration", {"concentration": {"grid": GRID, "n_grid": ["a", 200]}}),
+    ("concentration", {"concentration": {"grid": GRID, "radius": "wide"}}),
+    ("bounds", {"bounds": {"checks": ["ba_bounds"], "trials": "x"}}),
+    ("bounds", {"bounds": {"tolerances": {"biased_lower_bound": "x"}}}),
+    ("eok", {"eok": {"bootstrap_seed": "x"}}),
+    ("train", {"train": {"steps": "x"}}),
+    ("sweep", {"sweep": {"lambdas": ["x"]}}),
+    ("bounds", {"bounds": 5}),
+], ids=["n-not-a-number", "sigma-not-a-number", "logistic-head-without-weights",
+        "trials-not-a-number", "n-grid-entry-not-a-number", "radius-not-a-number",
+        "bounds-trials-not-a-number", "tolerance-not-a-number",
+        "bootstrap-seed-not-a-number", "steps-not-a-number", "lambda-not-a-number",
+        "section-not-an-object"])
 def test_malformed_config_value_exits_two(tmp_path, capsys, command, extra):
     cfg = write_config(tmp_path, **extra)
     assert run([command, "--config", cfg]) == 2

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fairmmd import (
+    DomainError,
     InapplicableError,
     ValidationError,
     deviation_bound,
@@ -12,11 +13,12 @@ from fairmmd import (
     gaussian_complexity_images,
     gaussian_complexity_mc,
     linear,
+    mmd2_biased,
     rbf,
     sample_population,
     suggest_radius,
 )
-from fairmmd.complexity import concentration_check, fnn_apply, sample_fnn_grid
+from fairmmd.complexity import _grid_mmd2, concentration_check, fnn_apply, sample_fnn_grid
 from conftest import make_population
 
 
@@ -170,3 +172,24 @@ def test_concentration_check_small_run(unbiased_pop):
 def test_concentration_requires_linear_kernel(unbiased_pop):
     with pytest.raises(InapplicableError):
         concentration_check(unbiased_pop, [np.eye(2)], rbf(1.0), n_grid=[100, 200])
+
+
+def test_grid_statistics_match_per_map_mmd2_biased():
+    rng = np.random.default_rng(12)
+    maps = rng.normal(size=(5, 2, 3))
+    z0 = rng.normal(size=(40, 3))
+    z1 = rng.normal(size=(33, 3)) + 0.5
+    spec = linear(100.0)
+    want = [mmd2_biased(spec, z0 @ W.T, z1 @ W.T).mmd2 for W in maps]
+    assert_allclose(_grid_mmd2(spec, maps, z0, z1), want, rtol=1e-12)
+
+
+def test_concentration_checks_every_map_against_the_radius(unbiased_pop):
+    """A radius that covers the small map's rows but not the large map's is
+    refused, wherever the large map sits in the grid."""
+    small, large = 0.1 * np.eye(2), 10.0 * np.eye(2)
+    spec = linear(suggest_radius(unbiased_pop, [small]))
+    concentration_check(unbiased_pop, [small, small], spec, n_grid=[100, 200], trials=2)
+    for grid in ([large, small], [small, small, large]):
+        with pytest.raises(DomainError):
+            concentration_check(unbiased_pop, grid, spec, n_grid=[100, 200], trials=2)

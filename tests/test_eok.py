@@ -19,6 +19,7 @@ from fairmmd import (
     reweight_sample,
     sample_population,
 )
+from fairmmd._rng import rng_for
 from fairmmd.synth import cell_rows
 from conftest import make_population, random_population
 
@@ -105,6 +106,52 @@ def test_reweight_sample_draws_from_correct_cells():
     rs = reweight_sample(data, m0=40, m1=40, seed=6)
     assert set(np.unique(rs.z0)) <= {0.0, 1.0}
     assert set(np.unique(rs.z1)) <= {2.0, 3.0}
+
+
+def _flatnonzero_resample(data, m0, m1, seed):
+    """Reference resampler: the same draws from cell pools listed by
+    flatnonzero scans; returns the resampled row indices of both groups."""
+    w = empirical_weights(data)
+    pools = {(s, y): np.flatnonzero((data.s == s) & (data.y == y))
+             for s in (0, 1) for y in (0, 1)}
+    for (s, y), pool in pools.items():
+        if pool.size == 0 and w[y] > 0:
+            raise EmptyCellError(f"cell (s={s}, y={y}) is empty")
+    rng = rng_for(seed)
+    groups = []
+    for s, m in ((0, m0), (1, m1)):
+        ys = (rng.random(m) < w[1]).astype(np.int64)
+        idx = np.empty(m, dtype=np.int64)
+        for y in (0, 1):
+            mask = ys == y
+            if mask.any():
+                pool = pools[(s, y)]
+                idx[mask] = pool[rng.integers(0, pool.size, size=int(mask.sum()))]
+        groups.append(idx)
+    return groups
+
+
+def test_reweight_sample_matches_flatnonzero_reference():
+    """Every resampled index agrees with the reference, and tiny datasets
+    with an empty weighted cell are still refused."""
+    refused = 0
+    for pop in (make_population(), make_population(p=((0.8, 0.2), (0.3, 0.7)))):
+        for n in (2, 5, 7, 40, 301):
+            for seed in range(6):
+                labels = sample_population(pop, n, seed)
+                data = LabeledDataset(z=np.arange(n, dtype=float)[:, None], s=labels.s, y=labels.y)
+                m0, m1 = n // 2 + 1, n // 3 + 2
+                try:
+                    want = _flatnonzero_resample(data, m0, m1, seed + 50)
+                except EmptyCellError:
+                    refused += 1
+                    with pytest.raises(EmptyCellError):
+                        reweight_sample(data, m0, m1, seed + 50)
+                    continue
+                rs = reweight_sample(data, m0, m1, seed + 50)
+                assert_array_equal(rs.z0[:, 0].astype(np.int64), want[0])
+                assert_array_equal(rs.z1[:, 0].astype(np.int64), want[1])
+    assert refused > 0
 
 
 def test_bootstrap_seeded_and_near_plugin(unbiased_pop):

@@ -16,6 +16,7 @@ from fairmmd import (
     sample_population,
     write_csv,
 )
+from fairmmd._rng import rng_for
 from conftest import make_population
 
 
@@ -59,6 +60,59 @@ def test_sampling_is_deterministic(unbiased_pop):
     assert_array_equal(a.y, b.y)
     c = sample_population(unbiased_pop, 100, seed=5)
     assert not np.array_equal(a.z, c.z)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, np.nan])
+def test_labeled_dataset_rejects_non_binary_labels(bad):
+    z = np.zeros((3, 2))
+    ok = np.array([0, 1, 0])
+    lab = np.array([0.0, 1.0, bad])
+    for s, y in ((lab, ok), (ok, lab)):
+        with pytest.raises(ValidationError):
+            LabeledDataset(z=z, s=s, y=y)
+    data = LabeledDataset(z=z, s=np.array([0.0, 1.0, 1.0]), y=np.array([True, False, True]))
+    assert_array_equal(data.y, [1, 0, 1])
+
+
+def _masked_sample(spec, n, seed):
+    """Reference sampler: the same draws, pushed through each cell's
+    Cholesky factor (computed on the spot) one boolean mask at a time."""
+    rng = rng_for(seed)
+    s = (rng.random(n) < spec.pi_s).astype(np.int64)
+    y = (rng.random(n) < spec.p_y_given_s[s, 1]).astype(np.int64)
+    eps = rng.standard_normal((n, spec.dim))
+    z = np.empty((n, spec.dim))
+    for (cs, cy), cell in spec.cells.items():
+        mask = (s == cs) & (y == cy)
+        L = np.linalg.cholesky(cell.cov + 1e-12 * np.eye(spec.dim))
+        z[mask] = cell.mean + eps[mask] @ L.T
+    return z, s, y
+
+
+def _correlated_population(rng, dim=3):
+    cells = {}
+    for cell in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        A = rng.normal(size=(dim, dim))
+        cells[cell] = CellGaussian(rng.uniform(-2.0, 2.0, size=dim), A @ A.T + 0.1 * np.eye(dim))
+    return PopulationSpec(0.4, [[0.6, 0.4], [0.25, 0.75]], cells)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 64, 1001])
+def test_sampling_matches_masked_reference(n):
+    """Same labels always; the same bits for diagonal covariances, where each
+    product has one nonzero term; rounding-level agreement otherwise."""
+    diagonal = make_population(p=((0.7, 0.3), (0.3, 0.7)))
+    correlated = _correlated_population(np.random.default_rng(n))
+    for seed in range(4):
+        for pop in (diagonal, correlated):
+            data = sample_population(pop, n, seed)
+            z, s, y = _masked_sample(pop, n, seed)
+            assert_array_equal(data.s, s)
+            assert_array_equal(data.y, y)
+            if pop is diagonal:
+                assert_array_equal(data.z, z)
+            else:
+                assert_allclose(data.z, z, rtol=0.0, atol=1e-14)
 
 
 def test_sampling_matches_population_law():
