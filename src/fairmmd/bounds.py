@@ -72,9 +72,18 @@ from .fairness import (
     sup_dp,
     witness_scores,
 )
-from .kernels import KernelSpec, kernel_matmul, kernel_sum, linear, product, rbf
+from .kernels import (
+    KernelSpec,
+    _checked_pair,
+    kernel_matmul,
+    kernel_sum,
+    linear,
+    pairwise,
+    product,
+    rbf,
+)
 from .mmd import CellSums, cell_sums, gamma_biased
-from .synth import LabeledDataset
+from .synth import CELLS, LabeledDataset
 
 __all__ = [
     "BoundReport",
@@ -269,9 +278,7 @@ def check_calibration_chain(
     else:
         scores = evaluate_batch(h, data.z)
     k_u = kernel_sum(linear(1.0), rbf(sigma_u))
-    k_t = product(k_u, rbf(sigma_y), split=1)
-    pairs = np.column_stack([scores, data.y.astype(float)])
-    gamma_t = gamma_biased(k_t, pairs[data.s == 0], pairs[data.s == 1])
+    gamma_t = _tensor_gamma(k_u, rbf(sigma_y), scores, data)
 
     clause_a = _report(
         "dc_dominates_tensor", "ge",
@@ -286,6 +293,29 @@ def check_calibration_chain(
         _digest(data, spec, "calibration_b", sigma_u, sigma_y, tol),
     )
     return clause_a, clause_b
+
+
+def _tensor_gamma(k_u: KernelSpec, k_y: KernelSpec, scores: np.ndarray, data: LabeledDataset) -> float:
+    """:func:`gamma_biased` under k_u (x) k_y between the (score, outcome)
+    pairs of the two groups, where k_u is a linear kernel plus a second part.
+
+    The outcome is binary, so over the rows of cells c and c' the tensor
+    kernel sums to k_y(y_c, y_c') (S[c, c'] + T_c T_c'), where S is the cell-
+    sum block of the scores under the second part and T_c the score total of
+    cell c: one pass of that part over the scores replaces a pass of the
+    product kernel.  The pairs still get the product kernel's shape and
+    domain checks.
+    """
+    k_t = product(k_u, k_y, split=1)
+    pairs = np.column_stack([scores, data.y.astype(float)])
+    _checked_pair(k_t, pairs[data.s == 0], pairs[data.s == 1])
+    s_u = cell_sums(k_u.parts[1], LabeledDataset(z=scores[:, None], s=data.s, y=data.y))
+    totals = np.bincount(2 * data.s + data.y, weights=scores, minlength=4)
+    y_cell = np.array([[y] for (_, y) in CELLS], dtype=float)
+    block = pairwise(k_y, y_cell, y_cell) * (s_u.block + np.outer(totals, totals))
+    group = np.array([s for (s, _) in CELLS])
+    coef = (1 - 2 * group) / np.bincount(group, weights=s_u.counts)[group]
+    return float(np.sqrt(max(coef @ block @ coef, 0.0)))
 
 
 def check_tvd_dominance(

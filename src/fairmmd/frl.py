@@ -45,7 +45,7 @@ from .fairness import (
 )
 from .kernels import KernelSpec
 from .mmd import cell_sums
-from .synth import LabeledDataset, PopulationSpec, cell_rows, sample_population
+from .synth import CELLS, LabeledDataset, PopulationSpec, cell_rows, sample_population
 
 __all__ = [
     "TrainConfig",
@@ -159,20 +159,31 @@ def objective_gradient(
     )
 
 
-def _stratified_batch(data: LabeledDataset, batch: int, rng: np.random.Generator) -> LabeledDataset:
-    """Proportional per-cell subsample with at least one row per cell."""
-    takes, pools = [], []
-    for s in (0, 1):
-        for y in (0, 1):
-            pool = cell_rows(data, s, y)
-            if pool.size == 0:
-                raise ValidationError(f"training data must populate cell (s={s}, y={y})")
-            pools.append(pool)
-            takes.append(max(1, int(round(batch * pool.size / data.n))))
-    idx = np.concatenate([
-        rng.choice(pool, size=min(take, pool.size), replace=False)
-        for pool, take in zip(pools, takes)
-    ])
+def _cell_pools(data: LabeledDataset) -> list:
+    """Row indices of each (s, y) cell, in :data:`CELLS` order and ascending;
+    every cell must be populated."""
+    pools = [cell_rows(data, s, y) for (s, y) in CELLS]
+    for pool, (s, y) in zip(pools, CELLS):
+        if pool.size == 0:
+            raise ValidationError(f"training data must populate cell (s={s}, y={y})")
+    return pools
+
+
+def _stratified_batch(
+    data: LabeledDataset, batch: int, rng: np.random.Generator, pools=None
+) -> LabeledDataset:
+    """Proportional per-cell subsample with at least one row per cell.
+
+    ``pools``, when given, must be ``_cell_pools(data)``; a training run
+    builds them once instead of scanning the rows on every step.
+    """
+    if pools is None:
+        pools = _cell_pools(data)
+    draws = []
+    for pool in pools:
+        take = max(1, int(round(batch * pool.size / data.n)))
+        draws.append(rng.choice(pool, size=min(take, pool.size), replace=False))
+    idx = np.concatenate(draws)
     return LabeledDataset(z=data.z[idx], s=data.s[idx], y=data.y[idx])
 
 
@@ -191,8 +202,9 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> TrainResult:
     sup_t = np.empty(cfg.steps)
     pen_t = np.empty(cfg.steps)
     tot_t = np.empty(cfg.steps)
+    pools = None if cfg.batch is None else _cell_pools(data)
     for step in range(cfg.steps):
-        batch = data if cfg.batch is None else _stratified_batch(data, cfg.batch, rng)
+        batch = data if cfg.batch is None else _stratified_batch(data, cfg.batch, rng, pools)
         ev = objective_gradient(batch, W, w, b, cfg, weights=frozen)
         finite = (
             np.isfinite(ev.total)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from fairmmd import (
     InapplicableError,
@@ -9,11 +10,16 @@ from fairmmd import (
     check_calibration_chain,
     check_tvd_dominance,
     check_unbiased_equality,
+    kernel_sum,
+    linear,
+    logistic_head_classifier,
+    product,
     rbf,
     sample_population,
 )
 from fairmmd.bounds import _report
-from fairmmd.mmd import cell_sums
+from fairmmd.fairness import GROUP_CELLS, evaluate_batch, witness_scores
+from fairmmd.mmd import cell_sums, gamma_biased
 from conftest import make_population, random_population
 
 
@@ -94,6 +100,27 @@ def test_calibration_chain_random_specs():
         data = sample_population(pop, 1000, seed=400 + trial)
         a, b = check_calibration_chain(rbf(1.0), data)
         assert a.holds and b.holds, (trial, a, b)
+
+
+@pytest.mark.parametrize("n", [200, 1001, 5000])
+def test_calibration_chain_matches_product_kernel_discrepancy(biased_pop, n):
+    """The tensor discrepancy read from per-cell score sums equals the plug-in
+    root of the product kernel over (score, outcome) pairs, for the witness
+    and for an external classifier."""
+    data = sample_population(biased_pop, n, seed=17)
+    spec = rbf(1.0)
+    sums = cell_sums(spec, data)
+    head = logistic_head_classifier(np.array([1.2, -0.7]), 0.1)
+    for h, scores in ((None, witness_scores(sums, GROUP_CELLS[1], GROUP_CELLS[0])),
+                      (head, evaluate_batch(head, data.z))):
+        pairs = np.column_stack([scores, data.y.astype(float)])
+        for sigma_u, sigma_y in ((0.5, 1.0), (0.2, 0.3)):
+            k_t = product(kernel_sum(linear(1.0), rbf(sigma_u)), rbf(sigma_y), split=1)
+            want = gamma_biased(k_t, pairs[data.s == 0], pairs[data.s == 1])
+            a, b = check_calibration_chain(spec, data, h=h, sigma_u=sigma_u,
+                                           sigma_y=sigma_y, sums=sums)
+            assert_allclose(b.lhs, want, rtol=1e-12, atol=0)
+            assert_allclose(a.rhs, want / (4.0 * np.sqrt(2.0)), rtol=1e-12, atol=0)
 
 
 def test_checks_read_shared_cell_sums(biased_pop):

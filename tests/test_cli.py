@@ -92,6 +92,24 @@ def test_reports_identical_modulo_timing(tmp_path):
     assert a == b
 
 
+def test_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    """Kernel passes split across 1 or 2 workers give byte-identical eok,
+    metrics and bounds reports, apart from timing."""
+    from fairmmd import kernels
+
+    cfg = write_config(tmp_path, n=1200)
+    texts = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        for command in ("eok", "metrics", "bounds"):
+            assert run([command, "--config", cfg]) in (0, 1), command
+            report = load_report(tmp_path, command)
+            report.pop("timing")
+            texts[workers, command] = json.dumps(report, sort_keys=True)
+    for command in ("eok", "metrics", "bounds"):
+        assert texts[1, command] == texts[2, command], command
+
+
 def test_seed_override_shifts_digest_and_result(tmp_path):
     cfg = write_config(tmp_path)
     assert run(["eok", "--config", cfg, "--out", tmp_path / "a"]) == 0

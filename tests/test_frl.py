@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fairmmd import (
+    LabeledDataset,
     TrainConfig,
     TrainingError,
     ValidationError,
@@ -13,7 +14,7 @@ from fairmmd import (
     sample_population,
     train,
 )
-from fairmmd.frl import _stratified_batch
+from fairmmd.frl import _cell_pools, _stratified_batch
 from fairmmd._rng import rng_for
 from conftest import make_population
 
@@ -143,6 +144,43 @@ def test_stratified_batch_covers_cells(unbiased_pop):
         for y in (0, 1):
             assert ((batch.s == s) & (batch.y == y)).any()
     assert abs(batch.n - 40) <= 4  # rounding may move a row or two
+
+
+def _per_step_batch(data, batch, rng):
+    """Stratified batch drawn from pools rebuilt by a row scan on each call."""
+    draws = []
+    for s in (0, 1):
+        for y in (0, 1):
+            pool = np.flatnonzero((data.s == s) & (data.y == y))
+            take = max(1, int(round(batch * pool.size / data.n)))
+            draws.append(rng.choice(pool, size=min(take, pool.size), replace=False))
+    return np.concatenate(draws)
+
+
+@pytest.mark.parametrize("n, batch", [(40, 8), (301, 64), (800, 256)])
+def test_stratified_batch_from_prebuilt_pools(biased_pop, n, batch):
+    """Pools built once give the batches, and leave the generator in the
+    state, that pools rebuilt on every step give."""
+    data = sample_population(biased_pop, n, seed=n)
+    pools = _cell_pools(data)
+    ours, ref = rng_for(3, 7), rng_for(3, 7)
+    for _ in range(25):
+        got = _stratified_batch(data, batch, ours, pools)
+        idx = _per_step_batch(data, batch, ref)
+        assert_array_equal(got.z, data.z[idx])
+        assert_array_equal(got.s, data.s[idx])
+        assert_array_equal(got.y, data.y[idx])
+    assert ours.random() == ref.random()
+
+
+def test_minibatch_training_refuses_an_empty_cell(unbiased_pop):
+    data = sample_population(unbiased_pop, 200, seed=12)
+    keep = ~((data.s == 1) & (data.y == 1))
+    data = LabeledDataset(z=data.z[keep], s=data.s[keep], y=data.y[keep])
+    with pytest.raises(ValidationError, match=r"cell \(s=1, y=1\)"):
+        train(data, _cfg(steps=3, batch=16))
+    with pytest.raises(ValidationError):
+        _stratified_batch(data, 16, rng_for(0, 7))
 
 
 def test_divergence_raises_training_error(unbiased_pop):

@@ -1,3 +1,9 @@
+import multiprocessing
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,6 +23,7 @@ from fairmmd import (
     product,
     rbf,
 )
+from fairmmd import kernels
 from fairmmd.kernels import TILE
 from conftest import STREAMED_SIZES, STREAMED_SPECS, assert_matches_dense
 
@@ -259,3 +266,144 @@ def test_kernel_matmul_duplicate_rows_get_identical_outputs(family):
         out = kernel_matmul(spec, A, B, M)
         for i in copies[1:]:
             np.testing.assert_array_equal(out[i], out[copies[0]])
+
+
+def _tiled_reference(spec, A, B, M):
+    """The serial tile loop, one fresh dense tile at a time."""
+    Mt = np.ascontiguousarray(M.reshape(M.shape[0], -1).T)
+    out = np.zeros((A.shape[0], Mt.shape[0]))
+    for i in range(0, A.shape[0], TILE):
+        for j in range(0, B.shape[0], TILE):
+            tile = pairwise(spec, A[i : i + TILE], B[j : j + TILE])
+            out[i : i + TILE] += np.einsum("ij,kj->ik", tile, Mt[:, j : j + TILE])
+    return out.reshape(A.shape[0]) if M.ndim == 1 else out
+
+
+@pytest.mark.parametrize("family", sorted(STREAMED_SPECS))
+def test_row_split_is_bit_identical_to_serial(family, monkeypatch):
+    """A pass split across 1, 2 or 3 workers gives the bits of the serial
+    tile loop: square and rectangular passes, 1 and 4 columns of M, row counts
+    that split unevenly, and copies of a row on both sides of a boundary."""
+    spec = STREAMED_SPECS[family]
+    rng = np.random.default_rng(31)
+    pools = []
+
+    def counting_pool():
+        pools.append(1)
+        return real_pool()
+
+    real_pool = kernels._pool
+    monkeypatch.setattr(kernels, "_pool", counting_pool)
+    for n, m in ((3 * TILE + 37, None), (2 * TILE + 3, 5 * TILE + 20), (4 * TILE, 3 * TILE - 5)):
+        A = rng.normal(size=(n, 3))
+        copies = [0, TILE - 1, TILE, 2 * TILE - 1, 2 * TILE]
+        A[copies] = A[copies[0]]
+        B = A if m is None else rng.normal(size=(m, 3))
+        for M in (rng.normal(size=B.shape[0]), rng.normal(size=(B.shape[0], 4))):
+            want = None if family == "linear" else _tiled_reference(spec, A, B, M)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(kernels, "_WORKERS", workers)
+                got = kernels._matmul_unchecked(spec, A, B, M)
+                if want is None:
+                    want = got
+                np.testing.assert_array_equal(got, want, err_msg=f"{n}x{B.shape[0]}, {workers} workers")
+                for i in copies[1:]:
+                    np.testing.assert_array_equal(got[i], got[copies[0]])
+    assert pools or family == "linear"
+
+
+def test_small_pass_never_uses_the_pool(monkeypatch):
+    """Below two tiles of work per worker, or with a single row tile, a pass
+    runs serially and never asks for the pool."""
+
+    def no_pool():
+        raise AssertionError("a small pass asked for the pool")
+
+    monkeypatch.setattr(kernels, "_pool", no_pool)
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    rng = np.random.default_rng(32)
+    spec = STREAMED_SPECS["product"]
+    for n, m in ((TILE + 2, TILE + 2), (2 * TILE - 1, 2 * TILE - 1), (TILE, 20 * TILE)):
+        A, B = rng.normal(size=(n, 3)), rng.normal(size=(m, 3))
+        M = rng.normal(size=(m, 4))
+        np.testing.assert_array_equal(kernels._matmul_unchecked(spec, A, B, M),
+                                      _tiled_reference(spec, A, B, M))
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
+    A = rng.normal(size=(4 * TILE, 3))
+    kernels._matmul_unchecked(spec, A, A, np.ones(4 * TILE))
+
+
+def _split_pass_in_child(conn):
+    from fairmmd import kernels
+
+    kernels._WORKERS = 2
+    A = np.random.default_rng(34).normal(size=(3 * TILE, 2))
+    conn.send(kernels._matmul_unchecked(rbf(1.0), A, A, np.ones(3 * TILE)))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_gets_a_fresh_pool(monkeypatch):
+    """A child forked after the pool started (whose threads it does not
+    inherit) still completes a split pass."""
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    A = np.random.default_rng(34).normal(size=(3 * TILE, 2))
+    want = kernels._matmul_unchecked(rbf(1.0), A, A, np.ones(3 * TILE))
+    assert kernels._POOL is not None
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_split_pass_in_child, args=(send,))
+    child.start()
+    try:
+        assert recv.poll(60), "the forked child's kernel pass did not finish"
+        np.testing.assert_array_equal(recv.recv(), want)
+    finally:
+        child.kill()
+        child.join()
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch):
+    """Callers on several threads, with more workers than CPUs and frequent
+    thread switches, each get the serial bits, and only one pool is made."""
+    made = []
+
+    class CountingPool(kernels.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            time.sleep(0.05)  # widens the window a missing lock would leave
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(kernels, "_POOL", None)
+    monkeypatch.setattr(kernels, "_WORKERS", 3)
+    spec = STREAMED_SPECS["product"]
+    rng = np.random.default_rng(35)
+    inputs = [(rng.normal(size=(3 * TILE + 9, 3)), rng.normal(size=(3 * TILE + 9, 2)))
+              for _ in range(4)]
+    wants = [_tiled_reference(spec, A, A, M) for A, M in inputs]
+    gots = [[] for _ in inputs]
+    start = threading.Barrier(len(inputs))
+
+    def call(k):
+        A, M = inputs[k]
+        start.wait(timeout=60)
+        for _ in range(3):
+            gots[k].append(kernels._matmul_unchecked(spec, A, A, M))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in made:
+            pool.shutdown()
+    assert len(made) == 1
+    for got, want in zip(gots, wants):
+        assert len(got) == 3
+        for out in got:
+            np.testing.assert_array_equal(out, want)
