@@ -72,6 +72,7 @@ from .kernels import KernelSpec, laplacian, linear, median_heuristic, rbf
 from .mmd import cell_sums
 from .synth import (
     LabeledDataset,
+    PopulationSpec,
     population_from_dict,
     read_csv,
     sample_population,
@@ -112,6 +113,12 @@ def _parse_optional(value, convert, what: str):
     return None if value is None else _parse(value, convert, what)
 
 
+def _option(opts: dict, section: str, key: str, default, convert):
+    """:func:`_parse` of ``opts[key]`` (``default`` if absent), a field of
+    the config section named ``section``."""
+    return _parse(opts.get(key, default), convert, f'{section} "{key}"')
+
+
 def _section(cfg: dict, key: str) -> dict:
     """The config object under ``key`` ({} if absent); ConfigurationError if
     it is not an object."""
@@ -136,6 +143,12 @@ def _effective(cfg: dict, args) -> dict:
     eff.setdefault("out", "reports")
     _parse(eff["seed"], int, '"seed"')
     return eff
+
+
+def _population(eff: dict, command: str) -> PopulationSpec:
+    if "population" not in eff:
+        raise ConfigurationError(f'{command} needs a "population" section')
+    return population_from_dict(eff["population"])
 
 
 def _resolve_dataset(cfg: dict, eff: dict) -> tuple[LabeledDataset, np.ndarray | None]:
@@ -175,12 +188,7 @@ def _resolve_kernel(eff: dict, data: LabeledDataset | None) -> KernelSpec:
 
 
 def _kernel_dict(spec: KernelSpec) -> dict:
-    out = {"family": spec.family, "nu": spec.nu, "lipschitz": spec.lipschitz}
-    if spec.sigma is not None:
-        out["sigma"] = spec.sigma
-    if spec.radius is not None:
-        out["radius"] = spec.radius
-    return out
+    return {k: v for k, v in dataclasses.asdict(spec).items() if v is not None}
 
 
 def _resolve_classifier(eff: dict, csv_scores):
@@ -233,7 +241,15 @@ def _config_digest(eff: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _write_report(command: str, eff: dict, result: dict, started: float) -> tuple[dict, Path]:
+def _out_file(eff: dict, name: str) -> Path:
+    """``<out>/<name>``, creating the output directory if needed."""
+    out_dir = Path(eff["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / name
+
+
+def _write_report(command: str, eff: dict, result: dict, started: float,
+                  elapsed: float) -> tuple[dict, Path]:
     report = {
         "command": command,
         "versions": {"fairmmd": __version__, "report_schema": SCHEMA_VERSION},
@@ -241,13 +257,11 @@ def _write_report(command: str, eff: dict, result: dict, started: float) -> tupl
         "config_digest": _config_digest(eff),
         "timing": {
             "started_at": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
-            "elapsed_seconds": time.time() - started,
+            "elapsed_seconds": elapsed,
         },
         "result": _jsonify(result),
     }
-    out_dir = Path(eff["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{command}.json"
+    path = _out_file(eff, f"{command}.json")
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return report, path
 
@@ -262,19 +276,14 @@ def _emit(report: dict, path: Path, fmt: str, table_lines) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its result object, its table lines and its exit
+# status; ``main`` times it, writes the report and prints it.
 
 
-def _cmd_generate(eff: dict, cfg: dict, fmt: str) -> int:
-    started = time.time()
-    if "population" not in eff:
-        raise ConfigurationError('generate needs a "population" section')
-    pop = population_from_dict(eff["population"])
-    n = _parse(eff.get("n", 1000), int, '"n"')
-    data = sample_population(pop, n, int(eff["seed"]))
-    out_dir = Path(eff["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "dataset.csv"
+def _cmd_generate(eff: dict, cfg: dict) -> tuple[dict, list, int]:
+    pop = _population(eff, "generate")
+    data = sample_population(pop, _parse(eff.get("n", 1000), int, '"n"'), int(eff["seed"]))
+    csv_path = _out_file(eff, "dataset.csv")
     write_csv(data, csv_path)
     counts = group_stats(data).counts
     result = {
@@ -284,16 +293,13 @@ def _cmd_generate(eff: dict, cfg: dict, fmt: str) -> int:
         "cell_counts": {f"{s},{y}": int(counts[s, y]) for s in (0, 1) for y in (0, 1)},
         "csv_sha256": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
     }
-    report, path = _write_report("generate", eff, result, started)
-    _emit(report, path, fmt, [
+    return result, [
         f"wrote {csv_path} ({data.n} rows, dim {data.dim})",
         f"cell counts: {result['cell_counts']}",
-    ])
-    return 0
+    ], 0
 
 
-def _cmd_metrics(eff: dict, cfg: dict, fmt: str) -> int:
-    started = time.time()
+def _cmd_metrics(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     data, csv_scores = _resolve_dataset(cfg, eff)
     spec = _resolve_kernel(eff, data)
     h, kind = _resolve_classifier(eff, csv_scores)
@@ -318,14 +324,10 @@ def _cmd_metrics(eff: dict, cfg: dict, fmt: str) -> int:
     }
     result = {"metrics": metrics, "classifier_kind": kind, "kernel": _kernel_dict(spec),
               "n": data.n, "bins": bins}
-    report, path = _write_report("metrics", eff, result, started)
-    _emit(report, path, fmt,
-          [f"{k:>22s}  {v:.6f}" for k, v in metrics.items()])
-    return 0
+    return result, [f"{k:>22s}  {v:.6f}" for k, v in metrics.items()], 0
 
 
-def _cmd_eok(eff: dict, cfg: dict, fmt: str) -> int:
-    started = time.time()
+def _cmd_eok(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     data, _ = _resolve_dataset(cfg, eff)
     spec = _resolve_kernel(eff, data)
     opts = _section(eff, "eok")
@@ -345,14 +347,12 @@ def _cmd_eok(eff: dict, cfg: dict, fmt: str) -> int:
             spec, data,
             m0=_parse_optional(opts.get("m0"), int, 'eok "m0"'),
             m1=_parse_optional(opts.get("m1"), int, 'eok "m1"'),
-            seed=_parse(opts.get("bootstrap_seed", eff["seed"]), int, 'eok "bootstrap_seed"'),
+            seed=_option(opts, "eok", "bootstrap_seed", eff["seed"], int),
             weights=weights,
         )
         result["bootstrap"] = dataclasses.asdict(est)
         lines.append(f"bootstrap  eok2={est.eok2:.6f}  eok={est.eok:.6f}  weights={est.weights}")
-    report, path = _write_report("eok", eff, result, started)
-    _emit(report, path, fmt, lines)
-    return 0
+    return result, lines, 0
 
 
 _BOUND_CHECKS = (
@@ -364,20 +364,17 @@ _BOUND_CHECKS = (
 )
 
 
-def _cmd_bounds(eff: dict, cfg: dict, fmt: str) -> int:
-    started = time.time()
+def _cmd_bounds(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     data, _ = _resolve_dataset(cfg, eff)
     spec = _resolve_kernel(eff, data)
     opts = _section(eff, "bounds")
-    checks = _parse(opts.get("checks", ["biased_lower_bound", "ba_bounds", "calibration_chain"]),
-                    list, 'bounds "checks"')
+    checks = _option(opts, "bounds", "checks",
+                     ["biased_lower_bound", "ba_bounds", "calibration_chain"], list)
     for name in checks:
         if name not in _BOUND_CHECKS:
             raise ConfigurationError(f"unknown bound check {name!r}; known: {_BOUND_CHECKS}")
     tols = _section(opts, "tolerances")
-
-    def option(key, default, convert):
-        return _parse(opts.get(key, default), convert, f'bounds "{key}"')
+    option = partial(_option, opts, "bounds")
 
     def tol(name, default):
         return _parse(tols.get(name, default), float, f'"{name}" tolerance')
@@ -414,55 +411,43 @@ def _cmd_bounds(eff: dict, cfg: dict, fmt: str) -> int:
     all_hold = all(r.holds for r in reports)
     result = {"clauses": [r.as_dict() for r in reports], "all_hold": all_hold,
               "kernel": _kernel_dict(spec), "n": data.n}
-    report, path = _write_report("bounds", eff, result, started)
     lines = [
         f"{r.name:>26s}  {r.kind}  lhs={r.lhs: .6f}  rhs={r.rhs: .6f}  "
         f"slack={r.slack: .2e}  {'HOLDS' if r.holds else 'FAILS'}"
         for r in reports
     ] + [f"all clauses hold: {all_hold}"]
-    _emit(report, path, fmt, lines)
-    return 0 if all_hold else 1
+    return result, lines, 0 if all_hold else 1
 
 
-def _cmd_concentration(eff: dict, cfg: dict, fmt: str) -> int:
-    started = time.time()
-    if "population" not in eff:
-        raise ConfigurationError('concentration needs a "population" section')
-    pop = population_from_dict(eff["population"])
+def _cmd_concentration(eff: dict, cfg: dict) -> tuple[dict, list, int]:
+    pop = _population(eff, "concentration")
     opts = _section(eff, "concentration")
     if "grid" not in opts:
         raise ConfigurationError('concentration needs a "grid" of encoder matrices')
-    grid = finite_grid(_parse(
-        opts["grid"], _list_of(partial(np.asarray, dtype=float)), 'concentration "grid"'
-    )).maps
+    option = partial(_option, opts, "concentration")
+    grid = finite_grid(option("grid", None, _list_of(partial(np.asarray, dtype=float)))).maps
     radius = _parse_optional(opts.get("radius"), float, 'concentration "radius"')
     spec = linear(suggest_radius(pop, grid) if radius is None else radius)
     rep = concentration_check(
         pop, grid, spec,
-        n_grid=_parse(opts.get("n_grid", [100, 200, 400, 800]), _list_of(int),
-                      'concentration "n_grid"'),
-        trials=_parse(opts.get("trials", 100), int, 'concentration "trials"'),
-        delta=_parse(opts.get("delta", 0.05), float, 'concentration "delta"'),
+        n_grid=option("n_grid", [100, 200, 400, 800], _list_of(int)),
+        trials=option("trials", 100, int),
+        delta=option("delta", 0.05, float),
         seed=int(eff["seed"]),
-        g_trials=_parse(opts.get("g_trials", 64), int, 'concentration "g_trials"'),
+        g_trials=option("g_trials", 64, int),
     )
     result = dict(rep.as_dict(), kernel=_kernel_dict(spec))
-    report, path = _write_report("concentration", eff, result, started)
     lines = [
         f"n={r['n']:>6d}  mean_dev={r['mean_dev']:.5f}  "
         f"q{100 * (1 - rep.delta):.0f}={r['quantile_dev']:.5f}  bound={r['bound']:.3f}"
         for r in rep.rows
     ] + [f"slope={rep.slope:.3f}  envelope holds: {rep.holds}"]
-    _emit(report, path, fmt, lines)
-    return 0 if rep.holds else 1
+    return result, lines, 0 if rep.holds else 1
 
 
 def _train_config(eff: dict, spec: KernelSpec) -> TrainConfig:
     t = _section(eff, "train")
-
-    def option(key, default, convert):
-        return _parse(t.get(key, default), convert, f'train "{key}"')
-
+    option = partial(_option, t, "train")
     return TrainConfig(
         kernel=spec,
         lam=option("lambda", 1.0, float),
@@ -475,8 +460,7 @@ def _train_config(eff: dict, spec: KernelSpec) -> TrainConfig:
     )
 
 
-def _cmd_train(eff: dict, cfg: dict, fmt: str) -> int:
-    started = time.time()
+def _cmd_train(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     data, _ = _resolve_dataset(cfg, eff)
     spec = _resolve_kernel(eff, data)
     res = train(data, _train_config(eff, spec))
@@ -491,25 +475,19 @@ def _cmd_train(eff: dict, cfg: dict, fmt: str) -> int:
         "kernel": _kernel_dict(spec),
         "n": data.n,
     }
-    report, path = _write_report("train", eff, result, started)
-    _emit(report, path, fmt, [
+    return result, [
         f"step {0:>5d}: sup={res.sup_trace[0]:.6f} penalty={res.penalty_trace[0]:.6f} "
         f"total={res.total_trace[0]:.6f}",
         f"step {len(res.sup_trace) - 1:>5d}: sup={res.sup_trace[-1]:.6f} "
         f"penalty={res.penalty_trace[-1]:.6f} total={res.total_trace[-1]:.6f}",
-    ])
-    return 0
+    ], 0
 
 
-def _cmd_sweep(eff: dict, cfg: dict, fmt: str) -> int:
-    started = time.time()
-    if "population" not in eff:
-        raise ConfigurationError('sweep needs a "population" section')
-    pop = population_from_dict(eff["population"])
+def _cmd_sweep(eff: dict, cfg: dict) -> tuple[dict, list, int]:
+    pop = _population(eff, "sweep")
     spec = _resolve_kernel(eff, None)
     opts = _section(eff, "sweep")
-    lambdas = _parse(opts.get("lambdas", [0.0, 0.1, 1.0, 10.0]), _list_of(float),
-                     'sweep "lambdas"')
+    lambdas = _option(opts, "sweep", "lambdas", [0.0, 0.1, 1.0, 10.0], _list_of(float))
     res = lambda_sweep(
         pop, lambdas, _train_config(eff, spec),
         n=_parse(eff.get("n", 1000), int, '"n"'), seed=int(eff["seed"]),
@@ -518,23 +496,19 @@ def _cmd_sweep(eff: dict, cfg: dict, fmt: str) -> int:
     from scipy.stats import spearmanr
 
     rho = float(spearmanr(res.lambdas, [r["eok2"] for r in res.rows]).statistic)
-    result = dict(res.as_dict(), kernel=_kernel_dict(spec), spearman_lambda_eok2=rho)
-    out_dir = Path(eff["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "sweep.csv"
+    csv_path = _out_file(eff, "sweep.csv")
     cols = list(res.rows[0].keys())
     with open(csv_path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for row in res.rows:
             fh.write(",".join(f"{row[c]:.17g}" for c in cols) + "\n")
-    result["csv_path"] = str(csv_path)
-    report, path = _write_report("sweep", eff, result, started)
+    result = dict(res.as_dict(), kernel=_kernel_dict(spec), spearman_lambda_eok2=rho,
+                  csv_path=str(csv_path))
     header = "  ".join(f"{c:>10s}" for c in cols)
     lines = [header] + [
         "  ".join(f"{row[c]:>10.5f}" for c in cols) for row in res.rows
     ] + [f"spearman(lambda, eok2) = {rho:.3f}", f"frontier written to {csv_path}"]
-    _emit(report, path, fmt, lines)
-    return 0
+    return result, lines, 0
 
 
 _COMMANDS = {
@@ -565,14 +539,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: the command computes its result, table lines and
+    exit status; only this function times it, writes its report and prints."""
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
         eff = _effective(cfg, args)
-        return _COMMANDS[args.command](eff, cfg, args.format)
+        started = time.time()
+        result, lines, status = _COMMANDS[args.command](eff, cfg)
+        report, path = _write_report(args.command, eff, result, started,
+                                     time.time() - started)
     except FairmmdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(report, path, args.format, lines)
+    return status
 
 
 if __name__ == "__main__":

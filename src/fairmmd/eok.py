@@ -196,10 +196,7 @@ def eok_hat_plugin(
     ``cell_sums(spec, data)``; it is read instead of a fresh kernel pass.
     """
     w, source = _resolve_weights(data, weights)
-    counts = np.bincount(2 * data.s + data.y, minlength=4)
-    for c, (s, y) in enumerate(CELLS):
-        if counts[c] == 0:
-            raise EmptyCellError(f"plugin estimator needs rows in cell (s={s}, y={y})")
+    _, counts = _cell_counts(data, (1, 1), "plugin estimator")
     if sums is None:
         sums = cell_sums(spec, data)
     a = np.array([(2 * s - 1) * w[y] for (s, y) in CELLS]) / counts

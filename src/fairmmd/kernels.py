@@ -297,9 +297,7 @@ def _split_pass(spec: KernelSpec, A, B, Mt, out, chunks: int) -> None:
 
     Each chunk evaluates exactly the tiles of one serial pass and reduces
     each output row over them in the same column order, so the result has
-    the same bits whatever the number of chunks.  (Rows are not split inside
-    a tile: numpy's matmul takes another path for a one-row product, so a
-    linear part's value could depend on where its tile starts.)  The calling thread
+    the same bits whatever the number of chunks.  The calling thread
     allocates every chunk's buffers, since memory a pool thread allocates
     stays in that thread's malloc arena after it is freed.
     """
@@ -377,7 +375,9 @@ def _pairwise_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, bufs=())
         K /= -spec.sigma
         return np.exp(K, out=K)
     if spec.family == "linear":
-        return np.matmul(A, B.T, out=K)
+        # Not matmul: numpy takes another routine for a one-row product, so a
+        # row in a one-row tile could differ in its last bits from its copies.
+        return np.einsum("id,jd->ij", A, B, out=K)
     raise ValidationError(f"unknown kernel family {spec.family!r}")  # pragma: no cover
 
 

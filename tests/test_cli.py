@@ -232,3 +232,38 @@ def test_generate_csv_embeds_hash(tmp_path):
     report = load_report(tmp_path, "generate")
     digest = hashlib.sha256(Path(report["result"]["path"]).read_bytes()).hexdigest()
     assert digest == report["result"]["csv_sha256"]
+
+
+COMMAND_CONFIGS = {
+    "generate": {},
+    "metrics": {},
+    "eok": {},
+    "bounds": {},
+    "concentration": {"kernel": {"family": "linear", "radius": 9.1},
+                      "concentration": {"grid": [[[1, 0], [0, 1]], [[1, 0], [0, 0]]],
+                                        "n_grid": [100, 200], "trials": 10}},
+    "train": {"train": {"lambda": 1.0, "steps": 10}},
+    "sweep": {"train": {"steps": 10}, "sweep": {"lambdas": [0.0, 2.0]}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
+def test_json_format_prints_the_written_report(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, **COMMAND_CONFIGS[command])
+    assert run([command, "--config", cfg, "--format", "json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == load_report(tmp_path, command)
+
+
+def test_command_failing_after_work_writes_no_report(tmp_path, capsys):
+    """The biased floor is computed before the tvd tolerance is read; the
+    malformed tolerance still exits 2 with nothing written or printed."""
+    cfg = write_config(tmp_path, bounds={
+        "checks": ["biased_lower_bound", "tvd_dominance"],
+        "tolerances": {"tvd_dominance": "x"},
+    })
+    assert run(["bounds", "--config", cfg, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not (tmp_path / "reports").exists()

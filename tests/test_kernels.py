@@ -268,6 +268,23 @@ def test_kernel_matmul_duplicate_rows_get_identical_outputs(family):
             np.testing.assert_array_equal(out[i], out[copies[0]])
 
 
+@pytest.mark.parametrize("spec", [
+    kernel_sum(linear(50.0), rbf(0.7)),
+    product(linear(50.0), rbf(0.7), split=2),
+], ids=["kernel_sum", "product"])
+def test_row_in_a_one_row_tile_matches_its_copy(spec):
+    """With 2 TILE + 1 rows the last row fills a tile on its own; under a
+    kernel with a linear part its output still has the bits of its copy in
+    the first tile."""
+    rng = np.random.default_rng(17)
+    A = rng.normal(size=(2 * TILE + 1, 3))
+    A[2 * TILE] = A[0]
+    B = rng.normal(size=(TILE + 11, 3))
+    for M in (rng.normal(size=TILE + 11), rng.normal(size=(TILE + 11, 4))):
+        out = kernel_matmul(spec, A, B, M)
+        np.testing.assert_array_equal(out[2 * TILE], out[0])
+
+
 def _tiled_reference(spec, A, B, M):
     """The serial tile loop, one fresh dense tile at a time."""
     Mt = np.ascontiguousarray(M.reshape(M.shape[0], -1).T)
