@@ -133,6 +133,15 @@ def _list_of(convert):
     return lambda values: [convert(v) for v in values]
 
 
+def _seed(value) -> int:
+    """A seed for :func:`_parse`: numpy seeds its generators from
+    non-negative integers only."""
+    seed = int(value)
+    if seed < 0:
+        raise ValueError("seeds must be non-negative")
+    return seed
+
+
 def _effective(cfg: dict, args) -> dict:
     eff = {k: v for k, v in cfg.items() if not k.startswith("_")}
     if args.seed is not None:
@@ -141,7 +150,7 @@ def _effective(cfg: dict, args) -> dict:
         eff["out"] = args.out
     eff.setdefault("seed", 0)
     eff.setdefault("out", "reports")
-    _parse(eff["seed"], int, '"seed"')
+    _parse(eff["seed"], _seed, '"seed"')
     return eff
 
 
@@ -347,7 +356,7 @@ def _cmd_eok(eff: dict, cfg: dict) -> tuple[dict, list, int]:
             spec, data,
             m0=_parse_optional(opts.get("m0"), int, 'eok "m0"'),
             m1=_parse_optional(opts.get("m1"), int, 'eok "m1"'),
-            seed=_option(opts, "eok", "bootstrap_seed", eff["seed"], int),
+            seed=_option(opts, "eok", "bootstrap_seed", eff["seed"], _seed),
             weights=weights,
         )
         result["bootstrap"] = dataclasses.asdict(est)
@@ -551,6 +560,9 @@ def main(argv=None) -> int:
                                      time.time() - started)
     except FairmmdError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     _emit(report, path, args.format, lines)
     return status

@@ -40,10 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import rng_for, subseed
-from .errors import InapplicableError, SizeError, ValidationError
-from .eok import reweight_sample
-from .kernels import KernelSpec, _checked_pair
-from .synth import PopulationSpec, sample_population
+from .errors import DomainError, InapplicableError, SizeError, ValidationError
+from .eok import _resample_rows, reweight_sample
+from .kernels import KernelSpec, _check_domain, _checked_pair
+from .synth import PopulationSpec, _draw, _rows, sample_population
 
 __all__ = [
     "EncoderFamily",
@@ -292,6 +292,13 @@ def _grid_mmd2(spec: KernelSpec, maps: np.ndarray, z0: np.ndarray, z1: np.ndarra
     return np.einsum("gk,gk->g", diff, diff)
 
 
+# Encoded entries (rows x G x d_out) that one block of trials may hold:
+# blocks of ~100 trials at small n, where per-trial overhead dominates, and a
+# few MB of block arrays.  On the certify benchmark's check, 2^15 was 9%
+# slower and 2^19 was 4% faster but raised the peak RSS by 9 MB, not 3 MB.
+_BLOCK_ENTRIES = 2**17
+
+
 def concentration_check(
     population: PopulationSpec,
     grid,
@@ -313,8 +320,23 @@ def concentration_check(
     whole grid with one product against the stacked maps and reads every
     map's statistic from that product, ||mean(E0_g) - mean(E1_g)||^2, the
     linear closed form of :func:`fairmmd.mmd.mmd2_biased`.  Every encoded
-    row of every map is still checked to be finite and inside the linear
-    kernel's ball, so a radius too small for any of them raises DomainError.
+    row of every map must be finite and inside the linear kernel's ball, so
+    a radius too small for any of them raises DomainError.
+
+    The trials of each n run in blocks of at most
+    ``_BLOCK_ENTRIES // (n G d_out)`` trials and at least one, so the
+    encoded rows of a block hold at most 2^17 entries (or one trial's, if
+    more) and the block arrays take a few MB whatever ``trials`` is.  Each
+    trial of a block draws its rows and its resample from its own streams,
+    with the calls of :func:`fairmmd.synth.sample_population` and
+    :func:`fairmmd.eok.reweight_sample`; the row transform, cell counts,
+    weights, gather, encoding, domain check and statistics then run once on
+    the stacked block, and give each trial the bits it gets on its own.  The
+    domain check reads the encoded rows one by one only when the bound
+    ||W z|| <= ||W||_2 ||z|| over the resampled rows z does not already keep
+    them all inside the ball.  A block with a failing trial is run again one
+    trial at a time, so the first failing trial raises its own error.
+
     The certificate per n uses rho0 = rho1 = 1/2 and a small-sample MC
     estimate of the family's expected Gaussian complexity.  ``holds`` says
     whether the empirical (1 - delta) quantile stayed below the bound at
@@ -332,6 +354,10 @@ def concentration_check(
         raise ValidationError("need at least two sample sizes for a slope")
     if any(n < 8 or n % 2 for n in n_grid):
         raise ValidationError(f"sample sizes must be even and >= 8, got {n_grid}")
+    if trials < 1:
+        raise SizeError(f"need >= 1 trial per sample size, got {trials}")
+    if not 0 < delta < 1:
+        raise ValidationError(f"delta must be in (0, 1), got {delta}")
     w = population.p_y_given_s[0]
     md_x = sum(
         w[y] * (population.cells[(0, y)].mean - population.cells[(1, y)].mean) for y in (0, 1)
@@ -342,11 +368,7 @@ def concentration_check(
     rows = []
     for i_n, n in enumerate(n_grid):
         m = n // 2
-        devs = np.empty(trials)
-        for t in range(trials):
-            data = sample_population(population, n, subseed(seed, 1, i_n, t))
-            rs = reweight_sample(data, m, m, subseed(seed, 2, i_n, t))
-            devs[t] = np.abs(_grid_mmd2(spec, maps, rs.z0, rs.z1) - analytic).max()
+        devs = _trial_deviations(population, spec, maps, analytic, n, trials, seed, i_n)
         g_vals = []
         for j in range(g_repeats):
             data = sample_population(population, n, subseed(seed, 3, i_n, j))
@@ -371,3 +393,72 @@ def concentration_check(
     return ConcentrationReport(
         rows=tuple(rows), slope=slope, holds=bool(holds), delta=delta, trials=trials
     )
+
+
+def _trial_deviations(
+    population: PopulationSpec, spec: KernelSpec, maps: np.ndarray, analytic: np.ndarray,
+    n: int, trials: int, seed: int, i_n: int,
+) -> np.ndarray:
+    """Worst absolute gap over the grid between each trial's statistics and
+    ``analytic``, for the ``trials`` trials at sample size n (the n_grid
+    entry ``i_n``), in the blocks described in :func:`concentration_check`.
+    """
+    n_maps, d_out, d_in = maps.shape
+    m = n // 2
+    step = min(max(_BLOCK_ENTRIES // (n * n_maps * d_out), 1), trials)
+    flat_t = maps.reshape(n_maps * d_out, d_in).T
+    widest = max(float(np.linalg.norm(W, 2)) for W in maps)
+    # Buffers that every block of this n reuses: fresh ones per block would
+    # be fresh pages to fault in.
+    u_s, u_y, eps = np.empty((step, n)), np.empty((step, n)), np.empty((step, n, d_in))
+    idx = np.empty((step, n), dtype=np.int64)
+    enc = np.empty((step, 2, m, n_maps * d_out))
+    devs = np.empty(trials)
+    for t0 in range(0, trials, step):
+        block = range(t0, min(t0 + step, trials))
+        B = len(block)
+        for b, t in enumerate(block):
+            _draw(rng_for(subseed(seed, 1, i_n, t)), u_s[b], u_y[b], eps[b])
+        z, s, y = _rows(population, u_s[:B], u_y[:B], eps[:B])
+        cell = 2 * s + y
+        counts = np.bincount((cell + 4 * np.arange(B)[:, None]).ravel(),
+                             minlength=4 * B).reshape(B, 4)
+        # The empirical weights are the S=0 stratum's outcome rates; a trial
+        # whose stratum is empty, or whose cell with weight is empty, fails.
+        n0 = counts[:, 0] + counts[:, 1]
+        w = counts[:, :2] / np.maximum(n0, 1)[:, None]
+        failed = (n0 == 0).any() or ((counts == 0) & (np.tile(w, 2) > 0)).any()
+        if not failed:
+            # Labels of the block's flattened rows, each trial's cells in order.
+            order = (np.argsort(cell.astype(np.int8), axis=1, kind="stable")
+                     + n * np.arange(B)[:, None])
+            for b, t in enumerate(block):
+                idx[b] = _resample_rows(rng_for(subseed(seed, 2, i_n, t)), w[b, 1],
+                                        counts[b], order[b], (m, m))
+            mixed = z.reshape(-1, d_in).take(idx[:B].ravel(), axis=0)
+            # Trial b's group-s rows under every map, a stack of the (m, d_in)
+            # products _grid_mmd2 makes one trial at a time.
+            e = np.matmul(mixed.reshape(B, 2, m, d_in), flat_t, out=enc[:B])
+            # ||W z|| <= ||W||_2 ||z||: when the widest map keeps every
+            # resampled row inside the ball with a margin far wider than
+            # rounding, no encoded row can leave it; only otherwise are the
+            # encoded rows checked one by one.
+            if not widest * np.sqrt(np.einsum("ij,ij->i", mixed, mixed).max()) \
+                    <= spec.radius * (1 - 1e-6):
+                try:
+                    _check_domain(spec, e.reshape(-1, d_out), "A")
+                except DomainError:
+                    failed = True
+        if failed:
+            # Rerun the block one trial at a time, so that the first failing
+            # trial raises the error a trial-by-trial run raises.
+            for t in block:
+                data = sample_population(population, n, subseed(seed, 1, i_n, t))
+                rs = reweight_sample(data, m, m, subseed(seed, 2, i_n, t))
+                _grid_mmd2(spec, maps, rs.z0, rs.z1)
+            raise ValidationError("a block of trials failed")  # pragma: no cover
+        means = e.mean(axis=2)
+        diff = (means[:, 0] - means[:, 1]).reshape(-1, d_out)
+        stats = np.einsum("gk,gk->g", diff, diff).reshape(B, n_maps)
+        devs[t0:block.stop] = np.abs(stats - analytic).max(axis=1)
+    return devs

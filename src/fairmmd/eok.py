@@ -136,28 +136,38 @@ def reweight_sample(
         raise SizeError(f"mixture sizes must be >= 1, got {m0} and {m1}")
     w, source = _resolve_weights(data, weights)
     cell, counts = _cell_counts(data, w, "reweight_sample")
-    # The rows of cell c are order[start[c]:start[c] + counts[c]].  A stable
-    # sort keeps them in ascending order, which fixes the row each draw
-    # picks; numpy sorts int8 keys by radix.
+    # A stable sort keeps each cell's rows in ascending order, which fixes
+    # the row each draw picks; numpy sorts int8 keys by radix.
     order = np.argsort(cell.astype(np.int8), kind="stable")
+    z = data.z.take(_resample_rows(rng_for(seed), w[1], counts, order, (m0, m1)), axis=0)
+    return ReweightedSample(z0=z[:m0], z1=z[m0:], weights=w, weights_source=source)
+
+
+def _resample_rows(
+    rng: np.random.Generator, w1: float, counts: np.ndarray, order: np.ndarray, sizes
+) -> np.ndarray:
+    """Row indices of one stratified resample, group after group, drawn from
+    ``rng`` in a fixed order: for group s, its ``sizes[s]`` outcome draws
+    (outcome 1 with probability ``w1``), then for each outcome y hit, the
+    hits' uniform picks among the ``counts[2 s + y]`` rows of cell (s, y).
+    ``order`` lists the rows of cell 0, then cell 1, and so on."""
     start = np.cumsum(counts) - counts
-    rng = rng_for(seed)
-    groups = []
-    for s, m in ((0, m0), (1, m1)):
-        ys = (rng.random(m) < w[1]).astype(np.int64)
-        idx = np.empty(m, dtype=np.int64)
-        for y in (0, 1):
-            mask = ys == y
-            if not mask.any():
+    idx = np.empty(sum(sizes), dtype=np.int64)
+    pos = 0
+    for s, m in enumerate(sizes):
+        hit = rng.random(m) < w1
+        out = idx[pos:pos + m]
+        for y, mask in ((0, ~hit), (1, hit)):
+            k = np.count_nonzero(mask)
+            if k == 0:
                 continue
             c = 2 * s + y
             if counts[c] == 0:
                 # zero-weight cell can still be hit is impossible: w[y] == 0
                 raise EmptyCellError(f"cell (s={s}, y={y}) is empty")  # pragma: no cover
-            draws = rng.integers(0, counts[c], size=int(mask.sum()))
-            idx[mask] = order[start[c] + draws]
-        groups.append(data.z.take(idx, axis=0))
-    return ReweightedSample(z0=groups[0], z1=groups[1], weights=w, weights_source=source)
+            out[mask] = order[start[c] + rng.integers(0, counts[c], size=k)]
+        pos += m
+    return idx
 
 
 def eok_hat_bootstrap(

@@ -112,6 +112,9 @@ class KernelSpec:
 def rbf(sigma: float = 1.0) -> KernelSpec:
     """Gaussian kernel exp(-||a-b||^2 / (2 sigma^2)) with bandwidth ``sigma``."""
     _check_positive("sigma", sigma)
+    s2 = float(sigma) * float(sigma)
+    if not (s2 > 0.0 and 2.0 * s2 < np.inf):
+        raise ValidationError(f"sigma must keep 2 sigma^2 positive and finite, got {sigma!r}")
     return KernelSpec("rbf", sigma=float(sigma), nu=1.0,
                       lipschitz=float(np.exp(-0.5) / sigma))
 
@@ -183,9 +186,10 @@ def _as_points(X, name: str) -> np.ndarray:
 def _check_domain(spec: KernelSpec, X: np.ndarray, name: str) -> None:
     """Validate dimensionality and (for linear parts) ball membership."""
     if spec.family == "linear":
-        norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-        worst = norms.max()
-        if worst > spec.radius * (1 + 1e-9) + 1e-12:
+        # sqrt is monotone and correctly rounded, so the root of the largest
+        # squared norm is the largest norm, bit for bit.  A NaN norm fails.
+        worst = np.sqrt(np.einsum("ij,ij->i", X, X).max())
+        if not worst <= spec.radius * (1 + 1e-9) + 1e-12:
             raise DomainError(
                 f"{name} leaves the linear kernel's domain: max norm {worst:.6g} "
                 f"exceeds radius {spec.radius:.6g}"

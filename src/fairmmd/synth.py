@@ -167,16 +167,34 @@ def sample_population(spec: PopulationSpec, n: int, seed: int) -> LabeledDataset
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    rng = rng_for(seed)
-    s = (rng.random(n) < spec.pi_s).astype(np.int64)
-    y = (rng.random(n) < spec.p_y_given_s[s, 1]).astype(np.int64)
-    eps = rng.standard_normal((n, spec.dim))
-    cid = 2 * s + y
+    u_s, u_y, eps = np.empty(n), np.empty(n), np.empty((n, spec.dim))
+    _draw(rng_for(seed), u_s, u_y, eps)
+    z, s, y = _rows(spec, u_s, u_y, eps)
+    return LabeledDataset(z=z, s=s, y=y)
+
+
+def _draw(rng: np.random.Generator, u_s: np.ndarray, u_y: np.ndarray, eps: np.ndarray) -> None:
+    """Fill one dataset's raw draws in their fixed order: a uniform per row
+    for its group label, then one for its outcome, then its standard normals."""
+    rng.random(out=u_s)
+    rng.random(out=u_y)
+    rng.standard_normal(out=eps)
+
+
+def _rows(spec: PopulationSpec, u_s: np.ndarray, u_y: np.ndarray, eps: np.ndarray):
+    """Rows (z, s, y) from the raw draws of :func:`_draw`, for any number of
+    datasets stacked along leading axes (``u_s`` and ``u_y`` of one shape,
+    ``eps`` of that shape plus the dimension); every row is transformed
+    alone, so a stacked dataset gets the bits it gets on its own."""
+    s = (u_s < spec.pi_s).astype(np.int64)
+    y = (u_y < spec.p_y_given_s[:, 1].take(s)).astype(np.int64)
+    cid = (2 * s + y).ravel()
     means = np.stack([spec.cells[c].mean for c in CELLS])
     chols = np.stack([spec.cells[c]._chol for c in CELLS])
     # np.take gathers rows about twice as fast as fancy indexing here.
-    z = means.take(cid, axis=0) + np.einsum("ij,ikj->ik", eps, chols.take(cid, axis=0))
-    return LabeledDataset(z=z, s=s, y=y)
+    z = means.take(cid, axis=0) + np.einsum(
+        "ij,ikj->ik", eps.reshape(-1, spec.dim), chols.take(cid, axis=0))
+    return z.reshape(eps.shape), s, y
 
 
 def analytic_eok2_linear(spec: PopulationSpec) -> float:
@@ -247,9 +265,15 @@ def read_csv(path) -> tuple[LabeledDataset, np.ndarray | None]:
     Returns the dataset and, when the file carries a trailing ``score``
     column, the score vector (otherwise None).
     """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        raw = np.loadtxt(fh, delimiter=",", ndmin=2)
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            raw = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise ValidationError(f"cannot read dataset CSV {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        # A row with a field too many or too few, or a field that is not a number.
+        raise ValidationError(f"malformed dataset CSV {path}: {exc}") from exc
     has_score = header[-1] == "score"
     d = len(header) - 2 - (1 if has_score else 0)
     expected = [f"z_{j}" for j in range(d)] + ["s", "y"] + (["score"] if has_score else [])

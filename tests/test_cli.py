@@ -203,6 +203,45 @@ def test_malformed_config_value_exits_two(tmp_path, capsys, command, extra):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+BAD_CSV = {
+    "extra-field.csv": "z_0,z_1,s,y\n0.1,0.2,0,1\n0.3,0.4,1,0,7\n",
+    "non-numeric.csv": "z_0,z_1,s,y\n0.1,0.2,0,1\n0.3,abc,1,0\n",
+}
+
+
+@pytest.mark.parametrize("command, extra, args", [
+    ("concentration", {"concentration": {"grid": GRID, "trials": 0}}, []),
+    ("concentration", {"concentration": {"grid": GRID, "trials": -2}}, []),
+    ("concentration", {"concentration": {"grid": GRID, "delta": 1.5}}, []),
+    ("generate", {"seed": -1}, []),
+    ("eok", {}, ["--seed", "-1"]),
+    ("eok", {"eok": {"bootstrap_seed": -3}}, []),
+    ("metrics", {"dataset": "extra-field.csv"}, []),
+    ("eok", {"dataset": "non-numeric.csv"}, []),
+    ("eok", {"dataset": "missing.csv"}, []),
+    ("eok", {"kernel": {"family": "rbf", "sigma": 1e308}}, []),
+    ("eok", {"kernel": {"family": "rbf", "sigma": 1e-170}}, []),
+    # 8e17 bytes for one column of draws, more than any address space holds,
+    # so the allocation fails at once.
+    ("generate", {"n": 1e17}, []),
+], ids=["trials-zero", "trials-negative", "delta-out-of-range", "negative-seed",
+        "negative-seed-flag", "negative-bootstrap-seed", "csv-extra-field",
+        "csv-non-numeric", "csv-missing", "sigma-squared-overflows",
+        "sigma-squared-underflows", "n-beyond-memory"])
+def test_malformed_input_exits_two_without_report(tmp_path, capsys, command, extra, args):
+    for name, text in BAD_CSV.items():
+        (tmp_path / name).write_text(text)
+    cfg = write_config(tmp_path, **extra)
+    if "dataset" in extra:
+        cfg_dict = json.loads(cfg.read_text())
+        del cfg_dict["population"]
+        cfg.write_text(json.dumps(cfg_dict))
+    assert run([command, "--config", cfg, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "reports").exists()
+
+
 def test_inapplicable_check_exits_two(tmp_path):
     biased = dict(POPULATION, p_y_given_s=[[0.8, 0.2], [0.2, 0.8]])
     cfg = write_config(tmp_path, population=biased,

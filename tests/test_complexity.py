@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from fairmmd import (
     DomainError,
+    EmptyCellError,
     InapplicableError,
+    SizeError,
     ValidationError,
     deviation_bound,
     finite_grid,
@@ -15,9 +17,12 @@ from fairmmd import (
     linear,
     mmd2_biased,
     rbf,
+    reweight_sample,
     sample_population,
     suggest_radius,
 )
+from fairmmd import complexity
+from fairmmd._rng import subseed
 from fairmmd.complexity import _grid_mmd2, concentration_check, fnn_apply, sample_fnn_grid
 from conftest import make_population
 
@@ -193,3 +198,90 @@ def test_concentration_checks_every_map_against_the_radius(unbiased_pop):
     for grid in ([large, small], [small, small, large]):
         with pytest.raises(DomainError):
             concentration_check(unbiased_pop, grid, spec, n_grid=[100, 200], trials=2)
+
+
+def trial_by_trial_devs(population, grid, spec, n_grid, trials, delta, seed):
+    """The trial loop of concentration_check run one trial at a time through
+    the public per-trial functions: (mean_dev, quantile_dev) per n."""
+    maps = np.stack(grid)
+    w = population.p_y_given_s[0]
+    md_x = sum(
+        w[y] * (population.cells[(0, y)].mean - population.cells[(1, y)].mean) for y in (0, 1)
+    )
+    analytic = np.array([float(np.square(W @ md_x).sum()) for W in grid])
+    out = []
+    for i_n, n in enumerate(n_grid):
+        devs = np.empty(trials)
+        for t in range(trials):
+            data = sample_population(population, n, subseed(seed, 1, i_n, t))
+            rs = reweight_sample(data, n // 2, n // 2, subseed(seed, 2, i_n, t))
+            devs[t] = np.abs(_grid_mmd2(spec, maps, rs.z0, rs.z1) - analytic).max()
+        out.append((float(devs.mean()), float(np.quantile(devs, 1.0 - delta))))
+    return out
+
+
+@pytest.fixture(params=["budget", "one-trial-blocks"])
+def block_budget(request, monkeypatch):
+    """The real block budget, or one small enough that every block holds a
+    single trial."""
+    if request.param == "one-trial-blocks":
+        monkeypatch.setattr(complexity, "_BLOCK_ENTRIES", 1)
+    return request.param
+
+
+@pytest.mark.parametrize("grid", [
+    [np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.3, -0.7], [1.1, 0.2]]),
+     0.5 * np.ones((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]]), np.diag([2.0, 0.5])],
+    [np.array([[1.0, 0.5]]), np.array([[-0.2, 0.9]])],
+], ids=["six-2x2-maps", "two-1x2-maps"])
+def test_block_trials_match_trial_by_trial(biased_pop, block_budget, grid):
+    """Twelve trials at n = 1000 and 2000 cross block boundaries (blocks of
+    10 and 5 trials under six 2 x 2 maps); every deviation summary equals the
+    trial-by-trial loop's, bit for bit."""
+    spec = linear(suggest_radius(biased_pop, grid))
+    n_grid, trials, delta = [1000, 2000], 12, 0.1
+    if block_budget == "budget" and len(grid) == 6:
+        assert complexity._BLOCK_ENTRIES // (1000 * 12) == 10
+    rep = concentration_check(biased_pop, grid, spec, n_grid, trials=trials, delta=delta,
+                              seed=3, g_trials=2, g_repeats=1)
+    want = trial_by_trial_devs(biased_pop, grid, spec, n_grid, trials, delta, seed=3)
+    assert_array_equal([(r["mean_dev"], r["quantile_dev"]) for r in rep.rows], want)
+
+
+@pytest.mark.parametrize("n_grid, radius, seed, error", [
+    ([40, 64], 2.9, 0, DomainError),
+    ([8, 16], None, 0, EmptyCellError),
+    ([8, 16], 2.6, 0, EmptyCellError),
+    ([8, 16], 2.6, 4, DomainError),
+], ids=["domain-error-mid-block", "empty-cell", "empty-cell-before-domain-error",
+        "domain-error-before-empty-cell"])
+def test_block_failure_is_the_first_failing_trials(
+    unbiased_pop, block_budget, n_grid, radius, seed, error
+):
+    """Within one block, the error raised is the first failing trial's, with
+    the text a trial-by-trial run gives (for the domain, the sample's name
+    and its max norm).  Later trials of the same block fail differently: in
+    the first case trials 2, 9 and 11 fail with three different max norms,
+    in the last two an empty cell and a domain error follow each other."""
+    grid = [np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]])]
+    spec = linear(suggest_radius(unbiased_pop, grid) if radius is None else radius)
+    with pytest.raises(error) as want:
+        trial_by_trial_devs(unbiased_pop, grid, spec, n_grid, 12, 0.05, seed)
+    with pytest.raises(error) as got:
+        concentration_check(unbiased_pop, grid, spec, n_grid, trials=12, seed=seed)
+    assert str(got.value) == str(want.value)
+
+
+def test_concentration_rejects_bad_options_before_drawing(unbiased_pop, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before validating the options")
+
+    monkeypatch.setattr(complexity, "rng_for", no_draws)
+    grid = [np.eye(2)]
+    spec = linear(10.0)
+    for trials in (0, -2):
+        with pytest.raises(SizeError):
+            concentration_check(unbiased_pop, grid, spec, [100, 200], trials=trials)
+    for delta in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValidationError, match="delta"):
+            concentration_check(unbiased_pop, grid, spec, [100, 200], delta=delta)

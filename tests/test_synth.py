@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -13,6 +15,7 @@ from fairmmd import (
     population_from_dict,
     population_to_dict,
     read_csv,
+    reweight_sample,
     sample_population,
     write_csv,
 )
@@ -113,6 +116,31 @@ def test_sampling_matches_masked_reference(n):
                 assert_array_equal(data.z, z)
             else:
                 assert_allclose(data.z, z, rtol=0.0, atol=1e-14)
+
+
+# sha256 of the bytes of z, s, y of sample_population(pop, n, seed) and of
+# z0, z1 of reweight_sample(that, n // 2, n // 3, seed + 1), as drawn before
+# the draws and the row transform were shared with concentration_check.
+PINNED_DRAWS = [
+    ("diagonal", 40, 0, "ef1bb3c023d60eef8607c392e20cdf3646bea6342136a999a6123ad173f4d3cb"),
+    ("diagonal", 333, 7, "a29a5bbc9666b0cd4c491c34f62872693d551ba65c96b15deae3b2d15832898a"),
+    ("diagonal", 2000, 12345, "156bbbaa1adb877784e9e1360aae6b42faf147e967cddd3a660c6df9314bbe99"),
+    ("correlated", 40, 0, "44506e5834a8672565170643ad6f19af9d565711bd0a65e67486fa3f427bee28"),
+    ("correlated", 333, 7, "320f2df700c1f7134a6bd9a480b84f1751188e3b1a3eb77e67b3ad591cc5e5ee"),
+    ("correlated", 2000, 12345, "46b38f0d41bc1d2cd71d99bce9b65ec6c985ff99b90e48634534570668e0ea26"),
+]
+
+
+@pytest.mark.parametrize("kind, n, seed, digest", PINNED_DRAWS)
+def test_draws_are_pinned(kind, n, seed, digest):
+    pop = (make_population(p=((0.7, 0.3), (0.3, 0.7))) if kind == "diagonal"
+           else _correlated_population(np.random.default_rng(0)))
+    data = sample_population(pop, n, seed)
+    rs = reweight_sample(data, n // 2, n // 3, seed + 1)
+    h = hashlib.sha256()
+    for a in (data.z, data.s, data.y, rs.z0, rs.z1):
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_sampling_matches_population_law():
