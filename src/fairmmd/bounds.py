@@ -82,7 +82,7 @@ from .kernels import (
     product,
     rbf,
 )
-from .mmd import CellSums, cell_sums, gamma_biased
+from .mmd import cell_sums, gamma_biased
 from .synth import CELLS, LabeledDataset
 
 __all__ = [
@@ -144,15 +144,14 @@ def check_unbiased_equality(
     data: LabeledDataset,
     tol: float = 0.02,
     rate_threshold: float = 0.02,
-    sums: CellSums | None = None,
 ) -> BoundReport:
     """Equality of the dp supremum and the scaled eok root under matched rates.
 
     Applicable only when |p_hat(Y=0|S=0) - p_hat(Y=0|S=1)| <= rate_threshold;
     otherwise the premise fails and InapplicableError is raised rather than
-    returning a meaningless verdict.  ``sums``, when given, must be
-    ``cell_sums(spec, data)``; it is read instead of a fresh kernel pass, as
-    in every check below that takes it.
+    returning a meaningless verdict.  Both sides, like every statistic the
+    checks below read from cell sums, come from the dataset's one pass of
+    :func:`fairmmd.mmd.cell_sums` under ``spec``.
     """
     stats = group_stats(data)
     rate_gap = abs(stats.p_y_given_s[0, 0] - stats.p_y_given_s[1, 0])
@@ -161,10 +160,8 @@ def check_unbiased_equality(
             f"outcome rates differ by {rate_gap:.4f} > {rate_threshold}; "
             "the equality clause assumes matched rates"
         )
-    if sums is None:
-        sums = cell_sums(spec, data)
-    lhs = sup_dp(spec, data, sums=sums)
-    rhs = eok_hat_plugin(spec, data, sums=sums).eok / (2.0 * np.sqrt(spec.nu))
+    lhs = sup_dp(spec, data)
+    rhs = eok_hat_plugin(spec, data).eok / (2.0 * np.sqrt(spec.nu))
     return _report(
         "sup_dp_equals_scaled_eok", "eq", lhs, rhs, tol,
         _digest(data, spec, "unbiased_equality", tol, rate_threshold),
@@ -172,7 +169,7 @@ def check_unbiased_equality(
 
 
 def check_biased_lower_bound(
-    spec: KernelSpec, data: LabeledDataset, tol: float = 0.03, sums: CellSums | None = None
+    spec: KernelSpec, data: LabeledDataset, tol: float = 0.03
 ) -> BoundReport:
     """General floor under the dp supremum from outcome-rate bias.
 
@@ -185,11 +182,9 @@ def check_biased_lower_bound(
         if stats.counts[1, y] == 0:
             raise InapplicableError(f"beta_hat needs rows in cell (s=1, y={y})")
     rate_gap = abs(stats.p_y_given_s[0, 0] - stats.p_y_given_s[1, 0])
-    if sums is None:
-        sums = cell_sums(spec, data)
-    beta = sums.mmd2(((1, 0),), ((1, 1),)).mmd
-    eok = eok_hat_plugin(spec, data, sums=sums).eok
-    lhs = sup_dp(spec, data, sums=sums)
+    beta = cell_sums(spec, data).mmd2(((1, 0),), ((1, 1),)).mmd
+    eok = eok_hat_plugin(spec, data).eok
+    lhs = sup_dp(spec, data)
     rhs = abs(rate_gap * beta - eok) / (2.0 * np.sqrt(spec.nu))
     return _report(
         "sup_dp_biased_floor", "ge", lhs, rhs, tol,
@@ -211,7 +206,6 @@ def check_ba_bounds(
     tol: float = 0.01,
     seed: int = 0,
     n_anchors: int = 100,
-    sums: CellSums | None = None,
 ) -> tuple[BoundReport, BoundReport]:
     """Both balanced-accuracy clauses; returns (group_upper, outcome_lower).
 
@@ -223,8 +217,7 @@ def check_ba_bounds(
     sums; the probes share their anchors, so one more pass against the
     anchors scores them all.
     """
-    if sums is None:
-        sums = cell_sums(spec, data)
+    sums = cell_sums(spec, data)
     gamma_s = sums.mmd2(GROUP_CELLS[0], GROUP_CELLS[1]).mmd
     if gamma_s > 2.0 * np.sqrt(spec.nu) * (1 + 1e-9):  # pragma: no cover
         raise ValidationError("discrepancy exceeded its kernel-bounded maximum")
@@ -260,7 +253,6 @@ def check_calibration_chain(
     sigma_u: float = 0.5,
     sigma_y: float = 1.0,
     tol: float = 0.05,
-    sums: CellSums | None = None,
 ) -> tuple[BoundReport, BoundReport]:
     """Calibration-vs-parity chain through the score-outcome tensor kernel.
 
@@ -271,10 +263,8 @@ def check_calibration_chain(
     score atoms (no binning), keeping clause A an identity-level inequality
     on the empirical laws.
     """
-    if sums is None:
-        sums = cell_sums(spec, data)
     if h is None:
-        scores = witness_scores(sums, GROUP_CELLS[1], GROUP_CELLS[0])
+        scores = witness_scores(cell_sums(spec, data), GROUP_CELLS[1], GROUP_CELLS[0])
     else:
         scores = evaluate_batch(h, data.z)
     k_u = kernel_sum(linear(1.0), rbf(sigma_u))
@@ -289,7 +279,7 @@ def check_calibration_chain(
     )
     clause_b = _report(
         "tensor_dominates_sup_dp", "ge",
-        gamma_t, sup_dp(spec, data, sums=sums), tol,
+        gamma_t, sup_dp(spec, data), tol,
         _digest(data, spec, "calibration_b", sigma_u, sigma_y, tol),
     )
     return clause_a, clause_b
@@ -310,11 +300,11 @@ def _tensor_gamma(k_u: KernelSpec, k_y: KernelSpec, scores: np.ndarray, data: La
     pairs = np.column_stack([scores, data.y.astype(float)])
     _checked_pair(k_t, pairs[data.s == 0], pairs[data.s == 1])
     s_u = cell_sums(k_u.parts[1], LabeledDataset(z=scores[:, None], s=data.s, y=data.y))
-    totals = np.bincount(2 * data.s + data.y, weights=scores, minlength=4)
+    totals = np.bincount(data.cell, weights=scores, minlength=4)
     y_cell = np.array([[y] for (_, y) in CELLS], dtype=float)
     block = pairwise(k_y, y_cell, y_cell) * (s_u.block + np.outer(totals, totals))
     group = np.array([s for (s, _) in CELLS])
-    coef = (1 - 2 * group) / np.bincount(group, weights=s_u.counts)[group]
+    coef = (1 - 2 * group) / np.bincount(group, weights=data.counts)[group]
     return float(np.sqrt(max(coef @ block @ coef, 0.0)))
 
 

@@ -133,10 +133,18 @@ def _list_of(convert):
     return lambda values: [convert(v) for v in values]
 
 
+def _int(value) -> int:
+    """An integer for :func:`_parse`: ``int()`` alone would read true as 1
+    and truncate 1.5 to 1, so booleans and non-integral numbers are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _seed(value) -> int:
     """A seed for :func:`_parse`: numpy seeds its generators from
     non-negative integers only."""
-    seed = int(value)
+    seed = _int(value)
     if seed < 0:
         raise ValueError("seeds must be non-negative")
     return seed
@@ -172,7 +180,7 @@ def _resolve_dataset(cfg: dict, eff: dict) -> tuple[LabeledDataset, np.ndarray |
             path = Path(cfg.get("_dir", ".")) / path
         return read_csv(path)
     pop = population_from_dict(eff["population"])
-    n = _parse(eff.get("n", 1000), int, '"n"')
+    n = _parse(eff.get("n", 1000), _int, '"n"')
     return sample_population(pop, n, int(eff["seed"])), None
 
 
@@ -291,7 +299,7 @@ def _emit(report: dict, path: Path, fmt: str, table_lines) -> None:
 
 def _cmd_generate(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     pop = _population(eff, "generate")
-    data = sample_population(pop, _parse(eff.get("n", 1000), int, '"n"'), int(eff["seed"]))
+    data = sample_population(pop, _parse(eff.get("n", 1000), _int, '"n"'), int(eff["seed"]))
     csv_path = _out_file(eff, "dataset.csv")
     write_csv(data, csv_path)
     counts = group_stats(data).counts
@@ -312,13 +320,12 @@ def _cmd_metrics(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     data, csv_scores = _resolve_dataset(cfg, eff)
     spec = _resolve_kernel(eff, data)
     h, kind = _resolve_classifier(eff, csv_scores)
-    sums = cell_sums(spec, data)
     if h is None:
-        t = witness_scores(sums, GROUP_CELLS[1], GROUP_CELLS[0])
+        t = witness_scores(cell_sums(spec, data), GROUP_CELLS[1], GROUP_CELLS[0])
     else:
         t = evaluate_batch(h, data.z)
     t = external_scores_classifier(t)
-    bins = _parse_optional(_section(eff, "metrics").get("bins"), int, 'metrics "bins"')
+    bins = _parse_optional(_section(eff, "metrics").get("bins"), _int, 'metrics "bins"')
     metrics = {
         "dp": dp(t, data),
         "dopp": dopp(t, data),
@@ -329,7 +336,7 @@ def _cmd_metrics(eff: dict, cfg: dict) -> tuple[dict, list, int]:
         "dc": dc(t, data, bins),
         "balanced_accuracy_s": balanced_accuracy(t, data, "s"),
         "balanced_accuracy_y": balanced_accuracy(t, data, "y"),
-        "sup_dp": sup_dp(spec, data, sums=sums),
+        "sup_dp": sup_dp(spec, data),
     }
     result = {"metrics": metrics, "classifier_kind": kind, "kernel": _kernel_dict(spec),
               "n": data.n, "bins": bins}
@@ -354,8 +361,8 @@ def _cmd_eok(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     if method in ("both", "bootstrap"):
         est = eok_hat_bootstrap(
             spec, data,
-            m0=_parse_optional(opts.get("m0"), int, 'eok "m0"'),
-            m1=_parse_optional(opts.get("m1"), int, 'eok "m1"'),
+            m0=_parse_optional(opts.get("m0"), _int, 'eok "m0"'),
+            m1=_parse_optional(opts.get("m1"), _int, 'eok "m1"'),
             seed=_option(opts, "eok", "bootstrap_seed", eff["seed"], _seed),
             weights=weights,
         )
@@ -388,34 +395,32 @@ def _cmd_bounds(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     def tol(name, default):
         return _parse(tols.get(name, default), float, f'"{name}" tolerance')
 
-    # Every check but tvd_dominance reads the cell sums, so one pass serves them all.
-    sums = cell_sums(spec, data) if set(checks) - {"tvd_dominance"} else None
     reports = []
     for name in checks:
         if name == "unbiased_equality":
             reports.append(check_unbiased_equality(
                 spec, data, tol=tol(name, 0.02),
-                rate_threshold=option("rate_threshold", 0.02, float), sums=sums,
+                rate_threshold=option("rate_threshold", 0.02, float),
             ))
         elif name == "biased_lower_bound":
-            reports.append(check_biased_lower_bound(spec, data, tol=tol(name, 0.03), sums=sums))
+            reports.append(check_biased_lower_bound(spec, data, tol=tol(name, 0.03)))
         elif name == "ba_bounds":
             reports.extend(check_ba_bounds(
-                spec, data, trials=option("trials", 50, int),
+                spec, data, trials=option("trials", 50, _int),
                 tol=tol(name, 0.01), seed=int(eff["seed"]),
-                n_anchors=option("n_anchors", 100, int), sums=sums,
+                n_anchors=option("n_anchors", 100, _int),
             ))
         elif name == "calibration_chain":
             reports.extend(check_calibration_chain(
                 spec, data,
                 sigma_u=option("sigma_u", 0.5, float),
                 sigma_y=option("sigma_y", 1.0, float),
-                tol=tol(name, 0.05), sums=sums,
+                tol=tol(name, 0.05),
             ))
         else:
             reports.append(check_tvd_dominance(
                 spec, data, tol=tol(name, 1e-9),
-                max_support=option("max_support", 64, int),
+                max_support=option("max_support", 64, _int),
             ))
     all_hold = all(r.holds for r in reports)
     result = {"clauses": [r.as_dict() for r in reports], "all_hold": all_hold,
@@ -439,11 +444,11 @@ def _cmd_concentration(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     spec = linear(suggest_radius(pop, grid) if radius is None else radius)
     rep = concentration_check(
         pop, grid, spec,
-        n_grid=option("n_grid", [100, 200, 400, 800], _list_of(int)),
-        trials=option("trials", 100, int),
+        n_grid=option("n_grid", [100, 200, 400, 800], _list_of(_int)),
+        trials=option("trials", 100, _int),
         delta=option("delta", 0.05, float),
         seed=int(eff["seed"]),
-        g_trials=option("g_trials", 64, int),
+        g_trials=option("g_trials", 64, _int),
     )
     result = dict(rep.as_dict(), kernel=_kernel_dict(spec))
     lines = [
@@ -460,10 +465,10 @@ def _train_config(eff: dict, spec: KernelSpec) -> TrainConfig:
     return TrainConfig(
         kernel=spec,
         lam=option("lambda", 1.0, float),
-        steps=option("steps", 200, int),
+        steps=option("steps", 200, _int),
         step_size=option("step_size", 0.5, float),
-        encoder_dim=option("encoder_dim", 2, int),
-        batch=_parse_optional(t.get("batch"), int, 'train "batch"'),
+        encoder_dim=option("encoder_dim", 2, _int),
+        batch=_parse_optional(t.get("batch"), _int, 'train "batch"'),
         seed=int(eff["seed"]),
         init_scale=option("init_scale", 0.1, float),
     )
@@ -499,18 +504,16 @@ def _cmd_sweep(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     lambdas = _option(opts, "sweep", "lambdas", [0.0, 0.1, 1.0, 10.0], _list_of(float))
     res = lambda_sweep(
         pop, lambdas, _train_config(eff, spec),
-        n=_parse(eff.get("n", 1000), int, '"n"'), seed=int(eff["seed"]),
-        dc_bins=_parse_optional(opts.get("dc_bins", 20), int, 'sweep "dc_bins"'),
+        n=_parse(eff.get("n", 1000), _int, '"n"'), seed=int(eff["seed"]),
+        dc_bins=_parse_optional(opts.get("dc_bins", 20), _int, 'sweep "dc_bins"'),
     )
     from scipy.stats import spearmanr
 
     rho = float(spearmanr(res.lambdas, [r["eok2"] for r in res.rows]).statistic)
     csv_path = _out_file(eff, "sweep.csv")
     cols = list(res.rows[0].keys())
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in res.rows:
-            fh.write(",".join(f"{row[c]:.17g}" for c in cols) + "\n")
+    np.savetxt(csv_path, [[row[c] for c in cols] for row in res.rows], fmt="%.17g",
+               delimiter=",", header=",".join(cols), comments="")
     result = dict(res.as_dict(), kernel=_kernel_dict(spec), spearman_lambda_eok2=rho,
                   csv_path=str(csv_path))
     header = "  ".join(f"{c:>10s}" for c in cols)

@@ -121,6 +121,11 @@ class ComplexityEstimate:
     trials: int
 
 
+def _check_mc_trials(trials: int) -> None:
+    if trials < 2:
+        raise SizeError(f"need >= 2 trials for a standard error, got {trials}")
+
+
 def gaussian_complexity_images(images, trials: int = 200, seed: int = 0) -> ComplexityEstimate:
     """MC Gaussian complexity of a finite set of encoder images.
 
@@ -132,8 +137,7 @@ def gaussian_complexity_images(images, trials: int = 200, seed: int = 0) -> Comp
     flats = np.stack([np.asarray(img, dtype=float).ravel() for img in images])
     if flats.ndim != 2 or flats.shape[0] < 1:
         raise ValidationError("images must be a non-empty list of same-shape arrays")
-    if trials < 2:
-        raise SizeError(f"need >= 2 trials for a standard error, got {trials}")
+    _check_mc_trials(trials)
     sups = np.empty(trials)
     for t in range(trials):
         xi = rng_for(seed, 61, t).standard_normal(flats.shape[1])
@@ -358,6 +362,9 @@ def concentration_check(
         raise SizeError(f"need >= 1 trial per sample size, got {trials}")
     if not 0 < delta < 1:
         raise ValidationError(f"delta must be in (0, 1), got {delta}")
+    _check_mc_trials(g_trials)
+    if g_repeats < 1:
+        raise SizeError(f"need >= 1 complexity estimate per n, got g_repeats={g_repeats}")
     w = population.p_y_given_s[0]
     md_x = sum(
         w[y] * (population.cells[(0, y)].mean - population.cells[(1, y)].mean) for y in (0, 1)

@@ -54,7 +54,7 @@ from .errors import (
     ValidationError,
 )
 from .kernels import KernelSpec, kernel_matmul
-from .mmd import CellSums, cell_sums, mmd2_unbiased
+from .mmd import cell_sums, mmd2_unbiased
 from .synth import CELLS, LabeledDataset
 
 __all__ = [
@@ -103,24 +103,17 @@ def _resolve_weights(data: LabeledDataset, weights) -> tuple[np.ndarray, str]:
 
 def empirical_weights(data: LabeledDataset) -> np.ndarray:
     """Outcome rates (p_hat(Y=0 | S=0), p_hat(Y=1 | S=0)) of the S=0 stratum."""
-    n0 = int((data.s == 0).sum())
+    n0 = data.counts[:2].sum()
     if n0 == 0:
         raise EmptyCellError("weights come from the S=0 stratum, which is empty")
-    n01 = int(((data.s == 0) & (data.y == 1)).sum())
-    return np.array([(n0 - n01) / n0, n01 / n0])
+    return data.counts[:2] / n0
 
 
-def _cell_counts(
-    data: LabeledDataset, w: np.ndarray, context: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's cell index c = 2 s + y and the four cell sizes; every cell
-    carrying weight must be populated."""
-    cell = 2 * data.s + data.y
-    counts = np.bincount(cell, minlength=4)
+def _check_cells(data: LabeledDataset, w, context: str) -> None:
+    """Every cell carrying weight must be populated."""
     for c, (s, y) in enumerate(CELLS):
-        if counts[c] == 0 and w[y] > 0:
+        if data.counts[c] == 0 and w[y] > 0:
             raise EmptyCellError(f"{context} needs rows in cell (s={s}, y={y})")
-    return cell, counts
 
 
 def reweight_sample(
@@ -135,11 +128,11 @@ def reweight_sample(
     if m0 < 1 or m1 < 1:
         raise SizeError(f"mixture sizes must be >= 1, got {m0} and {m1}")
     w, source = _resolve_weights(data, weights)
-    cell, counts = _cell_counts(data, w, "reweight_sample")
+    _check_cells(data, w, "reweight_sample")
     # A stable sort keeps each cell's rows in ascending order, which fixes
-    # the row each draw picks; numpy sorts int8 keys by radix.
-    order = np.argsort(cell.astype(np.int8), kind="stable")
-    z = data.z.take(_resample_rows(rng_for(seed), w[1], counts, order, (m0, m1)), axis=0)
+    # the row each draw picks; numpy sorts the int8 cells by radix.
+    order = np.argsort(data.cell, kind="stable")
+    z = data.z.take(_resample_rows(rng_for(seed), w[1], data.counts, order, (m0, m1)), axis=0)
     return ReweightedSample(z0=z[:m0], z1=z[m0:], weights=w, weights_source=source)
 
 
@@ -184,9 +177,9 @@ def eok_hat_bootstrap(
     U-statistic can be negative near the null; the root clips and flags.
     """
     if m0 is None:
-        m0 = int((data.s == 0).sum())
+        m0 = int(data.counts[:2].sum())
     if m1 is None:
-        m1 = int((data.s == 1).sum())
+        m1 = int(data.counts[2:].sum())
     rs = reweight_sample(data, m0, m1, seed, weights=weights)
     est = mmd2_unbiased(spec, rs.z0, rs.z1)
     return EokEstimate(
@@ -195,22 +188,18 @@ def eok_hat_bootstrap(
     )
 
 
-def eok_hat_plugin(
-    spec: KernelSpec, data: LabeledDataset, weights=None, sums: CellSums | None = None
-) -> EokEstimate:
+def eok_hat_plugin(spec: KernelSpec, data: LabeledDataset, weights=None) -> EokEstimate:
     """Plug-in estimator: weighted cell embeddings, no resampling.
 
     Evaluates the squared-norm expansion from the module docstring as the
-    quadratic form a' S a over the per-cell kernel sums S of one pass.  All
-    four cells must be populated.  ``sums``, when given, must be
-    ``cell_sums(spec, data)``; it is read instead of a fresh kernel pass.
+    quadratic form a' S a over the per-cell kernel sums S of the dataset's
+    one pass (:func:`fairmmd.mmd.cell_sums`).  All four cells must be
+    populated.
     """
     w, source = _resolve_weights(data, weights)
-    _, counts = _cell_counts(data, (1, 1), "plugin estimator")
-    if sums is None:
-        sums = cell_sums(spec, data)
-    a = np.array([(2 * s - 1) * w[y] for (s, y) in CELLS]) / counts
-    eok2 = float(a @ sums.block @ a)
+    _check_cells(data, (1, 1), "plugin estimator")
+    a = np.array([(2 * s - 1) * w[y] for (s, y) in CELLS]) / data.counts
+    eok2 = float(a @ cell_sums(spec, data).block @ a)
     return EokEstimate(
         eok2=eok2, eok=float(np.sqrt(max(eok2, 0.0))), method="plugin",
         weights=w, weights_source=source, clipped=bool(eok2 < 0),
@@ -254,8 +243,8 @@ def _plugin_value_and_gradient(
             f"encoder must be (d_out, {data.dim}), got {W.shape if W.ndim == 2 else W.ndim}"
         )
     w, _ = _resolve_weights(data, weights)
-    cell, counts = _cell_counts(data, w, "gradient")
-    v = (2.0 * data.s - 1.0) * w[data.y] / np.maximum(counts, 1)[cell]
+    _check_cells(data, w, "gradient")
+    v = (2.0 * data.s - 1.0) * w[data.y] / np.maximum(data.counts, 1)[data.cell]
 
     X = data.z
     Z = X @ W.T

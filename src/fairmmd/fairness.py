@@ -94,10 +94,7 @@ class GroupStats:
 
 def group_stats(data: LabeledDataset) -> GroupStats:
     """Tabulate cell counts; requires both S-groups to be nonempty."""
-    counts = np.zeros((2, 2), dtype=np.int64)
-    for s in (0, 1):
-        for y in (0, 1):
-            counts[s, y] = int(((data.s == s) & (data.y == y)).sum())
+    counts = data.counts.reshape(2, 2)
     totals = counts.sum(axis=1)
     if (totals == 0).any():
         raise StratificationError(f"both S-groups must be nonempty, got sizes {totals.tolist()}")
@@ -274,11 +271,10 @@ def dp(h: Classifier, data: LabeledDataset) -> float:
 
 def _cell_gap(h: Classifier, data: LabeledDataset, y: int, what: str) -> float:
     for s in (0, 1):
-        if not ((data.s == s) & (data.y == y)).any():
+        if data.counts[2 * s + y] == 0:
             raise EmptyCellError(f"{what} needs rows in cell (s={s}, y={y})")
     t = _scores(h, data)
-    m0 = float(t[(data.s == 0) & (data.y == y)].mean())
-    m1 = float(t[(data.s == 1) & (data.y == y)].mean())
+    m0, m1 = (float(t[data.cell == 2 * s + y].mean()) for s in (0, 1))
     return abs(m1 - m0)
 
 
@@ -315,11 +311,10 @@ def _calibration_gap(h: Classifier, data: LabeledDataset, y: int, bins: int | No
     k = int(ids.max()) + 1
     joint = []
     for s in (0, 1):
-        mask = data.s == s
-        if not mask.any():
+        size = data.counts[2 * s] + data.counts[2 * s + 1]
+        if size == 0:
             raise StratificationError("calibration gaps need rows in both S-groups")
-        sub = mask & (data.y == y)
-        joint.append(np.bincount(ids[sub], minlength=k) / mask.sum())
+        joint.append(np.bincount(ids[data.cell == 2 * s + y], minlength=k) / size)
     return 0.5 * float(np.abs(joint[1] - joint[0]).sum())
 
 
@@ -355,17 +350,14 @@ def balanced_accuracy(h: Classifier, data: LabeledDataset, label: str) -> float:
     return 0.5 * ((1.0 - m0) + m1)
 
 
-def sup_dp(spec: KernelSpec, data: LabeledDataset, sums: CellSums | None = None) -> float:
+def sup_dp(spec: KernelSpec, data: LabeledDataset) -> float:
     """Closed-form dp supremum over the nu^(-1/2) RKHS ball.
 
     (2 sqrt(nu))^(-1) times the root of the unbiased squared discrepancy
     between the two group-conditional representation samples (clipped at
-    zero before the root).  ``sums``, when given, must be
-    ``cell_sums(spec, data)``; it is read instead of a fresh kernel pass.
+    zero before the root), read from the dataset's cell sums.
     """
-    if (data.s == 0).sum() < 2 or (data.s == 1).sum() < 2:
+    if data.counts[:2].sum() < 2 or data.counts[2:].sum() < 2:
         raise StratificationError("sup_dp needs at least two rows in each S-group")
-    if sums is None:
-        sums = cell_sums(spec, data)
-    est = sums.mmd2(GROUP_CELLS[0], GROUP_CELLS[1], unbiased=True)
+    est = cell_sums(spec, data).mmd2(GROUP_CELLS[0], GROUP_CELLS[1], unbiased=True)
     return est.mmd / (2.0 * np.sqrt(spec.nu))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import rng_for
-from .eok import _plugin_value_and_gradient, empirical_weights, eok_hat_plugin
+from .eok import _check_cells, _plugin_value_and_gradient, empirical_weights, eok_hat_plugin
 from .errors import TrainingError, ValidationError
 from .fairness import (
     balanced_accuracy,
@@ -162,11 +162,8 @@ def objective_gradient(
 def _cell_pools(data: LabeledDataset) -> list:
     """Row indices of each (s, y) cell, in :data:`CELLS` order and ascending;
     every cell must be populated."""
-    pools = [cell_rows(data, s, y) for (s, y) in CELLS]
-    for pool, (s, y) in zip(pools, CELLS):
-        if pool.size == 0:
-            raise ValidationError(f"training data must populate cell (s={s}, y={y})")
-    return pools
+    _check_cells(data, (1, 1), "training data")
+    return [cell_rows(data, s, y) for (s, y) in CELLS]
 
 
 def _stratified_batch(
@@ -268,7 +265,6 @@ def lambda_sweep(
         encoded = LabeledDataset(z=data.z @ res.encoder.T, s=data.s, y=data.y)
         t = evaluate_batch(logistic_head_classifier(res.head_w, res.head_b), encoded.z)
         head = external_scores_classifier(t)
-        sums = cell_sums(cfg.kernel, encoded)
         yf = encoded.y.astype(float)
         rows.append({
             "lambda": lam,
@@ -277,8 +273,8 @@ def lambda_sweep(
             "dp": dp(head, encoded),
             "dodds": dodds(head, encoded),
             "dc": dc(head, encoded, bins=dc_bins),
-            "eok2": eok_hat_plugin(cfg.kernel, encoded, sums=sums).eok2,
-            "sup_dp": sup_dp(cfg.kernel, encoded, sums=sums),
-            "beta_hat": sums.mmd2(((1, 0),), ((1, 1),)).mmd,
+            "eok2": eok_hat_plugin(cfg.kernel, encoded).eok2,
+            "sup_dp": sup_dp(cfg.kernel, encoded),
+            "beta_hat": cell_sums(cfg.kernel, encoded).mmd2(((1, 0),), ((1, 1),)).mmd,
         })
     return SweepResult(rows=tuple(rows), lambdas=tuple(lambdas), n=n, seed=seed)

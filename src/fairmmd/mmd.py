@@ -40,7 +40,9 @@ cancel away its digits.
 
 :class:`CellSums` is the same pass for a labelled dataset, with one column
 per (s, y) cell: every estimate between unions of cells, and the witness
-between them at the dataset's own rows, is then an O(n) read.
+between them at the dataset's own rows, is then an O(n) read.  The dataset
+keeps the sums of each kernel, so one pass serves every statistic read from
+them.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 
 from ._rng import rng_for
 from .errors import SizeError, ValidationError
-from .kernels import TILE, KernelSpec, _checked_pair, _matmul_unchecked, kernel_matmul
+from .kernels import KernelSpec, _checked_pair, _matmul_unchecked, kernel_matmul
 from .synth import LabeledDataset
 
 __all__ = [
@@ -64,10 +66,6 @@ __all__ = [
     "witness_eval",
     "gamma_biased",
 ]
-
-# Side of the kernel tiles every sum in this module streams over.
-BLOCK = TILE
-
 
 @dataclass(frozen=True)
 class MmdEstimate:
@@ -294,9 +292,15 @@ def _cell_ids(cells) -> list:
 
 
 def cell_sums(spec: KernelSpec, data: LabeledDataset) -> CellSums:
-    """One kernel pass over ``data.z`` summarized per (s, y) cell."""
-    cell = 2 * data.s + data.y
-    onehot = (cell[:, None] == np.arange(4)).astype(float)
+    """One kernel pass over ``data.z`` summarized per (s, y) cell.
+
+    The dataset keeps the result for ``spec``, so every later call with an
+    equal spec returns the same object without a pass of its own; its arrays
+    are read-only.
+    """
+    if spec in data._kernel_sums:
+        return data._kernel_sums[spec]
+    onehot = (data.cell[:, None] == np.arange(4)).astype(float)
     rows = kernel_matmul(spec, data.z, data.z, onehot)
     if spec.family == "linear":
         zc = data.z - data.z.mean(axis=0)
@@ -304,8 +308,9 @@ def cell_sums(spec: KernelSpec, data: LabeledDataset) -> CellSums:
         block, diag = per_cell @ per_cell.T, _rowwise(spec, zc, zc)
     else:
         block, diag = onehot.T @ rows, _rowwise(spec, data.z, data.z)
-    return CellSums(
-        spec=spec, rows=rows, block=block,
-        diag=np.bincount(cell, weights=diag, minlength=4),
-        counts=np.bincount(cell, minlength=4),
-    )
+    diag = np.bincount(data.cell, weights=diag, minlength=4)
+    for arr in (rows, block, diag):
+        arr.flags.writeable = False
+    sums = data._kernel_sums[spec] = CellSums(
+        spec=spec, rows=rows, block=block, diag=diag, counts=data.counts)
+    return sums

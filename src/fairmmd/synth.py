@@ -15,14 +15,15 @@ package ground-truthed rather than self-referential:
   E exp(-||D||^2 / (2 sigma^2)) = det(I + Cov/sigma^2)^(-1/2)
   * exp(-mu' (sigma^2 I + Cov)^(-1) mu / 2) for D ~ N(mu, Cov).
 
-Datasets are kept as a flat (z, s, y) triple; CSV round-trips use the column
-layout ``z_0,...,z_{d-1},s,y`` with an optional trailing ``score`` column for
-externally supplied classifier scores.
+Datasets are kept as a flat (z, s, y) triple of read-only arrays, with each
+row's (s, y) cell and the cell sizes worked out once; CSV round-trips use the
+column layout ``z_0,...,z_{d-1},s,y`` with an optional trailing ``score``
+column for externally supplied classifier scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,14 +120,26 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Rows (z_i, s_i, y_i) with z float (n, d) and s, y binary (n,)."""
+    """Rows (z_i, s_i, y_i) with z float (n, d) and s, y binary (n,).
+
+    ``z``, ``s`` and ``y`` are read-only copies of the arrays given, so the
+    caller's arrays stay writable and later changes to them do not reach the
+    dataset.  ``cell[i] = 2 s_i + y_i`` (int8) is row i's (s, y) cell, in the
+    order of :data:`CELLS`, and ``counts[c]`` the size of cell c; both are
+    read-only too.  The dataset also keeps the per-cell kernel sums that
+    :func:`fairmmd.mmd.cell_sums` computes for each kernel, keyed by the
+    kernel spec, so every statistic read from them shares one kernel pass.
+    """
 
     z: np.ndarray
     s: np.ndarray
     y: np.ndarray
+    cell: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _kernel_sums: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
+        z = np.array(self.z, dtype=float)
         s = np.asarray(self.s)
         y = np.asarray(self.y)
         if z.ndim != 2 or z.shape[0] == 0:
@@ -138,9 +151,13 @@ class LabeledDataset:
                 raise ValidationError(f"{name} must be a length-n vector matching z")
             if not ((lab == 0) | (lab == 1)).all():
                 raise ValidationError(f"{name} must be binary (0/1)")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "s", s.astype(np.int64))
-        object.__setattr__(self, "y", y.astype(np.int64))
+        s, y = s.astype(np.int64), y.astype(np.int64)
+        # int8 cells: a stable sort of them is a radix sort.
+        cell = (2 * s + y).astype(np.int8)
+        counts = np.bincount(cell, minlength=4)
+        for name, arr in (("z", z), ("s", s), ("y", y), ("cell", cell), ("counts", counts)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -153,7 +170,7 @@ class LabeledDataset:
 
 def cell_rows(data: LabeledDataset, s: int, y: int) -> np.ndarray:
     """Row indices of the (s, y) cell."""
-    return np.flatnonzero((data.s == s) & (data.y == y))
+    return np.flatnonzero(data.cell == 2 * s + y)
 
 
 def sample_population(spec: PopulationSpec, n: int, seed: int) -> LabeledDataset:
@@ -245,18 +262,17 @@ def analytic_mmd2_rbf_gaussians(g1: CellGaussian, g2: CellGaussian, sigma: float
 def write_csv(data: LabeledDataset, path, scores: np.ndarray | None = None) -> None:
     """Write a dataset as ``z_0,...,z_{d-1},s,y[,score]`` with full precision."""
     cols = [f"z_{j}" for j in range(data.dim)] + ["s", "y"]
+    table = [data.z, data.s, data.y]
+    fmt = ["%.17g"] * data.dim + ["%d", "%d"]
     if scores is not None:
         scores = np.asarray(scores, dtype=float)
         if scores.shape != (data.n,):
             raise ValidationError("scores must be one value per row")
         cols.append("score")
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(data.n):
-            row = [f"{v:.17g}" for v in data.z[i]] + [str(data.s[i]), str(data.y[i])]
-            if scores is not None:
-                row.append(f"{scores[i]:.17g}")
-            fh.write(",".join(row) + "\n")
+        table.append(scores)
+        fmt.append("%.17g")
+    np.savetxt(path, np.column_stack(table), fmt=fmt, delimiter=",",
+               header=",".join(cols), comments="")
 
 
 def read_csv(path) -> tuple[LabeledDataset, np.ndarray | None]:

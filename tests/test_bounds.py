@@ -118,25 +118,27 @@ def test_calibration_chain_matches_product_kernel_discrepancy(biased_pop, n):
             k_t = product(kernel_sum(linear(1.0), rbf(sigma_u)), rbf(sigma_y), split=1)
             want = gamma_biased(k_t, pairs[data.s == 0], pairs[data.s == 1])
             a, b = check_calibration_chain(spec, data, h=h, sigma_u=sigma_u,
-                                           sigma_y=sigma_y, sums=sums)
+                                           sigma_y=sigma_y)
             assert_allclose(b.lhs, want, rtol=1e-12, atol=0)
             assert_allclose(a.rhs, want / (4.0 * np.sqrt(2.0)), rtol=1e-12, atol=0)
 
 
 def test_checks_read_shared_cell_sums(biased_pop):
-    """Each check reports the same clauses whether it makes its own kernel
-    pass or reads the cell sums it is given."""
-    data = sample_population(biased_pop, 400, seed=21)
+    """Each check reports the same clauses on a fresh dataset and on one
+    whose cell sums an earlier call already computed."""
     spec = rbf(1.0)
-    sums = cell_sums(spec, data)
     checks = [
-        lambda **kw: [check_unbiased_equality(spec, data, rate_threshold=1.0, **kw)],
-        lambda **kw: [check_biased_lower_bound(spec, data, **kw)],
-        lambda **kw: list(check_ba_bounds(spec, data, trials=5, seed=3, **kw)),
-        lambda **kw: list(check_calibration_chain(spec, data, **kw)),
+        lambda data: [check_unbiased_equality(spec, data, rate_threshold=1.0)],
+        lambda data: [check_biased_lower_bound(spec, data)],
+        lambda data: list(check_ba_bounds(spec, data, trials=5, seed=3)),
+        lambda data: list(check_calibration_chain(spec, data)),
     ]
     for check in checks:
-        assert [r.as_dict() for r in check()] == [r.as_dict() for r in check(sums=sums)]
+        fresh, shared = (sample_population(biased_pop, 400, seed=21) for _ in range(2))
+        sums = cell_sums(spec, shared)
+        want = [r.as_dict() for r in check(fresh)]
+        assert [r.as_dict() for r in check(shared)] == want
+        assert cell_sums(spec, shared) is sums
 
 
 def test_tvd_dominance_exact_small_support():

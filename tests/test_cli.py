@@ -192,11 +192,15 @@ GRID = [[[1.0, 0.0], [0.0, 1.0]]]
     ("train", {"train": {"steps": "x"}}),
     ("sweep", {"sweep": {"lambdas": ["x"]}}),
     ("bounds", {"bounds": 5}),
+    ("generate", {"seed": 1.5}),
+    ("generate", {"n": 10.9}),
+    ("concentration", {"concentration": {"grid": GRID, "trials": 2.5}}),
 ], ids=["n-not-a-number", "sigma-not-a-number", "logistic-head-without-weights",
         "trials-not-a-number", "n-grid-entry-not-a-number", "radius-not-a-number",
         "bounds-trials-not-a-number", "tolerance-not-a-number",
         "bootstrap-seed-not-a-number", "steps-not-a-number", "lambda-not-a-number",
-        "section-not-an-object"])
+        "section-not-an-object", "seed-not-an-integer", "n-not-an-integer",
+        "trials-not-an-integer"])
 def test_malformed_config_value_exits_two(tmp_path, capsys, command, extra):
     cfg = write_config(tmp_path, **extra)
     assert run([command, "--config", cfg]) == 2

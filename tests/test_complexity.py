@@ -285,3 +285,7 @@ def test_concentration_rejects_bad_options_before_drawing(unbiased_pop, monkeypa
     for delta in (0.0, 1.0, 1.5, float("nan")):
         with pytest.raises(ValidationError, match="delta"):
             concentration_check(unbiased_pop, grid, spec, [100, 200], delta=delta)
+    with pytest.raises(SizeError, match="need >= 2 trials for a standard error, got 1"):
+        concentration_check(unbiased_pop, grid, spec, [100, 200], g_trials=1)
+    with pytest.raises(SizeError, match="g_repeats"):
+        concentration_check(unbiased_pop, grid, spec, [100, 200], g_repeats=0)

@@ -198,10 +198,10 @@ def test_gamma_biased_is_root_of_biased():
 def test_blocked_streaming_matches_direct():
     """Estimates must not depend on whether inputs fit one block: compare a
     size just over the block boundary against a naive Gram evaluation."""
-    from fairmmd.mmd import BLOCK
+    from fairmmd.kernels import TILE
 
     rng = np.random.default_rng(10)
-    n = BLOCK + 37
+    n = TILE + 37
     A = rng.normal(size=(n, 2))
     B = rng.normal(size=(n, 2)) + 0.1
     spec = rbf(1.0)
@@ -260,3 +260,33 @@ def test_cell_sums_match_dense_kernel(family):
             assert_allclose(sums.mmd2(*groups, unbiased=unbiased).mmd2,
                             estimator(spec, z0, z1).mmd2, rtol=1e-12, atol=1e-12 * scale)
         assert_matches_dense(sums.witness(*groups), witness_eval(spec, z0, z1, data.z))
+
+
+def test_cell_sums_are_kept_per_kernel(monkeypatch):
+    """A dataset keeps the cell sums of each kernel: an equal spec reads them
+    again without a pass, a different one gets its own pass."""
+    from fairmmd import mmd
+
+    passes, real = [], mmd.kernel_matmul
+
+    def counted(*args):
+        passes.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(mmd, "kernel_matmul", counted)
+    rng = np.random.default_rng(15)
+    s, y = rng.integers(0, 2, size=300), rng.integers(0, 2, size=300)
+    data = LabeledDataset(z=rng.normal(size=(300, 2)), s=s, y=y)
+    sums = cell_sums(rbf(1.0), data)
+    assert cell_sums(rbf(1.0), data) is sums
+    assert len(passes) == 1
+    wide = cell_sums(rbf(2.0), data)
+    assert wide is not sums and len(passes) == 2
+    assert cell_sums(rbf(2.0), data) is wide and cell_sums(rbf(1.0), data) is sums
+    assert len(passes) == 2
+    fresh = cell_sums(rbf(2.0), LabeledDataset(z=data.z, s=s, y=y))
+    for name in ("rows", "block", "diag", "counts"):
+        arr = getattr(wide, name)
+        np.testing.assert_array_equal(arr, getattr(fresh, name))
+        with pytest.raises(ValueError):
+            arr[0] = 0

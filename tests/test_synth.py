@@ -55,6 +55,35 @@ def test_labeled_dataset_validation():
         LabeledDataset(z=np.array([[np.nan, 0.0]]), s=np.array([0]), y=np.array([0]))
 
 
+def test_labeled_dataset_arrays_are_read_only_copies():
+    z, s, y = np.zeros((4, 2)), np.array([0, 1, 1, 0]), np.array([1, 1, 0, 0])
+    data = LabeledDataset(z=z, s=s, y=y)
+    for arr in (data.z, data.s, data.y, data.cell, data.counts):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    # The caller's arrays stay writable, and changing them does not reach
+    # the dataset.
+    z[0, 0], s[0], y[3] = 7.0, 1, 1
+    assert_array_equal(data.z, np.zeros((4, 2)))
+    assert_array_equal(data.s, [0, 1, 1, 0])
+    assert_array_equal(data.y, [1, 1, 0, 0])
+    assert_array_equal(data.cell, [1, 3, 2, 0])
+
+
+@pytest.mark.parametrize("n, p_s, p_y", [(1, 0.5, 0.5), (50, 0.5, 0.5), (50, 0.0, 0.5),
+                                         (50, 1.0, 0.3), (50, 0.4, 0.0), (1000, 0.3, 0.8)])
+def test_labeled_dataset_cells_match_masks(n, p_s, p_y):
+    rng = np.random.default_rng(n)
+    s = (rng.random(n) < p_s).astype(int)
+    y = (rng.random(n) < p_y).astype(int)
+    data = LabeledDataset(z=rng.normal(size=(n, 2)), s=s, y=y)
+    for c, (cs, cy) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        mask = (s == cs) & (y == cy)
+        assert_array_equal(data.cell == c, mask)
+        assert data.counts[c] == mask.sum()
+    assert data.counts.shape == (4,)
+
+
 def test_sampling_is_deterministic(unbiased_pop):
     a = sample_population(unbiased_pop, 100, seed=4)
     b = sample_population(unbiased_pop, 100, seed=4)
