@@ -62,7 +62,6 @@ from .fairness import (
     dr,
     evaluate_batch,
     external_scores_classifier,
-    group_stats,
     logistic_head_classifier,
     sup_dp,
     witness_scores,
@@ -71,6 +70,7 @@ from .frl import TrainConfig, lambda_sweep, train
 from .kernels import KernelSpec, laplacian, linear, median_heuristic, rbf
 from .mmd import cell_sums
 from .synth import (
+    CELLS,
     LabeledDataset,
     PopulationSpec,
     population_from_dict,
@@ -302,12 +302,11 @@ def _cmd_generate(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     data = sample_population(pop, _parse(eff.get("n", 1000), _int, '"n"'), int(eff["seed"]))
     csv_path = _out_file(eff, "dataset.csv")
     write_csv(data, csv_path)
-    counts = group_stats(data).counts
     result = {
         "path": str(csv_path),
         "n": data.n,
         "dim": data.dim,
-        "cell_counts": {f"{s},{y}": int(counts[s, y]) for s in (0, 1) for y in (0, 1)},
+        "cell_counts": {f"{s},{y}": int(count) for (s, y), count in zip(CELLS, data.counts)},
         "csv_sha256": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
     }
     return result, [
@@ -497,6 +496,28 @@ def _cmd_train(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     ], 0
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``x``, tied values sharing the mean of their ranks."""
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    first = np.r_[True, xs[1:] != xs[:-1]]
+    bounds = np.r_[np.flatnonzero(first), x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = (0.5 * (bounds[1:] + bounds[:-1] + 1))[np.cumsum(first) - 1]
+    return ranks
+
+
+def _spearman(a, b) -> float | None:
+    """Spearman's rank correlation of two equal-length sequences, with the
+    bits of ``scipy.stats.spearmanr(a, b).statistic``; None where scipy gives
+    NaN: fewer than two pairs, a constant sequence or a NaN entry."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if (a.size < 2 or (a == a[0]).all() or (b == b[0]).all()
+            or np.isnan(a).any() or np.isnan(b).any()):
+        return None
+    return float(np.corrcoef(np.vstack([_average_ranks(a), _average_ranks(b)]))[1, 0])
+
+
 def _cmd_sweep(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     pop = _population(eff, "sweep")
     spec = _resolve_kernel(eff, None)
@@ -507,9 +528,7 @@ def _cmd_sweep(eff: dict, cfg: dict) -> tuple[dict, list, int]:
         n=_parse(eff.get("n", 1000), _int, '"n"'), seed=int(eff["seed"]),
         dc_bins=_parse_optional(opts.get("dc_bins", 20), _int, 'sweep "dc_bins"'),
     )
-    from scipy.stats import spearmanr
-
-    rho = float(spearmanr(res.lambdas, [r["eok2"] for r in res.rows]).statistic)
+    rho = _spearman(res.lambdas, [r["eok2"] for r in res.rows])
     csv_path = _out_file(eff, "sweep.csv")
     cols = list(res.rows[0].keys())
     np.savetxt(csv_path, [[row[c] for c in cols] for row in res.rows], fmt="%.17g",
@@ -519,7 +538,8 @@ def _cmd_sweep(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     header = "  ".join(f"{c:>10s}" for c in cols)
     lines = [header] + [
         "  ".join(f"{row[c]:>10.5f}" for c in cols) for row in res.rows
-    ] + [f"spearman(lambda, eok2) = {rho:.3f}", f"frontier written to {csv_path}"]
+    ] + [f"spearman(lambda, eok2) = {'undefined' if rho is None else f'{rho:.3f}'}",
+         f"frontier written to {csv_path}"]
     return result, lines, 0
 
 

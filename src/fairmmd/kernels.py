@@ -30,6 +30,14 @@ small thread pool the others, writing tiles into buffers the calling thread
 allocated.  Every output row still sums the same tiles in the same order, so
 results have the same bits whatever the number of CPUs.
 
+The rbf and laplacian tiles and :func:`median_heuristic` take their
+distances from ``scipy.spatial.distance.cdist``, imported where they call it
+rather than at the top of this module: that import costs about half a
+second, and the linear kernel, the concentration certificate and dataset
+generation never need it.  When the first rbf pass of a process is a split
+pass, the calling thread and a pool thread may reach the import together;
+Python's per-module import lock makes the later one wait for the module.
+
 The rbf and laplacian families are characteristic on R^d, so a zero kernel
 discrepancy identifies the distributions; the linear kernel only separates
 means.  Characteristicness is taken as a known property of these standard
@@ -44,7 +52,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DomainError, ValidationError
 
@@ -371,10 +378,14 @@ def _pairwise_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, bufs=())
     n, m = A.shape[0], B.shape[0]
     K = bufs[0][: n * m].reshape(n, m) if bufs else None
     if spec.family == "rbf":
+        from scipy.spatial.distance import cdist
+
         K = cdist(A, B, "sqeuclidean", out=K)
         K /= -(2.0 * spec.sigma**2)
         return np.exp(K, out=K)
     if spec.family == "laplacian":
+        from scipy.spatial.distance import cdist
+
         K = cdist(A, B, "cityblock", out=K)
         K /= -spec.sigma
         return np.exp(K, out=K)
@@ -422,6 +433,8 @@ def median_heuristic(X, cap: int = 2000, seed: int = 0) -> float:
     the command-line layer only; no bound in this package depends on how the
     bandwidth was chosen.
     """
+    from scipy.spatial.distance import cdist
+
     X = _as_points(X, "X")
     if X.shape[0] > cap:
         from ._rng import rng_for

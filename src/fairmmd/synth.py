@@ -299,7 +299,7 @@ def read_csv(path) -> tuple[LabeledDataset, np.ndarray | None]:
         )
     if raw.shape[1] != len(header):
         raise ValidationError("CSV rows do not match header width")
-    data = LabeledDataset(z=raw[:, :d], s=raw[:, d].astype(np.int64), y=raw[:, d + 1].astype(np.int64))
+    data = LabeledDataset(z=raw[:, :d], s=raw[:, d], y=raw[:, d + 1])
     if not has_score:
         return data, None
     scores = raw[:, -1].copy()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -30,6 +35,15 @@ STREAMED_SIZES = (57, TILE, TILE + 37)
 def assert_matches_dense(got, want):
     """Agreement with a dense reference to 1e-12, relative to its largest entry."""
     assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports fairmmd from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def make_population(pi_s=0.5, p=((0.5, 0.5), (0.5, 0.5)), means=None, var=0.25, dim=2):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fairmmd.cli import main
+from conftest import run_python
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "schemas" / "report.schema.json").read_text()
@@ -210,6 +211,7 @@ def test_malformed_config_value_exits_two(tmp_path, capsys, command, extra):
 BAD_CSV = {
     "extra-field.csv": "z_0,z_1,s,y\n0.1,0.2,0,1\n0.3,0.4,1,0,7\n",
     "non-numeric.csv": "z_0,z_1,s,y\n0.1,0.2,0,1\n0.3,abc,1,0\n",
+    "fractional-label.csv": "z_0,s,y\n0.1,0.7,1\n0.3,1,0\n0.5,0,0\n0.2,1,1\n",
 }
 
 
@@ -223,6 +225,7 @@ BAD_CSV = {
     ("metrics", {"dataset": "extra-field.csv"}, []),
     ("eok", {"dataset": "non-numeric.csv"}, []),
     ("eok", {"dataset": "missing.csv"}, []),
+    ("eok", {"dataset": "fractional-label.csv"}, []),
     ("eok", {"kernel": {"family": "rbf", "sigma": 1e308}}, []),
     ("eok", {"kernel": {"family": "rbf", "sigma": 1e-170}}, []),
     # 8e17 bytes for one column of draws, more than any address space holds,
@@ -230,7 +233,7 @@ BAD_CSV = {
     ("generate", {"n": 1e17}, []),
 ], ids=["trials-zero", "trials-negative", "delta-out-of-range", "negative-seed",
         "negative-seed-flag", "negative-bootstrap-seed", "csv-extra-field",
-        "csv-non-numeric", "csv-missing", "sigma-squared-overflows",
+        "csv-non-numeric", "csv-missing", "csv-fractional-label", "sigma-squared-overflows",
         "sigma-squared-underflows", "n-beyond-memory"])
 def test_malformed_input_exits_two_without_report(tmp_path, capsys, command, extra, args):
     for name, text in BAD_CSV.items():
@@ -310,3 +313,90 @@ def test_command_failing_after_work_writes_no_report(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert not (tmp_path / "reports").exists()
+
+
+def test_generate_reports_empty_cells(tmp_path):
+    """A draw with an empty S-group is a valid dataset: generate reports its
+    zero cells instead of refusing it after writing the CSV."""
+    cfg = write_config(tmp_path, seed=1, n=5, population=dict(POPULATION, pi_s=0.001))
+    assert run(["generate", "--config", cfg]) == 0
+    report = load_report(tmp_path, "generate")
+    jsonschema.validate(report, SCHEMA)
+    counts = report["result"]["cell_counts"]
+    assert counts["1,0"] == counts["1,1"] == 0
+    assert counts["0,0"] + counts["0,1"] == 5
+
+
+def test_sweep_with_one_lambda_reports_null_spearman(tmp_path, capsys):
+    """With one lambda the rank correlation is undefined: the report holds
+    null (valid JSON, unlike NaN) and the table says so."""
+    cfg = write_config(tmp_path, n=120, seed=0, train={"steps": 5},
+                       sweep={"lambdas": [1.0]})
+    assert run(["sweep", "--config", cfg]) == 0
+    text = (tmp_path / "reports" / "sweep.json").read_text()
+    report = json.loads(text, parse_constant=lambda token: pytest.fail(f"{token} in report"))
+    jsonschema.validate(report, SCHEMA)
+    assert report["result"]["spearman_lambda_eok2"] is None
+    assert "spearman(lambda, eok2) = undefined" in capsys.readouterr().out
+
+
+def test_spearman_matches_scipy_bit_for_bit():
+    """The sweep's rank correlation has the bits of scipy's spearmanr on
+    short sequences with ties, and is None where scipy gives NaN (constant
+    sequences, NaN entries, fewer than two pairs)."""
+    import warnings
+
+    from scipy.stats import spearmanr
+
+    from fairmmd.cli import _spearman
+
+    rng = np.random.default_rng(2024)
+    undefined = 0
+    for trial in range(10_000):
+        n = int(rng.integers(1, 15))
+        a = rng.integers(0, int(rng.integers(1, 6)), n) * rng.choice([1.0, 0.1, -3.7])
+        b = rng.integers(0, int(rng.integers(1, 8)), n) + rng.choice([0.0, 0.5]) * rng.normal(size=n)
+        if trial % 50 == 0:
+            a[rng.integers(n)] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = float(spearmanr(a, b).statistic)
+        got = _spearman(a, b)
+        if np.isnan(want):
+            undefined += 1
+            assert got is None, (a, b)
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (a, b)
+    assert 1000 < undefined < 9000
+
+
+def test_import_loads_no_scipy():
+    proc = run_python(
+        "import sys, fairmmd, fairmmd.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_generate_and_linear_concentration_run_without_scipy(tmp_path):
+    """With every scipy import made to fail, the data path and the linear
+    concentration certificate still run to exit 0."""
+    cfg = write_config(tmp_path, n=40, kernel={"family": "linear", "radius": 9.1},
+                       concentration={"grid": GRID, "n_grid": [20, 40], "trials": 3,
+                                      "g_trials": 4})
+    proc = run_python(
+        "import sys\n"
+        "class Block:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, Block())\n"
+        "from fairmmd.cli import main\n"
+        f"codes = [main([cmd, '--config', {str(cfg)!r}]) for cmd in ('generate', 'concentration')]\n"
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
+        "sys.exit(max(codes))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "reports" / "generate.json").exists()
+    assert (tmp_path / "reports" / "concentration.json").exists()

@@ -25,7 +25,7 @@ from fairmmd import (
 )
 from fairmmd import kernels
 from fairmmd.kernels import TILE
-from conftest import STREAMED_SIZES, STREAMED_SPECS, assert_matches_dense
+from conftest import STREAMED_SIZES, STREAMED_SPECS, assert_matches_dense, run_python
 
 
 def _naive_rbf(a, b, sigma):
@@ -424,3 +424,30 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
         assert len(got) == 3
         for out in got:
             np.testing.assert_array_equal(out, want)
+
+
+# Run in a fresh interpreter: scipy's distance module is not loaded yet, so
+# the calling thread and a pool thread both reach its import in their first
+# tile, and the split pass must still give the serial pass's bits.
+_FIRST_PASS_IS_SPLIT = """
+import sys
+import numpy as np
+from fairmmd import kernels
+
+assert "scipy.spatial.distance" not in sys.modules
+kernels._WORKERS = 2
+spec = kernels.{family}(1.0)
+rng = np.random.default_rng(36)
+A, M = rng.normal(size=(3 * kernels.TILE, 2)), rng.normal(size=(3 * kernels.TILE, 2))
+split = kernels.kernel_matmul(spec, A, A, M)
+assert kernels._POOL is not None, "the pass ran serially"
+kernels._WORKERS = 1
+serial = kernels.kernel_matmul(spec, A, A, M)
+np.testing.assert_array_equal(split, serial)
+"""
+
+
+@pytest.mark.parametrize("family", ["rbf", "laplacian"])
+def test_first_pass_of_a_process_may_be_split(family):
+    proc = run_python(_FIRST_PASS_IS_SPLIT.format(family=family))
+    assert proc.returncode == 0, proc.stderr
