@@ -134,11 +134,20 @@ def _list_of(convert):
 
 
 def _int(value) -> int:
-    """An integer for :func:`_parse`: ``int()`` alone would read true as 1
-    and truncate 1.5 to 1, so booleans and non-integral numbers are refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer for :func:`_parse`: ``int()`` alone would read true as 1,
+    "5" as 5 and truncate 1.5 to 1, so booleans, strings and non-integral
+    numbers are refused."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError("not an integer")
     return int(value)
+
+
+def _float(value) -> float:
+    """A number for :func:`_parse`: ``float()`` alone would read true as 1.0
+    and "5" as 5.0, so booleans and strings are refused."""
+    if isinstance(value, (bool, str)):
+        raise ValueError("not a number")
+    return float(value)
 
 
 def _seed(value) -> int:
@@ -195,12 +204,12 @@ def _resolve_kernel(eff: dict, data: LabeledDataset | None) -> KernelSpec:
             if data is None:
                 raise ConfigurationError("median bandwidth needs a dataset in scope")
             sigma = median_heuristic(data.z, seed=int(eff["seed"]))
-        sigma = _parse(sigma, float, 'kernel "sigma"')
+        sigma = _parse(sigma, _float, 'kernel "sigma"')
         return rbf(sigma) if fam == "rbf" else laplacian(sigma)
     if fam == "linear":
         if "radius" not in kc:
             raise ConfigurationError('linear kernel config needs a "radius"')
-        return linear(_parse(kc["radius"], float, 'kernel "radius"'))
+        return linear(_parse(kc["radius"], _float, 'kernel "radius"'))
     raise ConfigurationError(f"unsupported kernel family in config: {fam!r}")
 
 
@@ -216,12 +225,12 @@ def _resolve_classifier(eff: dict, csv_scores):
     if kind == "witness":
         return None, kind
     if kind == "constant":
-        return constant_classifier(_parse(cc.get("value", 0.5), float, 'classifier "value"')), kind
+        return constant_classifier(_parse(cc.get("value", 0.5), _float, 'classifier "value"')), kind
     if kind == "logistic_head":
         if "weights" not in cc or "bias" not in cc:
             raise ConfigurationError('logistic_head classifier needs "weights" and "bias"')
         weights = _parse(cc["weights"], partial(np.asarray, dtype=float), 'classifier "weights"')
-        bias = _parse(cc["bias"], float, 'classifier "bias"')
+        bias = _parse(cc["bias"], _float, 'classifier "bias"')
         return logistic_head_classifier(weights, bias), kind
     if kind == "external_scores":
         if csv_scores is None:
@@ -392,14 +401,14 @@ def _cmd_bounds(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     option = partial(_option, opts, "bounds")
 
     def tol(name, default):
-        return _parse(tols.get(name, default), float, f'"{name}" tolerance')
+        return _parse(tols.get(name, default), _float, f'"{name}" tolerance')
 
     reports = []
     for name in checks:
         if name == "unbiased_equality":
             reports.append(check_unbiased_equality(
                 spec, data, tol=tol(name, 0.02),
-                rate_threshold=option("rate_threshold", 0.02, float),
+                rate_threshold=option("rate_threshold", 0.02, _float),
             ))
         elif name == "biased_lower_bound":
             reports.append(check_biased_lower_bound(spec, data, tol=tol(name, 0.03)))
@@ -412,8 +421,8 @@ def _cmd_bounds(eff: dict, cfg: dict) -> tuple[dict, list, int]:
         elif name == "calibration_chain":
             reports.extend(check_calibration_chain(
                 spec, data,
-                sigma_u=option("sigma_u", 0.5, float),
-                sigma_y=option("sigma_y", 1.0, float),
+                sigma_u=option("sigma_u", 0.5, _float),
+                sigma_y=option("sigma_y", 1.0, _float),
                 tol=tol(name, 0.05),
             ))
         else:
@@ -439,13 +448,13 @@ def _cmd_concentration(eff: dict, cfg: dict) -> tuple[dict, list, int]:
         raise ConfigurationError('concentration needs a "grid" of encoder matrices')
     option = partial(_option, opts, "concentration")
     grid = finite_grid(option("grid", None, _list_of(partial(np.asarray, dtype=float)))).maps
-    radius = _parse_optional(opts.get("radius"), float, 'concentration "radius"')
+    radius = _parse_optional(opts.get("radius"), _float, 'concentration "radius"')
     spec = linear(suggest_radius(pop, grid) if radius is None else radius)
     rep = concentration_check(
         pop, grid, spec,
         n_grid=option("n_grid", [100, 200, 400, 800], _list_of(_int)),
         trials=option("trials", 100, _int),
-        delta=option("delta", 0.05, float),
+        delta=option("delta", 0.05, _float),
         seed=int(eff["seed"]),
         g_trials=option("g_trials", 64, _int),
     )
@@ -463,13 +472,13 @@ def _train_config(eff: dict, spec: KernelSpec) -> TrainConfig:
     option = partial(_option, t, "train")
     return TrainConfig(
         kernel=spec,
-        lam=option("lambda", 1.0, float),
+        lam=option("lambda", 1.0, _float),
         steps=option("steps", 200, _int),
-        step_size=option("step_size", 0.5, float),
+        step_size=option("step_size", 0.5, _float),
         encoder_dim=option("encoder_dim", 2, _int),
         batch=_parse_optional(t.get("batch"), _int, 'train "batch"'),
         seed=int(eff["seed"]),
-        init_scale=option("init_scale", 0.1, float),
+        init_scale=option("init_scale", 0.1, _float),
     )
 
 
@@ -522,7 +531,7 @@ def _cmd_sweep(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     pop = _population(eff, "sweep")
     spec = _resolve_kernel(eff, None)
     opts = _section(eff, "sweep")
-    lambdas = _option(opts, "sweep", "lambdas", [0.0, 0.1, 1.0, 10.0], _list_of(float))
+    lambdas = _option(opts, "sweep", "lambdas", [0.0, 0.1, 1.0, 10.0], _list_of(_float))
     res = lambda_sweep(
         pop, lambdas, _train_config(eff, spec),
         n=_parse(eff.get("n", 1000), _int, '"n"'), seed=int(eff["seed"]),

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import rng_for, subseed
+from ._rng import rng_for, streams, subseed
 from .errors import DomainError, InapplicableError, SizeError, ValidationError
 from .eok import _resample_rows, reweight_sample
 from .kernels import KernelSpec, _check_domain, _checked_pair
@@ -131,17 +131,18 @@ def gaussian_complexity_images(images, trials: int = 200, seed: int = 0) -> Comp
 
     ``images`` is a sequence of (n, d) arrays — one per family member — all
     with the same shape.  Each trial draws one standard-normal xi of size
-    n*d from its own sub-seeded stream, so trials can be evaluated in any
-    order (or split across workers) without changing the aggregate.
+    n*d from its own stream, that of ``rng_for(seed, 61, t)`` for trial t,
+    so trials can be evaluated in any order (or split across workers)
+    without changing the aggregate.
     """
-    flats = np.stack([np.asarray(img, dtype=float).ravel() for img in images])
-    if flats.ndim != 2 or flats.shape[0] < 1:
+    images = [np.asarray(img, dtype=float) for img in images]
+    if not images or any(img.shape != images[0].shape for img in images):
         raise ValidationError("images must be a non-empty list of same-shape arrays")
+    flats = np.stack([img.ravel() for img in images])
     _check_mc_trials(trials)
     sups = np.empty(trials)
-    for t in range(trials):
-        xi = rng_for(seed, 61, t).standard_normal(flats.shape[1])
-        sups[t] = (flats @ xi).max()
+    for t, rng in enumerate(streams(seed, 61, count=trials)):
+        sups[t] = (flats @ rng.standard_normal(flats.shape[1])).max()
     return ComplexityEstimate(
         value=float(sups.mean()),
         std_error=float(sups.std(ddof=1) / np.sqrt(trials)),
@@ -333,7 +334,11 @@ def concentration_check(
     more) and the block arrays take a few MB whatever ``trials`` is.  Each
     trial of a block draws its rows and its resample from its own streams,
     with the calls of :func:`fairmmd.synth.sample_population` and
-    :func:`fairmmd.eok.reweight_sample`; the row transform, cell counts,
+    :func:`fairmmd.eok.reweight_sample`.  The Philox keys of those streams
+    are hashed in one vectorized pass per chunk of 1024 trials, whatever
+    the block size, and one kept generator per stream kind is reset to each
+    trial's key (:func:`fairmmd._rng.streams`), so no trial pays a
+    SeedSequence hash of its own.  The row transform, cell counts,
     weights, gather, encoding, domain check and statistics then run once on
     the stacked block, and give each trial the bits it gets on its own.  The
     domain check reads the encoded rows one by one only when the bound
@@ -421,11 +426,15 @@ def _trial_deviations(
     idx = np.empty((step, n), dtype=np.int64)
     enc = np.empty((step, 2, m, n_maps * d_out))
     devs = np.empty(trials)
+    # Trial t draws its rows from the stream of rng_for(subseed(seed, 1, i_n, t))
+    # and its resample from that of rng_for(subseed(seed, 2, i_n, t)).
+    draws = streams(seed, 1, i_n, count=trials, nested=True)
+    resamples = streams(seed, 2, i_n, count=trials, nested=True)
     for t0 in range(0, trials, step):
         block = range(t0, min(t0 + step, trials))
         B = len(block)
-        for b, t in enumerate(block):
-            _draw(rng_for(subseed(seed, 1, i_n, t)), u_s[b], u_y[b], eps[b])
+        for b in range(B):
+            _draw(next(draws), u_s[b], u_y[b], eps[b])
         z, s, y = _rows(population, u_s[:B], u_y[:B], eps[:B])
         cell = 2 * s + y
         counts = np.bincount((cell + 4 * np.arange(B)[:, None]).ravel(),
@@ -439,9 +448,8 @@ def _trial_deviations(
             # Labels of the block's flattened rows, each trial's cells in order.
             order = (np.argsort(cell.astype(np.int8), axis=1, kind="stable")
                      + n * np.arange(B)[:, None])
-            for b, t in enumerate(block):
-                idx[b] = _resample_rows(rng_for(subseed(seed, 2, i_n, t)), w[b, 1],
-                                        counts[b], order[b], (m, m))
+            for b in range(B):
+                idx[b] = _resample_rows(next(resamples), w[b, 1], counts[b], order[b], (m, m))
             mixed = z.reshape(-1, d_in).take(idx[:B].ravel(), axis=0)
             # Trial b's group-s rows under every map, a stack of the (m, d_in)
             # products _grid_mmd2 makes one trial at a time.

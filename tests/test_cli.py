@@ -231,10 +231,28 @@ BAD_CSV = {
     # 8e17 bytes for one column of draws, more than any address space holds,
     # so the allocation fails at once.
     ("generate", {"n": 1e17}, []),
+    ("generate", {"seed": "5"}, []),
+    ("generate", {"n": "50"}, []),
+    ("eok", {"kernel": {"family": "rbf", "sigma": True}}, []),
+    ("eok", {"kernel": {"family": "rbf", "sigma": "1.0"}}, []),
+    ("concentration", {"concentration": {"grid": GRID, "radius": "50"}}, []),
+    ("concentration", {"concentration": {"grid": GRID, "delta": "0.1"}}, []),
+    ("metrics", {"metrics": {"classifier": {"kind": "constant", "value": True}}}, []),
+    ("metrics", {"metrics": {"classifier": {"kind": "logistic_head", "weights": [1.0, 0.0],
+                                            "bias": "0"}}}, []),
+    ("bounds", {"bounds": {"tolerances": {"biased_lower_bound": True}}}, []),
+    ("bounds", {"bounds": {"checks": ["calibration_chain"], "sigma_u": "0.5"}}, []),
+    ("train", {"train": {"lambda": True}}, []),
+    ("train", {"train": {"step_size": "0.1"}}, []),
+    ("sweep", {"sweep": {"lambdas": [0.0, True]}}, []),
 ], ids=["trials-zero", "trials-negative", "delta-out-of-range", "negative-seed",
         "negative-seed-flag", "negative-bootstrap-seed", "csv-extra-field",
         "csv-non-numeric", "csv-missing", "csv-fractional-label", "sigma-squared-overflows",
-        "sigma-squared-underflows", "n-beyond-memory"])
+        "sigma-squared-underflows", "n-beyond-memory", "seed-a-string", "n-a-string",
+        "sigma-a-boolean", "sigma-a-numeric-string", "radius-a-string", "delta-a-string",
+        "classifier-value-a-boolean", "classifier-bias-a-string", "tolerance-a-boolean",
+        "sigma-u-a-string", "lambda-a-boolean", "step-size-a-string",
+        "lambdas-entry-a-boolean"])
 def test_malformed_input_exits_two_without_report(tmp_path, capsys, command, extra, args):
     for name, text in BAD_CSV.items():
         (tmp_path / name).write_text(text)

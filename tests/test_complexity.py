@@ -22,7 +22,7 @@ from fairmmd import (
     suggest_radius,
 )
 from fairmmd import complexity
-from fairmmd._rng import subseed
+from fairmmd._rng import rng_for, subseed
 from fairmmd.complexity import _grid_mmd2, concentration_check, fnn_apply, sample_fnn_grid
 from conftest import make_population
 
@@ -46,6 +46,29 @@ def test_mc_matches_images_route():
     a = gaussian_complexity_mc(family, X, trials=300, seed=5)
     b = gaussian_complexity_images([X @ W.T for W in maps], trials=300, seed=5)
     assert a.value == b.value and a.std_error == b.std_error
+
+
+@pytest.mark.parametrize("seed", [0, 2**40 + 3], ids=["seed-0", "multi-word-seed"])
+def test_images_draw_the_single_stream_api(seed):
+    """1100 trials, past one chunk of batched keys, give the bits of a loop
+    that opens rng_for(seed, 61, t) for every trial t."""
+    rng = np.random.default_rng(2)
+    images = [rng.normal(size=(7, 2)) for _ in range(3)]
+    flats = np.stack([img.ravel() for img in images])
+    trials = 1100
+    sups = np.array([(flats @ rng_for(seed, 61, t).standard_normal(flats.shape[1])).max()
+                     for t in range(trials)])
+    est = gaussian_complexity_images(images, trials=trials, seed=seed)
+    assert est.value == float(sups.mean())
+    assert est.std_error == float(sups.std(ddof=1) / np.sqrt(trials))
+
+
+@pytest.mark.parametrize("images", [
+    [], [np.zeros((3, 2)), np.zeros((4, 2))], [np.zeros((3, 2)), np.zeros((2, 3))],
+], ids=["empty", "different-rows", "same-size-different-shape"])
+def test_images_refuse_empty_or_mixed_shapes(images):
+    with pytest.raises(ValidationError, match="same-shape"):
+        gaussian_complexity_images(images, trials=4)
 
 
 def test_complexity_grows_with_the_family():
@@ -248,6 +271,17 @@ def test_block_trials_match_trial_by_trial(biased_pop, block_budget, grid):
     assert_array_equal([(r["mean_dev"], r["quantile_dev"]) for r in rep.rows], want)
 
 
+@pytest.mark.parametrize("seed", [0, 2**40 + 3], ids=["seed-0", "multi-word-seed"])
+def test_block_trials_match_trial_by_trial_at_more_seeds(biased_pop, block_budget, seed):
+    grid = [np.eye(2), np.array([[0.3, -0.7], [1.1, 0.2]])]
+    spec = linear(suggest_radius(biased_pop, grid))
+    n_grid, trials, delta = [400, 1000], 15, 0.1
+    rep = concentration_check(biased_pop, grid, spec, n_grid, trials=trials, delta=delta,
+                              seed=seed, g_trials=2, g_repeats=1)
+    want = trial_by_trial_devs(biased_pop, grid, spec, n_grid, trials, delta, seed=seed)
+    assert_array_equal([(r["mean_dev"], r["quantile_dev"]) for r in rep.rows], want)
+
+
 @pytest.mark.parametrize("n_grid, radius, seed, error", [
     ([40, 64], 2.9, 0, DomainError),
     ([8, 16], None, 0, EmptyCellError),
@@ -273,10 +307,11 @@ def test_block_failure_is_the_first_failing_trials(
 
 
 def test_concentration_rejects_bad_options_before_drawing(unbiased_pop, monkeypatch):
-    def no_draws(*args):
+    def no_draws(*args, **kwargs):
         raise AssertionError("drew before validating the options")
 
     monkeypatch.setattr(complexity, "rng_for", no_draws)
+    monkeypatch.setattr(complexity, "streams", no_draws)
     grid = [np.eye(2)]
     spec = linear(10.0)
     for trials in (0, -2):
