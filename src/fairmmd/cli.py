@@ -33,7 +33,6 @@ import json
 import sys
 import time
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -108,29 +107,65 @@ def _parse(value, convert, what: str):
         raise ConfigurationError(f"malformed {what} in config: {value!r}") from exc
 
 
-def _parse_optional(value, convert, what: str):
-    """:func:`_parse` for a field whose absence (None) is meaningful."""
-    return None if value is None else _parse(value, convert, what)
+_REQUIRED = object()  # the default of a key that its section must set
 
 
-def _option(opts: dict, section: str, key: str, default, convert):
-    """:func:`_parse` of ``opts[key]`` (``default`` if absent), a field of
-    the config section named ``section``."""
-    return _parse(opts.get(key, default), convert, f'{section} "{key}"')
+def _options(cfg: dict, section: str, table: dict) -> dict:
+    """Every option of one config section, read before any work is done.
+
+    ``section`` is the section's dotted path in ``cfg`` ("" for the top
+    level); an absent section reads as {}, any other non-object is refused.
+    ``table`` maps each key to ``(default, converter)``; a key missing from
+    the section takes its default, or is refused if that is ``_REQUIRED``.
+    Every value, defaults included, goes through :func:`_parse`, so an error
+    names its field.
+    """
+    opts, path = cfg, []
+    for key in section.split(".") if section else ():
+        path.append(key)
+        opts = opts.get(key, {})
+        if not isinstance(opts, dict):
+            raise ConfigurationError(f'"{".".join(path)}" in config must be an object, got {opts!r}')
+    out = {}
+    for key, (default, convert) in table.items():
+        what = f'{section} "{key}"'.lstrip()
+        if key not in opts and default is _REQUIRED:
+            raise ConfigurationError(f"config needs {what}")
+        out[key] = _parse(opts.get(key, default), convert, what)
+    return out
 
 
-def _section(cfg: dict, key: str) -> dict:
-    """The config object under ``key`` ({} if absent); ConfigurationError if
-    it is not an object."""
-    value = cfg.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigurationError(f'"{key}" in config must be an object, got {value!r}')
-    return value
+def _variant_options(cfg: dict, section: str, key: str, default, tables: dict) -> dict:
+    """:func:`_options` of a section whose ``key`` picks one of ``tables``
+    (its keys are the allowed values) as the table of its other options."""
+    kind = _options(cfg, section, {key: (default, _one_of(*tables))})[key]
+    return dict(_options(cfg, section, tables[kind]), **{key: kind})
 
 
 def _list_of(convert):
     """A converter for :func:`_parse` that converts a list entry by entry."""
     return lambda values: [convert(v) for v in values]
+
+
+def _optional(convert):
+    """A converter for :func:`_parse` that passes null (None) through."""
+    return lambda value: None if value is None else convert(value)
+
+
+def _one_of(*choices):
+    """A converter for :func:`_parse` that admits only ``choices``."""
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"not one of {choices}")
+        return value
+    return convert
+
+
+def _str(value) -> str:
+    """A string for :func:`_parse`, such as a path."""
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
 
 
 def _int(value) -> int:
@@ -159,86 +194,90 @@ def _seed(value) -> int:
     return seed
 
 
+def _sigma(value):
+    """A bandwidth for :func:`_parse`: a number, or "median" for the median
+    heuristic on the dataset."""
+    return value if value == "median" else _float(value)
+
+
+# Options every command reads.  The rows come from an inline ``population``
+# or from a ``dataset`` CSV, whose path is relative to the config file.
+_TOP = {"seed": (0, _seed), "out": ("reports", _str), "n": (1000, _int),
+        "dataset": (None, _optional(_str)),
+        "population": (None, _optional(population_from_dict))}
+
+_KERNELS = {
+    "rbf": {"sigma": (1.0, _sigma)},
+    "laplacian": {"sigma": (1.0, _sigma)},
+    "linear": {"radius": (_REQUIRED, _float)},
+}
+
+_CLASSIFIERS = {
+    "witness": {},
+    "constant": {"value": (0.5, _float)},
+    "logistic_head": {"weights": (_REQUIRED, _list_of(_float)), "bias": (_REQUIRED, _float)},
+    "external_scores": {},
+}
+
+
 def _effective(cfg: dict, args) -> dict:
+    """The config as run: the command-line overrides applied and the seed
+    filled in, since the report's digest covers it."""
     eff = {k: v for k, v in cfg.items() if not k.startswith("_")}
     if args.seed is not None:
         eff["seed"] = args.seed
     if args.out is not None:
         eff["out"] = args.out
     eff.setdefault("seed", 0)
-    eff.setdefault("out", "reports")
-    _parse(eff["seed"], _seed, '"seed"')
     return eff
 
 
-def _population(eff: dict, command: str) -> PopulationSpec:
-    if "population" not in eff:
+def _population(top: dict, command: str) -> PopulationSpec:
+    if top["population"] is None:
         raise ConfigurationError(f'{command} needs a "population" section')
-    return population_from_dict(eff["population"])
+    return top["population"]
 
 
-def _resolve_dataset(cfg: dict, eff: dict) -> tuple[LabeledDataset, np.ndarray | None]:
+def _resolve_dataset(top: dict) -> tuple[LabeledDataset, np.ndarray | None]:
     """Dataset from either a CSV path or a sampled population (exactly one)."""
-    has_pop = "population" in eff
-    has_csv = "dataset" in eff
-    if has_pop == has_csv:
+    if (top["population"] is None) == (top["dataset"] is None):
         raise ConfigurationError('config needs exactly one of "population" or "dataset"')
-    if has_csv:
-        path = Path(eff["dataset"])
-        if not path.is_absolute():
-            path = Path(cfg.get("_dir", ".")) / path
-        return read_csv(path)
-    pop = population_from_dict(eff["population"])
-    n = _parse(eff.get("n", 1000), _int, '"n"')
-    return sample_population(pop, n, int(eff["seed"])), None
+    if top["dataset"] is not None:
+        return read_csv(top["dataset"])
+    return sample_population(top["population"], top["n"], top["seed"]), None
 
 
-def _resolve_kernel(eff: dict, data: LabeledDataset | None) -> KernelSpec:
-    kc = eff.get("kernel")
-    if not isinstance(kc, dict) or "family" not in kc:
-        raise ConfigurationError('config needs a "kernel" object with a "family"')
-    fam = kc["family"]
-    if fam in ("rbf", "laplacian"):
-        sigma = kc.get("sigma", 1.0)
-        if sigma == "median":
-            if data is None:
-                raise ConfigurationError("median bandwidth needs a dataset in scope")
-            sigma = median_heuristic(data.z, seed=int(eff["seed"]))
-        sigma = _parse(sigma, _float, 'kernel "sigma"')
-        return rbf(sigma) if fam == "rbf" else laplacian(sigma)
-    if fam == "linear":
-        if "radius" not in kc:
-            raise ConfigurationError('linear kernel config needs a "radius"')
-        return linear(_parse(kc["radius"], _float, 'kernel "radius"'))
-    raise ConfigurationError(f"unsupported kernel family in config: {fam!r}")
+def _resolve_kernel(k: dict, data: LabeledDataset | None, seed: int) -> KernelSpec:
+    """The kernel of the options read by ``_variant_options(eff, "kernel", ...)``."""
+    if k["family"] == "linear":
+        return linear(k["radius"])
+    sigma = k["sigma"]
+    if sigma == "median":
+        if data is None:
+            raise ConfigurationError("median bandwidth needs a dataset in scope")
+        sigma = median_heuristic(data.z, seed=seed)
+    return rbf(sigma) if k["family"] == "rbf" else laplacian(sigma)
 
 
 def _kernel_dict(spec: KernelSpec) -> dict:
     return {k: v for k, v in dataclasses.asdict(spec).items() if v is not None}
 
 
-def _resolve_classifier(eff: dict, csv_scores):
-    """The configured classifier and its kind; None stands for the group
-    witness, whose scores are read from the dataset's cell sums."""
-    cc = _section(_section(eff, "metrics"), "classifier")
-    kind = cc.get("kind", "witness")
-    if kind == "witness":
-        return None, kind
-    if kind == "constant":
-        return constant_classifier(_parse(cc.get("value", 0.5), _float, 'classifier "value"')), kind
-    if kind == "logistic_head":
-        if "weights" not in cc or "bias" not in cc:
-            raise ConfigurationError('logistic_head classifier needs "weights" and "bias"')
-        weights = _parse(cc["weights"], partial(np.asarray, dtype=float), 'classifier "weights"')
-        bias = _parse(cc["bias"], _float, 'classifier "bias"')
-        return logistic_head_classifier(weights, bias), kind
-    if kind == "external_scores":
+def _classifier(c: dict, csv_scores):
+    """The classifier of the options read by ``_variant_options(eff,
+    "metrics.classifier", ...)``; None stands for the group witness, whose
+    scores are read from the dataset's cell sums."""
+    if c["kind"] == "constant":
+        return constant_classifier(c["value"])
+    if c["kind"] == "logistic_head":
+        return logistic_head_classifier(c["weights"], c["bias"])
+    if c["kind"] == "external_scores":
         if csv_scores is None:
             raise ConfigurationError(
                 "external_scores classifier needs a dataset CSV with a score column"
             )
-        return external_scores_classifier(csv_scores), kind
-    raise ConfigurationError(f"unknown classifier kind {kind!r}")
+        return external_scores_classifier(csv_scores)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +306,19 @@ def _config_digest(eff: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _out_file(eff: dict, name: str) -> Path:
+def _out_file(top: dict, name: str) -> Path:
     """``<out>/<name>``, creating the output directory if needed."""
-    out_dir = Path(eff["out"])
+    out_dir = Path(top["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir / name
 
 
-def _write_report(command: str, eff: dict, result: dict, started: float,
+def _write_report(command: str, eff: dict, top: dict, result: dict, started: float,
                   elapsed: float) -> tuple[dict, Path]:
     report = {
         "command": command,
         "versions": {"fairmmd": __version__, "report_schema": SCHEMA_VERSION},
-        "seed": int(eff["seed"]),
+        "seed": top["seed"],
         "config_digest": _config_digest(eff),
         "timing": {
             "started_at": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
@@ -287,7 +326,7 @@ def _write_report(command: str, eff: dict, result: dict, started: float,
         },
         "result": _jsonify(result),
     }
-    path = _out_file(eff, f"{command}.json")
+    path = _out_file(top, f"{command}.json")
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return report, path
 
@@ -302,14 +341,15 @@ def _emit(report: dict, path: Path, fmt: str, table_lines) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns its result object, its table lines and its exit
-# status; ``main`` times it, writes the report and prints it.
+# subcommands: each reads all of its options before any work, then returns
+# its result object, its table lines and its exit status; ``main`` times it,
+# writes the report and prints it.
 
 
-def _cmd_generate(eff: dict, cfg: dict) -> tuple[dict, list, int]:
-    pop = _population(eff, "generate")
-    data = sample_population(pop, _parse(eff.get("n", 1000), _int, '"n"'), int(eff["seed"]))
-    csv_path = _out_file(eff, "dataset.csv")
+def _cmd_generate(eff: dict, top: dict) -> tuple[dict, list, int]:
+    """sample a dataset from a population spec, write dataset.csv"""
+    data = sample_population(_population(top, "generate"), top["n"], top["seed"])
+    csv_path = _out_file(top, "dataset.csv")
     write_csv(data, csv_path)
     result = {
         "path": str(csv_path),
@@ -324,16 +364,19 @@ def _cmd_generate(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     ], 0
 
 
-def _cmd_metrics(eff: dict, cfg: dict) -> tuple[dict, list, int]:
-    data, csv_scores = _resolve_dataset(cfg, eff)
-    spec = _resolve_kernel(eff, data)
-    h, kind = _resolve_classifier(eff, csv_scores)
+def _cmd_metrics(eff: dict, top: dict) -> tuple[dict, list, int]:
+    """fairness metrics of a classifier on a dataset"""
+    k = _variant_options(eff, "kernel", "family", _REQUIRED, _KERNELS)
+    c = _variant_options(eff, "metrics.classifier", "kind", "witness", _CLASSIFIERS)
+    bins = _options(eff, "metrics", {"bins": (None, _optional(_int))})["bins"]
+    data, csv_scores = _resolve_dataset(top)
+    spec = _resolve_kernel(k, data, top["seed"])
+    h = _classifier(c, csv_scores)
     if h is None:
         t = witness_scores(cell_sums(spec, data), GROUP_CELLS[1], GROUP_CELLS[0])
     else:
         t = evaluate_batch(h, data.z)
     t = external_scores_classifier(t)
-    bins = _parse_optional(_section(eff, "metrics").get("bins"), _int, 'metrics "bins"')
     metrics = {
         "dp": dp(t, data),
         "dopp": dopp(t, data),
@@ -346,90 +389,69 @@ def _cmd_metrics(eff: dict, cfg: dict) -> tuple[dict, list, int]:
         "balanced_accuracy_y": balanced_accuracy(t, data, "y"),
         "sup_dp": sup_dp(spec, data),
     }
-    result = {"metrics": metrics, "classifier_kind": kind, "kernel": _kernel_dict(spec),
+    result = {"metrics": metrics, "classifier_kind": c["kind"], "kernel": _kernel_dict(spec),
               "n": data.n, "bins": bins}
     return result, [f"{k:>22s}  {v:.6f}" for k, v in metrics.items()], 0
 
 
-def _cmd_eok(eff: dict, cfg: dict) -> tuple[dict, list, int]:
-    data, _ = _resolve_dataset(cfg, eff)
-    spec = _resolve_kernel(eff, data)
-    opts = _section(eff, "eok")
-    method = opts.get("method", "both")
-    if method not in ("both", "plugin", "bootstrap"):
-        raise ConfigurationError(f'eok method must be both|plugin|bootstrap, got {method!r}')
-    weights = _parse_optional(opts.get("weights"), partial(np.asarray, dtype=float),
-                              'eok "weights"')
+def _cmd_eok(eff: dict, top: dict) -> tuple[dict, list, int]:
+    """both equalized-odds estimates (plug-in and resampling)"""
+    k = _variant_options(eff, "kernel", "family", _REQUIRED, _KERNELS)
+    o = _options(eff, "eok", {
+        "method": ("both", _one_of("both", "plugin", "bootstrap")),
+        "weights": (None, _optional(_list_of(_float))), "m0": (None, _optional(_int)),
+        "m1": (None, _optional(_int)), "bootstrap_seed": (top["seed"], _seed),
+    })
+    data, _ = _resolve_dataset(top)
+    spec = _resolve_kernel(k, data, top["seed"])
     result = {"kernel": _kernel_dict(spec), "n": data.n}
     lines = []
-    if method in ("both", "plugin"):
-        est = eok_hat_plugin(spec, data, weights=weights)
+    if o["method"] in ("both", "plugin"):
+        est = eok_hat_plugin(spec, data, weights=o["weights"])
         result["plugin"] = dataclasses.asdict(est)
         lines.append(f"plugin     eok2={est.eok2:.6f}  eok={est.eok:.6f}  weights={est.weights}")
-    if method in ("both", "bootstrap"):
-        est = eok_hat_bootstrap(
-            spec, data,
-            m0=_parse_optional(opts.get("m0"), _int, 'eok "m0"'),
-            m1=_parse_optional(opts.get("m1"), _int, 'eok "m1"'),
-            seed=_option(opts, "eok", "bootstrap_seed", eff["seed"], _seed),
-            weights=weights,
-        )
+    if o["method"] in ("both", "bootstrap"):
+        est = eok_hat_bootstrap(spec, data, m0=o["m0"], m1=o["m1"], seed=o["bootstrap_seed"],
+                                weights=o["weights"])
         result["bootstrap"] = dataclasses.asdict(est)
         lines.append(f"bootstrap  eok2={est.eok2:.6f}  eok={est.eok:.6f}  weights={est.weights}")
     return result, lines, 0
 
 
-_BOUND_CHECKS = (
-    "unbiased_equality",
-    "biased_lower_bound",
-    "ba_bounds",
-    "calibration_chain",
-    "tvd_dominance",
-)
+# Each bound check by name, with its default tolerance.
+_TOLERANCES = {"unbiased_equality": (0.02, _float), "biased_lower_bound": (0.03, _float),
+               "ba_bounds": (0.01, _float), "calibration_chain": (0.05, _float),
+               "tvd_dominance": (1e-9, _float)}
 
 
-def _cmd_bounds(eff: dict, cfg: dict) -> tuple[dict, list, int]:
-    data, _ = _resolve_dataset(cfg, eff)
-    spec = _resolve_kernel(eff, data)
-    opts = _section(eff, "bounds")
-    checks = _option(opts, "bounds", "checks",
-                     ["biased_lower_bound", "ba_bounds", "calibration_chain"], list)
-    for name in checks:
-        if name not in _BOUND_CHECKS:
-            raise ConfigurationError(f"unknown bound check {name!r}; known: {_BOUND_CHECKS}")
-    tols = _section(opts, "tolerances")
-    option = partial(_option, opts, "bounds")
-
-    def tol(name, default):
-        return _parse(tols.get(name, default), _float, f'"{name}" tolerance')
-
+def _cmd_bounds(eff: dict, top: dict) -> tuple[dict, list, int]:
+    """evaluate configured bound clauses; exit 1 if any fails"""
+    k = _variant_options(eff, "kernel", "family", _REQUIRED, _KERNELS)
+    o = _options(eff, "bounds", {
+        "checks": (["biased_lower_bound", "ba_bounds", "calibration_chain"],
+                   _list_of(_one_of(*_TOLERANCES))),
+        "rate_threshold": (0.02, _float), "trials": (50, _int), "n_anchors": (100, _int),
+        "sigma_u": (0.5, _float), "sigma_y": (1.0, _float), "max_support": (64, _int),
+    })
+    tol = _options(eff, "bounds.tolerances", _TOLERANCES)
+    data, _ = _resolve_dataset(top)
+    spec = _resolve_kernel(k, data, top["seed"])
     reports = []
-    for name in checks:
+    for name in o["checks"]:
         if name == "unbiased_equality":
             reports.append(check_unbiased_equality(
-                spec, data, tol=tol(name, 0.02),
-                rate_threshold=option("rate_threshold", 0.02, _float),
-            ))
+                spec, data, tol=tol[name], rate_threshold=o["rate_threshold"]))
         elif name == "biased_lower_bound":
-            reports.append(check_biased_lower_bound(spec, data, tol=tol(name, 0.03)))
+            reports.append(check_biased_lower_bound(spec, data, tol=tol[name]))
         elif name == "ba_bounds":
-            reports.extend(check_ba_bounds(
-                spec, data, trials=option("trials", 50, _int),
-                tol=tol(name, 0.01), seed=int(eff["seed"]),
-                n_anchors=option("n_anchors", 100, _int),
-            ))
+            reports.extend(check_ba_bounds(spec, data, trials=o["trials"], tol=tol[name],
+                                           seed=top["seed"], n_anchors=o["n_anchors"]))
         elif name == "calibration_chain":
             reports.extend(check_calibration_chain(
-                spec, data,
-                sigma_u=option("sigma_u", 0.5, _float),
-                sigma_y=option("sigma_y", 1.0, _float),
-                tol=tol(name, 0.05),
-            ))
+                spec, data, sigma_u=o["sigma_u"], sigma_y=o["sigma_y"], tol=tol[name]))
         else:
             reports.append(check_tvd_dominance(
-                spec, data, tol=tol(name, 1e-9),
-                max_support=option("max_support", 64, _int),
-            ))
+                spec, data, tol=tol[name], max_support=o["max_support"]))
     all_hold = all(r.holds for r in reports)
     result = {"clauses": [r.as_dict() for r in reports], "all_hold": all_hold,
               "kernel": _kernel_dict(spec), "n": data.n}
@@ -441,23 +463,18 @@ def _cmd_bounds(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     return result, lines, 0 if all_hold else 1
 
 
-def _cmd_concentration(eff: dict, cfg: dict) -> tuple[dict, list, int]:
-    pop = _population(eff, "concentration")
-    opts = _section(eff, "concentration")
-    if "grid" not in opts:
-        raise ConfigurationError('concentration needs a "grid" of encoder matrices')
-    option = partial(_option, opts, "concentration")
-    grid = finite_grid(option("grid", None, _list_of(partial(np.asarray, dtype=float)))).maps
-    radius = _parse_optional(opts.get("radius"), _float, 'concentration "radius"')
-    spec = linear(suggest_radius(pop, grid) if radius is None else radius)
-    rep = concentration_check(
-        pop, grid, spec,
-        n_grid=option("n_grid", [100, 200, 400, 800], _list_of(_int)),
-        trials=option("trials", 100, _int),
-        delta=option("delta", 0.05, _float),
-        seed=int(eff["seed"]),
-        g_trials=option("g_trials", 64, _int),
-    )
+def _cmd_concentration(eff: dict, top: dict) -> tuple[dict, list, int]:
+    """deviation certificate check; exit 1 if the envelope breaks"""
+    o = _options(eff, "concentration", {
+        "grid": (_REQUIRED, _list_of(_list_of(_list_of(_float)))),
+        "radius": (None, _optional(_float)), "n_grid": ([100, 200, 400, 800], _list_of(_int)),
+        "trials": (100, _int), "delta": (0.05, _float), "g_trials": (64, _int),
+    })
+    pop = _population(top, "concentration")
+    grid = finite_grid(o["grid"]).maps
+    spec = linear(suggest_radius(pop, grid) if o["radius"] is None else o["radius"])
+    rep = concentration_check(pop, grid, spec, n_grid=o["n_grid"], trials=o["trials"],
+                              delta=o["delta"], seed=top["seed"], g_trials=o["g_trials"])
     result = dict(rep.as_dict(), kernel=_kernel_dict(spec))
     lines = [
         f"n={r['n']:>6d}  mean_dev={r['mean_dev']:.5f}  "
@@ -467,25 +484,20 @@ def _cmd_concentration(eff: dict, cfg: dict) -> tuple[dict, list, int]:
     return result, lines, 0 if rep.holds else 1
 
 
-def _train_config(eff: dict, spec: KernelSpec) -> TrainConfig:
-    t = _section(eff, "train")
-    option = partial(_option, t, "train")
-    return TrainConfig(
-        kernel=spec,
-        lam=option("lambda", 1.0, _float),
-        steps=option("steps", 200, _int),
-        step_size=option("step_size", 0.5, _float),
-        encoder_dim=option("encoder_dim", 2, _int),
-        batch=_parse_optional(t.get("batch"), _int, 'train "batch"'),
-        seed=int(eff["seed"]),
-        init_scale=option("init_scale", 0.1, _float),
-    )
+# The train section; apart from "lambda" (TrainConfig's ``lam``) each key
+# names a TrainConfig field.
+_TRAIN = {"lambda": (1.0, _float), "steps": (200, _int), "step_size": (0.5, _float),
+          "encoder_dim": (2, _int), "batch": (None, _optional(_int)),
+          "init_scale": (0.1, _float)}
 
 
-def _cmd_train(eff: dict, cfg: dict) -> tuple[dict, list, int]:
-    data, _ = _resolve_dataset(cfg, eff)
-    spec = _resolve_kernel(eff, data)
-    res = train(data, _train_config(eff, spec))
+def _cmd_train(eff: dict, top: dict) -> tuple[dict, list, int]:
+    """one penalized training run with its objective trace"""
+    k = _variant_options(eff, "kernel", "family", _REQUIRED, _KERNELS)
+    t = _options(eff, "train", _TRAIN)
+    data, _ = _resolve_dataset(top)
+    spec = _resolve_kernel(k, data, top["seed"])
+    res = train(data, TrainConfig(kernel=spec, seed=top["seed"], lam=t.pop("lambda"), **t))
     result = {
         "final": {"sup": res.sup_trace[-1], "penalty": res.penalty_trace[-1],
                   "total": res.total_trace[-1]},
@@ -527,18 +539,19 @@ def _spearman(a, b) -> float | None:
     return float(np.corrcoef(np.vstack([_average_ranks(a), _average_ranks(b)]))[1, 0])
 
 
-def _cmd_sweep(eff: dict, cfg: dict) -> tuple[dict, list, int]:
-    pop = _population(eff, "sweep")
-    spec = _resolve_kernel(eff, None)
-    opts = _section(eff, "sweep")
-    lambdas = _option(opts, "sweep", "lambdas", [0.0, 0.1, 1.0, 10.0], _list_of(_float))
-    res = lambda_sweep(
-        pop, lambdas, _train_config(eff, spec),
-        n=_parse(eff.get("n", 1000), _int, '"n"'), seed=int(eff["seed"]),
-        dc_bins=_parse_optional(opts.get("dc_bins", 20), _int, 'sweep "dc_bins"'),
-    )
+def _cmd_sweep(eff: dict, top: dict) -> tuple[dict, list, int]:
+    """lambda frontier table, also written as sweep.csv"""
+    k = _variant_options(eff, "kernel", "family", _REQUIRED, _KERNELS)
+    t = _options(eff, "train", _TRAIN)
+    o = _options(eff, "sweep", {"lambdas": ([0.0, 0.1, 1.0, 10.0], _list_of(_float)),
+                                "dc_bins": (20, _optional(_int))})
+    pop = _population(top, "sweep")
+    spec = _resolve_kernel(k, None, top["seed"])
+    config = TrainConfig(kernel=spec, seed=top["seed"], lam=t.pop("lambda"), **t)
+    res = lambda_sweep(pop, o["lambdas"], config, n=top["n"], seed=top["seed"],
+                       dc_bins=o["dc_bins"])
     rho = _spearman(res.lambdas, [r["eok2"] for r in res.rows])
-    csv_path = _out_file(eff, "sweep.csv")
+    csv_path = _out_file(top, "sweep.csv")
     cols = list(res.rows[0].keys())
     np.savetxt(csv_path, [[row[c] for c in cols] for row in res.rows], fmt="%.17g",
                delimiter=",", header=",".join(cols), comments="")
@@ -586,9 +599,12 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         eff = _effective(cfg, args)
+        top = _options(eff, "", _TOP)
+        if top["dataset"] is not None:
+            top["dataset"] = Path(cfg["_dir"], top["dataset"])
         started = time.time()
-        result, lines, status = _COMMANDS[args.command](eff, cfg)
-        report, path = _write_report(args.command, eff, result, started,
+        result, lines, status = _COMMANDS[args.command](eff, top)
+        report, path = _write_report(args.command, eff, top, result, started,
                                      time.time() - started)
     except FairmmdError as exc:
         print(f"error: {exc}", file=sys.stderr)

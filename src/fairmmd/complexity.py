@@ -85,7 +85,10 @@ class EncoderFamily:
 
 def finite_grid(maps) -> EncoderFamily:
     """Family from an explicit list of linear encoder matrices."""
-    mats = tuple(np.asarray(W, dtype=float) for W in maps)
+    try:
+        mats = tuple(np.asarray(W, dtype=float) for W in maps)
+    except ValueError as exc:  # a ragged matrix, or an entry that is not a number
+        raise ValidationError(f"grid maps must be matrices of numbers: {exc}") from exc
     if not mats:
         raise ValidationError("finite grid needs at least one map")
     shape = mats[0].shape

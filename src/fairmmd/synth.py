@@ -338,6 +338,6 @@ def population_from_dict(obj: dict) -> PopulationSpec:
             p_y_given_s=np.asarray(obj["p_y_given_s"], dtype=float),
             cells=cells,
         )
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValidationError(f"malformed population description: {exc!r}") from exc
 

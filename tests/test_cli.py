@@ -208,6 +208,8 @@ def test_malformed_config_value_exits_two(tmp_path, capsys, command, extra):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+CELL = POPULATION["cells"]["0,0"]
+
 BAD_CSV = {
     "extra-field.csv": "z_0,z_1,s,y\n0.1,0.2,0,1\n0.3,0.4,1,0,7\n",
     "non-numeric.csv": "z_0,z_1,s,y\n0.1,0.2,0,1\n0.3,abc,1,0\n",
@@ -245,6 +247,22 @@ BAD_CSV = {
     ("train", {"train": {"lambda": True}}, []),
     ("train", {"train": {"step_size": "0.1"}}, []),
     ("sweep", {"sweep": {"lambdas": [0.0, True]}}, []),
+    ("eok", {"eok": {"weights": ["0.5", "0.5"]}}, []),
+    ("metrics", {"metrics": {"classifier": {"kind": "logistic_head", "weights": [True, "1"],
+                                            "bias": 0.0}}}, []),
+    ("concentration", {"concentration": {"grid": [[[1.0, 0.0], [0.0, "1"]]]}}, []),
+    ("concentration", {"concentration": {"grid": [[[True, 0.0], [0.0, 1.0]]]}}, []),
+    ("concentration", {"concentration": {"grid": [[[1.0, 0.0], [0.0]]]}}, []),
+    ("generate", {"out": 5}, []),
+    ("eok", {"dataset": 5}, []),
+    ("eok", {"dataset": ["a.csv"]}, []),
+    ("generate", {"population": dict(POPULATION, pi_s="abc")}, []),
+    ("generate", {"population": dict(POPULATION, cells=dict(POPULATION["cells"],
+                                                            **{"a,b": CELL}))}, []),
+    ("generate", {"population": dict(POPULATION, cells=dict(POPULATION["cells"],
+                                                            **{"0,0": dict(CELL, mean=["x", 0.0])}))}, []),
+    ("generate", {"population": dict(POPULATION, cells=dict(POPULATION["cells"],
+                                                            **{"0,0": dict(CELL, cov="x")}))}, []),
 ], ids=["trials-zero", "trials-negative", "delta-out-of-range", "negative-seed",
         "negative-seed-flag", "negative-bootstrap-seed", "csv-extra-field",
         "csv-non-numeric", "csv-missing", "csv-fractional-label", "sigma-squared-overflows",
@@ -252,7 +270,12 @@ BAD_CSV = {
         "sigma-a-boolean", "sigma-a-numeric-string", "radius-a-string", "delta-a-string",
         "classifier-value-a-boolean", "classifier-bias-a-string", "tolerance-a-boolean",
         "sigma-u-a-string", "lambda-a-boolean", "step-size-a-string",
-        "lambdas-entry-a-boolean"])
+        "lambdas-entry-a-boolean", "eok-weights-numeric-strings",
+        "classifier-weights-a-boolean-and-a-string", "grid-entry-a-string",
+        "grid-entry-a-boolean", "grid-map-ragged", "out-not-a-string",
+        "dataset-not-a-string", "dataset-a-list", "population-pi-s-a-string",
+        "population-cell-key-not-integers", "population-mean-entry-a-string",
+        "population-cov-a-string"])
 def test_malformed_input_exits_two_without_report(tmp_path, capsys, command, extra, args):
     for name, text in BAD_CSV.items():
         (tmp_path / name).write_text(text)
@@ -320,8 +343,9 @@ def test_json_format_prints_the_written_report(tmp_path, capsys, command):
 
 
 def test_command_failing_after_work_writes_no_report(tmp_path, capsys):
-    """The biased floor is computed before the tvd tolerance is read; the
-    malformed tolerance still exits 2 with nothing written or printed."""
+    """The malformed tvd tolerance is refused when the options are read,
+    before the biased floor is computed: exit 2, with nothing written or
+    printed even under --format json."""
     cfg = write_config(tmp_path, bounds={
         "checks": ["biased_lower_bound", "tvd_dominance"],
         "tolerances": {"tvd_dominance": "x"},
@@ -331,6 +355,62 @@ def test_command_failing_after_work_writes_no_report(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert not (tmp_path / "reports").exists()
+
+
+# One malformed option per command; all but the sweep's were once read only
+# after rows were drawn or a kernel pass was made.  The bounds tolerance is
+# of a check that is not requested.
+BEFORE_WORK = {
+    "generate": {"out": 5},
+    "metrics": {"metrics": {"bins": "x"}},
+    "eok": {"dataset": "data.csv", "eok": {"m0": "x"}},
+    "bounds": {"bounds": {"checks": ["biased_lower_bound"], "tolerances": {"tvd_dominance": "x"}}},
+    "concentration": {"concentration": {"grid": GRID, "g_trials": "x"}},
+    "train": {"train": {"steps": "x"}},
+    "sweep": {"sweep": {"dc_bins": "x"}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(BEFORE_WORK))
+def test_malformed_option_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+    """Every command reads all of its options before it reads a CSV, draws
+    rows, makes a kernel pass or writes a file."""
+    from fairmmd import cli, kernels, mmd
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before every option was read")
+
+    for module, name in [(kernels, "_matmul_unchecked"), (mmd, "_matmul_unchecked"),
+                         (cli, "sample_population"), (cli, "read_csv"),
+                         (cli, "median_heuristic"), (cli, "suggest_radius"),
+                         (cli, "concentration_check"), (cli, "train"), (cli, "lambda_sweep")]:
+        monkeypatch.setattr(module, name, no_work)
+    cfg = write_config(tmp_path, **BEFORE_WORK[command])
+    if "dataset" in BEFORE_WORK[command]:
+        cfg_dict = json.loads(cfg.read_text())
+        del cfg_dict["population"]
+        cfg.write_text(json.dumps(cfg_dict))
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "reports").exists()
+
+
+def test_help_describes_every_command(capsys):
+    """``fairmmd --help`` shows each command with the description of the
+    module docstring's table, which is also the command's docstring."""
+    from fairmmd import cli
+
+    table = cli.__doc__.split("-----------\n")[1].split("\n\n")[0]
+    described = dict(line.split(None, 1) for line in table.splitlines())
+    assert sorted(described) == sorted(cli._COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for name, fn in cli._COMMANDS.items():
+        assert fn.__doc__ == described[name]
+        assert f"{name} {described[name]}" in out
 
 
 def test_generate_reports_empty_cells(tmp_path):

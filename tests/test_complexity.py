@@ -136,6 +136,10 @@ def test_family_constructor_validation():
         fnn_family((2, 1), width_bound=0.0)
     with pytest.raises(ValidationError):
         finite_grid([])
+    with pytest.raises(ValidationError):
+        finite_grid([[[1.0, 0.0], [0.0]]])  # a ragged matrix
+    with pytest.raises(ValidationError):
+        finite_grid([[["x", 0.0], [0.0, 1.0]]])
     with pytest.raises(InapplicableError):
         gaussian_complexity_mc(fnn_family((2, 1), width_bound=1.0), np.eye(2))
     with pytest.raises(InapplicableError):

@@ -288,3 +288,20 @@ def test_population_dict_round_trip(biased_pop):
     import json
 
     json.dumps(d)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(pi_s="abc"),
+    lambda d: d["cells"].update({"a,b": d["cells"]["0,0"]}),
+    lambda d: d["cells"].update({"0,0,1": d["cells"]["0,0"]}),
+    lambda d: d["cells"]["0,0"].update(mean=["x", 0.0]),
+    lambda d: d["cells"]["0,0"].update(cov="x"),
+], ids=["pi-s-not-a-number", "cell-key-not-integers", "cell-key-three-parts",
+        "mean-entry-not-a-number", "cov-not-a-matrix"])
+def test_population_from_dict_refuses_unconvertible_values(biased_pop, edit):
+    """A value that float() or int() cannot read raises ValidationError, not
+    the bare ValueError of the conversion."""
+    d = population_to_dict(biased_pop)
+    edit(d)
+    with pytest.raises(ValidationError, match="malformed population description"):
+        population_from_dict(d)
