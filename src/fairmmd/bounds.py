@@ -38,7 +38,9 @@ The clauses:
 * :func:`check_tvd_dominance` — on finitely supported representations,
   2 sqrt(nu) times the total variation distance between the group laws
   dominates the kernel discrepancy; exact up to float error, so the default
-  tolerance is 1e-9.
+  tolerance is 1e-9.  Both sides are read from each group's counts of the
+  distinct rows (atoms), so the rhs costs kernel entries between atoms
+  only, not between rows.
 
 Right-hand-side discrepancies are always the plug-in root
 (:func:`fairmmd.mmd.gamma_biased`): it is the exact kernel discrepancy of
@@ -82,7 +84,7 @@ from .kernels import (
     product,
     rbf,
 )
-from .mmd import cell_sums, gamma_biased
+from .mmd import _from_sums, _pooled_sums, cell_sums
 from .synth import CELLS, LabeledDataset
 
 __all__ = [
@@ -215,8 +217,11 @@ def check_ba_bounds(
     outcome_lower evaluates the outcome witness against its guarantee.
     The discrepancies and both witnesses are read from one pass of cell
     sums; the probes share their anchors, so one more pass against the
-    anchors scores them all.
+    anchors scores them all.  ``trials`` must be >= 0 and ``n_anchors`` >= 1.
     """
+    if trials < 0 or n_anchors < 1:
+        raise ValidationError(
+            f"need trials >= 0 and n_anchors >= 1, got trials={trials}, n_anchors={n_anchors}")
     sums = cell_sums(spec, data)
     gamma_s = sums.mmd2(GROUP_CELLS[0], GROUP_CELLS[1]).mmd
     if gamma_s > 2.0 * np.sqrt(spec.nu) * (1 + 1e-9):  # pragma: no cover
@@ -319,7 +324,10 @@ def check_tvd_dominance(
     Requires the representation rows to take at most ``max_support`` distinct
     values so the total variation distance is computable exactly; raises
     InapplicableError otherwise.  Both sides are exact functionals of the
-    empirical laws, so the default tolerance is float-level.
+    empirical laws, so the default tolerance is float-level.  Both are read
+    from each group's counts of the distinct rows (atoms): the rhs is
+    :func:`fairmmd.mmd.gamma_biased` of the two groups, computed from the
+    count-weighted kernel sums of the atoms.
     """
     atoms, ids = np.unique(data.z, axis=0, return_inverse=True)
     if atoms.shape[0] > max_support:
@@ -327,15 +335,14 @@ def check_tvd_dominance(
             f"representation has {atoms.shape[0]} distinct rows > {max_support}; "
             "exact total variation needs a small support"
         )
-    masses = []
-    for s in (0, 1):
-        mask = data.s == s
-        if not mask.any():
-            raise InapplicableError("total variation needs rows in both groups")
-        masses.append(np.bincount(ids[mask], minlength=atoms.shape[0]) / mask.sum())
-    tvd = 0.5 * float(np.abs(masses[1] - masses[0]).sum())
+    counts = [np.bincount(ids[data.s == s], minlength=atoms.shape[0]) for s in (0, 1)]
+    n0, n1 = (int(c.sum()) for c in counts)
+    if n0 == 0 or n1 == 0:
+        raise InapplicableError("total variation needs rows in both groups")
+    tvd = 0.5 * float(np.abs(counts[1] / n1 - counts[0] / n0).sum())
     lhs = 2.0 * np.sqrt(spec.nu) * tvd
-    rhs = gamma_biased(spec, data.z[data.s == 0], data.z[data.s == 1])
+    _checked_pair(spec, atoms, atoms)  # the rows' domain check, as gamma_biased makes it
+    rhs = _from_sums(n0, n1, *_pooled_sums(spec, atoms, atoms, *counts)[:3]).mmd
     return _report(
         "tvd_dominates_gamma", "ge", lhs, rhs, tol,
         _digest(data, spec, "tvd", tol, max_support),

@@ -99,12 +99,18 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+class _NotAChoice(ValueError):
+    """A value outside a fixed set; the message lists the allowed values."""
+
+
 def _parse(value, convert, what: str):
-    """``convert(value)`` for one config field; ConfigurationError if it is malformed."""
+    """``convert(value)`` for one config field; ConfigurationError if it is
+    malformed, naming the allowed values when only a fixed set is allowed."""
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed {what} in config: {value!r}") from exc
+        allowed = f"; {exc}" if isinstance(exc, _NotAChoice) else ""
+        raise ConfigurationError(f"malformed {what} in config: {value!r}{allowed}") from exc
 
 
 _REQUIRED = object()  # the default of a key that its section must set
@@ -156,7 +162,7 @@ def _one_of(*choices):
     """A converter for :func:`_parse` that admits only ``choices``."""
     def convert(value):
         if value not in choices:
-            raise ValueError(f"not one of {choices}")
+            raise _NotAChoice("expected one of " + ", ".join(map(repr, choices)))
         return value
     return convert
 

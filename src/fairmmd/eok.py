@@ -15,9 +15,13 @@ Zbar_1.
 
 Two estimation routes are kept deliberately distinct:
 
-* :func:`eok_hat_bootstrap` materializes the mixtures by stratified
-  resampling (:func:`reweight_sample`) and applies the unbiased two-sample
-  U-statistic to the resampled groups.
+* :func:`eok_hat_bootstrap` draws the mixtures by stratified resampling
+  (the draws of :func:`reweight_sample`) and applies the unbiased
+  two-sample U-statistic to the resampled groups.  It reads the statistic
+  from each group's distinct drawn rows and their draw counts instead of
+  materializing the repeated rows; the draws and the statistic are those of
+  ``mmd2_unbiased`` on :func:`reweight_sample`'s output, up to float
+  rounding.
 
 * :func:`eok_hat_plugin` never resamples: it plugs weighted empirical cell
   embeddings straight into the squared-norm expansion
@@ -53,8 +57,8 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .kernels import KernelSpec, kernel_matmul
-from .mmd import cell_sums, mmd2_unbiased
+from .kernels import KernelSpec, _checked_pair, kernel_matmul
+from .mmd import _from_sums, _pooled_sums, cell_sums
 from .synth import CELLS, LabeledDataset
 
 __all__ = [
@@ -125,6 +129,14 @@ def reweight_sample(
     ``weights[y]`` and then one row uniformly (with replacement) from cell
     (s, y).  Fully deterministic given the seed.
     """
+    idx, w, source = _mixture_draws(data, m0, m1, seed, weights)
+    z = data.z.take(idx, axis=0)
+    return ReweightedSample(z0=z[:m0], z1=z[m0:], weights=w, weights_source=source)
+
+
+def _mixture_draws(data: LabeledDataset, m0: int, m1: int, seed: int, weights):
+    """The row indices of :func:`reweight_sample`'s draws (group 0's m0,
+    then group 1's m1), with the weights used and their source."""
     if m0 < 1 or m1 < 1:
         raise SizeError(f"mixture sizes must be >= 1, got {m0} and {m1}")
     w, source = _resolve_weights(data, weights)
@@ -132,8 +144,7 @@ def reweight_sample(
     # A stable sort keeps each cell's rows in ascending order, which fixes
     # the row each draw picks; numpy sorts the int8 cells by radix.
     order = np.argsort(data.cell, kind="stable")
-    z = data.z.take(_resample_rows(rng_for(seed), w[1], data.counts, order, (m0, m1)), axis=0)
-    return ReweightedSample(z0=z[:m0], z1=z[m0:], weights=w, weights_source=source)
+    return _resample_rows(rng_for(seed), w[1], data.counts, order, (m0, m1)), w, source
 
 
 def _resample_rows(
@@ -171,21 +182,28 @@ def eok_hat_bootstrap(
     seed: int = 0,
     weights=None,
 ) -> EokEstimate:
-    """Resampling estimator: unbiased two-sample statistic on materialized mixtures.
+    """Resampling estimator: unbiased two-sample statistic on the mixtures
+    that :func:`reweight_sample` draws with the same arguments.
 
-    Mixture sizes default to the observed group sizes.  The resampled
-    U-statistic can be negative near the null; the root clips and flags.
+    Mixture sizes default to the observed group sizes.  The rows are not
+    materialized: each group's draws collapse to its distinct rows U and
+    their draw counts c, and the U-statistic of the m0 + m1 drawn rows is
+    read from the count-weighted sums of U, (|U_0| + |U_1|) |U_0| + |U_1|^2
+    kernel entries in place of (m0 + m1) m0 + m1^2.  It can be negative
+    near the null; the root clips and flags.
     """
     if m0 is None:
         m0 = int(data.counts[:2].sum())
     if m1 is None:
         m1 = int(data.counts[2:].sum())
-    rs = reweight_sample(data, m0, m1, seed, weights=weights)
-    est = mmd2_unbiased(spec, rs.z0, rs.z1)
-    return EokEstimate(
-        eok2=est.mmd2, eok=est.mmd, method="bootstrap",
-        weights=rs.weights, weights_source=rs.weights_source, clipped=est.clipped,
-    )
+    idx, w, source = _mixture_draws(data, m0, m1, seed, weights)
+    (ua, ca), (ub, cb) = (np.unique(part, return_counts=True) for part in (idx[:m0], idx[m0:]))
+    A, B = _checked_pair(spec, data.z[ua], data.z[ub])
+    if m0 < 2 or m1 < 2:
+        raise SizeError(f"unbiased estimator needs >= 2 rows per sample, got {m0} and {m1}")
+    est = _from_sums(m0, m1, *_pooled_sums(spec, A, B, ca, cb))
+    return EokEstimate(eok2=est.mmd2, eok=est.mmd, method="bootstrap", weights=w,
+                       weights_source=source, clipped=est.clipped)
 
 
 def eok_hat_plugin(spec: KernelSpec, data: LabeledDataset, weights=None) -> EokEstimate:

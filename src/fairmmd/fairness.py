@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .kernels import KernelSpec, kernel_matmul
-from .mmd import CellSums, cell_sums, mmd2_biased
+from .mmd import CellSums, _witness, cell_sums
 from .synth import LabeledDataset
 
 __all__ = [
@@ -136,15 +136,9 @@ def witness_classifier(spec: KernelSpec, A, B) -> Classifier:
     exactly nu^(-1/2) and h = (g+1)/2 attains the dp supremum over the ball
     (oriented so E[h over A] >= E[h over B]).
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    root = mmd2_biased(spec, A, B).mmd
-    if root <= 0.0:
-        raise ValidationError("witness classifier undefined: samples have equal embeddings")
-    n0, n1 = A.shape[0], B.shape[0]
-    coefs = np.concatenate([np.full(n0, 1.0 / n0), np.full(n1, -1.0 / n1)])
+    anchors, coefs, root = _witness(spec, A, B)
     return Classifier(
-        kind="rkhs_witness", spec=spec, anchors=np.vstack([A, B]), coefs=coefs,
+        kind="rkhs_witness", spec=spec, anchors=anchors, coefs=coefs,
         scale=float(1.0 / (np.sqrt(spec.nu) * root)),
     )
 

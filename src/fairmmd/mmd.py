@@ -26,17 +26,21 @@ attains it:
   (mu_A - mu_B) / ||mu_A - mu_B|| at query points, normalized by the biased
   root so that its A-mean minus B-mean reproduces that root exactly.
 
-The Gram block sums of the U- and V-statistics (Gretton et al., *A Kernel
-Two-Sample Test*, JMLR 2012) come from two calls of
-:func:`fairmmd.kernels.kernel_matmul` against a vector of ones: K([A; B], A)
-gives the A-A and B-A sums from its two row ranges and K(B, B) the B-B sum,
-so no kernel entry is evaluated twice.  The primitive streams over
-fixed tiles in a fixed order, so results are deterministic and memory stays
-O(TILE^2) regardless of sample size.  For the linear kernel the sums collapse
-to inner products of sample sums, which is used as an exact closed form; the
-unbiased form centres both samples on their pooled mean first (the linear
-U-statistic is translation invariant), so data far from the origin do not
-cancel away its digits.
+The U- and V-statistics differ only by their diagonal terms (Gretton et
+al., *A Kernel Two-Sample Test*, JMLR 2012), so both, and the witness's
+root, are read from one routine of Gram block sums.  Its rows may carry
+multiplicities: row i of A stands for a[i] rows, so a sample with repeated
+rows (a resample, or the atoms of a discrete law) is summed over its
+distinct rows only, as a' K_AA a, a' K_AB b and b' K_BB b plus the
+diagonal sums a . k(A, A) and b . k(B, B).  The sums come from two calls of
+:func:`fairmmd.kernels.kernel_matmul`: K([A; B], A) @ a gives the A-A and
+B-A sums from its two row ranges and K(B, B) @ b the B-B sum, so no kernel
+entry is evaluated twice.  The primitive streams over fixed tiles in a
+fixed order, so results are deterministic and memory stays O(TILE^2)
+regardless of sample size.  For the linear kernel the rows are first
+centred on their weighted pooled mean (every estimate here is translation
+invariant under it), so data far from the origin do not cancel away their
+digits.
 
 :class:`CellSums` is the same pass for a labelled dataset, with one column
 per (s, y) cell: every estimate between unions of cells, and the witness
@@ -93,10 +97,10 @@ def _estimate(mmd2: float, variant: str, n0: int, n1: int) -> MmdEstimate:
     )
 
 
-def _from_sums(n0: int, n1: int, tot_a, cross, tot_b, diags=None) -> MmdEstimate:
+def _from_sums(n0: int, n1: int, tot_a, cross, tot_b, *diags) -> MmdEstimate:
     """The V-statistic from Gram block sums, or the U-statistic when the
-    diagonal sums (diag_a, diag_b) are given."""
-    if diags is None:
+    diagonal sums diag_a, diag_b follow them."""
+    if not diags:
         mmd2 = tot_a / (n0 * n0) + tot_b / (n1 * n1) - 2.0 * cross / (n0 * n1)
         return _estimate(mmd2, "biased", n0, n1)
     mmd2 = (
@@ -107,12 +111,24 @@ def _from_sums(n0: int, n1: int, tot_a, cross, tot_b, diags=None) -> MmdEstimate
     return _estimate(mmd2, "unbiased", n0, n1)
 
 
-def _pooled_sums(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> tuple[float, float, float]:
-    """(sum K_AA, sum K_AB, sum K_BB), evaluating no kernel entry twice."""
+def _pooled_sums(spec: KernelSpec, A: np.ndarray, B: np.ndarray, a=None, b=None):
+    """Gram sums of two samples whose row i stands for a[i] (or b[i]) rows,
+    all ones when not given: a' K_AA a, a' K_AB b, b' K_BB b and the
+    diagonal sums a . k(A, A) and b . k(B, B).
+
+    No kernel entry is evaluated twice.  Linear rows are first centred on
+    their weighted pooled mean, which changes no estimate read from the sums.
+    """
+    a = np.ones(A.shape[0]) if a is None else np.asarray(a, dtype=float)
+    b = np.ones(B.shape[0]) if b is None else np.asarray(b, dtype=float)
+    if spec.family == "linear":
+        mean = ((a[:, None] * A).sum(axis=0) + (b[:, None] * B).sum(axis=0)) / (a.sum() + b.sum())
+        A, B = A - mean, B - mean
     n0 = A.shape[0]
-    to_a = _matmul_unchecked(spec, np.vstack([A, B]), A, np.ones(n0))
-    tot_b = _matmul_unchecked(spec, B, B, np.ones(B.shape[0])).sum()
-    return float(to_a[:n0].sum()), float(to_a[n0:].sum()), float(tot_b)
+    to_a = _matmul_unchecked(spec, np.vstack([A, B]), A, a)
+    to_b = _matmul_unchecked(spec, B, B, b)
+    return ((a * to_a[:n0]).sum(), (b * to_a[n0:]).sum(), (b * to_b).sum(),
+            (a * _rowwise(spec, A, A)).sum(), (b * _rowwise(spec, B, B)).sum())
 
 
 def _rowwise(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -146,26 +162,14 @@ def mmd2_unbiased(spec: KernelSpec, A, B) -> MmdEstimate:
     n0, n1 = A.shape[0], B.shape[0]
     if n0 < 2 or n1 < 2:
         raise SizeError(f"unbiased estimator needs >= 2 rows per sample, got {n0} and {n1}")
-    if spec.family == "linear":
-        centre = (A.sum(axis=0) + B.sum(axis=0)) / (n0 + n1)
-        A, B = A - centre, B - centre
-        sa, sb = A.sum(axis=0), B.sum(axis=0)
-        tot_a, cross, tot_b = sa @ sa, sa @ sb, sb @ sb
-    else:
-        tot_a, cross, tot_b = _pooled_sums(spec, A, B)
-    diags = (_rowwise(spec, A, A).sum(), _rowwise(spec, B, B).sum())
-    return _from_sums(n0, n1, tot_a, cross, tot_b, diags)
+    return _from_sums(n0, n1, *_pooled_sums(spec, A, B))
 
 
 def mmd2_biased(spec: KernelSpec, A, B) -> MmdEstimate:
     """V-statistic (plug-in) estimate: the squared norm of the difference of
     empirical mean embeddings.  Nonnegative up to float rounding."""
     A, B = _checked_pair(spec, A, B)
-    n0, n1 = A.shape[0], B.shape[0]
-    if spec.family == "linear":
-        diff = A.mean(axis=0) - B.mean(axis=0)
-        return _estimate(diff @ diff, "biased", n0, n1)
-    return _from_sums(n0, n1, *_pooled_sums(spec, A, B))
+    return _from_sums(A.shape[0], B.shape[0], *_pooled_sums(spec, A, B)[:3])
 
 
 def mmd2_linear_time(spec: KernelSpec, A, B, seed: int) -> MmdEstimate:
@@ -209,14 +213,21 @@ def witness_eval(spec: KernelSpec, A, B, query) -> np.ndarray | float:
     embeddings coincide (r = 0), since no direction is defined.
     """
     single = np.asarray(query, dtype=float).ndim == 1
+    anchors, coefs, root = _witness(spec, A, B)
+    out = kernel_matmul(spec, query, anchors, coefs) / root
+    return float(out[0]) if single else out
+
+
+def _witness(spec: KernelSpec, A, B) -> tuple[np.ndarray, np.ndarray, float]:
+    """Anchors [A; B], coefficients (1/n0, ..., -1/n1, ...) and root r of the
+    unit witness of (A, B), whose values are K(., anchors) @ coefficients / r."""
     A, B = _checked_pair(spec, A, B)
-    root = mmd2_biased(spec, A, B).mmd
+    n0, n1 = A.shape[0], B.shape[0]
+    root = _from_sums(n0, n1, *_pooled_sums(spec, A, B)[:3]).mmd
     if root <= 0.0:
         raise ValidationError("witness undefined: the empirical mean embeddings coincide")
-    n0, n1 = A.shape[0], B.shape[0]
     coefs = np.concatenate([np.full(n0, 1.0 / n0), np.full(n1, -1.0 / n1)])
-    out = kernel_matmul(spec, query, np.vstack([A, B]), coefs) / root
-    return float(out[0]) if single else out
+    return np.vstack([A, B]), coefs, root
 
 
 def gamma_biased(spec: KernelSpec, A, B) -> float:
@@ -264,10 +275,10 @@ class CellSums:
         least = 2 if unbiased else 1
         if n0 < least or n1 < least:
             raise SizeError(f"estimator needs >= {least} rows per sample, got {n0} and {n1}")
-        diags = (self.diag[P].sum(), self.diag[Q].sum()) if unbiased else None
+        diags = (self.diag[P].sum(), self.diag[Q].sum()) if unbiased else ()
         return _from_sums(
             n0, n1, self.block[np.ix_(P, P)].sum(), self.block[np.ix_(P, Q)].sum(),
-            self.block[np.ix_(Q, Q)].sum(), diags,
+            self.block[np.ix_(Q, Q)].sum(), *diags,
         )
 
     def witness(self, p, q) -> np.ndarray:

@@ -323,19 +323,32 @@ def population_to_dict(spec: PopulationSpec) -> dict:
     }
 
 
+def _numbers(value):
+    """A number, or nested lists of numbers, as floats: ``float()`` and
+    ``np.asarray(..., dtype=float)`` would also read booleans and numeric
+    strings, so those are refused."""
+    if isinstance(value, (list, tuple)):
+        return [_numbers(v) for v in value]
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
 def population_from_dict(obj: dict) -> PopulationSpec:
-    """Inverse of :func:`population_to_dict`, with full validation."""
+    """Inverse of :func:`population_to_dict`, with full validation: cells
+    are keyed "s,y" for the (s, y) of :data:`CELLS`, and every number must
+    be a JSON number."""
+    keys = {f"{s},{y}": (s, y) for (s, y) in CELLS}
     try:
         cells = {}
         for key, val in obj["cells"].items():
-            s_str, y_str = key.split(",")
-            cells[(int(s_str), int(y_str))] = CellGaussian(
-                mean=np.asarray(val["mean"], dtype=float),
-                cov=np.asarray(val["cov"], dtype=float),
-            )
+            if key not in keys:
+                raise ValueError(f"unknown cell {key!r}, expected one of {', '.join(keys)}")
+            cells[keys[key]] = CellGaussian(
+                mean=np.asarray(_numbers(val["mean"])), cov=np.asarray(_numbers(val["cov"])))
         return PopulationSpec(
-            pi_s=float(obj["pi_s"]),
-            p_y_given_s=np.asarray(obj["p_y_given_s"], dtype=float),
+            pi_s=float(_numbers(obj["pi_s"])),
+            p_y_given_s=np.asarray(_numbers(obj["p_y_given_s"])),
             cells=cells,
         )
     except (KeyError, TypeError, AttributeError, ValueError) as exc:

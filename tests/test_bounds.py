@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from fairmmd import (
     InapplicableError,
     LabeledDataset,
+    ValidationError,
     check_ba_bounds,
     check_biased_lower_bound,
     check_calibration_chain,
@@ -77,6 +78,13 @@ def test_ba_bounds_hold_and_attain(unbiased_pop):
     # equality; the outcome witness attains its lower bound the same way
     assert abs(upper.slack) < 1e-9
     assert abs(lower.slack) < 1e-9
+
+
+@pytest.mark.parametrize("options", [{"trials": -1}, {"n_anchors": 0}, {"n_anchors": -1}])
+def test_ba_bounds_refuse_negative_trials_and_no_anchors(unbiased_pop, options):
+    data = sample_population(unbiased_pop, 200, seed=4)
+    with pytest.raises(ValidationError, match="trials >= 0 and n_anchors >= 1"):
+        check_ba_bounds(rbf(1.0), data, **options)
 
 
 def test_ba_upper_survives_adversarial_probes(biased_pop):
@@ -157,6 +165,9 @@ def test_tvd_dominance_exact_small_support():
         rep = check_tvd_dominance(rbf(0.8), data)
         assert rep.holds, (trial, rep)
         assert rep.tolerance == 1e-9
+        # The rhs, read from the atom counts, is gamma_biased of the groups.
+        assert_allclose(rep.rhs, gamma_biased(rbf(0.8), data.z[s == 0], data.z[s == 1]),
+                        rtol=1e-12)
 
 
 def test_tvd_identical_groups_zero_both_sides():

@@ -263,6 +263,13 @@ BAD_CSV = {
                                                             **{"0,0": dict(CELL, mean=["x", 0.0])}))}, []),
     ("generate", {"population": dict(POPULATION, cells=dict(POPULATION["cells"],
                                                             **{"0,0": dict(CELL, cov="x")}))}, []),
+    ("bounds", {"bounds": {"checks": ["ba_bounds"], "n_anchors": -1}}, []),
+    ("bounds", {"bounds": {"checks": ["ba_bounds"], "trials": -1}}, []),
+    ("generate", {"population": dict(POPULATION, pi_s="0.5",
+                                     p_y_given_s=[[True, False], ["0.5", "0.5"]])}, []),
+    ("generate", {"population": dict(POPULATION, p_y_given_s=[[True, False], [0.5, 0.5]])}, []),
+    ("generate", {"population": dict(POPULATION, cells=dict(POPULATION["cells"],
+                                                            **{"2,0": CELL}))}, []),
 ], ids=["trials-zero", "trials-negative", "delta-out-of-range", "negative-seed",
         "negative-seed-flag", "negative-bootstrap-seed", "csv-extra-field",
         "csv-non-numeric", "csv-missing", "csv-fractional-label", "sigma-squared-overflows",
@@ -275,7 +282,8 @@ BAD_CSV = {
         "grid-entry-a-boolean", "grid-map-ragged", "out-not-a-string",
         "dataset-not-a-string", "dataset-a-list", "population-pi-s-a-string",
         "population-cell-key-not-integers", "population-mean-entry-a-string",
-        "population-cov-a-string"])
+        "population-cov-a-string", "ba-n-anchors-negative", "ba-trials-negative",
+        "population-numeric-strings", "population-booleans", "population-extra-cell"])
 def test_malformed_input_exits_two_without_report(tmp_path, capsys, command, extra, args):
     for name, text in BAD_CSV.items():
         (tmp_path / name).write_text(text)
@@ -288,6 +296,19 @@ def test_malformed_input_exits_two_without_report(tmp_path, capsys, command, ext
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("command, extra, allowed", [
+    ("eok", {"kernel": {"family": "poly"}}, "'rbf', 'laplacian', 'linear'"),
+    ("eok", {"eok": {"method": "nope"}}, "'both', 'plugin', 'bootstrap'"),
+    ("bounds", {"bounds": {"checks": ["ba_bounds", "nope"]}}, "'ba_bounds', 'calibration_chain'"),
+    ("metrics", {"metrics": {"classifier": {"kind": "zzz"}}}, "'witness', 'constant'"),
+], ids=["kernel-family", "eok-method", "bounds-check", "classifier-kind"])
+def test_value_outside_a_fixed_set_names_the_allowed_values(tmp_path, capsys, command, extra,
+                                                            allowed):
+    assert run([command, "--config", write_config(tmp_path, **extra)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "; expected one of " in err and allowed in err, err
 
 
 def test_inapplicable_check_exits_two(tmp_path):

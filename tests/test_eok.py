@@ -6,6 +6,7 @@ from fairmmd import (
     EmptyCellError,
     LabeledDataset,
     NormalizationError,
+    SizeError,
     UnsupportedError,
     analytic_eok2_linear,
     empirical_weights,
@@ -14,14 +15,16 @@ from fairmmd import (
     eok_hat_plugin,
     laplacian,
     linear,
+    mmd2_unbiased,
     pairwise,
     rbf,
     reweight_sample,
     sample_population,
 )
+from fairmmd import mmd
 from fairmmd._rng import rng_for
 from fairmmd.synth import cell_rows
-from conftest import make_population, random_population
+from conftest import STREAMED_SPECS, make_population, random_population
 
 
 def test_empirical_weights_come_from_reference_group():
@@ -169,6 +172,38 @@ def test_bootstrap_seeded_and_near_plugin(unbiased_pop):
     assert abs(vals.mean() - plug) < 4.0 * vals.std(ddof=1) / np.sqrt(len(vals)) + 0.01
 
 
+@pytest.mark.parametrize("family", sorted(STREAMED_SPECS))
+def test_bootstrap_is_the_u_statistic_of_the_drawn_rows(family, monkeypatch):
+    """The bootstrap reads the U-statistic of reweight_sample's rows from
+    each group's distinct drawn rows and their draw counts: it equals
+    mmd2_unbiased on the materialized rows at the same seed, and it makes
+    (|U_0| + |U_1|) |U_0| + |U_1|^2 kernel entries."""
+    spec = STREAMED_SPECS[family]
+    pop = random_population(np.random.default_rng(16), biased=True, dim=3)
+    data = sample_population(pop, 700, seed=17)
+    entries, real = [], mmd._matmul_unchecked
+
+    def counted(spec, A, B, M):
+        entries.append(A.shape[0] * B.shape[0])
+        return real(spec, A, B, M)
+
+    monkeypatch.setattr(mmd, "_matmul_unchecked", counted)
+    for m0, m1, weights in ((None, None, None), (300, 41, None), (64, 257, [0.2, 0.8])):
+        entries.clear()
+        boot = eok_hat_bootstrap(spec, data, m0=m0, m1=m1, seed=18, weights=weights)
+        made = sum(entries)
+        rs = reweight_sample(data, m0 or int(data.counts[:2].sum()),
+                             m1 or int(data.counts[2:].sum()), seed=18, weights=weights)
+        want = mmd2_unbiased(spec, rs.z0, rs.z1).mmd2
+        assert_allclose(boot.eok2, want, rtol=1e-12)
+        assert boot.weights_source == rs.weights_source
+        # Gaussian rows are distinct, so distinct rows are distinct draws.
+        u0, u1 = (np.unique(z, axis=0).shape[0] for z in (rs.z0, rs.z1))
+        assert made == (u0 + u1) * u0 + u1 * u1
+    with pytest.raises(SizeError):  # as mmd2_unbiased on one drawn row
+        eok_hat_bootstrap(spec, data, m0=1, seed=18)
+
+
 def test_bootstrap_consistency_across_datasets():
     """Fresh data every trial: the estimator mean approaches the analytic value."""
     pop = make_population(p=((0.3, 0.7), (0.5, 0.5)))
@@ -234,4 +269,10 @@ def test_clip_flag_only_for_bootstrap_negatives(unbiased_pop):
         if boot.clipped:
             saw_clip = True
             assert boot.eok == 0.0 and boot.eok2 < 0.0
+            rs = reweight_sample(data, int(data.counts[:2].sum()), int(data.counts[2:].sum()),
+                                 seed=t)
+            # The clipped value cancels terms of the kernel's amplitude (nu = 1),
+            # so it agrees to 1e-12 of that amplitude.
+            assert_allclose(boot.eok2, mmd2_unbiased(rbf(1.0), rs.z0, rs.z1).mmd2,
+                            rtol=1e-12, atol=1e-12)
     assert saw_clip

@@ -6,6 +6,7 @@ from fairmmd import (
     LabeledDataset,
     SizeError,
     ValidationError,
+    eok_hat_bootstrap,
     eok_hat_plugin,
     eval_kernel,
     gamma_biased,
@@ -231,6 +232,8 @@ def test_linear_fast_paths_ignore_a_far_offset():
     near, far = (LabeledDataset(z=z + offset, s=s, y=y) for offset in (0.0, 1e6))
     assert_allclose(sup_dp(spec, far), sup_dp(spec, near), rtol=1e-6)
     assert_allclose(eok_hat_plugin(spec, far).eok2, eok_hat_plugin(spec, near).eok2, rtol=1e-6)
+    assert_allclose(eok_hat_bootstrap(spec, far, seed=12).eok2,
+                    eok_hat_bootstrap(spec, near, seed=12).eok2, rtol=1e-6)
 
 
 @pytest.mark.parametrize("family", sorted(STREAMED_SPECS))

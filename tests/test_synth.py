@@ -296,11 +296,20 @@ def test_population_dict_round_trip(biased_pop):
     lambda d: d["cells"].update({"0,0,1": d["cells"]["0,0"]}),
     lambda d: d["cells"]["0,0"].update(mean=["x", 0.0]),
     lambda d: d["cells"]["0,0"].update(cov="x"),
+    lambda d: d.update(pi_s="0.5"),
+    lambda d: d.update(p_y_given_s=[[True, False], [0.5, 0.5]]),
+    lambda d: d.update(p_y_given_s=[[0.5, 0.5], ["0.5", "0.5"]]),
+    lambda d: d["cells"]["0,0"].update(mean=[True, 0.0]),
+    lambda d: d["cells"].update({"2,0": d["cells"]["0,0"]}),
+    lambda d: d["cells"].update({"0, 1": d["cells"].pop("0,1")}),
 ], ids=["pi-s-not-a-number", "cell-key-not-integers", "cell-key-three-parts",
-        "mean-entry-not-a-number", "cov-not-a-matrix"])
+        "mean-entry-not-a-number", "cov-not-a-matrix", "pi-s-a-numeric-string",
+        "p-y-booleans", "p-y-numeric-strings", "mean-entry-a-boolean", "cell-outside-cells",
+        "cell-key-with-a-space"])
 def test_population_from_dict_refuses_unconvertible_values(biased_pop, edit):
-    """A value that float() or int() cannot read raises ValidationError, not
-    the bare ValueError of the conversion."""
+    """A value that is not a JSON number, or a cell key other than the "s,y"
+    of a cell, raises ValidationError, not the bare ValueError of a
+    conversion, and is never read as a number or dropped."""
     d = population_to_dict(biased_pop)
     edit(d)
     with pytest.raises(ValidationError, match="malformed population description"):
