@@ -153,8 +153,11 @@ def check_unbiased_equality(
     otherwise the premise fails and InapplicableError is raised rather than
     returning a meaningless verdict.  Both sides, like every statistic the
     checks below read from cell sums, come from the dataset's one pass of
-    :func:`fairmmd.mmd.cell_sums` under ``spec``.
+    :func:`fairmmd.mmd.cell_sums` under ``spec``.  ``rate_threshold`` must
+    be >= 0.
     """
+    if not rate_threshold >= 0:
+        raise ValidationError(f"rate_threshold must be >= 0, got {rate_threshold!r}")
     stats = group_stats(data)
     rate_gap = abs(stats.p_y_given_s[0, 0] - stats.p_y_given_s[1, 0])
     if rate_gap > rate_threshold:
@@ -327,8 +330,10 @@ def check_tvd_dominance(
     empirical laws, so the default tolerance is float-level.  Both are read
     from each group's counts of the distinct rows (atoms): the rhs is
     :func:`fairmmd.mmd.gamma_biased` of the two groups, computed from the
-    count-weighted kernel sums of the atoms.
+    count-weighted kernel sums of the atoms.  ``max_support`` must be >= 1.
     """
+    if not max_support >= 1:
+        raise ValidationError(f"max_support must be >= 1, got {max_support!r}")
     atoms, ids = np.unique(data.z, axis=0, return_inverse=True)
     if atoms.shape[0] > max_support:
         raise InapplicableError(

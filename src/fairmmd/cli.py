@@ -99,17 +99,19 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-class _NotAChoice(ValueError):
-    """A value outside a fixed set; the message lists the allowed values."""
+class _NotAllowed(ValueError):
+    """A value outside a fixed set or range; the message says which values
+    are allowed."""
 
 
 def _parse(value, convert, what: str):
     """``convert(value)`` for one config field; ConfigurationError if it is
-    malformed, naming the allowed values when only a fixed set is allowed."""
+    malformed, naming the allowed values when only a fixed set or range is
+    allowed."""
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
-        allowed = f"; {exc}" if isinstance(exc, _NotAChoice) else ""
+        allowed = f"; {exc}" if isinstance(exc, _NotAllowed) else ""
         raise ConfigurationError(f"malformed {what} in config: {value!r}{allowed}") from exc
 
 
@@ -162,9 +164,20 @@ def _one_of(*choices):
     """A converter for :func:`_parse` that admits only ``choices``."""
     def convert(value):
         if value not in choices:
-            raise _NotAChoice("expected one of " + ", ".join(map(repr, choices)))
+            raise _NotAllowed("expected one of " + ", ".join(map(repr, choices)))
         return value
     return convert
+
+
+def _at_least(low, convert):
+    """A converter for :func:`_parse` that admits only values of ``convert``
+    that are >= ``low``."""
+    def check(value):
+        value = convert(value)
+        if not value >= low:
+            raise _NotAllowed(f"expected a value >= {low}")
+        return value
+    return check
 
 
 def _str(value) -> str:
@@ -436,8 +449,9 @@ def _cmd_bounds(eff: dict, top: dict) -> tuple[dict, list, int]:
     o = _options(eff, "bounds", {
         "checks": (["biased_lower_bound", "ba_bounds", "calibration_chain"],
                    _list_of(_one_of(*_TOLERANCES))),
-        "rate_threshold": (0.02, _float), "trials": (50, _int), "n_anchors": (100, _int),
-        "sigma_u": (0.5, _float), "sigma_y": (1.0, _float), "max_support": (64, _int),
+        "rate_threshold": (0.02, _at_least(0.0, _float)), "trials": (50, _int),
+        "n_anchors": (100, _int), "sigma_u": (0.5, _float), "sigma_y": (1.0, _float),
+        "max_support": (64, _at_least(1, _int)),
     })
     tol = _options(eff, "bounds.tolerances", _TOLERANCES)
     data, _ = _resolve_dataset(top)
@@ -550,7 +564,7 @@ def _cmd_sweep(eff: dict, top: dict) -> tuple[dict, list, int]:
     k = _variant_options(eff, "kernel", "family", _REQUIRED, _KERNELS)
     t = _options(eff, "train", _TRAIN)
     o = _options(eff, "sweep", {"lambdas": ([0.0, 0.1, 1.0, 10.0], _list_of(_float)),
-                                "dc_bins": (20, _optional(_int))})
+                                "dc_bins": (20, _optional(_at_least(1, _int)))})
     pop = _population(top, "sweep")
     spec = _resolve_kernel(k, None, top["seed"])
     config = TrainConfig(kernel=spec, seed=top["seed"], lam=t.pop("lambda"), **t)

@@ -57,8 +57,8 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .kernels import KernelSpec, _checked_pair, kernel_matmul
-from .mmd import _from_sums, _pooled_sums, cell_sums
+from .kernels import KernelSpec, _checked_pair, _matmul_unchecked
+from .mmd import CellSums, _from_sums, _pooled_sums, cell_sums
 from .synth import CELLS, LabeledDataset
 
 __all__ = [
@@ -214,14 +214,37 @@ def eok_hat_plugin(spec: KernelSpec, data: LabeledDataset, weights=None) -> EokE
     one pass (:func:`fairmmd.mmd.cell_sums`).  All four cells must be
     populated.
     """
-    w, source = _resolve_weights(data, weights)
-    _check_cells(data, (1, 1), "plugin estimator")
-    a = np.array([(2 * s - 1) * w[y] for (s, y) in CELLS]) / data.counts
-    eok2 = float(a @ cell_sums(spec, data).block @ a)
+    w, source = _penalty_weights(spec, data, weights, gradient=False)
+    eok2 = _plugin_eok2(cell_sums(spec, data), w)
     return EokEstimate(
         eok2=eok2, eok=float(np.sqrt(max(eok2, 0.0))), method="plugin",
         weights=w, weights_source=source, clipped=bool(eok2 < 0),
     )
+
+
+def _penalty_weights(spec: KernelSpec, data: LabeledDataset, weights, gradient: bool):
+    """The mixture weights and their source, after the checks the plug-in
+    value (every cell populated) or its gradient (rbf or linear, every
+    weighted cell populated) needs."""
+    if gradient and spec.family not in ("rbf", "linear"):
+        raise UnsupportedError(
+            f"gradient defined for rbf and linear kernels only, got {spec.family!r}"
+        )
+    w, source = _resolve_weights(data, weights)
+    _check_cells(data, w if gradient else (1, 1), "gradient" if gradient else "plugin estimator")
+    return w, source
+
+
+def _cell_coefficients(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each cell's plug-in coefficient (2 s - 1) w_y / n_(s,y), in
+    :data:`CELLS` order; an empty cell (which must carry no weight) gets 0."""
+    return np.array([(2 * s - 1) * w[y] for (s, y) in CELLS]) / np.maximum(counts, 1)
+
+
+def _plugin_eok2(sums: CellSums, w: np.ndarray) -> float:
+    """The plug-in eok2 a' S a from the cell sums S of the rows."""
+    a = _cell_coefficients(w, sums.counts)
+    return float(a @ sums.block @ a)
 
 
 def eok_gradient_plugin(
@@ -242,34 +265,24 @@ def eok_gradient_plugin(
     are differentiable here; laplacian and composite kernels raise
     UnsupportedError.
     """
-    return _plugin_value_and_gradient(spec, data, encoder, weights)[1]
-
-
-def _plugin_value_and_gradient(
-    spec: KernelSpec, data: LabeledDataset, encoder, weights=None
-) -> tuple[float, np.ndarray]:
-    """The plug-in eok2 of the encoded rows and its encoder gradient, from
-    the one kernel pass of :func:`eok_gradient_plugin` (whose docstring has
-    the formulas); the value is v' K v read from that pass."""
-    if spec.family not in ("rbf", "linear"):
-        raise UnsupportedError(
-            f"gradient defined for rbf and linear kernels only, got {spec.family!r}"
-        )
+    w, _ = _penalty_weights(spec, data, weights, gradient=True)
     W = np.asarray(encoder, dtype=float)
-    if W.ndim != 2 or W.shape[1] != data.dim:
-        raise ValidationError(
-            f"encoder must be (d_out, {data.dim}), got {W.shape if W.ndim == 2 else W.ndim}"
-        )
-    w, _ = _resolve_weights(data, weights)
-    _check_cells(data, w, "gradient")
-    v = (2.0 * data.s - 1.0) * w[data.y] / np.maximum(data.counts, 1)[data.cell]
+    if W.ndim != 2 or W.shape[1] != data.dim or not np.isfinite(W).all():
+        raise ValidationError(f"encoder must be a finite (d_out, {data.dim}) array, got shape "
+                              f"{W.shape}")
+    return _penalty_and_gradient(spec, data.z, data.z @ W.T, data.cell, data.counts, w)[1]
 
-    X = data.z
-    Z = X @ W.T
+
+def _penalty_and_gradient(spec: KernelSpec, X, Z, cell, counts, w) -> tuple[float, np.ndarray]:
+    """The plug-in eok2 v' K(Z) v of checked rows Z = X W' in cells ``cell``
+    of sizes ``counts`` under mixture weights ``w``, and its encoder
+    gradient, from the one kernel pass of :func:`eok_gradient_plugin` (whose
+    docstring has the formulas)."""
+    v = _cell_coefficients(w, counts)[cell]
     if spec.family == "linear":
         zv = Z.T @ v
         return float(zv @ zv), 2.0 * np.outer(zv, X.T @ v)
-    KM = kernel_matmul(spec, Z, Z, np.column_stack([v, X * v[:, None]]))
+    KM = _matmul_unchecked(spec, Z, Z, np.column_stack([v, X * v[:, None]]))
     Kv = KM[:, 0]
     term_diag = (Z * (v * Kv)[:, None]).T @ X
     term_full = (Z * v[:, None]).T @ KM[:, 1:]

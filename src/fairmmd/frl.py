@@ -13,10 +13,12 @@ first step.  Mini-batches are stratified per (s, y) cell (proportional
 counts, at least one row each) so the penalty stays defined; the frozen
 weights are *not* recomputed per batch.  Both gradient components are
 analytic: the cross-entropy part in closed form, the penalty part through
-:func:`fairmmd.eok.eok_gradient_plugin`, whose one kernel pass also gives
-the penalty value when lambda > 0.  The per-step trace records the
-objective at the pre-update parameters, and total = sup + lambda * penalty
-holds exactly by construction.
+the code of :func:`fairmmd.eok.eok_gradient_plugin`, whose one kernel pass
+also gives the penalty value when lambda > 0.  A run checks its data, kernel
+and weights once; each step then works on the batch's rows as plain arrays,
+with the formulas of :func:`objective_gradient`.  The per-step trace records
+the objective at the pre-update parameters, and total = sup + lambda *
+penalty holds exactly by construction.
 
 :func:`lambda_sweep` maps the accuracy/fairness frontier: one dataset, one
 training run per penalty weight, and a metrics row per run (computed on the
@@ -31,7 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import rng_for
-from .eok import _check_cells, _plugin_value_and_gradient, empirical_weights, eok_hat_plugin
+from .eok import (_check_cells, _penalty_and_gradient, _penalty_weights, _plugin_eok2,
+                  empirical_weights, eok_hat_plugin)
 from .errors import TrainingError, ValidationError
 from .fairness import (
     balanced_accuracy,
@@ -44,7 +47,7 @@ from .fairness import (
     sup_dp,
 )
 from .kernels import KernelSpec
-from .mmd import cell_sums
+from .mmd import _cell_sums, cell_sums
 from .synth import CELLS, LabeledDataset, PopulationSpec, cell_rows, sample_population
 
 __all__ = [
@@ -128,34 +131,31 @@ def objective_gradient(
     """
     W = np.asarray(encoder, dtype=float)
     w = np.asarray(head_w, dtype=float)
-    if W.ndim != 2 or W.shape != (cfg.encoder_dim, data.dim):
-        raise ValidationError(f"encoder must be ({cfg.encoder_dim}, {data.dim})")
+    if W.shape != (cfg.encoder_dim, data.dim) or not np.isfinite(W).all():
+        raise ValidationError(f"encoder must be a finite ({cfg.encoder_dim}, {data.dim}) array")
     if w.shape != (cfg.encoder_dim,):
         raise ValidationError(f"head weights must be ({cfg.encoder_dim},)")
-    if weights is None:
-        weights = empirical_weights(data)
+    weights, _ = _penalty_weights(cfg.kernel, data, weights, gradient=cfg.lam > 0)
+    return _step(cfg, data.z, data.y.astype(float), data.cell, data.counts, W, w, head_b, weights)
 
-    X = data.z
+
+def _step(cfg: TrainConfig, X, y, cell, counts, W, w, b, weights) -> ObjectiveEval:
+    """:func:`objective_gradient` on checked arrays: rows ``X``, outcomes
+    ``y`` as floats, cells ``cell`` of sizes ``counts``, and the penalty's
+    checked mixture ``weights``."""
     Z = X @ W.T
-    logits = Z @ w + head_b
-    p = 1.0 / (1.0 + np.exp(-logits))
-    y = data.y.astype(float)
+    p = 1.0 / (1.0 + np.exp(-(Z @ w + b)))
     ce = float(-np.mean(y * np.log(p + _LOG_EPS) + (1.0 - y) * np.log(1.0 - p + _LOG_EPS)))
-    resid = (p - y) / data.n
-    d_head_w = Z.T @ resid
-    d_head_b = float(resid.sum())
+    resid = (p - y) / X.shape[0]
     d_enc = np.outer(w, X.T @ resid)
-
     if cfg.lam > 0:
-        penalty, d_pen = _plugin_value_and_gradient(cfg.kernel, data, W, weights=weights)
+        penalty, d_pen = _penalty_and_gradient(cfg.kernel, X, Z, cell, counts, weights)
         d_enc = d_enc + cfg.lam * d_pen
     else:
-        encoded = LabeledDataset(z=Z, s=data.s, y=data.y)
-        penalty = eok_hat_plugin(cfg.kernel, encoded, weights=weights).eok2
-    total = ce + cfg.lam * penalty
+        penalty = _plugin_eok2(_cell_sums(cfg.kernel, Z, cell, counts), weights)
     return ObjectiveEval(
-        sup=ce, penalty=float(penalty), total=float(total),
-        d_encoder=d_enc, d_head_w=d_head_w, d_head_b=d_head_b,
+        sup=ce, penalty=penalty, total=float(ce + cfg.lam * penalty),
+        d_encoder=d_enc, d_head_w=Z.T @ resid, d_head_b=float(resid.sum()),
     )
 
 
@@ -164,6 +164,17 @@ def _cell_pools(data: LabeledDataset) -> list:
     every cell must be populated."""
     _check_cells(data, (1, 1), "training data")
     return [cell_rows(data, s, y) for (s, y) in CELLS]
+
+
+def _batch_takes(pools, batch: int, n: int) -> list:
+    """Rows a stratified batch takes from each cell's pool: the proportional
+    count, at least one and at most the pool."""
+    return [min(max(1, int(round(batch * pool.size / n))), pool.size) for pool in pools]
+
+
+def _batch_rows(pools, takes, rng: np.random.Generator) -> np.ndarray:
+    """One stratified batch's row indices, cell after cell."""
+    return np.concatenate([rng.choice(pool, size=k, replace=False) for pool, k in zip(pools, takes)])
 
 
 def _stratified_batch(
@@ -176,19 +187,18 @@ def _stratified_batch(
     """
     if pools is None:
         pools = _cell_pools(data)
-    draws = []
-    for pool in pools:
-        take = max(1, int(round(batch * pool.size / data.n)))
-        draws.append(rng.choice(pool, size=min(take, pool.size), replace=False))
-    idx = np.concatenate(draws)
+    idx = _batch_rows(pools, _batch_takes(pools, batch, data.n), rng)
     return LabeledDataset(z=data.z[idx], s=data.s[idx], y=data.y[idx])
 
 
 def train(data: LabeledDataset, cfg: TrainConfig) -> TrainResult:
     """Gradient-descent run; deterministic given (data, cfg).
 
-    Raises TrainingError (with the offending step) if the objective or a
-    gradient stops being finite — typically a step size too large for the
+    The data, kernel and frozen weights are checked once; each step then
+    draws its batch's rows (the draws of :func:`_stratified_batch`) and
+    evaluates the objective of :func:`objective_gradient` on them without a
+    dataset of its own.  Raises TrainingError (with the offending step) if the objective or
+    a gradient stops being finite — typically a step size too large for the
     data scale.
     """
     rng = rng_for(cfg.seed, 7)
@@ -196,20 +206,19 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> TrainResult:
     w = cfg.init_scale * rng.standard_normal(cfg.encoder_dim)
     b = 0.0
     frozen = empirical_weights(data)
-    sup_t = np.empty(cfg.steps)
-    pen_t = np.empty(cfg.steps)
-    tot_t = np.empty(cfg.steps)
-    pools = None if cfg.batch is None else _cell_pools(data)
+    sup_t, pen_t, tot_t = np.empty((3, cfg.steps))
+    X, y, cell, counts = data.z, data.y.astype(float), data.cell, data.counts
+    if cfg.batch is not None:
+        pools = _cell_pools(data)
+        takes = _batch_takes(pools, cfg.batch, data.n)
+        cell, counts = np.repeat(np.arange(4), takes), np.array(takes)
+    _penalty_weights(cfg.kernel, data, frozen, gradient=cfg.lam > 0)
     for step in range(cfg.steps):
-        batch = data if cfg.batch is None else _stratified_batch(data, cfg.batch, rng, pools)
-        ev = objective_gradient(batch, W, w, b, cfg, weights=frozen)
-        finite = (
-            np.isfinite(ev.total)
-            and np.all(np.isfinite(ev.d_encoder))
-            and np.all(np.isfinite(ev.d_head_w))
-            and np.isfinite(ev.d_head_b)
-        )
-        if not finite:
+        if cfg.batch is not None:
+            idx = _batch_rows(pools, takes, rng)
+            X, y = data.z[idx], data.y[idx].astype(float)
+        ev = _step(cfg, X, y, cell, counts, W, w, b, frozen)
+        if not all(np.isfinite(x).all() for x in (ev.total, ev.d_encoder, ev.d_head_w, ev.d_head_b)):
             raise TrainingError(f"objective diverged at step {step}", step=step)
         sup_t[step], pen_t[step], tot_t[step] = ev.sup, ev.penalty, ev.total
         W = W - cfg.step_size * ev.d_encoder
@@ -254,10 +263,14 @@ def lambda_sweep(
     (binned by default for readability), the plug-in eok2, the dp supremum,
     and beta_hat (the S=1 group's outcome-conditional discrepancy) — the
     quantity whose product with the outcome-rate gap floors sup_dp.
+    ``dc_bins`` must be None or >= 1; both it and the lambdas are checked
+    before the first training run.
     """
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
         raise ValidationError("need at least one lambda")
+    if dc_bins is not None and not dc_bins >= 1:
+        raise ValidationError(f"dc_bins must be None or >= 1, got {dc_bins!r}")
     data = sample_population(population, n, seed)
     rows = []
     for lam in lambdas:

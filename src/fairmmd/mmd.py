@@ -311,17 +311,24 @@ def cell_sums(spec: KernelSpec, data: LabeledDataset) -> CellSums:
     """
     if spec in data._kernel_sums:
         return data._kernel_sums[spec]
-    onehot = (data.cell[:, None] == np.arange(4)).astype(float)
-    rows = kernel_matmul(spec, data.z, data.z, onehot)
+    sums = data._kernel_sums[spec] = _cell_sums(spec, data.z, data.cell, data.counts,
+                                                kernel_matmul)
+    return sums
+
+
+def _cell_sums(spec: KernelSpec, z, cell, counts, matmul=_matmul_unchecked) -> CellSums:
+    """:func:`cell_sums` of the rows ``z`` with cells ``cell`` and cell sizes
+    ``counts``, its pass made by ``matmul``: by default one that takes the
+    rows as checked."""
+    onehot = (cell[:, None] == np.arange(4)).astype(float)
+    rows = matmul(spec, z, z, onehot)
     if spec.family == "linear":
-        zc = data.z - data.z.mean(axis=0)
+        zc = z - z.mean(axis=0)
         per_cell = onehot.T @ zc
         block, diag = per_cell @ per_cell.T, _rowwise(spec, zc, zc)
     else:
-        block, diag = onehot.T @ rows, _rowwise(spec, data.z, data.z)
-    diag = np.bincount(data.cell, weights=diag, minlength=4)
+        block, diag = onehot.T @ rows, _rowwise(spec, z, z)
+    diag = np.bincount(cell, weights=diag, minlength=4)
     for arr in (rows, block, diag):
         arr.flags.writeable = False
-    sums = data._kernel_sums[spec] = CellSums(
-        spec=spec, rows=rows, block=block, diag=diag, counts=data.counts)
-    return sums
+    return CellSums(spec=spec, rows=rows, block=block, diag=diag, counts=counts)

@@ -194,6 +194,20 @@ def test_tvd_refuses_large_support():
         check_tvd_dominance(rbf(1.0), data, max_support=64)
 
 
+@pytest.mark.parametrize("check, option, value", [
+    (check_tvd_dominance, "max_support", 0),
+    (check_tvd_dominance, "max_support", -1),
+    (check_unbiased_equality, "rate_threshold", -1.0),
+    (check_unbiased_equality, "rate_threshold", float("nan")),
+])
+def test_out_of_range_option_is_refused_by_name(unbiased_pop, check, option, value):
+    """An option out of its range is a malformed input naming the option, not
+    a failed precondition of the data."""
+    data = sample_population(unbiased_pop, 200, seed=14)
+    with pytest.raises(ValidationError, match=option):
+        check(rbf(1.0), data, **{option: value})
+
+
 def test_digest_changes_with_inputs(unbiased_pop):
     d1 = sample_population(unbiased_pop, 500, seed=12)
     d2 = sample_population(unbiased_pop, 500, seed=13)

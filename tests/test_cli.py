@@ -270,6 +270,11 @@ BAD_CSV = {
     ("generate", {"population": dict(POPULATION, p_y_given_s=[[True, False], [0.5, 0.5]])}, []),
     ("generate", {"population": dict(POPULATION, cells=dict(POPULATION["cells"],
                                                             **{"2,0": CELL}))}, []),
+    ("bounds", {"bounds": {"checks": ["tvd_dominance"], "max_support": -1}}, []),
+    ("bounds", {"bounds": {"checks": ["tvd_dominance"], "max_support": 0}}, []),
+    ("bounds", {"bounds": {"checks": ["unbiased_equality"], "rate_threshold": -1}}, []),
+    ("sweep", {"sweep": {"dc_bins": 0}}, []),
+    ("sweep", {"sweep": {"dc_bins": -1}}, []),
 ], ids=["trials-zero", "trials-negative", "delta-out-of-range", "negative-seed",
         "negative-seed-flag", "negative-bootstrap-seed", "csv-extra-field",
         "csv-non-numeric", "csv-missing", "csv-fractional-label", "sigma-squared-overflows",
@@ -283,7 +288,9 @@ BAD_CSV = {
         "dataset-not-a-string", "dataset-a-list", "population-pi-s-a-string",
         "population-cell-key-not-integers", "population-mean-entry-a-string",
         "population-cov-a-string", "ba-n-anchors-negative", "ba-trials-negative",
-        "population-numeric-strings", "population-booleans", "population-extra-cell"])
+        "population-numeric-strings", "population-booleans", "population-extra-cell",
+        "tvd-max-support-negative", "tvd-max-support-zero", "rate-threshold-negative",
+        "sweep-dc-bins-zero", "sweep-dc-bins-negative"])
 def test_malformed_input_exits_two_without_report(tmp_path, capsys, command, extra, args):
     for name, text in BAD_CSV.items():
         (tmp_path / name).write_text(text)
@@ -415,6 +422,29 @@ def test_malformed_option_is_refused_before_any_work(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("command, extra, field", [
+    ("bounds", {"bounds": {"checks": ["tvd_dominance"], "max_support": -1}}, "max_support"),
+    ("bounds", {"bounds": {"checks": ["unbiased_equality"], "rate_threshold": -1}},
+     "rate_threshold"),
+    ("sweep", {"sweep": {"dc_bins": 0}}, "dc_bins"),
+], ids=["max-support", "rate-threshold", "dc-bins"])
+def test_out_of_range_option_names_its_field_before_any_work(tmp_path, capsys, monkeypatch,
+                                                             command, extra, field):
+    """A count or threshold below its range is a malformed option: the error
+    names the field and its range, and no rows are drawn and no training
+    runs first."""
+    from fairmmd import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before every option was read")
+
+    for name in ("sample_population", "read_csv", "lambda_sweep"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert run([command, "--config", write_config(tmp_path, **extra)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f'"{field}"' in err and "expected a value >= " in err, err
 
 
 def test_help_describes_every_command(capsys):

@@ -9,6 +9,7 @@ from fairmmd import (
     ValidationError,
     empirical_weights,
     lambda_sweep,
+    linear,
     objective_gradient,
     rbf,
     sample_population,
@@ -210,3 +211,55 @@ def test_lambda_sweep_shape_and_frontier():
 def test_lambda_sweep_needs_lambdas(unbiased_pop):
     with pytest.raises(ValidationError):
         lambda_sweep(unbiased_pop, [], _cfg(), n=200)
+
+
+@pytest.mark.parametrize("bins", [0, -1])
+def test_lambda_sweep_refuses_bad_bins_before_training(unbiased_pop, monkeypatch, bins):
+    from fairmmd import frl
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a training run started before dc_bins was checked")
+
+    monkeypatch.setattr(frl, "train", no_training)
+    with pytest.raises(ValidationError, match="dc_bins"):
+        lambda_sweep(unbiased_pop, [0.0, 1.0], _cfg(), n=200, dc_bins=bins)
+
+
+def _written_out_train(data, cfg):
+    """The training loop written out from the public step pieces: one
+    :func:`_stratified_batch` and one :func:`objective_gradient` per step."""
+    rng = rng_for(cfg.seed, 7)
+    W = cfg.init_scale * rng.standard_normal((cfg.encoder_dim, data.dim)) / np.sqrt(data.dim)
+    w = cfg.init_scale * rng.standard_normal(cfg.encoder_dim)
+    b = 0.0
+    frozen = empirical_weights(data)
+    pools = None if cfg.batch is None else _cell_pools(data)
+    traces = []
+    for _ in range(cfg.steps):
+        batch = data if cfg.batch is None else _stratified_batch(data, cfg.batch, rng, pools)
+        ev = objective_gradient(batch, W, w, b, cfg, weights=frozen)
+        traces.append((ev.sup, ev.penalty, ev.total))
+        W = W - cfg.step_size * ev.d_encoder
+        w = w - cfg.step_size * ev.d_head_w
+        b = b - cfg.step_size * ev.d_head_b
+    return W, w, b, np.array(traces).T
+
+
+@pytest.mark.parametrize("kernel", [rbf(1.0), rbf(0.8), linear(20.0)],
+                         ids=["rbf-1", "rbf-0.8", "linear"])
+@pytest.mark.parametrize("batch", [None, 64], ids=["full", "batch-64"])
+@pytest.mark.parametrize("lam", [0.0, 1.5], ids=["lam-0", "lam-1.5"])
+def test_train_keeps_the_bits_of_the_written_out_loop(biased_pop, kernel, batch, lam):
+    """train checks once and steps on raw batch rows; its traces and final
+    parameters equal, bit for bit, a loop of validated batches and
+    objective_gradient calls."""
+    data = sample_population(biased_pop, 301, seed=21)
+    cfg = _cfg(kernel=kernel, lam=lam, batch=batch, steps=12)
+    res = train(data, cfg)
+    W, w, b, (sup, penalty, total) = _written_out_train(data, cfg)
+    assert_array_equal(res.encoder, W)
+    assert_array_equal(res.head_w, w)
+    assert res.head_b == b
+    assert_array_equal(res.sup_trace, sup)
+    assert_array_equal(res.penalty_trace, penalty)
+    assert_array_equal(res.total_trace, total)

@@ -350,6 +350,50 @@ def test_small_pass_never_uses_the_pool(monkeypatch):
     kernels._matmul_unchecked(spec, A, A, np.ones(4 * TILE))
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_pass_reduces_each_row_tile_once(monkeypatch, workers):
+    """The hand-out gives every row tile to exactly one thread: the rows
+    :func:`kernels._tile_pass` reduces are the row tiles of the pass, each
+    once, and the result has the serial bits."""
+    rng = np.random.default_rng(37)
+    A, M = rng.normal(size=(5 * TILE + 17, 2)), rng.normal(size=(5 * TILE + 17, 3))
+    starts, real = [], kernels._tile_pass
+    base = A.__array_interface__["data"][0]
+
+    def counting(spec, Ai, *args):
+        starts.append((Ai.__array_interface__["data"][0] - base) // A.strides[0])
+        assert Ai.shape[0] == min(TILE, A.shape[0] - starts[-1])
+        return real(spec, Ai, *args)
+
+    monkeypatch.setattr(kernels, "_tile_pass", counting)
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    got = kernels._matmul_unchecked(rbf(1.0), A, A, M)
+    assert sorted(starts) == list(range(0, A.shape[0], TILE))
+    np.testing.assert_array_equal(got, _tiled_reference(rbf(1.0), A, A, M))
+
+
+def test_error_in_a_pool_thread_reaches_the_caller(monkeypatch):
+    """A tile that raises on a pool thread fails the pass in the calling
+    thread, and the next pass still has the serial bits."""
+    rng = np.random.default_rng(38)
+    A = rng.normal(size=(6 * TILE, 2))
+    caller, real = threading.get_ident(), kernels._tile_pass
+
+    def failing(*args):
+        if threading.get_ident() != caller:
+            raise RuntimeError("tile failed on a pool thread")
+        time.sleep(0.05)  # leaves the pool thread time to draw a tile
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    monkeypatch.setattr(kernels, "_tile_pass", failing)
+    with pytest.raises(RuntimeError, match="pool thread"):
+        kernels._matmul_unchecked(rbf(1.0), A, A, np.ones(A.shape[0]))
+    monkeypatch.setattr(kernels, "_tile_pass", real)
+    np.testing.assert_array_equal(kernels._matmul_unchecked(rbf(1.0), A, A, np.ones(A.shape[0])),
+                                  _tiled_reference(rbf(1.0), A, A, np.ones(A.shape[0])))
+
+
 def _split_pass_in_child(conn):
     from fairmmd import kernels
 
