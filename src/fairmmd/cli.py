@@ -71,7 +71,6 @@ from .mmd import cell_sums
 from .synth import (
     CELLS,
     LabeledDataset,
-    PopulationSpec,
     population_from_dict,
     read_csv,
     sample_population,
@@ -116,18 +115,26 @@ def _parse(value, convert, what: str):
 
 
 _REQUIRED = object()  # the default of a key that its section must set
+_RUN_SEED = object()  # the default of a key that takes the run's seed
 
 
-def _options(cfg: dict, section: str, table: dict) -> dict:
+def _options(cfg: dict, section: str, table) -> dict:
     """Every option of one config section, read before any work is done.
 
     ``section`` is the section's dotted path in ``cfg`` ("" for the top
     level); an absent section reads as {}, any other non-object is refused.
     ``table`` maps each key to ``(default, converter)``; a key missing from
-    the section takes its default, or is refused if that is ``_REQUIRED``.
-    Every value, defaults included, goes through :func:`_parse`, so an error
-    names its field.
+    the section takes its default (the run's seed for ``_RUN_SEED``), or is
+    refused if that is ``_REQUIRED``.  Every value, defaults included, goes
+    through :func:`_parse`, so an error names its field.  A ``table`` given
+    as ``(key, default, tables)`` is a variant section: its ``key`` picks one
+    of ``tables`` (their keys are the allowed values) as the table of its
+    other options.
     """
+    if isinstance(table, tuple):
+        key, default, tables = table
+        kind = _options(cfg, section, {key: (default, _one_of(*tables))})[key]
+        return dict(_options(cfg, section, tables[kind]), **{key: kind})
     opts, path = cfg, []
     for key in section.split(".") if section else ():
         path.append(key)
@@ -139,15 +146,9 @@ def _options(cfg: dict, section: str, table: dict) -> dict:
         what = f'{section} "{key}"'.lstrip()
         if key not in opts and default is _REQUIRED:
             raise ConfigurationError(f"config needs {what}")
-        out[key] = _parse(opts.get(key, default), convert, what)
+        value = opts.get(key, cfg["seed"] if default is _RUN_SEED else default)
+        out[key] = _parse(value, convert, what)
     return out
-
-
-def _variant_options(cfg: dict, section: str, key: str, default, tables: dict) -> dict:
-    """:func:`_options` of a section whose ``key`` picks one of ``tables``
-    (its keys are the allowed values) as the table of its other options."""
-    kind = _options(cfg, section, {key: (default, _one_of(*tables))})[key]
-    return dict(_options(cfg, section, tables[kind]), **{key: kind})
 
 
 def _list_of(convert):
@@ -225,18 +226,20 @@ _TOP = {"seed": (0, _seed), "out": ("reports", _str), "n": (1000, _int),
         "dataset": (None, _optional(_str)),
         "population": (None, _optional(population_from_dict))}
 
-_KERNELS = {
+# The kernel section: "family" picks the table of its other options.
+_KERNEL = ("family", _REQUIRED, {
     "rbf": {"sigma": (1.0, _sigma)},
     "laplacian": {"sigma": (1.0, _sigma)},
     "linear": {"radius": (_REQUIRED, _float)},
-}
+})
 
-_CLASSIFIERS = {
+# The metrics.classifier section: "kind" picks the table of its other options.
+_CLASSIFIER = ("kind", "witness", {
     "witness": {},
     "constant": {"value": (0.5, _float)},
     "logistic_head": {"weights": (_REQUIRED, _list_of(_float)), "bias": (_REQUIRED, _float)},
     "external_scores": {},
-}
+})
 
 
 def _effective(cfg: dict, args) -> dict:
@@ -251,28 +254,30 @@ def _effective(cfg: dict, args) -> dict:
     return eff
 
 
-def _population(top: dict, command: str) -> PopulationSpec:
-    if top["population"] is None:
-        raise ConfigurationError(f'{command} needs a "population" section')
-    return top["population"]
-
-
-def _resolve_dataset(top: dict) -> tuple[LabeledDataset, np.ndarray | None]:
-    """Dataset from either a CSV path or a sampled population (exactly one)."""
+def _inputs(top: dict, command: str, reads: str, base: str) -> tuple:
+    """The command's input and the dataset CSV's score column (None if it
+    has none): for "rows", the rows of the dataset CSV (its path relative to
+    ``base``, the config file's directory) or of a sample of the population,
+    exactly one of the two; for "population", the population."""
+    if reads == "population":
+        if top["population"] is None:
+            raise ConfigurationError(f'{command} needs a "population" section')
+        return top["population"], None
     if (top["population"] is None) == (top["dataset"] is None):
         raise ConfigurationError('config needs exactly one of "population" or "dataset"')
     if top["dataset"] is not None:
-        return read_csv(top["dataset"])
+        return read_csv(Path(base, top["dataset"]))
     return sample_population(top["population"], top["n"], top["seed"]), None
 
 
-def _resolve_kernel(k: dict, data: LabeledDataset | None, seed: int) -> KernelSpec:
-    """The kernel of the options read by ``_variant_options(eff, "kernel", ...)``."""
+def _resolve_kernel(k: dict, data, seed: int) -> KernelSpec:
+    """The kernel of a command's "kernel" options; ``data`` is the command's
+    input, whose rows a median bandwidth reads."""
     if k["family"] == "linear":
         return linear(k["radius"])
     sigma = k["sigma"]
     if sigma == "median":
-        if data is None:
+        if not isinstance(data, LabeledDataset):
             raise ConfigurationError("median bandwidth needs a dataset in scope")
         sigma = median_heuristic(data.z, seed=seed)
     return rbf(sigma) if k["family"] == "rbf" else laplacian(sigma)
@@ -283,9 +288,8 @@ def _kernel_dict(spec: KernelSpec) -> dict:
 
 
 def _classifier(c: dict, csv_scores):
-    """The classifier of the options read by ``_variant_options(eff,
-    "metrics.classifier", ...)``; None stands for the group witness, whose
-    scores are read from the dataset's cell sums."""
+    """The classifier of the "metrics.classifier" options; None stands for
+    the group witness, whose scores are read from the dataset's cell sums."""
     if c["kind"] == "constant":
         return constant_classifier(c["value"])
     if c["kind"] == "logistic_head":
@@ -360,14 +364,15 @@ def _emit(report: dict, path: Path, fmt: str, table_lines) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each reads all of its options before any work, then returns
-# its result object, its table lines and its exit status; ``main`` times it,
-# writes the report and prints it.
+# subcommands: each takes what ``main`` has read for it (the top-level
+# options, its sections' options, its input, its kernel and the dataset CSV's
+# score column) and returns its result object, its table lines and its exit
+# status; ``main`` times it, writes the report and prints it.
 
 
-def _cmd_generate(eff: dict, top: dict) -> tuple[dict, list, int]:
+def _cmd_generate(top: dict, opts: dict, pop, spec, scores) -> tuple[dict, list, int]:
     """sample a dataset from a population spec, write dataset.csv"""
-    data = sample_population(_population(top, "generate"), top["n"], top["seed"])
+    data = sample_population(pop, top["n"], top["seed"])
     csv_path = _out_file(top, "dataset.csv")
     write_csv(data, csv_path)
     result = {
@@ -383,14 +388,10 @@ def _cmd_generate(eff: dict, top: dict) -> tuple[dict, list, int]:
     ], 0
 
 
-def _cmd_metrics(eff: dict, top: dict) -> tuple[dict, list, int]:
+def _cmd_metrics(top: dict, opts: dict, data, spec, scores) -> tuple[dict, list, int]:
     """fairness metrics of a classifier on a dataset"""
-    k = _variant_options(eff, "kernel", "family", _REQUIRED, _KERNELS)
-    c = _variant_options(eff, "metrics.classifier", "kind", "witness", _CLASSIFIERS)
-    bins = _options(eff, "metrics", {"bins": (None, _optional(_int))})["bins"]
-    data, csv_scores = _resolve_dataset(top)
-    spec = _resolve_kernel(k, data, top["seed"])
-    h = _classifier(c, csv_scores)
+    c, bins = opts["metrics.classifier"], opts["metrics"]["bins"]
+    h = _classifier(c, scores)
     if h is None:
         t = witness_scores(cell_sums(spec, data), GROUP_CELLS[1], GROUP_CELLS[0])
     else:
@@ -413,16 +414,9 @@ def _cmd_metrics(eff: dict, top: dict) -> tuple[dict, list, int]:
     return result, [f"{k:>22s}  {v:.6f}" for k, v in metrics.items()], 0
 
 
-def _cmd_eok(eff: dict, top: dict) -> tuple[dict, list, int]:
+def _cmd_eok(top: dict, opts: dict, data, spec, scores) -> tuple[dict, list, int]:
     """both equalized-odds estimates (plug-in and resampling)"""
-    k = _variant_options(eff, "kernel", "family", _REQUIRED, _KERNELS)
-    o = _options(eff, "eok", {
-        "method": ("both", _one_of("both", "plugin", "bootstrap")),
-        "weights": (None, _optional(_list_of(_float))), "m0": (None, _optional(_int)),
-        "m1": (None, _optional(_int)), "bootstrap_seed": (top["seed"], _seed),
-    })
-    data, _ = _resolve_dataset(top)
-    spec = _resolve_kernel(k, data, top["seed"])
+    o = opts["eok"]
     result = {"kernel": _kernel_dict(spec), "n": data.n}
     lines = []
     if o["method"] in ("both", "plugin"):
@@ -437,25 +431,9 @@ def _cmd_eok(eff: dict, top: dict) -> tuple[dict, list, int]:
     return result, lines, 0
 
 
-# Each bound check by name, with its default tolerance.
-_TOLERANCES = {"unbiased_equality": (0.02, _float), "biased_lower_bound": (0.03, _float),
-               "ba_bounds": (0.01, _float), "calibration_chain": (0.05, _float),
-               "tvd_dominance": (1e-9, _float)}
-
-
-def _cmd_bounds(eff: dict, top: dict) -> tuple[dict, list, int]:
+def _cmd_bounds(top: dict, opts: dict, data, spec, scores) -> tuple[dict, list, int]:
     """evaluate configured bound clauses; exit 1 if any fails"""
-    k = _variant_options(eff, "kernel", "family", _REQUIRED, _KERNELS)
-    o = _options(eff, "bounds", {
-        "checks": (["biased_lower_bound", "ba_bounds", "calibration_chain"],
-                   _list_of(_one_of(*_TOLERANCES))),
-        "rate_threshold": (0.02, _at_least(0.0, _float)), "trials": (50, _int),
-        "n_anchors": (100, _int), "sigma_u": (0.5, _float), "sigma_y": (1.0, _float),
-        "max_support": (64, _at_least(1, _int)),
-    })
-    tol = _options(eff, "bounds.tolerances", _TOLERANCES)
-    data, _ = _resolve_dataset(top)
-    spec = _resolve_kernel(k, data, top["seed"])
+    o, tol = opts["bounds"], opts["bounds.tolerances"]
     reports = []
     for name in o["checks"]:
         if name == "unbiased_equality":
@@ -483,14 +461,9 @@ def _cmd_bounds(eff: dict, top: dict) -> tuple[dict, list, int]:
     return result, lines, 0 if all_hold else 1
 
 
-def _cmd_concentration(eff: dict, top: dict) -> tuple[dict, list, int]:
+def _cmd_concentration(top: dict, opts: dict, pop, spec, scores) -> tuple[dict, list, int]:
     """deviation certificate check; exit 1 if the envelope breaks"""
-    o = _options(eff, "concentration", {
-        "grid": (_REQUIRED, _list_of(_list_of(_list_of(_float)))),
-        "radius": (None, _optional(_float)), "n_grid": ([100, 200, 400, 800], _list_of(_int)),
-        "trials": (100, _int), "delta": (0.05, _float), "g_trials": (64, _int),
-    })
-    pop = _population(top, "concentration")
+    o = opts["concentration"]
     grid = finite_grid(o["grid"]).maps
     spec = linear(suggest_radius(pop, grid) if o["radius"] is None else o["radius"])
     rep = concentration_check(pop, grid, spec, n_grid=o["n_grid"], trials=o["trials"],
@@ -504,19 +477,9 @@ def _cmd_concentration(eff: dict, top: dict) -> tuple[dict, list, int]:
     return result, lines, 0 if rep.holds else 1
 
 
-# The train section; apart from "lambda" (TrainConfig's ``lam``) each key
-# names a TrainConfig field.
-_TRAIN = {"lambda": (1.0, _float), "steps": (200, _int), "step_size": (0.5, _float),
-          "encoder_dim": (2, _int), "batch": (None, _optional(_int)),
-          "init_scale": (0.1, _float)}
-
-
-def _cmd_train(eff: dict, top: dict) -> tuple[dict, list, int]:
+def _cmd_train(top: dict, opts: dict, data, spec, scores) -> tuple[dict, list, int]:
     """one penalized training run with its objective trace"""
-    k = _variant_options(eff, "kernel", "family", _REQUIRED, _KERNELS)
-    t = _options(eff, "train", _TRAIN)
-    data, _ = _resolve_dataset(top)
-    spec = _resolve_kernel(k, data, top["seed"])
+    t = opts["train"]
     res = train(data, TrainConfig(kernel=spec, seed=top["seed"], lam=t.pop("lambda"), **t))
     result = {
         "final": {"sup": res.sup_trace[-1], "penalty": res.penalty_trace[-1],
@@ -559,14 +522,9 @@ def _spearman(a, b) -> float | None:
     return float(np.corrcoef(np.vstack([_average_ranks(a), _average_ranks(b)]))[1, 0])
 
 
-def _cmd_sweep(eff: dict, top: dict) -> tuple[dict, list, int]:
+def _cmd_sweep(top: dict, opts: dict, pop, spec, scores) -> tuple[dict, list, int]:
     """lambda frontier table, also written as sweep.csv"""
-    k = _variant_options(eff, "kernel", "family", _REQUIRED, _KERNELS)
-    t = _options(eff, "train", _TRAIN)
-    o = _options(eff, "sweep", {"lambdas": ([0.0, 0.1, 1.0, 10.0], _list_of(_float)),
-                                "dc_bins": (20, _optional(_at_least(1, _int)))})
-    pop = _population(top, "sweep")
-    spec = _resolve_kernel(k, None, top["seed"])
+    t, o = opts["train"], opts["sweep"]
     config = TrainConfig(kernel=spec, seed=top["seed"], lam=t.pop("lambda"), **t)
     res = lambda_sweep(pop, o["lambdas"], config, n=top["n"], seed=top["seed"],
                        dc_bins=o["dc_bins"])
@@ -584,6 +542,46 @@ def _cmd_sweep(eff: dict, top: dict) -> tuple[dict, list, int]:
          f"frontier written to {csv_path}"]
     return result, lines, 0
 
+
+# The train section; apart from "lambda" (TrainConfig's ``lam``) each key
+# names a TrainConfig field.
+_TRAIN = {"lambda": (1.0, _float), "steps": (200, _int), "step_size": (0.5, _float),
+          "encoder_dim": (2, _int), "batch": (None, _optional(_int)),
+          "init_scale": (0.1, _float)}
+
+# Each bound check by name, with its default tolerance.
+_TOLERANCES = {"unbiased_equality": (0.02, _float), "biased_lower_bound": (0.03, _float),
+               "ba_bounds": (0.01, _float), "calibration_chain": (0.05, _float),
+               "tvd_dominance": (1e-9, _float)}
+
+# What each command reads, all of it read by ``main`` before the command
+# runs, in this order: every option, then the command's input, then the
+# kernel of its "kernel" section.  The input is "rows" (a dataset CSV or a
+# sample of the population) or the "population" itself; each section's
+# dotted path maps to the table that ``_options`` reads it with.
+_READS = {
+    "generate": ("population", {}),
+    "metrics": ("rows", {"kernel": _KERNEL, "metrics.classifier": _CLASSIFIER,
+                         "metrics": {"bins": (None, _optional(_int))}}),
+    "eok": ("rows", {"kernel": _KERNEL, "eok": {
+        "method": ("both", _one_of("both", "plugin", "bootstrap")),
+        "weights": (None, _optional(_list_of(_float))), "m0": (None, _optional(_int)),
+        "m1": (None, _optional(_int)), "bootstrap_seed": (_RUN_SEED, _seed)}}),
+    "bounds": ("rows", {"kernel": _KERNEL, "bounds": {
+        "checks": (["biased_lower_bound", "ba_bounds", "calibration_chain"],
+                   _list_of(_one_of(*_TOLERANCES))),
+        "rate_threshold": (0.02, _at_least(0.0, _float)), "trials": (50, _int),
+        "n_anchors": (100, _int), "sigma_u": (0.5, _float), "sigma_y": (1.0, _float),
+        "max_support": (64, _at_least(1, _int))}, "bounds.tolerances": _TOLERANCES}),
+    "concentration": ("population", {"concentration": {
+        "grid": (_REQUIRED, _list_of(_list_of(_list_of(_float)))),
+        "radius": (None, _optional(_float)), "n_grid": ([100, 200, 400, 800], _list_of(_int)),
+        "trials": (100, _int), "delta": (0.05, _float), "g_trials": (64, _int)}}),
+    "train": ("rows", {"kernel": _KERNEL, "train": _TRAIN}),
+    "sweep": ("population", {"kernel": _KERNEL, "train": _TRAIN, "sweep": {
+        "lambdas": ([0.0, 0.1, 1.0, 10.0], _list_of(_float)),
+        "dc_bins": (20, _optional(_at_least(1, _int)))}}),
+}
 
 _COMMANDS = {
     "generate": _cmd_generate,
@@ -613,17 +611,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand: the command computes its result, table lines and
-    exit status; only this function times it, writes its report and prints."""
+    """Run one subcommand.  This function does all config work before the
+    command runs, in a fixed order (every option, then the command's input,
+    then its kernel); the command computes its result, table lines and exit
+    status; only this function times it, writes its report and prints."""
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
         eff = _effective(cfg, args)
         top = _options(eff, "", _TOP)
-        if top["dataset"] is not None:
-            top["dataset"] = Path(cfg["_dir"], top["dataset"])
+        reads, tables = _READS[args.command]
+        opts = {section: _options(eff, section, table) for section, table in tables.items()}
         started = time.time()
-        result, lines, status = _COMMANDS[args.command](eff, top)
+        data, scores = _inputs(top, args.command, reads, cfg["_dir"])
+        spec = _resolve_kernel(opts["kernel"], data, top["seed"]) if "kernel" in opts else None
+        result, lines, status = _COMMANDS[args.command](top, opts, data, spec, scores)
         report, path = _write_report(args.command, eff, top, result, started,
                                      time.time() - started)
     except FairmmdError as exc:

@@ -182,8 +182,10 @@ def _stratified_batch(
 ) -> LabeledDataset:
     """Proportional per-cell subsample with at least one row per cell.
 
-    ``pools``, when given, must be ``_cell_pools(data)``; a training run
-    builds them once instead of scanning the rows on every step.
+    These are the rows a mini-batch :func:`train` step draws, though a
+    training run draws them through :func:`_batch_rows` on pools it builds
+    once, without a dataset per step.  ``pools``, when given, must be
+    ``_cell_pools(data)``.
     """
     if pools is None:
         pools = _cell_pools(data)

@@ -220,13 +220,16 @@ def _check_domain(spec: KernelSpec, X: np.ndarray, name: str) -> None:
 
 
 def _checked_pair(spec: KernelSpec, A, B) -> tuple[np.ndarray, np.ndarray]:
-    """Both row sets as float arrays, after the shape and domain checks."""
+    """Both row sets as float arrays, after the shape and domain checks; one
+    row set passed as both (a square pass) is converted and checked once."""
+    same = B is A
     A = _as_points(A, "A")
-    B = _as_points(B, "B")
+    B = A if same else _as_points(B, "B")
     if A.shape[1] != B.shape[1]:
         raise DomainError(f"dimension mismatch: A has d={A.shape[1]}, B has d={B.shape[1]}")
     _check_domain(spec, A, "A")
-    _check_domain(spec, B, "B")
+    if not same:
+        _check_domain(spec, B, "B")
     return A, B
 
 
@@ -444,7 +447,7 @@ def median_heuristic(X, cap: int = 2000, seed: int = 0) -> float:
     the command-line layer only; no bound in this package depends on how the
     bandwidth was chosen.
     """
-    from scipy.spatial.distance import cdist
+    from scipy.spatial.distance import pdist
 
     X = _as_points(X, "X")
     if X.shape[0] > cap:
@@ -452,9 +455,7 @@ def median_heuristic(X, cap: int = 2000, seed: int = 0) -> float:
 
         idx = rng_for(seed, 981).choice(X.shape[0], size=cap, replace=False)
         X = X[idx]
-    d = cdist(X, X, "euclidean")
-    off = d[np.triu_indices_from(d, k=1)]
-    med = float(np.median(off))
+    med = float(np.median(pdist(X)))
     if not np.isfinite(med) or med <= 0:
         raise ValidationError("median heuristic undefined: all points coincide")
     return med

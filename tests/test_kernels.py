@@ -224,6 +224,43 @@ def test_median_heuristic_subsampling_is_seeded():
     assert a == b and a > 0.0
 
 
+def test_median_heuristic_matches_the_dense_upper_triangle():
+    """The median has the bits of the median of the strict upper triangle of
+    the dense distance matrix, duplicated rows included."""
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(21)
+    for trial, n in enumerate((2, 3, 10, 57, 300, 2000)):
+        X = rng.normal(size=(n, int(rng.integers(1, 9)))) * rng.choice([1e-3, 1.0, 1e3])
+        if trial % 2:
+            X = np.vstack([X, X[: n // 2 + 1]])
+        D = cdist(X, X, "euclidean")
+        want = float(np.median(D[np.triu_indices_from(D, k=1)]))
+        assert np.float64(median_heuristic(X, cap=X.shape[0])).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("family", ["rbf", "linear"])
+def test_square_pass_checks_its_rows_once(family, monkeypatch):
+    """``kernel_matmul(spec, Z, Z, M)`` converts and checks ``Z`` once, and
+    gives the bits of the pass whose B is a copy of ``Z``, checked twice."""
+    from collections import Counter
+
+    calls = Counter()
+    for name in ("_as_points", "_check_domain"):
+        def counted(*args, _name=name, _original=getattr(kernels, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    spec = STREAMED_SPECS[family]
+    rng = np.random.default_rng(5)
+    Z, M = rng.normal(size=(300, 3)), rng.normal(size=(300, 2))
+    out = kernel_matmul(spec, Z, Z, M)
+    assert calls == {"_as_points": 1, "_check_domain": 1}
+    calls.clear()
+    assert np.array_equal(out, kernel_matmul(spec, Z, Z.copy(), M))
+    assert calls == {"_as_points": 2, "_check_domain": 2}
+
+
 @pytest.mark.parametrize("family", sorted(STREAMED_SPECS))
 def test_kernel_matmul_matches_dense_product(family):
     spec = STREAMED_SPECS[family]
