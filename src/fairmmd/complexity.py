@@ -218,6 +218,13 @@ def fnn_apply(weights, X, act_lipschitz: float = 1.0) -> np.ndarray:
     return h @ weights[-1].T
 
 
+def _check_delta(delta: float) -> None:
+    # Below about 1.1e-308, 2/delta overflows and the bound's log(2/delta)
+    # would be infinite.
+    if not (0 < delta < 1 and 2.0 / float(delta) < np.inf):
+        raise ValidationError(f"delta must be in (0, 1) with 2/delta finite, got {delta}")
+
+
 def deviation_bound(
     n: int, rho0: float, rho1: float, nu: float, lip: float, delta: float, g_mean: float
 ) -> float:
@@ -232,8 +239,7 @@ def deviation_bound(
         raise ValidationError(f"n must be >= 1, got {n}")
     if not (0 < rho0 < 1 and 0 < rho1 < 1 and abs(rho0 + rho1 - 1.0) < 1e-9):
         raise ValidationError(f"rho0, rho1 must be in (0,1) and sum to 1, got {rho0}, {rho1}")
-    if not (0 < delta < 1):
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     if nu <= 0 or lip <= 0 or g_mean < 0:
         raise ValidationError("nu and lip must be positive, g_mean nonnegative")
     term1 = 8.0 * nu * max(1.0 / rho0, 1.0 / rho1) * np.sqrt(np.log(2.0 / delta) / n)
@@ -368,8 +374,7 @@ def concentration_check(
         raise ValidationError(f"sample sizes must be even and >= 8, got {n_grid}")
     if trials < 1:
         raise SizeError(f"need >= 1 trial per sample size, got {trials}")
-    if not 0 < delta < 1:
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     _check_mc_trials(g_trials)
     if g_repeats < 1:
         raise SizeError(f"need >= 1 complexity estimate per n, got g_repeats={g_repeats}")

@@ -154,7 +154,8 @@ def _resample_rows(
     ``rng`` in a fixed order: for group s, its ``sizes[s]`` outcome draws
     (outcome 1 with probability ``w1``), then for each outcome y hit, the
     hits' uniform picks among the ``counts[2 s + y]`` rows of cell (s, y).
-    ``order`` lists the rows of cell 0, then cell 1, and so on."""
+    ``order`` lists the rows of cell 0, then cell 1, and so on.  Callers
+    check first that every cell whose outcome has weight has rows."""
     start = np.cumsum(counts) - counts
     idx = np.empty(sum(sizes), dtype=np.int64)
     pos = 0
@@ -166,9 +167,6 @@ def _resample_rows(
             if k == 0:
                 continue
             c = 2 * s + y
-            if counts[c] == 0:
-                # zero-weight cell can still be hit is impossible: w[y] == 0
-                raise EmptyCellError(f"cell (s={s}, y={y}) is empty")  # pragma: no cover
             out[mask] = order[start[c] + rng.integers(0, counts[c], size=k)]
         pos += m
     return idx

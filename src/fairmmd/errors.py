@@ -8,6 +8,20 @@ weights that do not normalize, checks applied outside their preconditions,
 unsupported parameter combinations, and diverging training runs.
 """
 
+__all__ = [
+    "FairmmdError",
+    "ValidationError",
+    "SizeError",
+    "DomainError",
+    "StratificationError",
+    "EmptyCellError",
+    "NormalizationError",
+    "InapplicableError",
+    "ConfigurationError",
+    "UnsupportedError",
+    "TrainingError",
+]
+
 
 class FairmmdError(Exception):
     """Base class for all errors raised by fairmmd."""

@@ -23,25 +23,32 @@ Families
                function with RKHS norm at most 1, which is what the
                calibration bound checker relies on.
 
-Every kernel sum in the package streams through :func:`kernel_matmul`.  A
-large pass hands its row tiles out one at a time, from one shared,
-lock-guarded iterator, to the calling thread and a small thread pool: one
-thread per CPU the process may use, so a thread that runs slower draws
-fewer tiles.  Each thread writes its tiles into buffers the calling thread
-allocated.  Every output row still sums the same tiles in the same order,
-so results have the same bits whatever the number of CPUs.  The rbf and
-laplacian tiles scale their distances by a multiply with the negated
-reciprocal of 2 sigma^2 (or of sigma); that gives the bits of a divide
-whenever that scale is a power of two (sigma = 1 or 0.5 for rbf, 1 for
-laplacian), and other bandwidths differ from a divide by rounding only.
+Every kernel sum in the package streams through :func:`kernel_matmul`.
+Every pass hands its row tiles out one at a time, from one shared,
+lock-guarded iterator: a small pass to the calling thread alone, a pass of
+at least two tiles per CPU also to a small thread pool, one thread per CPU
+the process may use, so a thread that runs slower draws fewer tiles.  Each
+thread writes its tiles into buffers the calling thread allocated.  Every
+output row still sums the same tiles in the same order, so results have
+the same bits whatever the number of CPUs.
+
+All kernel arithmetic lives in this module: the tiles, :func:`pairwise`
+and the aligned-row evaluation k(A[i], B[i]) that the estimators read
+their diagonal sums and linear-time pairs from.  The rbf and laplacian
+values scale their distances by a multiply with the negated reciprocal of
+2 sigma^2 (or of sigma); that gives the bits of a divide whenever that
+scale is a power of two (sigma = 1 or 0.5 for rbf, 1 for laplacian), and
+other bandwidths differ from a divide by rounding only.  The constructors
+refuse a bandwidth whose scale is not finite.
 
 The rbf and laplacian tiles and :func:`median_heuristic` take their
-distances from ``scipy.spatial.distance.cdist``, imported where they call it
-rather than at the top of this module: that import costs about half a
-second, and the linear kernel, the concentration certificate and dataset
-generation never need it.  When the first rbf pass of a process is a split
-pass, the calling thread and a pool thread may reach the import together;
-Python's per-module import lock makes the later one wait for the module.
+distances from ``scipy.spatial.distance`` (``cdist`` and ``pdist``),
+imported where they call it rather than at the top of this module: that
+import costs about half a second, and the linear kernel, the concentration
+certificate and dataset generation never need it.  When the first rbf pass
+of a process is a split pass, the calling thread and a pool thread may
+reach the import together; Python's per-module import lock makes the later
+one wait for the module.
 
 The rbf and laplacian families are characteristic on R^d, so a zero kernel
 discrepancy identifies the distributions; the linear kernel only separates
@@ -77,6 +84,8 @@ __all__ = [
 ]
 
 _FAMILIES = ("rbf", "laplacian", "linear", "product", "sum")
+# The cdist metric whose distances each exponential family scales.
+_DISTANCES = {"rbf": "sqeuclidean", "laplacian": "cityblock"}
 
 # Side of the square tiles :func:`kernel_matmul` streams over.  One 256 x 256
 # float64 tile (512 KB) stays in cache while it is reduced; at n = 5000 (rbf)
@@ -125,8 +134,8 @@ def rbf(sigma: float = 1.0) -> KernelSpec:
     """Gaussian kernel exp(-||a-b||^2 / (2 sigma^2)) with bandwidth ``sigma``."""
     _check_positive("sigma", sigma)
     s2 = float(sigma) * float(sigma)
-    if not (s2 > 0.0 and 2.0 * s2 < np.inf):
-        raise ValidationError(f"sigma must keep 2 sigma^2 positive and finite, got {sigma!r}")
+    if not (s2 > 0.0 and 2.0 * s2 < np.inf and 0.5 / s2 < np.inf):
+        raise ValidationError(f"sigma must keep 2 sigma^2 and its reciprocal finite, got {sigma!r}")
     return KernelSpec("rbf", sigma=float(sigma), nu=1.0,
                       lipschitz=float(np.exp(-0.5) / sigma))
 
@@ -134,6 +143,8 @@ def rbf(sigma: float = 1.0) -> KernelSpec:
 def laplacian(sigma: float = 1.0) -> KernelSpec:
     """Laplacian kernel exp(-||a-b||_1 / sigma) with bandwidth ``sigma``."""
     _check_positive("sigma", sigma)
+    if not 1.0 / float(sigma) < np.inf:
+        raise ValidationError(f"sigma must keep 1/sigma finite, got {sigma!r}")
     return KernelSpec("laplacian", sigma=float(sigma), nu=1.0, lipschitz=1.0 / float(sigma))
 
 
@@ -238,7 +249,9 @@ def pairwise(spec: KernelSpec, A, B) -> np.ndarray:
 
     This is the single evaluation path shared by :func:`gram`,
     :func:`eval_kernel`, and the tiles of :func:`kernel_matmul`, so a value
-    computed anywhere in the package is the same number everywhere.
+    computed anywhere in the package is the same number everywhere; the
+    aligned-row evaluation k(A[i], B[i]) uses the same arithmetic, with the
+    same bits for d <= 2 and equal to rounding otherwise.
     """
     return _pairwise_unchecked(spec, *_checked_pair(spec, A, B))
 
@@ -254,8 +267,9 @@ def kernel_matmul(spec: KernelSpec, A, B, M) -> np.ndarray:
     For the linear kernel the product is A (B' M), and no tile is formed.
 
     A pass of at least two tiles per CPU hands its row tiles out to one
-    thread per CPU (see the module docstring); the output does not depend
-    on how many CPUs there are.  Smaller passes run serially.
+    thread per CPU, a smaller pass to the calling thread alone (see the
+    module docstring); the output does not depend on how many CPUs there
+    are.
 
     Args:
         spec: kernel description.
@@ -287,42 +301,35 @@ def _matmul_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, M: np.ndar
         out = np.einsum("id,kd->ik", A, Mt @ B)
     else:
         out = np.zeros((n, Mt.shape[0]))
-        workers = min(_WORKERS, -(-n // TILE))
-        if workers < 2 or n * m < 2 * TILE * TILE * _WORKERS:
-            _tile_pass(spec, A, B, Mt, out)
-        else:
-            _split_pass(spec, A, B, Mt, out, workers)
+        small = n * m < 2 * TILE * TILE * _WORKERS
+        _row_tile_pass(spec, A, B, Mt, out, 1 if small else min(_WORKERS, -(-n // TILE)))
     return out.reshape(n) if M.ndim == 1 else out
 
 
-def _tile_pass(spec: KernelSpec, A, B, Mt, out, bufs=(), prod=None) -> None:
-    """Add K(A, B) @ Mt' to ``out`` over TILE x TILE tiles, columns in
-    ascending order.  Tiles go into the flat buffers ``bufs`` and per-tile
-    products into ``prod`` when given, and into fresh arrays otherwise."""
-    for i in range(0, A.shape[0], TILE):
-        Ai = A[i : i + TILE]
-        acc = out[i : i + TILE]
-        part = None if prod is None else prod[: Ai.shape[0]]
-        for j in range(0, B.shape[0], TILE):
-            # No name holds the tile, so a fresh one is freed before the next
-            # is made.
-            acc += np.einsum("ij,kj->ik", _pairwise_unchecked(spec, Ai, B[j : j + TILE], bufs),
-                             Mt[:, j : j + TILE], out=part)
+def _tile_pass(spec: KernelSpec, Ai, B, Mt, acc, bufs, prod) -> None:
+    """Add K(Ai, B) @ Mt' to ``acc`` for one row tile ``Ai`` over TILE-column
+    tiles in ascending order, each tile written into the flat buffers
+    ``bufs`` and its product into ``prod``."""
+    part = prod[: Ai.shape[0]]
+    for j in range(0, B.shape[0], TILE):
+        acc += np.einsum("ij,kj->ik", _pairwise_unchecked(spec, Ai, B[j : j + TILE], bufs),
+                         Mt[:, j : j + TILE], out=part)
 
 
-def _split_pass(spec: KernelSpec, A, B, Mt, out, workers: int) -> None:
-    """:func:`_tile_pass` on ``workers`` threads, the calling thread and
-    ``workers - 1`` pool threads, each drawing one row tile at a time from
-    one shared, lock-guarded iterator until none is left.
+def _row_tile_pass(spec: KernelSpec, A, B, Mt, out, workers: int) -> None:
+    """Add K(A, B) @ Mt' to ``out`` on ``workers`` threads, the calling
+    thread and ``workers - 1`` pool threads (no pool for one worker), each
+    drawing one row tile at a time from one shared, lock-guarded iterator
+    and reducing it with :func:`_tile_pass` until none is left.
 
-    Each row tile is reduced by one thread over the tiles of one serial pass
-    in the same column order, so the result has the same bits whatever the
-    number of workers.  The calling thread allocates every worker's
-    buffers, since memory a pool thread allocates stays in that thread's
-    malloc arena after it is freed.
+    Each row tile is reduced by one thread over the same column tiles in the
+    same order, so the result has the same bits whatever the number of
+    workers.  The calling thread allocates every worker's buffers, since
+    memory a pool thread allocates stays in that thread's malloc arena after
+    it is freed.
     """
     rows, lock = iter(range(0, A.shape[0], TILE)), threading.Lock()
-    cols = min(TILE, B.shape[0])
+    tile_rows, cols = min(TILE, A.shape[0]), min(TILE, B.shape[0])
 
     def drain(bufs, prod):
         while True:
@@ -332,10 +339,9 @@ def _split_pass(spec: KernelSpec, A, B, Mt, out, workers: int) -> None:
                 return
             _tile_pass(spec, A[i : i + TILE], B, Mt, out[i : i + TILE], bufs, prod)
 
-    jobs = [([np.empty(TILE * cols) for _ in range(_tiles_needed(spec))],
-             np.empty((TILE, Mt.shape[0]))) for _ in range(workers)]
-    pool = _pool()
-    futures = [pool.submit(drain, *job) for job in jobs[1:]]
+    jobs = [([np.empty(tile_rows * cols) for _ in range(_tiles_needed(spec))],
+             np.empty((tile_rows, Mt.shape[0]))) for _ in range(workers)]
+    futures = [_pool().submit(drain, *job) for job in jobs[1:]]
     try:
         drain(*jobs[0])
     finally:
@@ -384,30 +390,48 @@ def _pairwise_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, bufs=())
             return np.multiply(K, _pairwise_unchecked(second, A[:, s:], B[:, s:], bufs[1:]), out=K)
         K = _pairwise_unchecked(first, A, B, bufs)
         return np.add(K, _pairwise_unchecked(second, A, B, bufs[1:]), out=K)
-    # Each family works in place on one array: with a temporary per step, a
-    # 256-tile rbf pass over 5000 rows took 0.46 s instead of 0.18 s.
-    # Multiplying by the negated reciprocal takes 21 us per tile against
-    # 60 us for dividing by the negated scale, with the divide's bits when
-    # 2 sigma^2 (rbf) or sigma (laplacian) is a power of two.
     n, m = A.shape[0], B.shape[0]
     K = bufs[0][: n * m].reshape(n, m) if bufs else None
-    if spec.family == "rbf":
-        from scipy.spatial.distance import cdist
-
-        K = cdist(A, B, "sqeuclidean", out=K)
-        K *= -0.5 / spec.sigma**2
-        return np.exp(K, out=K)
-    if spec.family == "laplacian":
-        from scipy.spatial.distance import cdist
-
-        K = cdist(A, B, "cityblock", out=K)
-        K *= -1.0 / spec.sigma
-        return np.exp(K, out=K)
     if spec.family == "linear":
         # Not matmul: numpy takes another routine for a one-row product, so a
         # row in a one-row tile could differ in its last bits from its copies.
         return np.einsum("id,jd->ij", A, B, out=K)
-    raise ValidationError(f"unknown kernel family {spec.family!r}")  # pragma: no cover
+    from scipy.spatial.distance import cdist
+
+    return _exp_scaled(spec, cdist(A, B, _DISTANCES[spec.family], out=K))
+
+
+def _aligned_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """k(A[i], B[i]) for each pair of aligned rows (no cross terms), by the
+    arithmetic of :func:`_pairwise_unchecked`.  Each distance sums its d
+    coordinates in numpy's order rather than cdist's, which gives the bits of
+    K(A, B)'s entries for d <= 2 and agrees to rounding otherwise."""
+    if spec.family in ("product", "sum"):
+        first, second = spec.parts
+        if spec.family == "product":
+            s = spec.split
+            return (_aligned_unchecked(first, A[:, :s], B[:, :s])
+                    * _aligned_unchecked(second, A[:, s:], B[:, s:]))
+        return _aligned_unchecked(first, A, B) + _aligned_unchecked(second, A, B)
+    if spec.family == "linear":
+        return np.einsum("ij,ij->i", A, B)
+    D = A - B
+    return _exp_scaled(spec, np.einsum("ij,ij->i", D, D) if spec.family == "rbf"
+                       else np.abs(D, out=D).sum(axis=1))
+
+
+def _exp_scaled(spec: KernelSpec, D: np.ndarray) -> np.ndarray:
+    """The rbf or laplacian kernel values of the distances ``D`` (squared
+    Euclidean for rbf, L1 for laplacian), computed in place in ``D``.
+
+    One in-place array per step: with a temporary per step, a 256-tile rbf
+    pass over 5000 rows took 0.46 s instead of 0.18 s.  Multiplying by the
+    negated reciprocal takes 21 us per tile against 60 us for dividing by
+    the negated scale, with the divide's bits when 2 sigma^2 (rbf) or sigma
+    (laplacian) is a power of two.
+    """
+    D *= -0.5 / spec.sigma**2 if spec.family == "rbf" else -1.0 / spec.sigma
+    return np.exp(D, out=D)
 
 
 def eval_kernel(spec: KernelSpec, a, b) -> float:

@@ -37,7 +37,9 @@ diagonal sums a . k(A, A) and b . k(B, B).  The sums come from two calls of
 B-A sums from its two row ranges and K(B, B) @ b the B-B sum, so no kernel
 entry is evaluated twice.  The primitive streams over fixed tiles in a
 fixed order, so results are deterministic and memory stays O(TILE^2)
-regardless of sample size.  For the linear kernel the rows are first
+regardless of sample size.  The diagonal sums and the linear-time pairs
+read aligned rows from :mod:`fairmmd.kernels` too, so this module knows no
+kernel family's formula.  For the linear kernel the rows are first
 centred on their weighted pooled mean (every estimate here is translation
 invariant under it), so data far from the origin do not cancel away their
 digits.
@@ -57,7 +59,7 @@ import numpy as np
 
 from ._rng import rng_for
 from .errors import SizeError, ValidationError
-from .kernels import KernelSpec, _checked_pair, _matmul_unchecked, kernel_matmul
+from .kernels import KernelSpec, _aligned_unchecked, _checked_pair, _matmul_unchecked, kernel_matmul
 from .synth import LabeledDataset
 
 __all__ = [
@@ -128,26 +130,8 @@ def _pooled_sums(spec: KernelSpec, A: np.ndarray, B: np.ndarray, a=None, b=None)
     to_a = _matmul_unchecked(spec, np.vstack([A, B]), A, a)
     to_b = _matmul_unchecked(spec, B, B, b)
     return ((a * to_a[:n0]).sum(), (b * to_a[n0:]).sum(), (b * to_b).sum(),
-            (a * _rowwise(spec, A, A)).sum(), (b * _rowwise(spec, B, B)).sum())
-
-
-def _rowwise(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """k(A[i], B[i]) for aligned rows (no cross terms)."""
-    if spec.family == "rbf":
-        sq = np.einsum("ij,ij->i", A - B, A - B)
-        return np.exp(-sq / (2.0 * spec.sigma**2))
-    if spec.family == "laplacian":
-        return np.exp(-np.abs(A - B).sum(axis=1) / spec.sigma)
-    if spec.family == "linear":
-        return np.einsum("ij,ij->i", A, B)
-    if spec.family == "product":
-        s = spec.split
-        return _rowwise(spec.parts[0], A[:, :s], B[:, :s]) * _rowwise(
-            spec.parts[1], A[:, s:], B[:, s:]
-        )
-    if spec.family == "sum":
-        return _rowwise(spec.parts[0], A, B) + _rowwise(spec.parts[1], A, B)
-    raise ValidationError(f"unknown kernel family {spec.family!r}")  # pragma: no cover
+            (a * _aligned_unchecked(spec, A, A)).sum(),
+            (b * _aligned_unchecked(spec, B, B)).sum())
 
 
 def mmd2_unbiased(spec: KernelSpec, A, B) -> MmdEstimate:
@@ -192,10 +176,10 @@ def mmd2_linear_time(spec: KernelSpec, A, B, seed: int) -> MmdEstimate:
     a0, a1 = a[0:m:2], a[1:m:2]
     b0, b1 = b[0:m:2], b[1:m:2]
     h = (
-        _rowwise(spec, a0, a1)
-        + _rowwise(spec, b0, b1)
-        - _rowwise(spec, a0, b1)
-        - _rowwise(spec, a1, b0)
+        _aligned_unchecked(spec, a0, a1)
+        + _aligned_unchecked(spec, b0, b1)
+        - _aligned_unchecked(spec, a0, b1)
+        - _aligned_unchecked(spec, a1, b0)
     )
     return _estimate(h.mean(), "linear_time", m, m)
 
@@ -325,9 +309,9 @@ def _cell_sums(spec: KernelSpec, z, cell, counts, matmul=_matmul_unchecked) -> C
     if spec.family == "linear":
         zc = z - z.mean(axis=0)
         per_cell = onehot.T @ zc
-        block, diag = per_cell @ per_cell.T, _rowwise(spec, zc, zc)
+        block, diag = per_cell @ per_cell.T, _aligned_unchecked(spec, zc, zc)
     else:
-        block, diag = onehot.T @ rows, _rowwise(spec, z, z)
+        block, diag = onehot.T @ rows, _aligned_unchecked(spec, z, z)
     diag = np.bincount(cell, weights=diag, minlength=4)
     for arr in (rows, block, diag):
         arr.flags.writeable = False

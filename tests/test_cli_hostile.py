@@ -96,15 +96,21 @@ def cases(command: str):
             yield f"{command}:{section}:{key}={json.dumps(value)}", cfg
 
 
-# Extreme values make numpy warn (an exp that saturates, a bandwidth whose
-# reciprocal overflows).  On the command line such a warning only prints;
-# this test checks the exit contract, so it ignores them instead of raising.
+def _not_strict_json(constant):
+    raise ValueError(f"report holds {constant}, which is not strict JSON")
+
+
+# Extreme values make numpy warn (an exp that saturates at a train.lambda or
+# train.step_size of 1e308).  On the command line such a warning only
+# prints; this test checks the exit contract, so it ignores them instead of
+# raising.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_hostile_option_values_keep_the_exit_contract(tmp_path, monkeypatch, capsys, command):
     """Exit 0 or 2, or 1 only for ``bounds``/``concentration`` with a report
     whose verdict is false; ``main`` returns rather than raises; a report is
-    written exactly when the exit code is not 2."""
+    written exactly when the exit code is not 2, and it is strict JSON (no
+    NaN or Infinity)."""
     verdict = {"bounds": "all_hold", "concentration": "holds"}
     for i, (case, cfg) in enumerate(cases(command)):
         work = tmp_path / str(i)
@@ -119,6 +125,11 @@ def test_hostile_option_values_keep_the_exit_contract(tmp_path, monkeypatch, cap
         reports = list(work.rglob(f"{command}.json"))
         assert code in (0, 1, 2), case
         assert (code != 2) == (len(reports) == 1), (case, code, reports)
+        for report in reports:
+            try:
+                json.loads(report.read_text(), parse_constant=_not_strict_json)
+            except ValueError as exc:
+                pytest.fail(f"{case}: {exc}")
         if code == 1:
             assert command in verdict, case
             result = json.loads(reports[0].read_text())["result"]

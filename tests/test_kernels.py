@@ -188,6 +188,43 @@ def test_product_checks_split_bounds():
         pairwise(spec, np.zeros((2, 3)), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("family", sorted(STREAMED_SPECS))
+def test_aligned_rows_match_pairwise(family):
+    """k(A[i], B[i]) from the aligned-row evaluation agrees with the
+    diagonal of K(A, B) to 1e-14 relative for every family, at d = 3."""
+    spec = STREAMED_SPECS[family]
+    rng = np.random.default_rng(41)
+    A, B = rng.normal(size=(400, 3)), rng.normal(size=(400, 3))
+    B[:50] = A[:50]
+    assert_allclose(kernels._aligned_unchecked(spec, A, B), np.diagonal(pairwise(spec, A, B)),
+                    rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("make", [rbf, laplacian], ids=["rbf", "laplacian"])
+def test_aligned_rows_have_the_bits_of_pairwise(make, d):
+    """At sigma = 0.7, whose scale is not a power of two, and d <= 2 the
+    aligned rows have the bits of K(A, B)'s diagonal."""
+    spec = make(0.7)
+    rng = np.random.default_rng(42)
+    A, B = rng.normal(size=(1000, d)), rng.normal(size=(1000, d))
+    np.testing.assert_array_equal(kernels._aligned_unchecked(spec, A, B),
+                                  np.diagonal(pairwise(spec, A, B)))
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e-300, 1e-320])
+def test_bandwidth_scale_must_be_finite(sigma):
+    """A bandwidth whose kernel scale, 1/(2 sigma^2) for rbf or 1/sigma for
+    laplacian, overflows is refused and named."""
+    with pytest.raises(ValidationError, match="sigma"):
+        rbf(sigma)
+    if 1.0 / sigma == np.inf:
+        with pytest.raises(ValidationError, match="sigma"):
+            laplacian(sigma)
+    else:
+        assert laplacian(sigma).sigma == sigma
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
 def test_bandwidth_must_be_positive(bad):
     with pytest.raises(ValidationError):
