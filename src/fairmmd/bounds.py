@@ -64,13 +64,14 @@ from .fairness import (
     GROUP_CELLS,
     OUTCOME_CELLS,
     Classifier,
+    _ball_scales,
     _ball_scores,
+    _random_coefs,
     balanced_accuracy,
     dc,
     evaluate_batch,
     external_scores_classifier,
     group_stats,
-    random_ball_classifier,
     sup_dp,
     witness_scores,
 )
@@ -219,8 +220,9 @@ def check_ba_bounds(
     tried in both orientations; lhs is the bound, rhs the best probe.
     outcome_lower evaluates the outcome witness against its guarantee.
     The discrepancies and both witnesses are read from one pass of cell
-    sums; the probes share their anchors, so one more pass against the
-    anchors scores them all.  ``trials`` must be >= 0 and ``n_anchors`` >= 1.
+    sums; the probes share their anchors, so one pass among the anchors
+    normalizes them all and one more, of the rows against the anchors,
+    scores them all.  ``trials`` must be >= 0 and ``n_anchors`` >= 1.
     """
     if trials < 0 or n_anchors < 1:
         raise ValidationError(
@@ -231,11 +233,12 @@ def check_ba_bounds(
         raise ValidationError("discrepancy exceeded its kernel-bounded maximum")
     rng = rng_for(seed, 29)
     anchors = data.z[rng.choice(data.n, size=min(n_anchors, data.n), replace=False)]
-    probes = [random_ball_classifier(spec, anchors, seed=int(seed) * 100003 + t)
-              for t in range(trials)]
     scores = [witness_scores(sums, GROUP_CELLS[1], GROUP_CELLS[0])]
-    if probes:
-        coefs = np.column_stack([h.coefs * h.scale for h in probes])
+    if trials:
+        # Probe t is random_ball_classifier(spec, anchors, seed * 100003 + t).
+        coefs = np.column_stack([_random_coefs(int(seed) * 100003 + t, anchors.shape[0])
+                                 for t in range(trials)])
+        coefs *= _ball_scales(spec, anchors, coefs)
         scores.extend(_ball_scores(kernel_matmul(spec, data.z, anchors, coefs)).T)
     best = max(_best_balanced_accuracy(t, data, "s") for t in scores)
     upper_bound = (2.0 + gamma_s / np.sqrt(spec.nu)) / 4.0

@@ -222,7 +222,7 @@ def _sigma(value):
 
 # Options every command reads.  The rows come from an inline ``population``
 # or from a ``dataset`` CSV, whose path is relative to the config file.
-_TOP = {"seed": (0, _seed), "out": ("reports", _str), "n": (1000, _int),
+_TOP = {"seed": (0, _seed), "out": ("reports", _str), "n": (1000, _at_least(1, _int)),
         "dataset": (None, _optional(_str)),
         "population": (None, _optional(population_from_dict))}
 
@@ -545,9 +545,9 @@ def _cmd_sweep(top: dict, opts: dict, pop, spec, scores) -> tuple[dict, list, in
 
 # The train section; apart from "lambda" (TrainConfig's ``lam``) each key
 # names a TrainConfig field.
-_TRAIN = {"lambda": (1.0, _float), "steps": (200, _int), "step_size": (0.5, _float),
-          "encoder_dim": (2, _int), "batch": (None, _optional(_int)),
-          "init_scale": (0.1, _float)}
+_TRAIN = {"lambda": (1.0, _float), "steps": (200, _at_least(1, _int)),
+          "step_size": (0.5, _float), "encoder_dim": (2, _at_least(1, _int)),
+          "batch": (None, _optional(_at_least(8, _int))), "init_scale": (0.1, _float)}
 
 # Each bound check by name, with its default tolerance.
 _TOLERANCES = {"unbiased_equality": (0.02, _float), "biased_lower_bound": (0.03, _float),
@@ -562,7 +562,7 @@ _TOLERANCES = {"unbiased_equality": (0.02, _float), "biased_lower_bound": (0.03,
 _READS = {
     "generate": ("population", {}),
     "metrics": ("rows", {"kernel": _KERNEL, "metrics.classifier": _CLASSIFIER,
-                         "metrics": {"bins": (None, _optional(_int))}}),
+                         "metrics": {"bins": (None, _optional(_at_least(1, _int)))}}),
     "eok": ("rows", {"kernel": _KERNEL, "eok": {
         "method": ("both", _one_of("both", "plugin", "bootstrap")),
         "weights": (None, _optional(_list_of(_float))), "m0": (None, _optional(_int)),
@@ -570,13 +570,15 @@ _READS = {
     "bounds": ("rows", {"kernel": _KERNEL, "bounds": {
         "checks": (["biased_lower_bound", "ba_bounds", "calibration_chain"],
                    _list_of(_one_of(*_TOLERANCES))),
-        "rate_threshold": (0.02, _at_least(0.0, _float)), "trials": (50, _int),
-        "n_anchors": (100, _int), "sigma_u": (0.5, _float), "sigma_y": (1.0, _float),
-        "max_support": (64, _at_least(1, _int))}, "bounds.tolerances": _TOLERANCES}),
+        "rate_threshold": (0.02, _at_least(0.0, _float)), "trials": (50, _at_least(0, _int)),
+        "n_anchors": (100, _at_least(1, _int)), "sigma_u": (0.5, _float),
+        "sigma_y": (1.0, _float), "max_support": (64, _at_least(1, _int))},
+        "bounds.tolerances": _TOLERANCES}),
     "concentration": ("population", {"concentration": {
         "grid": (_REQUIRED, _list_of(_list_of(_list_of(_float)))),
         "radius": (None, _optional(_float)), "n_grid": ([100, 200, 400, 800], _list_of(_int)),
-        "trials": (100, _int), "delta": (0.05, _float), "g_trials": (64, _int)}}),
+        "trials": (100, _at_least(1, _int)), "delta": (0.05, _float),
+        "g_trials": (64, _at_least(2, _int))}}),
     "train": ("rows", {"kernel": _KERNEL, "train": _TRAIN}),
     "sweep": ("population", {"kernel": _KERNEL, "train": _TRAIN, "sweep": {
         "lambdas": ([0.0, 0.1, 1.0, 10.0], _list_of(_float)),

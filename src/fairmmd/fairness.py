@@ -153,20 +153,36 @@ def ball_classifier(spec: KernelSpec, anchors, coefs) -> Classifier:
     coefs = np.asarray(coefs, dtype=float)
     if coefs.shape != (anchors.shape[0],):
         raise ValidationError("coefs must align with anchor rows")
-    norm2 = float(coefs @ kernel_matmul(spec, anchors, anchors, coefs))
-    if norm2 <= 0.0:
-        raise ValidationError("expansion has zero RKHS norm; cannot normalize")
     return Classifier(
         kind="rkhs_witness", spec=spec, anchors=anchors, coefs=coefs,
-        scale=float(1.0 / np.sqrt(spec.nu * norm2)),
+        scale=float(_ball_scales(spec, anchors, coefs[:, None])[0]),
     )
+
+
+def _ball_scales(spec: KernelSpec, anchors: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The scale 1 / sqrt(nu c' K c) that normalizes the expansion with
+    coefficients c into the ball, for each column c of ``C``, all from one
+    kernel pass.  Each c' K c is a dot of contiguous copies, so a column
+    gets the bits it would get from a pass of its own (not for the linear
+    kernel, whose pass multiplies all columns in one product)."""
+    KC = kernel_matmul(spec, anchors, anchors, C)
+    norm2 = np.array([np.ascontiguousarray(c) @ np.ascontiguousarray(k)
+                      for c, k in zip(C.T, KC.T)])
+    if (norm2 <= 0.0).any():
+        raise ValidationError("expansion has zero RKHS norm; cannot normalize")
+    return 1.0 / np.sqrt(spec.nu * norm2)
 
 
 def random_ball_classifier(spec: KernelSpec, anchors, seed: int) -> Classifier:
     """Random direction in the nu^(-1/2)-ball, anchored at the given rows."""
     anchors = np.asarray(anchors, dtype=float)
-    coefs = rng_for(seed, 17).standard_normal(anchors.shape[0])
-    return ball_classifier(spec, anchors, coefs)
+    return ball_classifier(spec, anchors, _random_coefs(seed, anchors.shape[0]))
+
+
+def _random_coefs(seed: int, size: int) -> np.ndarray:
+    """The ``size`` expansion coefficients of :func:`random_ball_classifier`
+    with ``seed``, before their scale."""
+    return rng_for(seed, 17).standard_normal(size)
 
 
 def constant_classifier(value: float) -> Classifier:

@@ -24,13 +24,18 @@ Families
                calibration bound checker relies on.
 
 Every kernel sum in the package streams through :func:`kernel_matmul`.
-Every pass hands its row tiles out one at a time, from one shared,
-lock-guarded iterator: a small pass to the calling thread alone, a pass of
-at least two tiles per CPU also to a small thread pool, one thread per CPU
-the process may use, so a thread that runs slower draws fewer tiles.  Each
-thread writes its tiles into buffers the calling thread allocated.  Every
-output row still sums the same tiles in the same order, so results have
-the same bits whatever the number of CPUs.
+A pass first finds, for each TILE-column block of K, the smallest range of
+M's columns that holds all of that block's nonzeros; each tile is reduced
+against those columns only, and a block on which M is all zero is never
+evaluated.  A one-hot M whose rows come in cell order so costs about one
+column per tile, whatever the number of cells.  Every pass hands its row
+tiles out one at a time, from one shared, lock-guarded iterator: a small
+pass to the calling thread alone, a pass of at least two tiles per CPU
+also to a small thread pool, one thread per CPU the process may use, so a
+thread that runs slower draws fewer tiles.  Each thread writes its tiles
+into buffers the calling thread allocated.  Every output row still sums
+the same tiles in the same order, so results have the same bits whatever
+the number of CPUs.
 
 All kernel arithmetic lives in this module: the tiles, :func:`pairwise`
 and the aligned-row evaluation k(A[i], B[i]) that the estimators read
@@ -41,14 +46,17 @@ scale is a power of two (sigma = 1 or 0.5 for rbf, 1 for laplacian), and
 other bandwidths differ from a divide by rounding only.  The constructors
 refuse a bandwidth whose scale is not finite.
 
-The rbf and laplacian tiles and :func:`median_heuristic` take their
-distances from ``scipy.spatial.distance`` (``cdist`` and ``pdist``),
-imported where they call it rather than at the top of this module: that
-import costs about half a second, and the linear kernel, the concentration
-certificate and dataset generation never need it.  When the first rbf pass
-of a process is a split pass, the calling thread and a pool thread may
-reach the import together; Python's per-module import lock makes the later
-one wait for the module.
+The rbf and laplacian tiles of rows with d >= 2 and
+:func:`median_heuristic` take their distances from
+``scipy.spatial.distance`` (``cdist`` and ``pdist``), imported where they
+call it rather than at the top of this module: that import costs about
+half a second, and the linear kernel, the concentration certificate,
+dataset generation and every tile of rows with one coordinate (such as the
+calibration chain's scores and outcomes) never need it.  A one-coordinate
+tile is the squared or absolute difference of the two columns, formed by
+numpy with cdist's bits.  When the first rbf pass of a process is a split
+pass, the calling thread and a pool thread may reach the import together;
+Python's per-module import lock makes the later one wait for the module.
 
 The rbf and laplacian families are characteristic on R^d, so a zero kernel
 discrepancy identifies the distributions; the linear kernel only separates
@@ -264,6 +272,9 @@ def kernel_matmul(spec: KernelSpec, A, B, M) -> np.ndarray:
     sizes.  Each tile is reduced one output row at a time (a dot product of
     that row with each column of ``M``), so an output row depends only on
     its own input row: identical rows of ``A`` get bit-identical outputs.
+    Each tile is reduced against the live columns of its rows of ``M`` only
+    (the smallest range holding their nonzeros), and a tile whose rows of
+    ``M`` are all zero is skipped; neither changes a bit of the result.
     For the linear kernel the product is A (B' M), and no tile is formed.
 
     A pass of at least two tiles per CPU hands its row tiles out to one
@@ -302,25 +313,50 @@ def _matmul_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, M: np.ndar
     else:
         out = np.zeros((n, Mt.shape[0]))
         small = n * m < 2 * TILE * TILE * _WORKERS
-        _row_tile_pass(spec, A, B, Mt, out, 1 if small else min(_WORKERS, -(-n // TILE)))
+        _row_tile_pass(spec, A, B, Mt, _live_columns(Mt), out,
+                       1 if small else min(_WORKERS, -(-n // TILE)))
     return out.reshape(n) if M.ndim == 1 else out
 
 
-def _tile_pass(spec: KernelSpec, Ai, B, Mt, acc, bufs, prod) -> None:
-    """Add K(Ai, B) @ Mt' to ``acc`` for one row tile ``Ai`` over TILE-column
-    tiles in ascending order, each tile written into the flat buffers
-    ``bufs`` and its product into ``prod``."""
-    part = prod[: Ai.shape[0]]
-    for j in range(0, B.shape[0], TILE):
-        acc += np.einsum("ij,kj->ik", _pairwise_unchecked(spec, Ai, B[j : j + TILE], bufs),
-                         Mt[:, j : j + TILE], out=part)
+def _live_columns(Mt: np.ndarray) -> list:
+    """``(j, lo, hi)`` for each TILE-column block ``j`` of the pass whose
+    coefficients ``Mt[:, j : j + TILE]`` hold a nonzero: ``[lo, hi)`` is the
+    smallest range of Mt's rows (M's columns) that holds all of them.  A
+    block without one is left out."""
+    k, m = Mt.shape
+    if Mt.size and Mt.all():  # dense, as in the gradient passes: no search
+        return [(j, 0, k) for j in range(0, m, TILE)]
+    live = np.logical_or.reduceat(Mt != 0, range(0, m, TILE), axis=1).T.tolist()
+    return [(j, cols.index(True), k - cols[::-1].index(True))
+            for j, cols in zip(range(0, m, TILE), live) if True in cols]
 
 
-def _row_tile_pass(spec: KernelSpec, A, B, Mt, out, workers: int) -> None:
-    """Add K(A, B) @ Mt' to ``out`` on ``workers`` threads, the calling
-    thread and ``workers - 1`` pool threads (no pool for one worker), each
-    drawing one row tile at a time from one shared, lock-guarded iterator
-    and reducing it with :func:`_tile_pass` until none is left.
+def _tile_pass(spec: KernelSpec, Ai, B, Mt, blocks, acc, bufs, prod) -> None:
+    """Add K(Ai, B) @ Mt' to ``acc`` for one row tile ``Ai`` over the live
+    column blocks ``blocks`` of :func:`_live_columns`, in ascending order:
+    block ``(j, lo, hi)`` reduces the tile K(Ai, B[j : j + TILE]), written
+    into the flat buffers ``bufs``, against Mt's rows ``[lo, hi)`` only, its
+    product written into the flat buffer ``prod``.
+
+    Each entry of the product is one dot of a tile row with one row of Mt,
+    whatever other rows take part, and a skipped column or block would only
+    add zeros (finite kernel values times zero) to ``acc``; so the result
+    has the bits of reducing every tile against all of Mt.
+    """
+    rows = Ai.shape[0]
+    for j, lo, hi in blocks:
+        part = prod[: rows * (hi - lo)].reshape(rows, hi - lo)
+        acc[:, lo:hi] += np.einsum("ij,kj->ik",
+                                   _pairwise_unchecked(spec, Ai, B[j : j + TILE], bufs),
+                                   Mt[lo:hi, j : j + TILE], out=part)
+
+
+def _row_tile_pass(spec: KernelSpec, A, B, Mt, blocks, out, workers: int) -> None:
+    """Add K(A, B) @ Mt' to ``out``, over the live column blocks ``blocks``,
+    on ``workers`` threads, the calling thread and ``workers - 1`` pool
+    threads (no pool for one worker), each drawing one row tile at a time
+    from one shared, lock-guarded iterator and reducing it with
+    :func:`_tile_pass` until none is left.
 
     Each row tile is reduced by one thread over the same column tiles in the
     same order, so the result has the same bits whatever the number of
@@ -337,10 +373,10 @@ def _row_tile_pass(spec: KernelSpec, A, B, Mt, out, workers: int) -> None:
                 i = next(rows, None)
             if i is None:
                 return
-            _tile_pass(spec, A[i : i + TILE], B, Mt, out[i : i + TILE], bufs, prod)
+            _tile_pass(spec, A[i : i + TILE], B, Mt, blocks, out[i : i + TILE], bufs, prod)
 
     jobs = [([np.empty(tile_rows * cols) for _ in range(_tiles_needed(spec))],
-             np.empty((tile_rows, Mt.shape[0]))) for _ in range(workers)]
+             np.empty(tile_rows * Mt.shape[0])) for _ in range(workers)]
     futures = [_pool().submit(drain, *job) for job in jobs[1:]]
     try:
         drain(*jobs[0])
@@ -396,6 +432,11 @@ def _pairwise_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, bufs=())
         # Not matmul: numpy takes another routine for a one-row product, so a
         # row in a one-row tile could differ in its last bits from its copies.
         return np.einsum("id,jd->ij", A, B, out=K)
+    if A.shape[1] == 1:
+        # One coordinate: the squared or absolute difference, cdist's bits.
+        D = np.subtract(A, B.T, out=K)
+        return _exp_scaled(spec, np.square(D, out=D) if spec.family == "rbf"
+                           else np.abs(D, out=D))
     from scipy.spatial.distance import cdist
 
     return _exp_scaled(spec, cdist(A, B, _DISTANCES[spec.family], out=K))

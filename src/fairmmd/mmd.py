@@ -229,11 +229,13 @@ class CellSums:
     """Kernel sums of a labelled dataset against each of its four (s, y) cells.
 
     ``rows[i, c]`` is the sum of k(z_i, z_j) over the rows j of cell c, i.e.
-    ``K(Z, Z) @ onehot(cell)`` from one kernel pass; ``block[c, c']`` sums
-    ``rows`` over the rows of cell c, ``diag[c]`` sums k(z_i, z_i) over cell
-    c, and ``counts[c]`` is its size.  Cells are indexed c = 2 s + y, the
-    order of :data:`fairmmd.synth.CELLS`.  Groups of cells are given as
-    tuples of (s, y) pairs.
+    ``K(Z, Z) @ onehot(cell)`` from one kernel pass, whose columns are taken
+    in cell order so that each column tile is reduced against the cells it
+    holds only (row i's sums run over the rows j in that order);
+    ``block[c, c']`` sums ``rows`` over the rows of cell c, ``diag[c]`` sums
+    k(z_i, z_i) over cell c, and ``counts[c]`` is its size.  Cells are
+    indexed c = 2 s + y, the order of :data:`fairmmd.synth.CELLS`.  Groups
+    of cells are given as tuples of (s, y) pairs.
 
     For the linear kernel ``block`` and ``diag`` are taken from the rows
     centred on their pooled mean, so data far from the origin do not cancel
@@ -303,9 +305,16 @@ def cell_sums(spec: KernelSpec, data: LabeledDataset) -> CellSums:
 def _cell_sums(spec: KernelSpec, z, cell, counts, matmul=_matmul_unchecked) -> CellSums:
     """:func:`cell_sums` of the rows ``z`` with cells ``cell`` and cell sizes
     ``counts``, its pass made by ``matmul``: by default one that takes the
-    rows as checked."""
+    rows as checked.
+
+    The pass sums over the rows in cell order (a stable sort of ``cell``), so
+    that each column tile of the pass holds one cell, or the few that meet
+    in it, and is reduced against their columns only; its output rows stay
+    in data order.
+    """
     onehot = (cell[:, None] == np.arange(4)).astype(float)
-    rows = matmul(spec, z, z, onehot)
+    order = np.argsort(cell, kind="stable")
+    rows = matmul(spec, z, z[order], onehot[order])
     if spec.family == "linear":
         zc = z - z.mean(axis=0)
         per_cell = onehot.T @ zc

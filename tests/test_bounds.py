@@ -87,6 +87,26 @@ def test_ba_bounds_refuse_negative_trials_and_no_anchors(unbiased_pop, options):
         check_ba_bounds(rbf(1.0), data, **options)
 
 
+def test_ba_bounds_norm_every_probe_in_one_pass(unbiased_pop, monkeypatch):
+    """With the dataset's cell sums kept, check_ba_bounds makes two kernel
+    passes whatever the number of probes: one among the anchors for every
+    probe's norm, and one of the rows against the anchors for every probe's
+    scores."""
+    from fairmmd import bounds, fairness, mmd
+
+    data = sample_population(unbiased_pop, 600, seed=4)
+    spec = rbf(0.7)
+    cell_sums(spec, data)
+    calls = []
+    for module in (bounds, fairness, mmd):
+        def counted(*args, _real=module.kernel_matmul):
+            calls.append(args[1].shape[0])
+            return _real(*args)
+        monkeypatch.setattr(module, "kernel_matmul", counted)
+    check_ba_bounds(spec, data, trials=30, seed=5, n_anchors=40)
+    assert sorted(calls) == [40, 600]
+
+
 def test_ba_upper_survives_adversarial_probes(biased_pop):
     """No random ball member may beat the bound even on well-separated data."""
     data = sample_population(biased_pop, 1200, seed=6)

@@ -429,7 +429,18 @@ def test_malformed_option_is_refused_before_any_work(tmp_path, capsys, monkeypat
     ("bounds", {"bounds": {"checks": ["unbiased_equality"], "rate_threshold": -1}},
      "rate_threshold"),
     ("sweep", {"sweep": {"dc_bins": 0}}, "dc_bins"),
-], ids=["max-support", "rate-threshold", "dc-bins"])
+    ("bounds", {"bounds": {"trials": -1}}, "trials"),
+    ("bounds", {"bounds": {"n_anchors": 0}}, "n_anchors"),
+    ("concentration", {"concentration": {"grid": [[[1, 0], [0, 1]]], "trials": 0}}, "trials"),
+    ("concentration", {"concentration": {"grid": [[[1, 0], [0, 1]]], "g_trials": 1}},
+     "g_trials"),
+    ("metrics", {"metrics": {"bins": 0}}, "bins"),
+    ("generate", {"n": 0}, "n"),
+    ("train", {"train": {"steps": 0}}, "steps"),
+    ("train", {"train": {"encoder_dim": 0}}, "encoder_dim"),
+    ("sweep", {"train": {"batch": 7}}, "batch"),
+], ids=["max-support", "rate-threshold", "dc-bins", "bounds-trials", "n-anchors",
+        "concentration-trials", "g-trials", "bins", "n", "steps", "encoder-dim", "batch"])
 def test_out_of_range_option_names_its_field_before_any_work(tmp_path, capsys, monkeypatch,
                                                              command, extra, field):
     """A count or threshold below its range is a malformed option: the error

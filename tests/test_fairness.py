@@ -131,6 +131,13 @@ def test_scores_stay_in_unit_interval(unbiased_pop):
         assert t.min() >= 0.0 and t.max() <= 1.0
 
 
+def test_ball_classifier_refuses_a_zero_norm():
+    for spec, anchors, coefs in ((rbf(1.0), np.ones((3, 2)), np.zeros(3)),
+                                 (linear(1.0), np.zeros((3, 2)), np.ones(3))):
+        with pytest.raises(ValidationError, match="zero RKHS norm"):
+            ball_classifier(spec, anchors, coefs)
+
+
 def test_random_ball_classifier_is_seeded(unbiased_pop):
     data = sample_population(unbiased_pop, 100, seed=2)
     a = random_ball_classifier(rbf(1.0), data.z[:30], seed=9)

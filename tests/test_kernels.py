@@ -212,6 +212,42 @@ def test_aligned_rows_have_the_bits_of_pairwise(make, d):
                                   np.diagonal(pairwise(spec, A, B)))
 
 
+@pytest.mark.parametrize("make", [rbf, laplacian], ids=["rbf", "laplacian"])
+def test_one_coordinate_tiles_have_the_bits_of_cdist(make):
+    """At d = 1 the rbf and laplacian tiles take their distances from numpy,
+    with the bits of scipy's cdist at several bandwidths and scales."""
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(43)
+    for scale in (1e-3, 1.0, 1e3):
+        A, B = rng.normal(size=(300, 1)) * scale, rng.normal(size=(TILE + 1, 1)) * scale
+        B[:20] = A[:20]
+        for sigma in (1e-3, 0.1, 0.5, 0.7, 1.0, 3.3):
+            spec = make(sigma)
+            want = kernels._exp_scaled(spec, cdist(A, B, kernels._DISTANCES[spec.family]))
+            np.testing.assert_array_equal(pairwise(spec, A, B), want)
+
+
+# Run in a fresh interpreter, where scipy is not loaded yet.
+_ONE_COORDINATE_PASSES = """
+import sys
+import numpy as np
+from fairmmd import kernels
+
+rng = np.random.default_rng(44)
+Z = rng.normal(size=(2 * kernels.TILE + 5, 2))
+for spec, rows in ((kernels.rbf(0.7), Z[:, :1]), (kernels.laplacian(1.3), Z[:, 1:]),
+                   (kernels.product(kernels.rbf(1.0), kernels.laplacian(2.0), split=1), Z)):
+    kernels.kernel_matmul(spec, rows, rows, np.ones(Z.shape[0]))
+assert not [m for m in sys.modules if m.startswith("scipy.spatial")], "scipy.spatial was imported"
+"""
+
+
+def test_one_coordinate_passes_never_import_scipy():
+    proc = run_python(_ONE_COORDINATE_PASSES)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("sigma", [1e-160, 1e-300, 1e-320])
 def test_bandwidth_scale_must_be_finite(sigma):
     """A bandwidth whose kernel scale, 1/(2 sigma^2) for rbf or 1/sigma for
@@ -373,8 +409,10 @@ def _tiled_reference(spec, A, B, M):
 @pytest.mark.parametrize("family", sorted(STREAMED_SPECS))
 def test_row_split_is_bit_identical_to_serial(family, monkeypatch):
     """A pass split across 1, 2 or 3 workers gives the bits of the serial
-    tile loop: square and rectangular passes, 1 and 4 columns of M, row counts
-    that split unevenly, and copies of a row on both sides of a boundary."""
+    tile loop: square and rectangular passes, 1 and 4 columns of M, a one-hot
+    M in cell order, an M with an all-zero column tile and with zero columns
+    inside another tile's live range, row counts that split unevenly, and
+    copies of a row on both sides of a boundary."""
     spec = STREAMED_SPECS[family]
     rng = np.random.default_rng(31)
     pools = []
@@ -390,7 +428,12 @@ def test_row_split_is_bit_identical_to_serial(family, monkeypatch):
         copies = [0, TILE - 1, TILE, 2 * TILE - 1, 2 * TILE]
         A[copies] = A[copies[0]]
         B = A if m is None else rng.normal(size=(m, 3))
-        for M in (rng.normal(size=B.shape[0]), rng.normal(size=(B.shape[0], 4))):
+        vec, dense = rng.normal(size=B.shape[0]), rng.normal(size=(B.shape[0], 4))
+        cells = np.arange(B.shape[0]) * 4 // B.shape[0]
+        sparse = dense.copy()
+        sparse[TILE : 2 * TILE] = 0.0
+        sparse[:TILE, 1:3] = 0.0
+        for M in (vec, dense, (cells[:, None] == np.arange(4)).astype(float), sparse):
             want = None if family == "linear" else _tiled_reference(spec, A, B, M)
             for workers in (1, 2, 3):
                 monkeypatch.setattr(kernels, "_WORKERS", workers)
@@ -401,6 +444,32 @@ def test_row_split_is_bit_identical_to_serial(family, monkeypatch):
                 for i in copies[1:]:
                     np.testing.assert_array_equal(got[i], got[copies[0]])
     assert pools or family == "linear"
+
+
+def test_all_zero_column_tile_is_never_evaluated(monkeypatch):
+    """A column tile on which M is all zero costs no kernel tile: with the
+    middle of three column tiles zeroed, a pass over two row tiles evaluates
+    the four other tiles and gives the bits of the serial tile loop; with M
+    all zero it evaluates none and gives zeros."""
+    rng = np.random.default_rng(39)
+    A, B = rng.normal(size=(2 * TILE, 2)), rng.normal(size=(3 * TILE, 2))
+    M = rng.normal(size=(3 * TILE, 3))
+    M[TILE : 2 * TILE] = 0.0
+    starts, real = [], kernels._pairwise_unchecked
+    base = B.__array_interface__["data"][0]
+
+    def counting(spec, Ai, Bj, *args):
+        starts.append((Bj.__array_interface__["data"][0] - base) // B.strides[0])
+        return real(spec, Ai, Bj, *args)
+
+    monkeypatch.setattr(kernels, "_pairwise_unchecked", counting)
+    got = kernels._matmul_unchecked(rbf(1.0), A, B, M)
+    assert sorted(starts) == [0, 0, 2 * TILE, 2 * TILE]
+    starts.clear()
+    assert not kernels._matmul_unchecked(rbf(1.0), A, B, np.zeros((3 * TILE, 2))).any()
+    assert starts == []
+    monkeypatch.setattr(kernels, "_pairwise_unchecked", real)
+    np.testing.assert_array_equal(got, _tiled_reference(rbf(1.0), A, B, M))
 
 
 def test_small_pass_never_uses_the_pool(monkeypatch):
