@@ -235,7 +235,9 @@ def check_ba_bounds(
     anchors = data.z[rng.choice(data.n, size=min(n_anchors, data.n), replace=False)]
     scores = [witness_scores(sums, GROUP_CELLS[1], GROUP_CELLS[0])]
     if trials:
-        # Probe t is random_ball_classifier(spec, anchors, seed * 100003 + t).
+        # Probe t is random_ball_classifier(spec, anchors, seed * 100003 + t),
+        # bit for bit for tiled kernels; the linear kernel's norms come from
+        # one product of all columns, so they match it to rounding only.
         coefs = np.column_stack([_random_coefs(int(seed) * 100003 + t, anchors.shape[0])
                                  for t in range(trials)])
         coefs *= _ball_scales(spec, anchors, coefs)

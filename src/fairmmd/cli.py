@@ -129,7 +129,9 @@ def _options(cfg: dict, section: str, table) -> dict:
     through :func:`_parse`, so an error names its field.  A ``table`` given
     as ``(key, default, tables)`` is a variant section: its ``key`` picks one
     of ``tables`` (their keys are the allowed values) as the table of its
-    other options.
+    other options.  A converter with a ``given`` attribute is replaced by
+    ``given(options read before it)``, so that a range is checked only
+    where the option is used.
     """
     if isinstance(table, tuple):
         key, default, tables = table
@@ -143,6 +145,7 @@ def _options(cfg: dict, section: str, table) -> dict:
             raise ConfigurationError(f'"{".".join(path)}" in config must be an object, got {opts!r}')
     out = {}
     for key, (default, convert) in table.items():
+        convert = getattr(convert, "given", lambda _: convert)(out)
         what = f'{section} "{key}"'.lstrip()
         if key not in opts and default is _REQUIRED:
             raise ConfigurationError(f"config needs {what}")
@@ -221,8 +224,10 @@ def _sigma(value):
 
 
 # Options every command reads.  The rows come from an inline ``population``
-# or from a ``dataset`` CSV, whose path is relative to the config file.
-_TOP = {"seed": (0, _seed), "out": ("reports", _str), "n": (1000, _at_least(1, _int)),
+# or from a ``dataset`` CSV, whose path is relative to the config file.  A
+# dataset CSV and "concentration" leave ``n`` unused, so its range (>= 1) is
+# checked by ``sample_population``, before it draws a row.
+_TOP = {"seed": (0, _seed), "out": ("reports", _str), "n": (1000, _int),
         "dataset": (None, _optional(_str)),
         "population": (None, _optional(population_from_dict))}
 
@@ -554,6 +559,17 @@ _TOLERANCES = {"unbiased_equality": (0.02, _float), "biased_lower_bound": (0.03,
                "ba_bounds": (0.01, _float), "calibration_chain": (0.05, _float),
                "tvd_dominance": (1e-9, _float)}
 
+
+def _if_checked(check, low, convert):
+    """A converter for a "bounds" option that only the check ``check``
+    reads: alone, :func:`_at_least` of ``low`` and ``convert``; where
+    "checks" does not name ``check``, :func:`_options` reads the option
+    with ``convert`` alone, so an unused value is not refused."""
+    ranged = _at_least(low, convert)
+    ranged.given = lambda opts: ranged if check in opts["checks"] else convert
+    return ranged
+
+
 # What each command reads, all of it read by ``main`` before the command
 # runs, in this order: every option, then the command's input, then the
 # kernel of its "kernel" section.  The input is "rows" (a dataset CSV or a
@@ -570,9 +586,10 @@ _READS = {
     "bounds": ("rows", {"kernel": _KERNEL, "bounds": {
         "checks": (["biased_lower_bound", "ba_bounds", "calibration_chain"],
                    _list_of(_one_of(*_TOLERANCES))),
-        "rate_threshold": (0.02, _at_least(0.0, _float)), "trials": (50, _at_least(0, _int)),
-        "n_anchors": (100, _at_least(1, _int)), "sigma_u": (0.5, _float),
-        "sigma_y": (1.0, _float), "max_support": (64, _at_least(1, _int))},
+        "rate_threshold": (0.02, _if_checked("unbiased_equality", 0.0, _float)),
+        "trials": (50, _if_checked("ba_bounds", 0, _int)),
+        "n_anchors": (100, _if_checked("ba_bounds", 1, _int)), "sigma_u": (0.5, _float),
+        "sigma_y": (1.0, _float), "max_support": (64, _if_checked("tvd_dominance", 1, _int))},
         "bounds.tolerances": _TOLERANCES}),
     "concentration": ("population", {"concentration": {
         "grid": (_REQUIRED, _list_of(_list_of(_list_of(_float)))),

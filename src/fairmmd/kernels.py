@@ -313,30 +313,31 @@ def _matmul_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, M: np.ndar
     else:
         out = np.zeros((n, Mt.shape[0]))
         small = n * m < 2 * TILE * TILE * _WORKERS
-        _row_tile_pass(spec, A, B, Mt, _live_columns(Mt), out,
+        _row_tile_pass(spec, A, B, _live_columns(Mt), out,
                        1 if small else min(_WORKERS, -(-n // TILE)))
     return out.reshape(n) if M.ndim == 1 else out
 
 
 def _live_columns(Mt: np.ndarray) -> list:
-    """``(j, lo, hi)`` for each TILE-column block ``j`` of the pass whose
-    coefficients ``Mt[:, j : j + TILE]`` hold a nonzero: ``[lo, hi)`` is the
-    smallest range of Mt's rows (M's columns) that holds all of them.  A
-    block without one is left out."""
-    k, m = Mt.shape
-    if Mt.size and Mt.all():  # dense, as in the gradient passes: no search
-        return [(j, 0, k) for j in range(0, m, TILE)]
-    live = np.logical_or.reduceat(Mt != 0, range(0, m, TILE), axis=1).T.tolist()
-    return [(j, cols.index(True), k - cols[::-1].index(True))
-            for j, cols in zip(range(0, m, TILE), live) if True in cols]
+    """``(j, cols, Mt[cols, j : j + TILE])`` for each TILE-column block ``j``
+    of the pass whose coefficients ``Mt[:, j : j + TILE]`` hold a nonzero:
+    ``cols`` is the smallest slice of Mt's rows (M's columns) that holds all
+    of them.  A block without one is left out."""
+    blocks = []
+    for j in range(0, Mt.shape[1], TILE):
+        live = Mt[:, j : j + TILE].any(axis=1).tolist()
+        if True in live:
+            cols = slice(live.index(True), len(live) - live[::-1].index(True))
+            blocks.append((j, cols, Mt[cols, j : j + TILE]))
+    return blocks
 
 
-def _tile_pass(spec: KernelSpec, Ai, B, Mt, blocks, acc, bufs, prod) -> None:
+def _tile_pass(spec: KernelSpec, Ai, B, blocks, acc, bufs, prod) -> None:
     """Add K(Ai, B) @ Mt' to ``acc`` for one row tile ``Ai`` over the live
     column blocks ``blocks`` of :func:`_live_columns`, in ascending order:
-    block ``(j, lo, hi)`` reduces the tile K(Ai, B[j : j + TILE]), written
-    into the flat buffers ``bufs``, against Mt's rows ``[lo, hi)`` only, its
-    product written into the flat buffer ``prod``.
+    block ``(j, cols, Mj)`` reduces the tile K(Ai, B[j : j + TILE]), written
+    into the flat buffers ``bufs``, against Mt's rows ``cols`` only (``Mj``),
+    its product written into the flat buffer ``prod``.
 
     Each entry of the product is one dot of a tile row with one row of Mt,
     whatever other rows take part, and a skipped column or block would only
@@ -344,14 +345,14 @@ def _tile_pass(spec: KernelSpec, Ai, B, Mt, blocks, acc, bufs, prod) -> None:
     has the bits of reducing every tile against all of Mt.
     """
     rows = Ai.shape[0]
-    for j, lo, hi in blocks:
-        part = prod[: rows * (hi - lo)].reshape(rows, hi - lo)
-        acc[:, lo:hi] += np.einsum("ij,kj->ik",
-                                   _pairwise_unchecked(spec, Ai, B[j : j + TILE], bufs),
-                                   Mt[lo:hi, j : j + TILE], out=part)
+    for j, cols, Mj in blocks:
+        part = prod[: rows * Mj.shape[0]].reshape(rows, -1)
+        live = acc[:, cols]
+        live += np.einsum("ij,kj->ik", _pairwise_unchecked(spec, Ai, B[j : j + TILE], bufs),
+                          Mj, out=part)
 
 
-def _row_tile_pass(spec: KernelSpec, A, B, Mt, blocks, out, workers: int) -> None:
+def _row_tile_pass(spec: KernelSpec, A, B, blocks, out, workers: int) -> None:
     """Add K(A, B) @ Mt' to ``out``, over the live column blocks ``blocks``,
     on ``workers`` threads, the calling thread and ``workers - 1`` pool
     threads (no pool for one worker), each drawing one row tile at a time
@@ -373,10 +374,10 @@ def _row_tile_pass(spec: KernelSpec, A, B, Mt, blocks, out, workers: int) -> Non
                 i = next(rows, None)
             if i is None:
                 return
-            _tile_pass(spec, A[i : i + TILE], B, Mt, blocks, out[i : i + TILE], bufs, prod)
+            _tile_pass(spec, A[i : i + TILE], B, blocks, out[i : i + TILE], bufs, prod)
 
     jobs = [([np.empty(tile_rows * cols) for _ in range(_tiles_needed(spec))],
-             np.empty(tile_rows * Mt.shape[0])) for _ in range(workers)]
+             np.empty(tile_rows * out.shape[1])) for _ in range(workers)]
     futures = [_pool().submit(drain, *job) for job in jobs[1:]]
     try:
         drain(*jobs[0])

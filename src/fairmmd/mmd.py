@@ -229,9 +229,9 @@ class CellSums:
     """Kernel sums of a labelled dataset against each of its four (s, y) cells.
 
     ``rows[i, c]`` is the sum of k(z_i, z_j) over the rows j of cell c, i.e.
-    ``K(Z, Z) @ onehot(cell)`` from one kernel pass, whose columns are taken
-    in cell order so that each column tile is reduced against the cells it
-    holds only (row i's sums run over the rows j in that order);
+    ``K(Z, Z) @ onehot(cell)`` from one kernel pass, whose columns a tiled
+    kernel takes in cell order so that each column tile is reduced against
+    the cells it holds only (row i's sums run over the rows j in that order);
     ``block[c, c']`` sums ``rows`` over the rows of cell c, ``diag[c]`` sums
     k(z_i, z_i) over cell c, and ``counts[c]`` is its size.  Cells are
     indexed c = 2 s + y, the order of :data:`fairmmd.synth.CELLS`.  Groups
@@ -307,13 +307,16 @@ def _cell_sums(spec: KernelSpec, z, cell, counts, matmul=_matmul_unchecked) -> C
     ``counts``, its pass made by ``matmul``: by default one that takes the
     rows as checked.
 
-    The pass sums over the rows in cell order (a stable sort of ``cell``), so
-    that each column tile of the pass holds one cell, or the few that meet
-    in it, and is reduced against their columns only; its output rows stay
-    in data order.
+    A tiled pass sums over the rows in cell order (a stable sort of
+    ``cell``), so that each column tile of the pass holds one cell, or the
+    few that meet in it, and is reduced against their columns only; its
+    output rows stay in data order.  Rows already in cell order (as a
+    stratified mini-batch's are) are passed as they are, as are the linear
+    kernel's, which forms no tiles.
     """
     onehot = (cell[:, None] == np.arange(4)).astype(float)
-    order = np.argsort(cell, kind="stable")
+    in_order = spec.family == "linear" or bool((cell[1:] >= cell[:-1]).all())
+    order = slice(None) if in_order else np.argsort(cell, kind="stable")
     rows = matmul(spec, z, z[order], onehot[order])
     if spec.family == "linear":
         zc = z - z.mean(axis=0)

@@ -435,12 +435,11 @@ def test_malformed_option_is_refused_before_any_work(tmp_path, capsys, monkeypat
     ("concentration", {"concentration": {"grid": [[[1, 0], [0, 1]]], "g_trials": 1}},
      "g_trials"),
     ("metrics", {"metrics": {"bins": 0}}, "bins"),
-    ("generate", {"n": 0}, "n"),
     ("train", {"train": {"steps": 0}}, "steps"),
     ("train", {"train": {"encoder_dim": 0}}, "encoder_dim"),
     ("sweep", {"train": {"batch": 7}}, "batch"),
 ], ids=["max-support", "rate-threshold", "dc-bins", "bounds-trials", "n-anchors",
-        "concentration-trials", "g-trials", "bins", "n", "steps", "encoder-dim", "batch"])
+        "concentration-trials", "g-trials", "bins", "steps", "encoder-dim", "batch"])
 def test_out_of_range_option_names_its_field_before_any_work(tmp_path, capsys, monkeypatch,
                                                              command, extra, field):
     """A count or threshold below its range is a malformed option: the error
@@ -456,6 +455,28 @@ def test_out_of_range_option_names_its_field_before_any_work(tmp_path, capsys, m
     assert run([command, "--config", write_config(tmp_path, **extra)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f'"{field}"' in err and "expected a value >= " in err, err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("bounds", {"bounds": {"checks": ["biased_lower_bound"], "trials": -1, "n_anchors": 0,
+                           "rate_threshold": -1, "max_support": 0}}),
+    ("concentration", {"n": 0, "concentration": {"grid": GRID, "n_grid": [20, 40],
+                                                 "trials": 3, "g_trials": 4}}),
+    ("metrics", {"n": 0, "dataset": "data.csv"}),
+], ids=["bounds-unselected-checks", "concentration-n", "dataset-n"])
+def test_option_out_of_range_is_refused_only_where_it_is_used(tmp_path, command, extra):
+    """A command refuses an option's range only where it reads the option:
+    the "bounds" options of checks it does not run, and ``n`` for a dataset
+    CSV or for "concentration", may hold any integer."""
+    from fairmmd.synth import population_from_dict, sample_population, write_csv
+
+    write_csv(sample_population(population_from_dict(POPULATION), 200, 0), tmp_path / "data.csv")
+    cfg = write_config(tmp_path, **extra)
+    if "dataset" in extra:
+        cfg_dict = json.loads(cfg.read_text())
+        del cfg_dict["population"]
+        cfg.write_text(json.dumps(cfg_dict))
+    assert run([command, "--config", cfg]) in (0, 1)
 
 
 def test_help_describes_every_command(capsys):
