@@ -31,12 +31,14 @@ Two estimation routes are kept deliberately distinct:
 
   with <m_c, m_c'> the mean of the cross Gram block between cells.  That is
   the quadratic form eok2 = v' K v with one coefficient per row,
-  v_i = (2 s_i - 1) w_{y_i} / n_{cell(i)}, so it is read off the per-cell
-  kernel sums of one pass (:func:`fairmmd.mmd.cell_sums`) as a' S a, with
-  a the per-cell coefficients and S the 4 x 4 cell-block sums.  This is the
-  V-statistic of the mixture discrepancy, nonnegative up to rounding, and
-  differentiable — :func:`eok_gradient_plugin` gives its exact gradient
-  with respect to a linear encoder, which is what the penalized trainer uses.
+  v_i = (2 s_i - 1) w_{y_i} / n_{cell(i)}.  A dataset's estimate reads it
+  off the per-cell kernel sums it keeps (:func:`fairmmd.mmd.cell_sums`) as
+  a' S a, with a the per-cell coefficients and S the 4 x 4 cell-block sums.
+  This is the V-statistic of the mixture discrepancy, nonnegative up to
+  rounding, and differentiable — :func:`eok_gradient_plugin` gives its exact
+  gradient with respect to a linear encoder.  The penalized trainer reads
+  the value, and when it needs it the gradient, from one pass K @ [v, X v]
+  (or K @ v alone) over the encoded rows of each step.
 
 Weights default to the empirical S=0 outcome rates; passing explicit weights
 (e.g. the population's) is supported for oracle comparisons and flagged in
@@ -58,7 +60,7 @@ from .errors import (
     ValidationError,
 )
 from .kernels import KernelSpec, _checked_pair, _matmul_unchecked
-from .mmd import CellSums, _from_sums, _pooled_sums, cell_sums
+from .mmd import _from_sums, _pooled_sums, cell_sums
 from .synth import CELLS, LabeledDataset
 
 __all__ = [
@@ -213,7 +215,8 @@ def eok_hat_plugin(spec: KernelSpec, data: LabeledDataset, weights=None) -> EokE
     populated.
     """
     w, source = _penalty_weights(spec, data, weights, gradient=False)
-    eok2 = _plugin_eok2(cell_sums(spec, data), w)
+    a = _cell_coefficients(w, data.counts)
+    eok2 = float(a @ cell_sums(spec, data).block @ a)
     return EokEstimate(
         eok2=eok2, eok=float(np.sqrt(max(eok2, 0.0))), method="plugin",
         weights=w, weights_source=source, clipped=bool(eok2 < 0),
@@ -239,12 +242,6 @@ def _cell_coefficients(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.array([(2 * s - 1) * w[y] for (s, y) in CELLS]) / np.maximum(counts, 1)
 
 
-def _plugin_eok2(sums: CellSums, w: np.ndarray) -> float:
-    """The plug-in eok2 a' S a from the cell sums S of the rows."""
-    a = _cell_coefficients(w, sums.counts)
-    return float(a @ sums.block @ a)
-
-
 def eok_gradient_plugin(
     spec: KernelSpec, data: LabeledDataset, encoder, weights=None
 ) -> np.ndarray:
@@ -268,18 +265,27 @@ def eok_gradient_plugin(
     if W.ndim != 2 or W.shape[1] != data.dim or not np.isfinite(W).all():
         raise ValidationError(f"encoder must be a finite (d_out, {data.dim}) array, got shape "
                               f"{W.shape}")
-    return _penalty_and_gradient(spec, data.z, data.z @ W.T, data.cell, data.counts, w)[1]
+    v = _cell_coefficients(w, data.counts)[data.cell]
+    return _penalty_and_gradient(spec, data.z, data.z @ W.T, v, gradient=True)[1]
 
 
-def _penalty_and_gradient(spec: KernelSpec, X, Z, cell, counts, w) -> tuple[float, np.ndarray]:
-    """The plug-in eok2 v' K(Z) v of checked rows Z = X W' in cells ``cell``
-    of sizes ``counts`` under mixture weights ``w``, and its encoder
-    gradient, from the one kernel pass of :func:`eok_gradient_plugin` (whose
-    docstring has the formulas)."""
-    v = _cell_coefficients(w, counts)[cell]
+def _penalty_and_gradient(spec: KernelSpec, X, Z, v,
+                          gradient: bool) -> tuple[float, np.ndarray | None]:
+    """The plug-in eok2 v' K(Z) v of checked rows Z = X W' with per-row
+    coefficients ``v`` (which sum to zero), and its encoder gradient (None
+    when ``gradient`` is false), from the one kernel pass of
+    :func:`eok_gradient_plugin` (whose docstring has the formulas); without
+    the gradient that pass is K @ v alone, for any kernel family.
+
+    The linear closed form centres Z and X on their means first: v sums to
+    zero, so no value changes, but rows far from the origin keep their
+    digits."""
     if spec.family == "linear":
-        zv = Z.T @ v
-        return float(zv @ zv), 2.0 * np.outer(zv, X.T @ v)
+        zv = (Z - Z.mean(axis=0)).T @ v
+        d_pen = 2.0 * np.outer(zv, (X - X.mean(axis=0)).T @ v) if gradient else None
+        return float(zv @ zv), d_pen
+    if not gradient:
+        return float(v @ _matmul_unchecked(spec, Z, Z, v)), None
     KM = _matmul_unchecked(spec, Z, Z, np.column_stack([v, X * v[:, None]]))
     Kv = KM[:, 0]
     term_diag = (Z * (v * Kv)[:, None]).T @ X

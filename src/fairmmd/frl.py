@@ -11,14 +11,24 @@ training rows (:func:`fairmmd.eok.eok_hat_plugin`), with its mixture weights
 frozen to the full training set's empirical S=0 outcome rates before the
 first step.  Mini-batches are stratified per (s, y) cell (proportional
 counts, at least one row each) so the penalty stays defined; the frozen
-weights are *not* recomputed per batch.  Both gradient components are
+weights are *not* recomputed per batch.  The penalty is the quadratic form
+v' K v in the per-row coefficients v, which a run computes once from the
+frozen weights and the batch's cells.  Both gradient components are
 analytic: the cross-entropy part in closed form, the penalty part through
-the code of :func:`fairmmd.eok.eok_gradient_plugin`, whose one kernel pass
-also gives the penalty value when lambda > 0.  A run checks its data, kernel
-and weights once; each step then works on the batch's rows as plain arrays,
-with the formulas of :func:`objective_gradient`.  The per-step trace records
-the objective at the pre-update parameters, and total = sup + lambda *
-penalty holds exactly by construction.
+the code of :func:`fairmmd.eok.eok_gradient_plugin`.  Every step makes one
+kernel pass, K @ [v, X v] when lambda > 0 and K @ v when lambda = 0, and
+reads the penalty value from its first column.  A run checks its data,
+kernel and weights once; each step then works on the batch's rows as plain
+arrays, with the formulas of :func:`objective_gradient`.  The per-step trace
+records the objective at the pre-update parameters, and total = sup +
+lambda * penalty holds exactly by construction.
+
+A run stops with :class:`fairmmd.errors.TrainingError`, naming the step,
+as soon as the objective or a parameter stops being finite, or
+(for a kernel with a linear part) as soon as the encoder maps a training
+row outside that part's ball, on which the kernel's bound nu holds.  Its
+arithmetic runs with numpy's floating-point warnings off: such a value ends
+in that error alone.
 
 :func:`lambda_sweep` maps the accuracy/fairness frontier: one dataset, one
 training run per penalty weight, and a metrics row per run (computed on the
@@ -33,9 +43,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import rng_for
-from .eok import (_check_cells, _penalty_and_gradient, _penalty_weights, _plugin_eok2,
-                  empirical_weights, eok_hat_plugin)
-from .errors import TrainingError, ValidationError
+from .eok import (_cell_coefficients, _check_cells, _penalty_and_gradient, _penalty_weights,
+                  eok_hat_plugin)
+from .errors import DomainError, TrainingError, ValidationError
 from .fairness import (
     balanced_accuracy,
     dc,
@@ -46,8 +56,8 @@ from .fairness import (
     logistic_head_classifier,
     sup_dp,
 )
-from .kernels import KernelSpec
-from .mmd import _cell_sums, cell_sums
+from .kernels import KernelSpec, _check_domain
+from .mmd import cell_sums
 from .synth import CELLS, LabeledDataset, PopulationSpec, cell_rows, sample_population
 
 __all__ = [
@@ -136,26 +146,23 @@ def objective_gradient(
     if w.shape != (cfg.encoder_dim,):
         raise ValidationError(f"head weights must be ({cfg.encoder_dim},)")
     weights, _ = _penalty_weights(cfg.kernel, data, weights, gradient=cfg.lam > 0)
-    return _step(cfg, data.z, data.y.astype(float), data.cell, data.counts, W, w, head_b, weights)
+    v = _cell_coefficients(weights, data.counts)[data.cell]
+    return _step(cfg, data.z, data.y.astype(float), v, W, w, head_b)
 
 
-def _step(cfg: TrainConfig, X, y, cell, counts, W, w, b, weights) -> ObjectiveEval:
+def _step(cfg: TrainConfig, X, y, v, W, w, b) -> ObjectiveEval:
     """:func:`objective_gradient` on checked arrays: rows ``X``, outcomes
-    ``y`` as floats, cells ``cell`` of sizes ``counts``, and the penalty's
-    checked mixture ``weights``."""
+    ``y`` as floats and the penalty's per-row coefficients ``v``."""
     Z = X @ W.T
     p = 1.0 / (1.0 + np.exp(-(Z @ w + b)))
     ce = float(-np.mean(y * np.log(p + _LOG_EPS) + (1.0 - y) * np.log(1.0 - p + _LOG_EPS)))
     resid = (p - y) / X.shape[0]
     d_enc = np.outer(w, X.T @ resid)
-    if cfg.lam > 0:
-        penalty, d_pen = _penalty_and_gradient(cfg.kernel, X, Z, cell, counts, weights)
-        d_enc = d_enc + cfg.lam * d_pen
-    else:
-        penalty = _plugin_eok2(_cell_sums(cfg.kernel, Z, cell, counts), weights)
+    penalty, d_pen = _penalty_and_gradient(cfg.kernel, X, Z, v, gradient=cfg.lam > 0)
     return ObjectiveEval(
         sup=ce, penalty=penalty, total=float(ce + cfg.lam * penalty),
-        d_encoder=d_enc, d_head_w=Z.T @ resid, d_head_b=float(resid.sum()),
+        d_encoder=d_enc if d_pen is None else d_enc + cfg.lam * d_pen,
+        d_head_w=Z.T @ resid, d_head_b=float(resid.sum()),
     )
 
 
@@ -193,41 +200,74 @@ def _stratified_batch(
     return LabeledDataset(z=data.z[idx], s=data.s[idx], y=data.y[idx])
 
 
+def _linear_radius(spec: KernelSpec) -> float | None:
+    """The smallest radius among the linear parts of ``spec``; None when it
+    has no linear part."""
+    if spec.family == "linear":
+        return spec.radius
+    return min((r for r in map(_linear_radius, spec.parts or ()) if r is not None), default=None)
+
+
+def _check_step(spec: KernelSpec, X, widest, step: int, option: str, W, *values) -> None:
+    """Raise TrainingError naming ``step`` when the encoder ``W`` or another
+    parameter or objective value in ``values`` is not finite, or (when
+    ``widest``, the largest row norm of ``X``, is given) when ``W`` encodes a
+    row of ``X`` outside the ball of a linear part of ``spec``; the latter
+    also names the config ``option`` to lower.  The encoded rows are checked
+    one by one only when the bound ||W||_2 * widest on their norms, with a
+    margin far wider than rounding, does not keep them inside the smallest
+    ball."""
+    fault = None
+    if not all(np.isfinite(x).all() for x in (W, *values)):
+        fault = "the objective or the parameters diverged"
+    elif widest is not None and not (np.linalg.norm(W, 2) * widest
+                                     <= _linear_radius(spec) * (1 - 1e-6)):
+        try:
+            _check_domain(spec, X @ W.T, "the encoder")
+        except DomainError as exc:
+            fault = f"{exc}; try a smaller train.{option}"
+    if fault is not None:
+        raise TrainingError(f"training step {step}: {fault}", step=step)
+
+
+@np.errstate(all="ignore")
 def train(data: LabeledDataset, cfg: TrainConfig) -> TrainResult:
     """Gradient-descent run; deterministic given (data, cfg).
 
-    The data, kernel and frozen weights are checked once; each step then
-    draws its batch's rows (the draws of :func:`_stratified_batch`) and
-    evaluates the objective of :func:`objective_gradient` on them without a
-    dataset of its own.  Raises TrainingError (with the offending step) if the objective or
-    a gradient stops being finite — typically a step size too large for the
-    data scale.
+    The data, kernel and frozen weights are checked once, and the penalty's
+    per-row coefficients computed once; each step then draws its batch's
+    rows (the draws of :func:`_stratified_batch`) and evaluates the
+    objective of :func:`objective_gradient` on them without a dataset of its
+    own.  Raises TrainingError (with the offending step) if the objective or
+    a parameter stops being finite, or if the encoder takes a training row
+    out of the ball of a linear part of the kernel — typically a step size
+    too large for the data scale.  The run computes with numpy's
+    floating-point warnings off, so such a value ends in that error alone.
     """
     rng = rng_for(cfg.seed, 7)
     W = cfg.init_scale * rng.standard_normal((cfg.encoder_dim, data.dim)) / np.sqrt(data.dim)
     w = cfg.init_scale * rng.standard_normal(cfg.encoder_dim)
     b = 0.0
-    frozen = empirical_weights(data)
     sup_t, pen_t, tot_t = np.empty((3, cfg.steps))
     X, y, cell, counts = data.z, data.y.astype(float), data.cell, data.counts
     if cfg.batch is not None:
         pools = _cell_pools(data)
         takes = _batch_takes(pools, cfg.batch, data.n)
         cell, counts = np.repeat(np.arange(4), takes), np.array(takes)
-    _penalty_weights(cfg.kernel, data, frozen, gradient=cfg.lam > 0)
+    frozen, _ = _penalty_weights(cfg.kernel, data, None, gradient=cfg.lam > 0)
+    v = _cell_coefficients(frozen, counts)[cell]
+    widest = None if _linear_radius(cfg.kernel) is None else np.linalg.norm(data.z, axis=1).max()
+    _check_step(cfg.kernel, data.z, widest, 0, "init_scale", W, w)
     for step in range(cfg.steps):
         if cfg.batch is not None:
             idx = _batch_rows(pools, takes, rng)
             X, y = data.z[idx], data.y[idx].astype(float)
-        ev = _step(cfg, X, y, cell, counts, W, w, b, frozen)
-        if not all(np.isfinite(x).all() for x in (ev.total, ev.d_encoder, ev.d_head_w, ev.d_head_b)):
-            raise TrainingError(f"objective diverged at step {step}", step=step)
+        ev = _step(cfg, X, y, v, W, w, b)
         sup_t[step], pen_t[step], tot_t[step] = ev.sup, ev.penalty, ev.total
         W = W - cfg.step_size * ev.d_encoder
         w = w - cfg.step_size * ev.d_head_w
         b = b - cfg.step_size * ev.d_head_b
-        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(w)) and np.isfinite(b)):
-            raise TrainingError(f"parameters diverged at step {step}", step=step)
+        _check_step(cfg.kernel, data.z, widest, step, "step_size", W, w, b, ev.total)
     return TrainResult(
         encoder=W, head_w=w, head_b=float(b), weights=frozen,
         sup_trace=sup_t, penalty_trace=pen_t, total_trace=tot_t, config=cfg,

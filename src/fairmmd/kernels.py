@@ -58,6 +58,14 @@ numpy with cdist's bits.  When the first rbf pass of a process is a split
 pass, the calling thread and a pool thread may reach the import together;
 Python's per-module import lock makes the later one wait for the module.
 
+scipy stays for d >= 2 because cdist is the faster tile.  A numpy tile
+with cdist's bits (a subtract per coordinate into the tile buffer, square,
+add) takes 266 us for a 256 x 256 rbf tile at d = 2, against cdist's
+138 us (timeit, best of 7, 2-core container).  Over the 400 tiles of an
+n = 5000 pass that would add about 80 ms to an audit cycle of the
+benchmark, and about 0.15 s to a fit cycle; the import it would save costs
+0.27-0.40 s once per process.
+
 The rbf and laplacian families are characteristic on R^d, so a zero kernel
 discrepancy identifies the distributions; the linear kernel only separates
 means.  Characteristicness is taken as a known property of these standard
@@ -363,18 +371,22 @@ def _row_tile_pass(spec: KernelSpec, A, B, blocks, out, workers: int) -> None:
     same order, so the result has the same bits whatever the number of
     workers.  The calling thread allocates every worker's buffers, since
     memory a pool thread allocates stays in that thread's malloc arena after
-    it is freed.
+    it is freed.  numpy's floating-point error settings are per thread, so
+    every worker takes the calling thread's: a split pass warns, or keeps
+    quiet, as the serial one does.
     """
     rows, lock = iter(range(0, A.shape[0], TILE)), threading.Lock()
     tile_rows, cols = min(TILE, A.shape[0]), min(TILE, B.shape[0])
+    err = np.geterr()
 
     def drain(bufs, prod):
-        while True:
-            with lock:
-                i = next(rows, None)
-            if i is None:
-                return
-            _tile_pass(spec, A[i : i + TILE], B, blocks, out[i : i + TILE], bufs, prod)
+        with np.errstate(**err):
+            while True:
+                with lock:
+                    i = next(rows, None)
+                if i is None:
+                    return
+                _tile_pass(spec, A[i : i + TILE], B, blocks, out[i : i + TILE], bufs, prod)
 
     jobs = [([np.empty(tile_rows * cols) for _ in range(_tiles_needed(spec))],
              np.empty(tile_rows * out.shape[1])) for _ in range(workers)]

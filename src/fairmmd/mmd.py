@@ -228,14 +228,15 @@ def gamma_biased(spec: KernelSpec, A, B) -> float:
 class CellSums:
     """Kernel sums of a labelled dataset against each of its four (s, y) cells.
 
+    Made by :func:`cell_sums` alone, once per dataset and kernel.
     ``rows[i, c]`` is the sum of k(z_i, z_j) over the rows j of cell c, i.e.
     ``K(Z, Z) @ onehot(cell)`` from one kernel pass, whose columns a tiled
-    kernel takes in cell order so that each column tile is reduced against
-    the cells it holds only (row i's sums run over the rows j in that order);
-    ``block[c, c']`` sums ``rows`` over the rows of cell c, ``diag[c]`` sums
-    k(z_i, z_i) over cell c, and ``counts[c]`` is its size.  Cells are
-    indexed c = 2 s + y, the order of :data:`fairmmd.synth.CELLS`.  Groups
-    of cells are given as tuples of (s, y) pairs.
+    kernel takes in cell order (row i's sums run over the rows j in that
+    order); ``block[c, c']`` sums ``rows`` over the rows of cell c,
+    ``diag[c]`` sums k(z_i, z_i) over cell c, and ``counts[c]`` is its
+    size.  Cells are indexed c = 2 s + y, the order of
+    :data:`fairmmd.synth.CELLS`.  Groups of cells are given as tuples of
+    (s, y) pairs.
 
     For the linear kernel ``block`` and ``diag`` are taken from the rows
     centred on their pooled mean, so data far from the origin do not cancel
@@ -291,40 +292,29 @@ def _cell_ids(cells) -> list:
 def cell_sums(spec: KernelSpec, data: LabeledDataset) -> CellSums:
     """One kernel pass over ``data.z`` summarized per (s, y) cell.
 
+    A tiled pass sums over the rows in cell order (a stable sort of the
+    cells), so that each column tile of the pass holds one cell, or the few
+    that meet in it, and is reduced against their columns only; its output
+    rows stay in data order.  The linear kernel, which forms no tiles, keeps
+    data order.
+
     The dataset keeps the result for ``spec``, so every later call with an
     equal spec returns the same object without a pass of its own; its arrays
     are read-only.
     """
     if spec in data._kernel_sums:
         return data._kernel_sums[spec]
-    sums = data._kernel_sums[spec] = _cell_sums(spec, data.z, data.cell, data.counts,
-                                                kernel_matmul)
-    return sums
-
-
-def _cell_sums(spec: KernelSpec, z, cell, counts, matmul=_matmul_unchecked) -> CellSums:
-    """:func:`cell_sums` of the rows ``z`` with cells ``cell`` and cell sizes
-    ``counts``, its pass made by ``matmul``: by default one that takes the
-    rows as checked.
-
-    A tiled pass sums over the rows in cell order (a stable sort of
-    ``cell``), so that each column tile of the pass holds one cell, or the
-    few that meet in it, and is reduced against their columns only; its
-    output rows stay in data order.  Rows already in cell order (as a
-    stratified mini-batch's are) are passed as they are, as are the linear
-    kernel's, which forms no tiles.
-    """
-    onehot = (cell[:, None] == np.arange(4)).astype(float)
-    in_order = spec.family == "linear" or bool((cell[1:] >= cell[:-1]).all())
-    order = slice(None) if in_order else np.argsort(cell, kind="stable")
-    rows = matmul(spec, z, z[order], onehot[order])
+    onehot = (data.cell[:, None] == np.arange(4)).astype(float)
+    order = slice(None) if spec.family == "linear" else np.argsort(data.cell, kind="stable")
+    rows = kernel_matmul(spec, data.z, data.z[order], onehot[order])
     if spec.family == "linear":
-        zc = z - z.mean(axis=0)
+        zc = data.z - data.z.mean(axis=0)
         per_cell = onehot.T @ zc
         block, diag = per_cell @ per_cell.T, _aligned_unchecked(spec, zc, zc)
     else:
-        block, diag = onehot.T @ rows, _aligned_unchecked(spec, z, z)
-    diag = np.bincount(cell, weights=diag, minlength=4)
+        block, diag = onehot.T @ rows, _aligned_unchecked(spec, data.z, data.z)
+    diag = np.bincount(data.cell, weights=diag, minlength=4)
     for arr in (rows, block, diag):
         arr.flags.writeable = False
-    return CellSums(spec=spec, rows=rows, block=block, diag=diag, counts=counts)
+    data._kernel_sums[spec] = CellSums(spec, rows, block, diag, data.counts)
+    return data._kernel_sums[spec]

@@ -23,6 +23,7 @@ column for externally supplied classifier scores.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,17 +280,22 @@ def read_csv(path) -> tuple[LabeledDataset, np.ndarray | None]:
     """Read a dataset written by :func:`write_csv`.
 
     Returns the dataset and, when the file carries a trailing ``score``
-    column, the score vector (otherwise None).
+    column, the score vector (otherwise None).  A file with no data rows
+    (empty, or a header alone) is refused.
     """
     try:
-        with open(path) as fh:
+        with open(path) as fh, warnings.catch_warnings():
             header = fh.readline().strip().split(",")
+            # loadtxt warns on a file with no data rows, which is refused below.
+            warnings.simplefilter("ignore", UserWarning)
             raw = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ValidationError(f"cannot read dataset CSV {path}: {exc.strerror}") from exc
     except ValueError as exc:
         # A row with a field too many or too few, or a field that is not a number.
         raise ValidationError(f"malformed dataset CSV {path}: {exc}") from exc
+    if raw.shape[0] == 0:
+        raise ValidationError(f"dataset CSV {path} has no data rows")
     has_score = header[-1] == "score"
     d = len(header) - 2 - (1 if has_score else 0)
     expected = [f"z_{j}" for j in range(d)] + ["s", "y"] + (["score"] if has_score else [])

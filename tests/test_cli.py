@@ -214,6 +214,8 @@ BAD_CSV = {
     "extra-field.csv": "z_0,z_1,s,y\n0.1,0.2,0,1\n0.3,0.4,1,0,7\n",
     "non-numeric.csv": "z_0,z_1,s,y\n0.1,0.2,0,1\n0.3,abc,1,0\n",
     "fractional-label.csv": "z_0,s,y\n0.1,0.7,1\n0.3,1,0\n0.5,0,0\n0.2,1,1\n",
+    "empty.csv": "",
+    "header-only.csv": "z_0,z_1,s,y\n",
 }
 
 
@@ -228,6 +230,8 @@ BAD_CSV = {
     ("eok", {"dataset": "non-numeric.csv"}, []),
     ("eok", {"dataset": "missing.csv"}, []),
     ("eok", {"dataset": "fractional-label.csv"}, []),
+    ("metrics", {"dataset": "empty.csv"}, []),
+    ("train", {"dataset": "header-only.csv"}, []),
     ("eok", {"kernel": {"family": "rbf", "sigma": 1e308}}, []),
     ("eok", {"kernel": {"family": "rbf", "sigma": 1e-170}}, []),
     # 8e17 bytes for one column of draws, more than any address space holds,
@@ -277,7 +281,8 @@ BAD_CSV = {
     ("sweep", {"sweep": {"dc_bins": -1}}, []),
 ], ids=["trials-zero", "trials-negative", "delta-out-of-range", "negative-seed",
         "negative-seed-flag", "negative-bootstrap-seed", "csv-extra-field",
-        "csv-non-numeric", "csv-missing", "csv-fractional-label", "sigma-squared-overflows",
+        "csv-non-numeric", "csv-missing", "csv-fractional-label", "csv-empty",
+        "csv-header-only", "sigma-squared-overflows",
         "sigma-squared-underflows", "n-beyond-memory", "seed-a-string", "n-a-string",
         "sigma-a-boolean", "sigma-a-numeric-string", "radius-a-string", "delta-a-string",
         "classifier-value-a-boolean", "classifier-bias-a-string", "tolerance-a-boolean",
@@ -382,6 +387,18 @@ def test_command_failing_after_work_writes_no_report(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert not (tmp_path / "reports").exists()
+
+
+def test_training_that_leaves_the_linear_ball_exits_two(tmp_path, capsys):
+    """A sweep whose training steps out of the linear kernel's ball stops
+    at that step: exit 2, one stderr line naming the training, no report."""
+    cfg = write_config(tmp_path, n=600, kernel={"family": "linear", "radius": 10},
+                       train={"steps": 20, "batch": 128})
+    assert run(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: training step ") and err.count("\n") == 1, err
+    assert "train.step_size" in err
     assert not (tmp_path / "reports").exists()
 
 

@@ -100,11 +100,6 @@ def _not_strict_json(constant):
     raise ValueError(f"report holds {constant}, which is not strict JSON")
 
 
-# Extreme values make numpy warn (an exp that saturates at a train.lambda or
-# train.step_size of 1e308).  On the command line such a warning only
-# prints; this test checks the exit contract, so it ignores them instead of
-# raising.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_hostile_option_values_keep_the_exit_contract(tmp_path, monkeypatch, capsys, command):
     """Exit 0 or 2, or 1 only for ``bounds``/``concentration`` with a report

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -8,7 +10,10 @@ from fairmmd import (
     TrainingError,
     ValidationError,
     empirical_weights,
+    eok_hat_plugin,
+    kernel_sum,
     lambda_sweep,
+    laplacian,
     linear,
     objective_gradient,
     rbf,
@@ -184,12 +189,20 @@ def test_minibatch_training_refuses_an_empty_cell(unbiased_pop):
         _stratified_batch(data, 16, rng_for(0, 7))
 
 
-def test_divergence_raises_training_error(unbiased_pop):
+def test_divergence_raises_training_error(unbiased_pop, monkeypatch):
+    """A diverging run ends in TrainingError alone, with no numpy warning,
+    also when its kernel passes are split across threads."""
+    from fairmmd import kernels
+
     data = sample_population(unbiased_pop, 80, seed=10)
     with pytest.raises(TrainingError) as exc:
-        with np.errstate(all="ignore"):
-            train(data, _cfg(steps=8, step_size=1e160))
+        train(data, _cfg(steps=8, step_size=1e160))
     assert exc.value.step is not None
+    # A finite initial encoder whose encoded rows overflow.
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    wide = sample_population(unbiased_pop, 600, seed=10)
+    with pytest.raises(TrainingError, match="training step 0"):
+        train(wide, _cfg(steps=2, encoder_dim=1, init_scale=1e308))
 
 
 def test_lambda_sweep_shape_and_frontier():
@@ -263,3 +276,61 @@ def test_train_keeps_the_bits_of_the_written_out_loop(biased_pop, kernel, batch,
     assert_array_equal(res.sup_trace, sup)
     assert_array_equal(res.penalty_trace, penalty)
     assert_array_equal(res.total_trace, total)
+
+
+@pytest.mark.parametrize("kernel", [rbf(0.8), laplacian(1.3), linear(50.0),
+                                    kernel_sum(linear(50.0), rbf(0.7))],
+                         ids=["rbf", "laplacian", "linear", "kernel_sum"])
+def test_unpenalized_step_reports_the_plugin_estimate(biased_pop, kernel):
+    """At lambda = 0 the step's penalty, v' K v from its one pass, is the
+    plug-in eok2 of the encoded rows."""
+    data = sample_population(biased_pop, 301, seed=22)
+    W = np.array([[0.9, -0.4], [0.3, 1.1]])
+    ev = objective_gradient(data, W, np.ones(2), 0.1, _cfg(kernel=kernel, lam=0.0))
+    encoded = LabeledDataset(z=data.z @ W.T, s=data.s, y=data.y)
+    assert_allclose(ev.penalty, eok_hat_plugin(kernel, encoded).eok2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kernel, lam, columns", [
+    (rbf(0.8), 0.0, 1), (laplacian(1.3), 0.0, 1), (rbf(0.8), 1.5, 3),
+], ids=["rbf-lam-0", "laplacian-lam-0", "rbf-lam-1.5"])
+def test_step_makes_one_pass_of_one_shape(biased_pop, monkeypatch, kernel, lam, columns):
+    """A step makes one kernel pass: K @ v without the gradient, and
+    K @ [v, X v] with it."""
+    from fairmmd import eok
+
+    shapes, real = [], eok._matmul_unchecked
+
+    def counted(spec, A, B, M):
+        shapes.append(M.reshape(M.shape[0], -1).shape[1])
+        return real(spec, A, B, M)
+
+    monkeypatch.setattr(eok, "_matmul_unchecked", counted)
+    data = sample_population(biased_pop, 301, seed=23)
+    objective_gradient(data, 0.5 * np.eye(2), np.ones(2), 0.0, _cfg(kernel=kernel, lam=lam))
+    assert shapes == [columns]
+
+
+def test_training_stops_at_the_step_that_leaves_the_linear_ball(biased_pop, monkeypatch):
+    """The update that takes an encoded training row out of the linear
+    kernel's ball ends the run with a TrainingError naming that step; the
+    steps before it keep every row inside."""
+    from fairmmd import frl
+
+    data = sample_population(biased_pop, 600, seed=0)
+    cfg = _cfg(kernel=linear(10.0), lam=10.0, steps=20, batch=128)
+    with pytest.raises(TrainingError, match=r"training step \d+: .* exceeds radius 10") as exc:
+        train(data, cfg)
+    step = exc.value.step
+    assert step >= 1
+    before = train(data, replace(cfg, steps=step))
+    assert np.linalg.norm(data.z @ before.encoder.T, axis=1).max() <= 10.0
+
+    # Rows the bound ||W||_2 max ||x|| keeps inside the ball are not checked
+    # one by one, and a kernel without a linear part checks nothing.
+    def no_check(*args):
+        raise AssertionError("rows checked one by one")
+
+    monkeypatch.setattr(frl, "_check_domain", no_check)
+    train(data, replace(cfg, kernel=linear(1e6), steps=5))
+    train(data, replace(cfg, kernel=rbf(1.0), steps=5))

@@ -537,6 +537,18 @@ def test_error_in_a_pool_thread_reaches_the_caller(monkeypatch):
                                   _tiled_reference(rbf(1.0), A, A, np.ones(A.shape[0])))
 
 
+def test_split_pass_keeps_the_callers_error_settings(monkeypatch):
+    """Pool threads compute under the calling thread's numpy error settings:
+    under np.errstate(all="ignore") a split pass over rows whose differences
+    overflow is as quiet as a serial one."""
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    A = np.full((8 * TILE, 1), 1e308)
+    A[::2] = -1e308
+    with np.errstate(all="ignore"):
+        got = kernels._matmul_unchecked(rbf(1.0), A, A, np.ones(8 * TILE))
+    np.testing.assert_array_equal(got, 4 * TILE)
+
+
 def _split_pass_in_child(conn):
     from fairmmd import kernels
 

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from fairmmd import (
     LabeledDataset,
     SizeError,
+    TrainConfig,
     ValidationError,
     eok_hat_bootstrap,
     eok_hat_plugin,
@@ -15,6 +16,7 @@ from fairmmd import (
     mmd2_biased,
     mmd2_linear_time,
     mmd2_unbiased,
+    objective_gradient,
     pairwise,
     rbf,
     sup_dp,
@@ -234,6 +236,13 @@ def test_linear_fast_paths_ignore_a_far_offset():
     assert_allclose(eok_hat_plugin(spec, far).eok2, eok_hat_plugin(spec, near).eok2, rtol=1e-6)
     assert_allclose(eok_hat_bootstrap(spec, far, seed=12).eok2,
                     eok_hat_bootstrap(spec, near, seed=12).eok2, rtol=1e-6)
+    # The trainer's penalty, with and without its gradient, against the
+    # plug-in estimate of the same far rows; a closed form on uncentred rows
+    # is off by about 1e-10 here.
+    for lam in (0.0, 1.0):
+        cfg = TrainConfig(kernel=spec, lam=lam)
+        assert_allclose(objective_gradient(far, np.eye(2), np.ones(2), 0.0, cfg).penalty,
+                        eok_hat_plugin(spec, far).eok2, rtol=1e-13)
 
 
 @pytest.mark.parametrize("family", sorted(STREAMED_SPECS))

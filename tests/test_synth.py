@@ -269,6 +269,15 @@ def test_csv_rejects_bad_labels(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("text", ["", "z_0,z_1,s,y\n", "z_0,z_1,s,y\n\n"],
+                         ids=["empty", "header-only", "header-and-blank-line"])
+def test_csv_without_data_rows_is_refused(tmp_path, text):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="has no data rows"):
+        read_csv(path)
+
+
 def test_csv_rejects_out_of_range_scores(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("z_0,s,y,score\n0.1,0,0,1.5\n")
