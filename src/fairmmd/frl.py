@@ -56,7 +56,7 @@ from .fairness import (
     logistic_head_classifier,
     sup_dp,
 )
-from .kernels import KernelSpec, _check_domain
+from .kernels import KernelSpec, _check_domain, _has_ball
 from .mmd import cell_sums
 from .synth import CELLS, LabeledDataset, PopulationSpec, cell_rows, sample_population
 
@@ -200,32 +200,20 @@ def _stratified_batch(
     return LabeledDataset(z=data.z[idx], s=data.s[idx], y=data.y[idx])
 
 
-def _linear_radius(spec: KernelSpec) -> float | None:
-    """The smallest radius among the linear parts of ``spec``; None when it
-    has no linear part."""
-    if spec.family == "linear":
-        return spec.radius
-    return min((r for r in map(_linear_radius, spec.parts or ()) if r is not None), default=None)
-
-
-def _check_step(spec: KernelSpec, X, widest, step: int, option: str, W, *values) -> None:
+def _check_step(spec: KernelSpec, X, step: int, option: str, W, *values) -> None:
     """Raise TrainingError naming ``step`` when the encoder ``W`` or another
-    parameter or objective value in ``values`` is not finite, or (when
-    ``widest``, the largest row norm of ``X``, is given) when ``W`` encodes a
-    row of ``X`` outside the ball of a linear part of ``spec``; the latter
-    also names the config ``option`` to lower.  The encoded rows are checked
-    one by one only when the bound ||W||_2 * widest on their norms, with a
-    margin far wider than rounding, does not keep them inside the smallest
-    ball."""
+    parameter or objective value in ``values`` is not finite, or (when rows
+    ``X`` are given) when ``W`` encodes a row of ``X`` outside the ball of a
+    linear part of ``spec``; the latter also names the config ``option`` to
+    lower and the kernel radius to raise."""
     fault = None
     if not all(np.isfinite(x).all() for x in (W, *values)):
         fault = "the objective or the parameters diverged"
-    elif widest is not None and not (np.linalg.norm(W, 2) * widest
-                                     <= _linear_radius(spec) * (1 - 1e-6)):
+    elif X is not None:
         try:
             _check_domain(spec, X @ W.T, "the encoder")
         except DomainError as exc:
-            fault = f"{exc}; try a smaller train.{option}"
+            fault = f"{exc}; try a smaller train.{option} or a larger kernel radius"
     if fault is not None:
         raise TrainingError(f"training step {step}: {fault}", step=step)
 
@@ -256,8 +244,8 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> TrainResult:
         cell, counts = np.repeat(np.arange(4), takes), np.array(takes)
     frozen, _ = _penalty_weights(cfg.kernel, data, None, gradient=cfg.lam > 0)
     v = _cell_coefficients(frozen, counts)[cell]
-    widest = None if _linear_radius(cfg.kernel) is None else np.linalg.norm(data.z, axis=1).max()
-    _check_step(cfg.kernel, data.z, widest, 0, "init_scale", W, w)
+    ball = data.z if _has_ball(cfg.kernel) else None
+    _check_step(cfg.kernel, ball, 0, "init_scale", W, w)
     for step in range(cfg.steps):
         if cfg.batch is not None:
             idx = _batch_rows(pools, takes, rng)
@@ -267,7 +255,7 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> TrainResult:
         W = W - cfg.step_size * ev.d_encoder
         w = w - cfg.step_size * ev.d_head_w
         b = b - cfg.step_size * ev.d_head_b
-        _check_step(cfg.kernel, data.z, widest, step, "step_size", W, w, b, ev.total)
+        _check_step(cfg.kernel, ball, step, "step_size", W, w, b, ev.total)
     return TrainResult(
         encoder=W, head_w=w, head_b=float(b), weights=frozen,
         sup_trace=sup_t, penalty_trace=pen_t, total_trace=tot_t, config=cfg,

@@ -246,6 +246,12 @@ def _check_domain(spec: KernelSpec, X: np.ndarray, name: str) -> None:
         _check_domain(spec.parts[1], X, name)
 
 
+def _has_ball(spec: KernelSpec) -> bool:
+    """Whether ``spec`` has a linear part, whose ball :func:`_check_domain`
+    checks rows against."""
+    return spec.family == "linear" or any(map(_has_ball, spec.parts or ()))
+
+
 def _checked_pair(spec: KernelSpec, A, B) -> tuple[np.ndarray, np.ndarray]:
     """Both row sets as float arrays, after the shape and domain checks; one
     row set passed as both (a square pass) is converted and checked once."""

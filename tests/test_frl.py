@@ -326,11 +326,11 @@ def test_training_stops_at_the_step_that_leaves_the_linear_ball(biased_pop, monk
     before = train(data, replace(cfg, steps=step))
     assert np.linalg.norm(data.z @ before.encoder.T, axis=1).max() <= 10.0
 
-    # Rows the bound ||W||_2 max ||x|| keeps inside the ball are not checked
-    # one by one, and a kernel without a linear part checks nothing.
+    assert "train.step_size or a larger kernel radius" in str(exc.value)
+
+    # A kernel without a linear part checks no encoded rows.
     def no_check(*args):
-        raise AssertionError("rows checked one by one")
+        raise AssertionError("encoded rows checked")
 
     monkeypatch.setattr(frl, "_check_domain", no_check)
-    train(data, replace(cfg, kernel=linear(1e6), steps=5))
     train(data, replace(cfg, kernel=rbf(1.0), steps=5))
