@@ -293,8 +293,9 @@ def lambda_sweep(
     (binned by default for readability), the plug-in eok2, the dp supremum,
     and beta_hat (the S=1 group's outcome-conditional discrepancy) — the
     quantity whose product with the outcome-rate gap floors sup_dp.
-    ``dc_bins`` must be None or >= 1; both it and the lambdas are checked
-    before the first training run.
+    ``dc_bins`` must be None or >= 1; it, the lambdas and, when one of them
+    is positive, the kernel's penalty gradient are checked before the first
+    training run.
     """
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
@@ -302,6 +303,8 @@ def lambda_sweep(
     if dc_bins is not None and not dc_bins >= 1:
         raise ValidationError(f"dc_bins must be None or >= 1, got {dc_bins!r}")
     data = sample_population(population, n, seed)
+    if any(lam > 0 for lam in lambdas):
+        _penalty_weights(cfg.kernel, data, None, gradient=True)
     rows = []
     for lam in lambdas:
         res = train(data, replace(cfg, lam=lam))

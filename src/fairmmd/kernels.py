@@ -28,14 +28,28 @@ A pass first finds, for each TILE-column block of K, the smallest range of
 M's columns that holds all of that block's nonzeros; each tile is reduced
 against those columns only, and a block on which M is all zero is never
 evaluated.  A one-hot M whose rows come in cell order so costs about one
-column per tile, whatever the number of cells.  Every pass hands its row
-tiles out one at a time, from one shared, lock-guarded iterator: a small
-pass to the calling thread alone, a pass of at least two tiles per CPU
-also to a small thread pool, one thread per CPU the process may use, so a
-thread that runs slower draws fewer tiles.  Each thread writes its tiles
-into buffers the calling thread allocated.  Every output row still sums
-the same tiles in the same order, so results have the same bits whatever
-the number of CPUs.
+column per tile, whatever the number of cells.  A square pass (``B is A``,
+as in K(Z, Z) @ M) evaluates each pair of tiles once: row tile p forms
+K(A_p, A_b) for the column tiles b >= p only, reduces it for itself, and
+reduces a contiguous transposed copy of it (about 65 us for a 256 x 256
+tile, against about 160 us to evaluate it) against its own column tile's
+coefficients for row tile b.  Every kernel entry is symmetric bit for bit
+((a - b)^2, |a - b|, a . b, and sums and products of such), so the copy
+has the bits of K(A_b, A_p).
+
+Every pass hands its row tiles out one at a time, from one shared,
+lock-guarded sink: a small pass to the calling thread alone, a pass of at
+least two tiles per CPU also to a small thread pool, one thread per CPU the
+process may use, so a thread that runs slower draws fewer tiles.  Every
+product a tile yields goes to that sink, which adds it to its output rows
+only after the products of every column tile before it; one that arrives
+early waits in buffers the calling thread allocated, as do each thread's
+tiles.  A thread takes a row tile only while it is a few tiles past the
+oldest unfinished one, and stops rather than wait when it is not, so the
+waiting products take O(workers n k) floats, like the output, and no
+thread ever waits for another.  Every output row still sums the same
+tiles in the same order, so results have the same bits whatever the number
+of CPUs and whether the pass is square.
 
 All kernel arithmetic lives in this module: the tiles, :func:`pairwise`
 and the aligned-row evaluation k(A[i], B[i]) that the estimators read
@@ -282,19 +296,22 @@ def kernel_matmul(spec: KernelSpec, A, B, M) -> np.ndarray:
     """``K(A, B) @ M`` without materializing the kernel matrix.
 
     The product is accumulated over ``TILE`` x ``TILE`` tiles of K(A, B),
-    columns in ascending order, so memory stays O(TILE^2) whatever the
-    sizes.  Each tile is reduced one output row at a time (a dot product of
-    that row with each column of ``M``), so an output row depends only on
-    its own input row: identical rows of ``A`` get bit-identical outputs.
-    Each tile is reduced against the live columns of its rows of ``M`` only
-    (the smallest range holding their nonzeros), and a tile whose rows of
-    ``M`` are all zero is skipped; neither changes a bit of the result.
-    For the linear kernel the product is A (B' M), and no tile is formed.
+    columns in ascending order, so memory stays O(TILE^2) per thread plus
+    O(n k) whatever the sizes.  Each tile is reduced one output row at a
+    time (a dot product of that row with each column of ``M``), so an
+    output row depends only on its own input row: identical rows of ``A``
+    get bit-identical outputs.  Each tile is reduced against the live
+    columns of its rows of ``M`` only (the smallest range holding their
+    nonzeros), and a tile whose rows of ``M`` are all zero is skipped;
+    neither changes a bit of the result.  For the linear kernel the product
+    is A (B' M), and no tile is formed.
 
-    A pass of at least two tiles per CPU hands its row tiles out to one
-    thread per CPU, a smaller pass to the calling thread alone (see the
-    module docstring); the output does not depend on how many CPUs there
-    are.
+    Passing the same array as ``A`` and ``B`` makes a square pass, which
+    evaluates each pair of tiles once, T(T + 1)/2 tiles for T row tiles in
+    place of T^2, with the same bits (see the module docstring).  A pass of
+    at least two tiles per CPU hands its row tiles out to one thread per
+    CPU, a smaller pass to the calling thread alone; the output does not
+    depend on how many CPUs there are.
 
     Args:
         spec: kernel description.
@@ -346,56 +363,151 @@ def _live_columns(Mt: np.ndarray) -> list:
     return blocks
 
 
-def _tile_pass(spec: KernelSpec, Ai, B, blocks, acc, bufs, prod) -> None:
-    """Add K(Ai, B) @ Mt' to ``acc`` for one row tile ``Ai`` over the live
-    column blocks ``blocks`` of :func:`_live_columns`, in ascending order:
-    block ``(j, cols, Mj)`` reduces the tile K(Ai, B[j : j + TILE]), written
-    into the flat buffers ``bufs``, against Mt's rows ``cols`` only (``Mj``),
-    its product written into the flat buffer ``prod``.
+def _tile_pass(spec: KernelSpec, Ai, B, blocks, t, own, sink, bufs, prod, flip) -> None:
+    """Deliver to ``sink`` the products of row tile ``t`` (rows ``Ai``) with
+    the live column blocks ``blocks`` of :func:`_live_columns`, in ascending
+    order: block ``k = (j, cols, Mj)`` reduces the tile K(Ai, B[j : j + TILE]),
+    written into the flat buffers ``bufs``, against Mt's rows ``cols`` only
+    (``Mj``), its product written into the flat buffer ``prod``.
 
-    Each entry of the product is one dot of a tile row with one row of Mt,
+    In a square pass ``own`` is the index in ``blocks`` of the row tile's
+    own column tile (None when that tile is all zero in M, or in a
+    rectangular pass).  The row tile then evaluates only the blocks from
+    ``own`` on, and uses each tile past its own twice: for itself, and,
+    copied transposed into the flat buffer ``flip`` and reduced against its
+    own block's columns, for the row tile of that tile's block, which
+    therefore never evaluates it.  Every kernel entry is symmetric bit for bit, so the copy
+    has the bits of the tile that row tile would evaluate, and contiguous
+    like it, so einsum reduces it with the same bits.
+
+    Each entry of a product is one dot of a tile row with one row of Mt,
     whatever other rows take part, and a skipped column or block would only
-    add zeros (finite kernel values times zero) to ``acc``; so the result
-    has the bits of reducing every tile against all of Mt.
+    add zeros (finite kernel values times zero) to a row; so the sum of the
+    products has the bits of reducing every tile against all of Mt.
     """
-    rows = Ai.shape[0]
-    for j, cols, Mj in blocks:
-        part = prod[: rows * Mj.shape[0]].reshape(rows, -1)
-        live = acc[:, cols]
-        live += np.einsum("ij,kj->ik", _pairwise_unchecked(spec, Ai, B[j : j + TILE], bufs),
-                          Mj, out=part)
+    for k in range(own or 0, len(blocks)):
+        j, _, Mj = blocks[k]
+        K = _pairwise_unchecked(spec, Ai, B[j : j + TILE], bufs)
+        sink.deliver(t, k, _reduced(K, Mj, prod))
+        if own is not None and k > own:
+            mirror = flip[: K.size].reshape(K.shape[::-1])
+            np.copyto(mirror, K.T)
+            sink.deliver(j // TILE, own, _reduced(mirror, blocks[own][2], prod))
+
+
+def _reduced(K: np.ndarray, Mj: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """K @ Mj' by einsum, written into the flat buffer ``prod``."""
+    rows = K.shape[0]
+    return np.einsum("ij,kj->ik", K, Mj, out=prod[: rows * Mj.shape[0]].reshape(rows, -1))
+
+
+class _InOrderSink:
+    """The row tiles of one pass, handed out one at a time, and the products
+    delivered to each, summed into ``out`` in ascending column order.
+
+    Row tile t adds the product of live block k only after those of blocks
+    0 .. k - 1 (``nxt[t]`` of them); a product that arrives early waits in
+    a row of ``slab`` until its turn, and the thread that delivers the
+    missing one adds it.  In a rectangular pass, and on one worker, every
+    product arrives in its turn.
+
+    A split square pass bounds the waiting products: a row tile is handed
+    out only while it is fewer than ``ahead`` tiles past the oldest
+    unfinished one, and a thread that may not take one stops rather than
+    wait for another (the pool is shared by concurrent passes), leaving the
+    rest to the thread of the oldest tile.  The products that row tile t's
+    positions receive come from row tiles that never decrease along its
+    positions, so only the products of the ``ahead - 1`` tiles after the
+    oldest can wait, at most ``2 n_tiles - 1`` each: ``slab`` holds that
+    many rows, O(workers n k) like ``out``, allocated by the calling thread.
+    """
+
+    def __init__(self, out, blocks, n_tiles: int, ahead: int, slots: int, width: int):
+        self.out, self.blocks, self.n_tiles, self.ahead = out, blocks, n_tiles, ahead
+        self.lock = threading.Lock()
+        self.nxt, self.finished = [0] * n_tiles, [False] * n_tiles
+        self.handed = self.oldest = 0
+        self.slab = np.empty((slots, width)) if slots else None
+        self.free, self.waiting = list(range(slots)), {}
+
+    def take(self, done=None):
+        """Marks row tile ``done`` finished and hands out the next row tile,
+        or None when there is none this thread may take."""
+        with self.lock:
+            if done is not None:
+                self.finished[done] = True
+                while self.oldest < self.handed and self.finished[self.oldest]:
+                    self.oldest += 1
+            t = self.handed
+            if t == self.n_tiles or t - self.oldest >= self.ahead:
+                return None
+            self.handed += 1
+            return t
+
+    def deliver(self, t: int, k: int, part: np.ndarray) -> None:
+        """Adds row tile t's product ``part`` with live block k, and every
+        waiting one it lets through, or keeps a copy until its turn."""
+        with self.lock:
+            if k != self.nxt[t]:
+                slot = self.free.pop()
+                kept = self.slab[slot, : part.size].reshape(part.shape)
+                np.copyto(kept, part)
+                self.waiting[t, k] = slot, kept
+                return
+            acc = self.out[t * TILE : (t + 1) * TILE]
+            while True:
+                live = acc[:, self.blocks[k][1]]
+                live += part
+                k += 1
+                if (t, k) not in self.waiting:
+                    break
+                slot, part = self.waiting.pop((t, k))
+                self.free.append(slot)
+            self.nxt[t] = k
 
 
 def _row_tile_pass(spec: KernelSpec, A, B, blocks, out, workers: int) -> None:
     """Add K(A, B) @ Mt' to ``out``, over the live column blocks ``blocks``,
     on ``workers`` threads, the calling thread and ``workers - 1`` pool
-    threads (no pool for one worker), each drawing one row tile at a time
-    from one shared, lock-guarded iterator and reducing it with
-    :func:`_tile_pass` until none is left.
+    threads (no pool for one worker), each taking one row tile at a time
+    from one shared :class:`_InOrderSink` and reducing it with
+    :func:`_tile_pass` until none is left for it.
 
-    Each row tile is reduced by one thread over the same column tiles in the
-    same order, so the result has the same bits whatever the number of
-    workers.  The calling thread allocates every worker's buffers, since
-    memory a pool thread allocates stays in that thread's malloc arena after
-    it is freed.  numpy's floating-point error settings are per thread, so
-    every worker takes the calling thread's: a split pass warns, or keeps
-    quiet, as the serial one does.
+    A square pass (``B is A``) evaluates each pair of tiles once, for the
+    lower row tile, which hands the transposed product to the other.  Each
+    output row still adds the same column tiles in the same order, so the
+    result has the same bits whatever the number of workers.  The calling
+    thread allocates every worker's buffers and the sink's, since memory a
+    pool thread allocates stays in that thread's malloc arena after it is
+    freed.  numpy's floating-point error settings are per thread, so every
+    worker takes the calling thread's: a split pass warns, or keeps quiet,
+    as the serial one does.
     """
-    rows, lock = iter(range(0, A.shape[0], TILE)), threading.Lock()
+    n_tiles = -(-A.shape[0] // TILE)
+    square = B is A
+    own = {j // TILE: k for k, (j, _, _) in enumerate(blocks)} if square else {}
     tile_rows, cols = min(TILE, A.shape[0]), min(TILE, B.shape[0])
+    # Only a split square pass has products that wait; its threads may run a
+    # few row tiles ahead of the oldest unfinished one.
+    split_square = square and workers > 1
+    ahead = min(3 * workers, n_tiles) if split_square else n_tiles
+    sink = _InOrderSink(out, blocks, n_tiles, ahead,
+                        (ahead - 1) * (2 * n_tiles - 1) if split_square else 0,
+                        tile_rows * out.shape[1])
     err = np.geterr()
 
-    def drain(bufs, prod):
+    def drain(bufs, prod, flip):
         with np.errstate(**err):
-            while True:
-                with lock:
-                    i = next(rows, None)
-                if i is None:
-                    return
-                _tile_pass(spec, A[i : i + TILE], B, blocks, out[i : i + TILE], bufs, prod)
+            t = sink.take()
+            while t is not None:
+                _tile_pass(spec, A[t * TILE : (t + 1) * TILE], B, blocks, t, own.get(t),
+                           sink, bufs, prod, flip)
+                t = sink.take(t)
 
     jobs = [([np.empty(tile_rows * cols) for _ in range(_tiles_needed(spec))],
-             np.empty(tile_rows * out.shape[1])) for _ in range(workers)]
+             np.empty(tile_rows * out.shape[1]),
+             np.empty(tile_rows * cols) if square and n_tiles > 1 else None)
+            for _ in range(workers)]
     futures = [_pool().submit(drain, *job) for job in jobs[1:]]
     try:
         drain(*jobs[0])

@@ -230,11 +230,12 @@ class CellSums:
 
     Made by :func:`cell_sums` alone, once per dataset and kernel.
     ``rows[i, c]`` is the sum of k(z_i, z_j) over the rows j of cell c, i.e.
-    ``K(Z, Z) @ onehot(cell)`` from one kernel pass, whose columns a tiled
-    kernel takes in cell order (row i's sums run over the rows j in that
-    order); ``block[c, c']`` sums ``rows`` over the rows of cell c,
-    ``diag[c]`` sums k(z_i, z_i) over cell c, and ``counts[c]`` is its
-    size.  Cells are indexed c = 2 s + y, the order of
+    ``K(Z, Z) @ onehot(cell)`` from one square kernel pass, whose rows and
+    columns a tiled kernel takes in cell order (row i's sums run over the
+    rows j in that order), and which evaluates each pair of tiles once;
+    ``rows`` is in data order.  ``block[c, c']`` sums ``rows`` over the
+    rows of cell c, ``diag[c]`` sums k(z_i, z_i) over cell c, and
+    ``counts[c]`` is its size.  Cells are indexed c = 2 s + y, the order of
     :data:`fairmmd.synth.CELLS`.  Groups of cells are given as tuples of
     (s, y) pairs.
 
@@ -292,11 +293,13 @@ def _cell_ids(cells) -> list:
 def cell_sums(spec: KernelSpec, data: LabeledDataset) -> CellSums:
     """One kernel pass over ``data.z`` summarized per (s, y) cell.
 
-    A tiled pass sums over the rows in cell order (a stable sort of the
-    cells), so that each column tile of the pass holds one cell, or the few
-    that meet in it, and is reduced against their columns only; its output
-    rows stay in data order.  The linear kernel, which forms no tiles, keeps
-    data order.
+    A tiled pass takes the rows in cell order (a stable sort of the cells)
+    on both sides, so that each column tile of the pass holds one cell, or
+    the few that meet in it, and is reduced against their columns only, and
+    the pass is square, so each pair of tiles is evaluated once.  Its output
+    rows are put back in data order; each depends only on its own input
+    row, so they have the bits of a pass whose rows stay in data order.  The
+    linear kernel, which forms no tiles, keeps data order.
 
     The dataset keeps the result for ``spec``, so every later call with an
     equal spec returns the same object without a pass of its own; its arrays
@@ -306,7 +309,9 @@ def cell_sums(spec: KernelSpec, data: LabeledDataset) -> CellSums:
         return data._kernel_sums[spec]
     onehot = (data.cell[:, None] == np.arange(4)).astype(float)
     order = slice(None) if spec.family == "linear" else np.argsort(data.cell, kind="stable")
-    rows = kernel_matmul(spec, data.z, data.z[order], onehot[order])
+    zs = data.z[order]
+    rows = np.empty(onehot.shape)
+    rows[order] = kernel_matmul(spec, zs, zs, onehot[order])
     if spec.family == "linear":
         zc = data.z - data.z.mean(axis=0)
         per_cell = onehot.T @ zc

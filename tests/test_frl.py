@@ -238,6 +238,20 @@ def test_lambda_sweep_refuses_bad_bins_before_training(unbiased_pop, monkeypatch
         lambda_sweep(unbiased_pop, [0.0, 1.0], _cfg(), n=200, dc_bins=bins)
 
 
+def test_lambda_sweep_refuses_a_kernel_without_gradient_before_training(unbiased_pop,
+                                                                       monkeypatch):
+    """A laplacian sweep whose lambdas include a positive one exits before the
+    lambda = 0 run listed first, not after it."""
+    from fairmmd import UnsupportedError, frl
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a training run started before the kernel was checked")
+
+    monkeypatch.setattr(frl, "train", no_training)
+    with pytest.raises(UnsupportedError, match="gradient"):
+        lambda_sweep(unbiased_pop, [0.0, 0.1], _cfg(kernel=laplacian(1.0)), n=200)
+
+
 def _written_out_train(data, cfg):
     """The training loop written out from the public step pieces: one
     :func:`_stratified_batch` and one :func:`objective_gradient` per step."""

@@ -472,6 +472,156 @@ def test_all_zero_column_tile_is_never_evaluated(monkeypatch):
     np.testing.assert_array_equal(got, _tiled_reference(rbf(1.0), A, B, M))
 
 
+@pytest.mark.parametrize("family", sorted(STREAMED_SPECS))
+def test_tiles_are_symmetric_bit_for_bit(family):
+    """K(Y, X) is the transpose of K(X, Y) bit for bit, which lets a square
+    pass hand one tile's transposed copy to the mirrored row tile."""
+    spec = STREAMED_SPECS[family]
+    rng = np.random.default_rng(40)
+    for d in range(2 if family == "product" else 1, 6):
+        for n, m in ((TILE, TILE), (TILE, 37), (5, TILE - 3)):
+            X, Y = rng.normal(size=(n, d)), rng.normal(size=(m, d)) + 0.2
+            np.testing.assert_array_equal(pairwise(spec, X, Y), pairwise(spec, Y, X).T)
+
+
+# The product kernel splits at 1, so its rows need d >= 2.
+_SQUARE_CASES = [(family, d) for family in sorted(STREAMED_SPECS) for d in (1, 2, 3)
+                 if not (family == "product" and d == 1)]
+
+
+@pytest.mark.parametrize("family,d", _SQUARE_CASES)
+def test_square_pass_is_bit_identical_to_the_tile_loop(family, d, monkeypatch):
+    """A square pass, which evaluates each pair of tiles once, gives the bits
+    of the serial loop over every tile on 1, 2 and 3 workers, and the dense
+    product to 1e-12: a vector M, three dense columns, a one-hot in cell
+    order, and an M with an all-zero column tile and zero columns in
+    another tile's live range.  The linear kernel forms no tiles; its passes
+    agree across worker counts."""
+    spec = STREAMED_SPECS[family]
+    rng = np.random.default_rng(41)
+    for n in (TILE - 3, TILE + 37, 3 * TILE + 37, 5 * TILE):
+        A = rng.normal(size=(n, d))
+        cells = np.arange(n) * 4 // n
+        dense = rng.normal(size=(n, 3))
+        sparse = dense.copy()
+        sparse[TILE : 2 * TILE] = 0.0
+        sparse[:TILE, 1] = 0.0
+        K = pairwise(spec, A, A)
+        for M in (dense[:, 0], dense, (cells[:, None] == np.arange(4)).astype(float), sparse):
+            want = None if family == "linear" else _tiled_reference(spec, A, A, M)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(kernels, "_WORKERS", workers)
+                got = kernels._matmul_unchecked(spec, A, A, M)
+                if want is None:
+                    want = got
+                np.testing.assert_array_equal(got, want, err_msg=f"n={n}, {workers} workers")
+            assert_matches_dense(want, K @ M)
+
+
+def test_square_pass_evaluates_each_tile_pair_once(monkeypatch):
+    """A square pass over T row tiles with a dense M evaluates T(T+1)/2
+    tiles, on one worker or two; an all-zero column tile lowers that count,
+    M = 0 evaluates none, and a rectangular pass still evaluates all T^2."""
+    calls, real = [], kernels._pairwise_unchecked
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_pairwise_unchecked", counting)
+    rng = np.random.default_rng(42)
+    T = 5
+    A, M = rng.normal(size=(T * TILE - 9, 2)), rng.normal(size=(T * TILE - 9, 2))
+    dead = M.copy()
+    dead[TILE : 2 * TILE] = 0.0
+    for workers in (1, 2):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        for coefs, tiles in ((M, T * (T + 1) // 2), (dead, T * (T + 1) // 2 - 1),
+                             (np.zeros_like(M), 0)):
+            calls.clear()
+            kernels._matmul_unchecked(rbf(1.0), A, A, coefs)
+            assert len(calls) == tiles, f"{workers} workers"
+        calls.clear()
+        kernels._matmul_unchecked(rbf(1.0), A, A.copy(), M)
+        assert len(calls) == T * T
+
+
+def test_cell_sums_make_a_square_pass_with_the_bits_of_the_data_order_pass(monkeypatch):
+    """``cell_sums`` passes its rows sorted by cell on both sides, and its
+    rows, blocks and diagonal sums have the bits of the pass whose output
+    rows stay in data order."""
+    from fairmmd import cell_sums, sample_population
+    from fairmmd.kernels import _aligned_unchecked
+    from conftest import make_population
+
+    squares, real = [], kernels._matmul_unchecked
+
+    def spying(spec, A, B, M):
+        squares.append(A is B)
+        return real(spec, A, B, M)
+
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    data = sample_population(make_population(p=((0.7, 0.3), (0.3, 0.7))), 3 * TILE + 41, seed=4)
+    for spec in (rbf(0.8), laplacian(1.3)):
+        monkeypatch.setattr(kernels, "_matmul_unchecked", spying)
+        sums = cell_sums(spec, data)
+        monkeypatch.setattr(kernels, "_matmul_unchecked", real)
+        onehot = (data.cell[:, None] == np.arange(4)).astype(float)
+        order = np.argsort(data.cell, kind="stable")
+        rows = kernel_matmul(spec, data.z, data.z[order], onehot[order])
+        np.testing.assert_array_equal(sums.rows, rows)
+        np.testing.assert_array_equal(sums.block, onehot.T @ rows)
+        np.testing.assert_array_equal(
+            sums.diag, np.bincount(data.cell, _aligned_unchecked(spec, data.z, data.z), 4))
+    assert squares == [True, True]
+
+
+def test_square_pass_memory_grows_linearly_with_n(monkeypatch):
+    """A split square pass keeps the products that arrive early in buffers
+    of O(workers n k) floats, never O(n^2 / TILE): doubling n at most about
+    doubles the traced peak."""
+    import tracemalloc
+
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    rng = np.random.default_rng(43)
+    A = rng.normal(size=(4 * TILE, 2))
+    kernels._matmul_unchecked(rbf(1.0), A, A, A)  # imports cdist and starts the pool
+    peaks = []
+    for n in (16 * TILE, 32 * TILE):
+        A, M = rng.normal(size=(n, 2)), rng.normal(size=(n, 4))
+        tracemalloc.start()
+        try:
+            kernels._matmul_unchecked(rbf(1.0), A, A, M)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.5 * peaks[0], peaks
+
+
+def test_thread_that_runs_ahead_stops_rather_than_waits(monkeypatch):
+    """While the calling thread holds the oldest row tile, a pool thread
+    takes only a few row tiles past it and then stops instead of waiting;
+    the calling thread reduces the rest, and the pass has the serial bits."""
+    rng = np.random.default_rng(44)
+    A, M = rng.normal(size=(12 * TILE, 2)), rng.normal(size=(12 * TILE, 2))
+    caller, real = threading.get_ident(), kernels._tile_pass
+    mine = []
+
+    def slow_first(spec, Ai, *args):
+        if threading.get_ident() == caller:
+            if not mine:
+                time.sleep(0.2)  # leaves the pool thread time to run ahead
+            mine.append(Ai.shape[0])
+        return real(spec, Ai, *args)
+
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    monkeypatch.setattr(kernels, "_tile_pass", slow_first)
+    got = kernels._matmul_unchecked(rbf(1.0), A, A, M)
+    monkeypatch.setattr(kernels, "_tile_pass", real)
+    assert len(mine) > 2
+    np.testing.assert_array_equal(got, _tiled_reference(rbf(1.0), A, A, M))
+
+
 def test_small_pass_never_uses_the_pool(monkeypatch):
     """Below two tiles of work per worker, or with a single row tile, a pass
     runs serially and never asks for the pool."""
