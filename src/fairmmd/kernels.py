@@ -24,10 +24,12 @@ Families
                calibration bound checker relies on.
 
 Every kernel sum in the package streams through :func:`kernel_matmul`.
-A pass first finds, for each TILE-column block of K, the smallest range of
-M's columns that holds all of that block's nonzeros; each tile is reduced
-against those columns only, and a block on which M is all zero is never
-evaluated.  A one-hot M whose rows come in cell order so costs about one
+A pass evaluates every TILE x TILE tile of K and reduces it against all of
+M's columns, unless its caller labels B's rows with ascending groups, where
+M's column g is nonzero only on the rows labelled g (as the cell sums and
+the two-sample sums of :mod:`fairmmd.mmd` do): each tile is then reduced
+against the columns of the groups it holds only, which leaves out exact
+zeros alone.  A one-hot M whose rows come in cell order so costs about one
 column per tile, whatever the number of cells.  A square pass (``B is A``,
 as in K(Z, Z) @ M) evaluates each pair of tiles once: row tile p forms
 K(A_p, A_b) for the column tiles b >= p only, reduces it for itself, and
@@ -300,11 +302,9 @@ def kernel_matmul(spec: KernelSpec, A, B, M) -> np.ndarray:
     O(n k) whatever the sizes.  Each tile is reduced one output row at a
     time (a dot product of that row with each column of ``M``), so an
     output row depends only on its own input row: identical rows of ``A``
-    get bit-identical outputs.  Each tile is reduced against the live
-    columns of its rows of ``M`` only (the smallest range holding their
-    nonzeros), and a tile whose rows of ``M`` are all zero is skipped;
-    neither changes a bit of the result.  For the linear kernel the product
-    is A (B' M), and no tile is formed.
+    get bit-identical outputs.  Every tile is evaluated and reduced against
+    all columns of ``M``.  For the linear kernel the product is A (B' M),
+    and no tile is formed.
 
     Passing the same array as ``A`` and ``B`` makes a square pass, which
     evaluates each pair of tiles once, T(T + 1)/2 tiles for T row tiles in
@@ -333,7 +333,14 @@ def kernel_matmul(spec: KernelSpec, A, B, M) -> np.ndarray:
     return _matmul_unchecked(spec, A, B, M)
 
 
-def _matmul_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _matmul_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, M: np.ndarray,
+                      groups=None) -> np.ndarray:
+    """K(A, B) @ M on checked rows.  ``groups``, when given, holds ascending
+    labels of B's rows, where M's column g is nonzero only on the rows
+    labelled g: column tile j is then reduced against the columns from the
+    label of its first row to that of its last only, which adds the same
+    products and leaves out exact zeros.  The linear kernel forms no tiles
+    and does not read ``groups``."""
     # Columns of M as contiguous rows, so every output entry is one dot
     # product over contiguous memory; einsum, unlike BLAS, reduces every
     # output row in the same order wherever the row sits in the tile.
@@ -342,57 +349,44 @@ def _matmul_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, M: np.ndar
     if spec.family == "linear":
         out = np.einsum("id,kd->ik", A, Mt @ B)
     else:
+        starts = range(0, m, TILE)
+        cols = ([slice(None)] * len(starts) if groups is None else
+                [slice(groups[j], groups[min(j + TILE, m) - 1] + 1) for j in starts])
         out = np.zeros((n, Mt.shape[0]))
         small = n * m < 2 * TILE * TILE * _WORKERS
-        _row_tile_pass(spec, A, B, _live_columns(Mt), out,
-                       1 if small else min(_WORKERS, -(-n // TILE)))
+        _row_tile_pass(spec, A, B, [(c, Mt[c, j : j + TILE]) for c, j in zip(cols, starts)],
+                       out, 1 if small else min(_WORKERS, -(-n // TILE)))
     return out.reshape(n) if M.ndim == 1 else out
 
 
-def _live_columns(Mt: np.ndarray) -> list:
-    """``(j, cols, Mt[cols, j : j + TILE])`` for each TILE-column block ``j``
-    of the pass whose coefficients ``Mt[:, j : j + TILE]`` hold a nonzero:
-    ``cols`` is the smallest slice of Mt's rows (M's columns) that holds all
-    of them.  A block without one is left out."""
-    blocks = []
-    for j in range(0, Mt.shape[1], TILE):
-        live = Mt[:, j : j + TILE].any(axis=1).tolist()
-        if True in live:
-            cols = slice(live.index(True), len(live) - live[::-1].index(True))
-            blocks.append((j, cols, Mt[cols, j : j + TILE]))
-    return blocks
-
-
-def _tile_pass(spec: KernelSpec, Ai, B, blocks, t, own, sink, bufs, prod, flip) -> None:
+def _tile_pass(spec: KernelSpec, Ai, B, blocks, t, square, sink, bufs, prod, flip) -> None:
     """Deliver to ``sink`` the products of row tile ``t`` (rows ``Ai``) with
-    the live column blocks ``blocks`` of :func:`_live_columns`, in ascending
-    order: block ``k = (j, cols, Mj)`` reduces the tile K(Ai, B[j : j + TILE]),
-    written into the flat buffers ``bufs``, against Mt's rows ``cols`` only
-    (``Mj``), its product written into the flat buffer ``prod``.
+    the column tiles of the pass, in ascending order: column tile ``k``,
+    whose block is ``blocks[k] = (cols, Mk)``, reduces the tile
+    K(Ai, B[k TILE : (k + 1) TILE]), written into the flat buffers ``bufs``,
+    against Mt's rows ``cols`` (``Mk``), its product written into the flat
+    buffer ``prod``.
 
-    In a square pass ``own`` is the index in ``blocks`` of the row tile's
-    own column tile (None when that tile is all zero in M, or in a
-    rectangular pass).  The row tile then evaluates only the blocks from
-    ``own`` on, and uses each tile past its own twice: for itself, and,
-    copied transposed into the flat buffer ``flip`` and reduced against its
-    own block's columns, for the row tile of that tile's block, which
-    therefore never evaluates it.  Every kernel entry is symmetric bit for bit, so the copy
-    has the bits of the tile that row tile would evaluate, and contiguous
-    like it, so einsum reduces it with the same bits.
+    In a ``square`` pass the row tile evaluates only the column tiles
+    t, t + 1, ..., and uses each tile past its own twice: for itself, and,
+    copied transposed into the flat buffer ``flip`` and reduced against
+    ``blocks[t]``, for row tile k at position t, which therefore never
+    evaluates it.  Every kernel entry is symmetric bit for bit, so the copy
+    has the bits of the tile row tile k would evaluate, and contiguous like
+    it, so einsum reduces it with the same bits.
 
     Each entry of a product is one dot of a tile row with one row of Mt,
-    whatever other rows take part, and a skipped column or block would only
-    add zeros (finite kernel values times zero) to a row; so the sum of the
-    products has the bits of reducing every tile against all of Mt.
+    whatever other rows take part, and a column left out of ``cols`` would
+    only add zeros (finite kernel values times zero) to a row; so the sum
+    of the products has the bits of reducing every tile against all of Mt.
     """
-    for k in range(own or 0, len(blocks)):
-        j, _, Mj = blocks[k]
-        K = _pairwise_unchecked(spec, Ai, B[j : j + TILE], bufs)
-        sink.deliver(t, k, _reduced(K, Mj, prod))
-        if own is not None and k > own:
+    for k in range(t if square else 0, len(blocks)):
+        K = _pairwise_unchecked(spec, Ai, B[k * TILE : (k + 1) * TILE], bufs)
+        sink.deliver(t, k, _reduced(K, blocks[k][1], prod))
+        if square and k > t:
             mirror = flip[: K.size].reshape(K.shape[::-1])
             np.copyto(mirror, K.T)
-            sink.deliver(j // TILE, own, _reduced(mirror, blocks[own][2], prod))
+            sink.deliver(k, t, _reduced(mirror, blocks[t][1], prod))
 
 
 def _reduced(K: np.ndarray, Mj: np.ndarray, prod: np.ndarray) -> np.ndarray:
@@ -405,11 +399,11 @@ class _InOrderSink:
     """The row tiles of one pass, handed out one at a time, and the products
     delivered to each, summed into ``out`` in ascending column order.
 
-    Row tile t adds the product of live block k only after those of blocks
-    0 .. k - 1 (``nxt[t]`` of them); a product that arrives early waits in
-    a row of ``slab`` until its turn, and the thread that delivers the
-    missing one adds it.  In a rectangular pass, and on one worker, every
-    product arrives in its turn.
+    Row tile t adds the product of column tile k only after those of
+    column tiles 0 .. k - 1 (``nxt[t]`` of them); a product that arrives
+    early waits in a row of ``slab`` until its turn, and the thread that
+    delivers the missing one adds it.  In a rectangular pass, and on one
+    worker, every product arrives in its turn.
 
     A split square pass bounds the waiting products: a row tile is handed
     out only while it is fewer than ``ahead`` tiles past the oldest
@@ -445,7 +439,7 @@ class _InOrderSink:
             return t
 
     def deliver(self, t: int, k: int, part: np.ndarray) -> None:
-        """Adds row tile t's product ``part`` with live block k, and every
+        """Adds row tile t's product ``part`` with column tile k, and every
         waiting one it lets through, or keeps a copy until its turn."""
         with self.lock:
             if k != self.nxt[t]:
@@ -456,8 +450,8 @@ class _InOrderSink:
                 return
             acc = self.out[t * TILE : (t + 1) * TILE]
             while True:
-                live = acc[:, self.blocks[k][1]]
-                live += part
+                cols = acc[:, self.blocks[k][0]]
+                cols += part
                 k += 1
                 if (t, k) not in self.waiting:
                     break
@@ -467,8 +461,8 @@ class _InOrderSink:
 
 
 def _row_tile_pass(spec: KernelSpec, A, B, blocks, out, workers: int) -> None:
-    """Add K(A, B) @ Mt' to ``out``, over the live column blocks ``blocks``,
-    on ``workers`` threads, the calling thread and ``workers - 1`` pool
+    """Add K(A, B) @ Mt' to ``out``, over the column tiles' ``blocks``, on
+    ``workers`` threads, the calling thread and ``workers - 1`` pool
     threads (no pool for one worker), each taking one row tile at a time
     from one shared :class:`_InOrderSink` and reducing it with
     :func:`_tile_pass` until none is left for it.
@@ -485,7 +479,6 @@ def _row_tile_pass(spec: KernelSpec, A, B, blocks, out, workers: int) -> None:
     """
     n_tiles = -(-A.shape[0] // TILE)
     square = B is A
-    own = {j // TILE: k for k, (j, _, _) in enumerate(blocks)} if square else {}
     tile_rows, cols = min(TILE, A.shape[0]), min(TILE, B.shape[0])
     # Only a split square pass has products that wait; its threads may run a
     # few row tiles ahead of the oldest unfinished one.
@@ -500,7 +493,7 @@ def _row_tile_pass(spec: KernelSpec, A, B, blocks, out, workers: int) -> None:
         with np.errstate(**err):
             t = sink.take()
             while t is not None:
-                _tile_pass(spec, A[t * TILE : (t + 1) * TILE], B, blocks, t, own.get(t),
+                _tile_pass(spec, A[t * TILE : (t + 1) * TILE], B, blocks, t, square,
                            sink, bufs, prod, flip)
                 t = sink.take(t)
 

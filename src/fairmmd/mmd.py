@@ -32,14 +32,14 @@ root, are read from one routine of Gram block sums.  Its rows may carry
 multiplicities: row i of A stands for a[i] rows, so a sample with repeated
 rows (a resample, or the atoms of a discrete law) is summed over its
 distinct rows only, as a' K_AA a, a' K_AB b and b' K_BB b plus the
-diagonal sums a . k(A, A) and b . k(B, B).  The sums come from two calls of
-:func:`fairmmd.kernels.kernel_matmul`: K([A; B], A) @ a gives the A-A and
-B-A sums from its two row ranges and K(B, B) @ b the B-B sum, so no kernel
-entry is evaluated twice.  The primitive streams over fixed tiles in a
-fixed order, so results are deterministic and memory stays O(TILE^2)
-regardless of sample size.  The diagonal sums and the linear-time pairs
-read aligned rows from :mod:`fairmmd.kernels` too, so this module knows no
-kernel family's formula.  For the linear kernel the rows are first
+diagonal sums a . k(A, A) and b . k(B, B).  The three block sums are the
+quadratic form W' K W of one square kernel pass over Z = [A; B], with one
+weight column per sample, W = [a (+) 0 | 0 (+) b], so each pair of kernel
+entries is evaluated once.  The pass streams over fixed tiles in a fixed
+order, so results are deterministic and memory stays O(TILE^2) regardless
+of sample size.  The diagonal sums and the linear-time pairs read aligned
+rows from :mod:`fairmmd.kernels` too, so this module knows no kernel
+family's formula.  For the linear kernel the rows are first
 centred on their weighted pooled mean (every estimate here is translation
 invariant under it), so data far from the origin do not cancel away their
 digits.
@@ -118,20 +118,24 @@ def _pooled_sums(spec: KernelSpec, A: np.ndarray, B: np.ndarray, a=None, b=None)
     all ones when not given: a' K_AA a, a' K_AB b, b' K_BB b and the
     diagonal sums a . k(A, A) and b . k(B, B).
 
-    No kernel entry is evaluated twice.  Linear rows are first centred on
-    their weighted pooled mean, which changes no estimate read from the sums.
+    The three block sums are entries of W' (K W), where K W is one square
+    pass over Z = [A; B] with the weight columns W = [a (+) 0 | 0 (+) b].
+    Its rows are labelled 0 for A and 1 for B, so each column tile is
+    reduced against the columns of the samples it holds only.  Linear rows
+    are first centred on their weighted pooled mean, which changes no
+    estimate read from the sums.
     """
     a = np.ones(A.shape[0]) if a is None else np.asarray(a, dtype=float)
     b = np.ones(B.shape[0]) if b is None else np.asarray(b, dtype=float)
+    n0, w, Z = a.size, np.concatenate([a, b]), np.vstack([A, B])
     if spec.family == "linear":
-        mean = ((a[:, None] * A).sum(axis=0) + (b[:, None] * B).sum(axis=0)) / (a.sum() + b.sum())
-        A, B = A - mean, B - mean
-    n0 = A.shape[0]
-    to_a = _matmul_unchecked(spec, np.vstack([A, B]), A, a)
-    to_b = _matmul_unchecked(spec, B, B, b)
-    return ((a * to_a[:n0]).sum(), (b * to_a[n0:]).sum(), (b * to_b).sum(),
-            (a * _aligned_unchecked(spec, A, A)).sum(),
-            (b * _aligned_unchecked(spec, B, B)).sum())
+        Z -= w @ Z / w.sum()
+    W = np.zeros((w.size, 2))
+    W[:n0, 0], W[n0:, 1] = a, b
+    KW = _matmul_unchecked(spec, Z, Z, W, np.repeat([0, 1], [n0, b.size]))
+    return ((a * KW[:n0, 0]).sum(), (a * KW[:n0, 1]).sum(), (b * KW[n0:, 1]).sum(),
+            (a * _aligned_unchecked(spec, Z[:n0], Z[:n0])).sum(),
+            (b * _aligned_unchecked(spec, Z[n0:], Z[n0:])).sum())
 
 
 def mmd2_unbiased(spec: KernelSpec, A, B) -> MmdEstimate:
@@ -295,11 +299,12 @@ def cell_sums(spec: KernelSpec, data: LabeledDataset) -> CellSums:
 
     A tiled pass takes the rows in cell order (a stable sort of the cells)
     on both sides, so that each column tile of the pass holds one cell, or
-    the few that meet in it, and is reduced against their columns only, and
-    the pass is square, so each pair of tiles is evaluated once.  Its output
-    rows are put back in data order; each depends only on its own input
-    row, so they have the bits of a pass whose rows stay in data order.  The
-    linear kernel, which forms no tiles, keeps data order.
+    the few that meet in it, and is reduced against their columns only (the
+    sorted cells are the pass's groups), and the pass is square, so each
+    pair of tiles is evaluated once.  Its output rows are put back in data
+    order; each depends only on its own input row, so they have the bits of
+    a pass whose rows stay in data order.  The linear kernel, which forms
+    no tiles, keeps data order.
 
     The dataset keeps the result for ``spec``, so every later call with an
     equal spec returns the same object without a pass of its own; its arrays
@@ -310,10 +315,11 @@ def cell_sums(spec: KernelSpec, data: LabeledDataset) -> CellSums:
     onehot = (data.cell[:, None] == np.arange(4)).astype(float)
     order = slice(None) if spec.family == "linear" else np.argsort(data.cell, kind="stable")
     zs = data.z[order]
+    zs, _ = _checked_pair(spec, zs, zs)
     rows = np.empty(onehot.shape)
-    rows[order] = kernel_matmul(spec, zs, zs, onehot[order])
+    rows[order] = _matmul_unchecked(spec, zs, zs, onehot[order], data.cell[order])
     if spec.family == "linear":
-        zc = data.z - data.z.mean(axis=0)
+        zc = data.z - np.ones(data.n) @ data.z / data.n
         per_cell = onehot.T @ zc
         block, diag = per_cell @ per_cell.T, _aligned_unchecked(spec, zc, zc)
     else:

@@ -446,30 +446,55 @@ def test_row_split_is_bit_identical_to_serial(family, monkeypatch):
     assert pools or family == "linear"
 
 
-def test_all_zero_column_tile_is_never_evaluated(monkeypatch):
-    """A column tile on which M is all zero costs no kernel tile: with the
-    middle of three column tiles zeroed, a pass over two row tiles evaluates
-    the four other tiles and gives the bits of the serial tile loop; with M
-    all zero it evaluates none and gives zeros."""
+def test_groups_reduce_each_column_tile_against_its_own_columns(monkeypatch):
+    """A pass given ``groups`` (ascending labels of B's rows, where M's
+    column g is nonzero only on the rows labelled g) reduces each column
+    tile against the columns from its first row's label to its last row's
+    only, and has the bits of the serial tile loop, rectangular or square,
+    on one worker or two.  Without ``groups`` every tile is evaluated and
+    reduced against every column, even where M is all zero."""
     rng = np.random.default_rng(39)
-    A, B = rng.normal(size=(2 * TILE, 2)), rng.normal(size=(3 * TILE, 2))
-    M = rng.normal(size=(3 * TILE, 3))
-    M[TILE : 2 * TILE] = 0.0
-    starts, real = [], kernels._pairwise_unchecked
-    base = B.__array_interface__["data"][0]
+    groups = np.repeat(np.arange(4), [TILE + 10, TILE - 30, 40, TILE + 7])
+    m = groups.size
+    M = np.where(groups[:, None] == np.arange(4), rng.normal(size=(m, 4)), 0.0)
+    spans = [groups[min(j + TILE, m) - 1] - groups[j] + 1 for j in range(0, m, TILE)]
+    assert spans == [1, 3, 2, 1]
+    widths, tiles = [], []
+    real_reduced, real_pairwise = kernels._reduced, kernels._pairwise_unchecked
 
-    def counting(spec, Ai, Bj, *args):
-        starts.append((Bj.__array_interface__["data"][0] - base) // B.strides[0])
-        return real(spec, Ai, Bj, *args)
+    def reducing(K, Mj, prod):
+        widths.append(Mj.shape[0])
+        return real_reduced(K, Mj, prod)
 
-    monkeypatch.setattr(kernels, "_pairwise_unchecked", counting)
-    got = kernels._matmul_unchecked(rbf(1.0), A, B, M)
-    assert sorted(starts) == [0, 0, 2 * TILE, 2 * TILE]
-    starts.clear()
-    assert not kernels._matmul_unchecked(rbf(1.0), A, B, np.zeros((3 * TILE, 2))).any()
-    assert starts == []
-    monkeypatch.setattr(kernels, "_pairwise_unchecked", real)
-    np.testing.assert_array_equal(got, _tiled_reference(rbf(1.0), A, B, M))
+    def evaluating(*args):
+        tiles.append(1)
+        return real_pairwise(*args)
+
+    monkeypatch.setattr(kernels, "_reduced", reducing)
+    B = rng.normal(size=(m, 2))
+    for A in (rng.normal(size=(2 * TILE, 2)), B):
+        want = _tiled_reference(rbf(1.0), A, B, M)
+        row_tiles = -(-A.shape[0] // TILE)
+        for workers in (1, 2):
+            monkeypatch.setattr(kernels, "_WORKERS", workers)
+            widths.clear()
+            got = kernels._matmul_unchecked(rbf(1.0), A, B, M, groups)
+            assert sorted(widths) == sorted(spans * row_tiles), f"{workers} workers"
+            np.testing.assert_array_equal(got, want, err_msg=f"{workers} workers")
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
+    A = rng.normal(size=(2 * TILE, 2))
+    dead = rng.normal(size=(m, 3))
+    dead[TILE : 2 * TILE] = 0.0
+    for coefs in (dead, np.zeros((m, 3))):
+        want = _tiled_reference(rbf(1.0), A, B, coefs)
+        widths.clear()
+        tiles.clear()
+        monkeypatch.setattr(kernels, "_pairwise_unchecked", evaluating)
+        got = kernels._matmul_unchecked(rbf(1.0), A, B, coefs)
+        monkeypatch.setattr(kernels, "_pairwise_unchecked", real_pairwise)
+        assert len(tiles) == 2 * len(spans) and widths == [3] * len(tiles)
+        np.testing.assert_array_equal(got, want)
+    assert not got.any()
 
 
 @pytest.mark.parametrize("family", sorted(STREAMED_SPECS))
@@ -519,9 +544,9 @@ def test_square_pass_is_bit_identical_to_the_tile_loop(family, d, monkeypatch):
 
 
 def test_square_pass_evaluates_each_tile_pair_once(monkeypatch):
-    """A square pass over T row tiles with a dense M evaluates T(T+1)/2
-    tiles, on one worker or two; an all-zero column tile lowers that count,
-    M = 0 evaluates none, and a rectangular pass still evaluates all T^2."""
+    """A square pass over T row tiles evaluates T(T+1)/2 tiles, on one
+    worker or two, whether M is dense, has an all-zero column tile or is
+    all zero, and a rectangular pass still evaluates all T^2."""
     calls, real = [], kernels._pairwise_unchecked
 
     def counting(*args):
@@ -536,11 +561,10 @@ def test_square_pass_evaluates_each_tile_pair_once(monkeypatch):
     dead[TILE : 2 * TILE] = 0.0
     for workers in (1, 2):
         monkeypatch.setattr(kernels, "_WORKERS", workers)
-        for coefs, tiles in ((M, T * (T + 1) // 2), (dead, T * (T + 1) // 2 - 1),
-                             (np.zeros_like(M), 0)):
+        for coefs in (M, dead, np.zeros_like(M)):
             calls.clear()
             kernels._matmul_unchecked(rbf(1.0), A, A, coefs)
-            assert len(calls) == tiles, f"{workers} workers"
+            assert len(calls) == T * (T + 1) // 2, f"{workers} workers"
         calls.clear()
         kernels._matmul_unchecked(rbf(1.0), A, A.copy(), M)
         assert len(calls) == T * T
@@ -550,22 +574,22 @@ def test_cell_sums_make_a_square_pass_with_the_bits_of_the_data_order_pass(monke
     """``cell_sums`` passes its rows sorted by cell on both sides, and its
     rows, blocks and diagonal sums have the bits of the pass whose output
     rows stay in data order."""
-    from fairmmd import cell_sums, sample_population
+    from fairmmd import cell_sums, mmd, sample_population
     from fairmmd.kernels import _aligned_unchecked
     from conftest import make_population
 
-    squares, real = [], kernels._matmul_unchecked
+    squares, real = [], mmd._matmul_unchecked
 
-    def spying(spec, A, B, M):
+    def spying(spec, A, B, M, groups=None):
         squares.append(A is B)
-        return real(spec, A, B, M)
+        return real(spec, A, B, M, groups)
 
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     data = sample_population(make_population(p=((0.7, 0.3), (0.3, 0.7))), 3 * TILE + 41, seed=4)
     for spec in (rbf(0.8), laplacian(1.3)):
-        monkeypatch.setattr(kernels, "_matmul_unchecked", spying)
+        monkeypatch.setattr(mmd, "_matmul_unchecked", spying)
         sums = cell_sums(spec, data)
-        monkeypatch.setattr(kernels, "_matmul_unchecked", real)
+        monkeypatch.setattr(mmd, "_matmul_unchecked", real)
         onehot = (data.cell[:, None] == np.arange(4)).astype(float)
         order = np.argsort(data.cell, kind="stable")
         rows = kernel_matmul(spec, data.z, data.z[order], onehot[order])

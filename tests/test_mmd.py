@@ -274,18 +274,45 @@ def test_cell_sums_match_dense_kernel(family):
         assert_matches_dense(sums.witness(*groups), witness_eval(spec, z0, z1, data.z))
 
 
+def test_pooled_sums_make_one_square_pass(monkeypatch):
+    """The Gram sums of two weighted samples come from one kernel pass, with
+    the pooled rows passed as both A and B and labelled by sample, and
+    agree with the dense blocks."""
+    from fairmmd import mmd
+
+    calls, real = [], mmd._matmul_unchecked
+
+    def spying(spec, A, B, M, groups=None):
+        calls.append((A is B, A.shape[0], groups))
+        return real(spec, A, B, M, groups)
+
+    monkeypatch.setattr(mmd, "_matmul_unchecked", spying)
+    rng = np.random.default_rng(19)
+    A, B = rng.normal(size=(300, 2)), rng.normal(size=(170, 2)) + 0.3
+    a, b = rng.integers(1, 4, size=300).astype(float), rng.integers(1, 4, size=170).astype(float)
+    for spec in FAMILIES:
+        calls.clear()
+        sums = mmd._pooled_sums(spec, A, B, a, b)
+        assert [call[:2] for call in calls] == [(True, 470)]
+        np.testing.assert_array_equal(calls[0][2], np.repeat([0, 1], [300, 170]))
+        if spec.family != "linear":  # linear sums are of the centred rows
+            Kaa, Kab, Kbb = pairwise(spec, A, A), pairwise(spec, A, B), pairwise(spec, B, B)
+            assert_allclose(sums, (a @ Kaa @ a, a @ Kab @ b, b @ Kbb @ b,
+                                   a @ np.diag(Kaa), b @ np.diag(Kbb)), rtol=1e-12)
+
+
 def test_cell_sums_are_kept_per_kernel(monkeypatch):
     """A dataset keeps the cell sums of each kernel: an equal spec reads them
     again without a pass, a different one gets its own pass."""
     from fairmmd import mmd
 
-    passes, real = [], mmd.kernel_matmul
+    passes, real = [], mmd._matmul_unchecked
 
     def counted(*args):
         passes.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(mmd, "kernel_matmul", counted)
+    monkeypatch.setattr(mmd, "_matmul_unchecked", counted)
     rng = np.random.default_rng(15)
     s, y = rng.integers(0, 2, size=300), rng.integers(0, 2, size=300)
     data = LabeledDataset(z=rng.normal(size=(300, 2)), s=s, y=y)
