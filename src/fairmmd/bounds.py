@@ -39,8 +39,10 @@ The clauses:
   2 sqrt(nu) times the total variation distance between the group laws
   dominates the kernel discrepancy; exact up to float error, so the default
   tolerance is 1e-9.  Both sides are read from each group's counts of the
-  distinct rows (atoms), so the rhs costs kernel entries between atoms
-  only, not between rows.
+  distinct rows (atoms): the rhs comes from one square kernel pass over the
+  atoms, with the two groups' counts as its weight columns, so it costs
+  kernel entries between atoms only, not between rows, and each pair of
+  atoms once.
 
 Right-hand-side discrepancies are always the plug-in root
 (:func:`fairmmd.mmd.gamma_biased`): it is the exact kernel discrepancy of
@@ -85,7 +87,7 @@ from .kernels import (
     product,
     rbf,
 )
-from .mmd import _from_sums, _pooled_sums, cell_sums
+from .mmd import _between, _gram_sums, cell_sums
 from .synth import CELLS, LabeledDataset
 
 __all__ = [
@@ -276,17 +278,17 @@ def check_calibration_chain(
     score atoms (no binning), keeping clause A an identity-level inequality
     on the empirical laws.
     """
+    k_u, k_y = kernel_sum(linear(1.0), rbf(sigma_u)), rbf(sigma_y)
     if h is None:
         scores = witness_scores(cell_sums(spec, data), GROUP_CELLS[1], GROUP_CELLS[0])
     else:
         scores = evaluate_batch(h, data.z)
-    k_u = kernel_sum(linear(1.0), rbf(sigma_u))
-    gamma_t = _tensor_gamma(k_u, rbf(sigma_y), scores, data)
+    gamma_t = _tensor_gamma(k_u, k_y, scores, data)
 
     clause_a = _report(
         "dc_dominates_tensor", "ge",
         dc(external_scores_classifier(scores), data, bins=None),
-        gamma_t / (4.0 * np.sqrt(k_u.nu * rbf(sigma_y).nu)),
+        gamma_t / (4.0 * np.sqrt(k_u.nu * k_y.nu)),
         tol,
         _digest(data, spec, "calibration_a", sigma_u, sigma_y, tol),
     )
@@ -304,18 +306,18 @@ def _tensor_gamma(k_u: KernelSpec, k_y: KernelSpec, scores: np.ndarray, data: La
 
     The outcome is binary, so over the rows of cells c and c' the tensor
     kernel sums to k_y(y_c, y_c') (S[c, c'] + T_c T_c'), where S is the cell-
-    sum block of the scores under the second part and T_c the score total of
-    cell c: one pass of that part over the scores replaces a pass of the
-    product kernel.  The pairs still get the product kernel's shape and
-    domain checks.
+    block of Gram sums of the scores under the second part and T_c the score
+    total of cell c: one pass of that part over the scores, with the cell
+    one-hot as its weight columns, replaces a pass of the product kernel.
+    The pairs still get the product kernel's shape and domain checks.
     """
     k_t = product(k_u, k_y, split=1)
     pairs = np.column_stack([scores, data.y.astype(float)])
     _checked_pair(k_t, pairs[data.s == 0], pairs[data.s == 1])
-    s_u = cell_sums(k_u.parts[1], LabeledDataset(z=scores[:, None], s=data.s, y=data.y))
+    S = _gram_sums(k_u.parts[1], pairs[:, :1], np.eye(4)[data.cell], data.cell)[1]
     totals = np.bincount(data.cell, weights=scores, minlength=4)
     y_cell = np.array([[y] for (_, y) in CELLS], dtype=float)
-    block = pairwise(k_y, y_cell, y_cell) * (s_u.block + np.outer(totals, totals))
+    block = pairwise(k_y, y_cell, y_cell) * (S + np.outer(totals, totals))
     group = np.array([s for (s, _) in CELLS])
     coef = (1 - 2 * group) / np.bincount(group, weights=data.counts)[group]
     return float(np.sqrt(max(coef @ block @ coef, 0.0)))
@@ -334,8 +336,9 @@ def check_tvd_dominance(
     InapplicableError otherwise.  Both sides are exact functionals of the
     empirical laws, so the default tolerance is float-level.  Both are read
     from each group's counts of the distinct rows (atoms): the rhs is
-    :func:`fairmmd.mmd.gamma_biased` of the two groups, computed from the
-    count-weighted kernel sums of the atoms.  ``max_support`` must be >= 1.
+    :func:`fairmmd.mmd.gamma_biased` of the two groups, read from one square
+    kernel pass over the atoms with the counts c0, c1 as weight columns.
+    ``max_support`` must be >= 1.
     """
     if not max_support >= 1:
         raise ValidationError(f"max_support must be >= 1, got {max_support!r}")
@@ -345,14 +348,16 @@ def check_tvd_dominance(
             f"representation has {atoms.shape[0]} distinct rows > {max_support}; "
             "exact total variation needs a small support"
         )
-    counts = [np.bincount(ids[data.s == s], minlength=atoms.shape[0]) for s in (0, 1)]
-    n0, n1 = (int(c.sum()) for c in counts)
+    counts = np.bincount(2 * ids + data.s, minlength=2 * atoms.shape[0])
+    counts = counts.reshape(-1, 2).astype(float)  # rows of group s at atom i in column s
+    n0, n1 = counts.sum(axis=0)
     if n0 == 0 or n1 == 0:
         raise InapplicableError("total variation needs rows in both groups")
-    tvd = 0.5 * float(np.abs(counts[1] / n1 - counts[0] / n0).sum())
+    tvd = 0.5 * float(np.abs(counts[:, 1] / n1 - counts[:, 0] / n0).sum())
     lhs = 2.0 * np.sqrt(spec.nu) * tvd
-    _checked_pair(spec, atoms, atoms)  # the rows' domain check, as gamma_biased makes it
-    rhs = _from_sums(n0, n1, *_pooled_sums(spec, atoms, atoms, *counts)[:3]).mmd
+    atoms, _ = _checked_pair(spec, atoms, atoms)  # the rows' checks, as gamma_biased makes them
+    rhs = _between(counts.sum(axis=0), [0], [1], False,
+                   lambda: _gram_sums(spec, atoms, counts)[1:]).mmd
     return _report(
         "tvd_dominates_gamma", "ge", lhs, rhs, tol,
         _digest(data, spec, "tvd", tol, max_support),

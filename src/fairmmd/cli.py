@@ -47,7 +47,7 @@ from .bounds import (
 )
 from .complexity import concentration_check, finite_grid, suggest_radius
 from .eok import eok_hat_bootstrap, eok_hat_plugin
-from .errors import ConfigurationError, FairmmdError
+from .errors import ConfigurationError, FairmmdError, ValidationError
 from .fairness import (
     GROUP_CELLS,
     balanced_accuracy,
@@ -560,14 +560,25 @@ _TOLERANCES = {"unbiased_equality": (0.02, _float), "biased_lower_bound": (0.03,
                "tvd_dominance": (1e-9, _float)}
 
 
-def _if_checked(check, low, convert):
+def _if_checked(check, ranged, convert):
     """A converter for a "bounds" option that only the check ``check``
-    reads: alone, :func:`_at_least` of ``low`` and ``convert``; where
-    "checks" does not name ``check``, :func:`_options` reads the option
-    with ``convert`` alone, so an unused value is not refused."""
-    ranged = _at_least(low, convert)
-    ranged.given = lambda opts: ranged if check in opts["checks"] else convert
-    return ranged
+    reads: ``ranged``, where "checks" names ``check``; elsewhere
+    :func:`_options` reads the option with ``convert`` alone, so an unused
+    value is not refused.  It wraps ``ranged`` in a function of its own,
+    so that ``given`` is never set on a converter other options share."""
+    def checked(value):
+        return ranged(value)
+    checked.given = lambda opts: ranged if check in opts["checks"] else convert
+    return checked
+
+
+def _bandwidth(value) -> float:
+    """An rbf bandwidth for :func:`_parse`: a number that :func:`rbf`
+    accepts, > 0 with 2 sigma^2 and its reciprocal finite."""
+    try:
+        return rbf(_float(value)).sigma
+    except ValidationError as exc:
+        raise _NotAllowed(str(exc)) from None
 
 
 # What each command reads, all of it read by ``main`` before the command
@@ -586,10 +597,13 @@ _READS = {
     "bounds": ("rows", {"kernel": _KERNEL, "bounds": {
         "checks": (["biased_lower_bound", "ba_bounds", "calibration_chain"],
                    _list_of(_one_of(*_TOLERANCES))),
-        "rate_threshold": (0.02, _if_checked("unbiased_equality", 0.0, _float)),
-        "trials": (50, _if_checked("ba_bounds", 0, _int)),
-        "n_anchors": (100, _if_checked("ba_bounds", 1, _int)), "sigma_u": (0.5, _float),
-        "sigma_y": (1.0, _float), "max_support": (64, _if_checked("tvd_dominance", 1, _int))},
+        "rate_threshold": (0.02, _if_checked("unbiased_equality", _at_least(0.0, _float),
+                                             _float)),
+        "trials": (50, _if_checked("ba_bounds", _at_least(0, _int), _int)),
+        "n_anchors": (100, _if_checked("ba_bounds", _at_least(1, _int), _int)),
+        "sigma_u": (0.5, _if_checked("calibration_chain", _bandwidth, _float)),
+        "sigma_y": (1.0, _if_checked("calibration_chain", _bandwidth, _float)),
+        "max_support": (64, _if_checked("tvd_dominance", _at_least(1, _int), _int))},
         "bounds.tolerances": _TOLERANCES}),
     "concentration": ("population", {"concentration": {
         "grid": (_REQUIRED, _list_of(_list_of(_list_of(_float)))),

@@ -60,7 +60,7 @@ from .errors import (
     ValidationError,
 )
 from .kernels import KernelSpec, _checked_pair, _matmul_unchecked
-from .mmd import _from_sums, _pooled_sums, cell_sums
+from .mmd import _two_sample, cell_sums
 from .synth import CELLS, LabeledDataset
 
 __all__ = [
@@ -188,9 +188,9 @@ def eok_hat_bootstrap(
     Mixture sizes default to the observed group sizes.  The rows are not
     materialized: each group's draws collapse to its distinct rows U and
     their draw counts c, and the U-statistic of the m0 + m1 drawn rows is
-    read from the count-weighted sums of U, (|U_0| + |U_1|) |U_0| + |U_1|^2
-    kernel entries in place of (m0 + m1) m0 + m1^2.  It can be negative
-    near the null; the root clips and flags.
+    read from the count-weighted Gram sums of U, one square pass over the
+    |U_0| + |U_1| distinct rows in place of one over the m0 + m1 drawn rows.
+    It can be negative near the null; the root clips and flags.
     """
     if m0 is None:
         m0 = int(data.counts[:2].sum())
@@ -199,9 +199,7 @@ def eok_hat_bootstrap(
     idx, w, source = _mixture_draws(data, m0, m1, seed, weights)
     (ua, ca), (ub, cb) = (np.unique(part, return_counts=True) for part in (idx[:m0], idx[m0:]))
     A, B = _checked_pair(spec, data.z[ua], data.z[ub])
-    if m0 < 2 or m1 < 2:
-        raise SizeError(f"unbiased estimator needs >= 2 rows per sample, got {m0} and {m1}")
-    est = _from_sums(m0, m1, *_pooled_sums(spec, A, B, ca, cb))
+    est = _two_sample(spec, A, B, unbiased=True, a=ca, b=cb)
     return EokEstimate(eok2=est.mmd2, eok=est.mmd, method="bootstrap", weights=w,
                        weights_source=source, clipped=est.clipped)
 

@@ -639,6 +639,9 @@ def median_heuristic(X, cap: int = 2000, seed: int = 0) -> float:
     from scipy.spatial.distance import pdist
 
     X = _as_points(X, "X")
+    if X.shape[0] < 2 or cap < 2:
+        raise ValidationError(f"median heuristic needs >= 2 rows and cap >= 2, got "
+                              f"{X.shape[0]} rows and cap {cap}")
     if X.shape[0] > cap:
         from ._rng import rng_for
 

@@ -27,28 +27,33 @@ attains it:
   root so that its A-mean minus B-mean reproduces that root exactly.
 
 The U- and V-statistics differ only by their diagonal terms (Gretton et
-al., *A Kernel Two-Sample Test*, JMLR 2012), so both, and the witness's
-root, are read from one routine of Gram block sums.  Its rows may carry
-multiplicities: row i of A stands for a[i] rows, so a sample with repeated
-rows (a resample, or the atoms of a discrete law) is summed over its
-distinct rows only, as a' K_AA a, a' K_AB b and b' K_BB b plus the
-diagonal sums a . k(A, A) and b . k(B, B).  The three block sums are the
-quadratic form W' K W of one square kernel pass over Z = [A; B], with one
-weight column per sample, W = [a (+) 0 | 0 (+) b], so each pair of kernel
-entries is evaluated once.  The pass streams over fixed tiles in a fixed
-order, so results are deterministic and memory stays O(TILE^2) regardless
-of sample size.  The diagonal sums and the linear-time pairs read aligned
-rows from :mod:`fairmmd.kernels` too, so this module knows no kernel
-family's formula.  For the linear kernel the rows are first
-centred on their weighted pooled mean (every estimate here is translation
-invariant under it), so data far from the origin do not cancel away their
-digits.
+al., *A Kernel Two-Sample Test*, JMLR 2012), so every estimate here is a
+read of weighted Gram sums, and one routine computes them all: for rows Z
+and weight columns W it makes one square kernel pass, K W, and returns it
+with the block sums W' K W and the diagonal sums W' k(z, z).  Weights
+are row multiplicities: row i stands for W[i, g] rows of the sample of
+column g, so a sample with repeated rows (a resample, or the atoms of a
+discrete law) is summed over its distinct rows only.  One reader turns
+those sums into the biased or unbiased estimate between two unions of
+columns, after the one check of the sample sizes, which it makes before
+the pass.  Two samples A and B are the rows Z = [A; B] with the columns
+W = [a (+) 0 | 0 (+) b]; a labelled dataset is its rows with one one-hot
+column per (s, y) cell.  Either way the rows are labelled by the one
+column they weigh, so the pass takes them in label order and reduces each
+column tile against the columns of the labels it holds only, and each pair
+of kernel entries is evaluated once.  The pass streams over fixed tiles in a fixed order, so
+results are deterministic and memory stays O(TILE^2) regardless of sample
+size.  The diagonal sums and the linear-time pairs read aligned rows from
+:mod:`fairmmd.kernels` too, so this module knows no kernel family's
+formula.  For the linear kernel the block and diagonal sums are taken from
+the rows centred on their weighted mean (every estimate here is
+translation invariant under it), so data far from the origin do not
+cancel away their digits.
 
-:class:`CellSums` is the same pass for a labelled dataset, with one column
-per (s, y) cell: every estimate between unions of cells, and the witness
-between them at the dataset's own rows, is then an O(n) read.  The dataset
-keeps the sums of each kernel, so one pass serves every statistic read from
-them.
+:class:`CellSums` keeps those sums for a labelled dataset: every estimate
+between unions of cells, and the witness between them at the dataset's own
+rows, is then an O(n) read.  The dataset keeps the sums of each kernel, so
+one pass serves every statistic read from them.
 """
 
 from __future__ import annotations
@@ -99,43 +104,65 @@ def _estimate(mmd2: float, variant: str, n0: int, n1: int) -> MmdEstimate:
     )
 
 
-def _from_sums(n0: int, n1: int, tot_a, cross, tot_b, *diags) -> MmdEstimate:
-    """The V-statistic from Gram block sums, or the U-statistic when the
-    diagonal sums diag_a, diag_b follow them."""
-    if not diags:
-        mmd2 = tot_a / (n0 * n0) + tot_b / (n1 * n1) - 2.0 * cross / (n0 * n1)
-        return _estimate(mmd2, "biased", n0, n1)
-    mmd2 = (
-        (tot_a - diags[0]) / (n0 * (n0 - 1))
-        + (tot_b - diags[1]) / (n1 * (n1 - 1))
-        - 2.0 * cross / (n0 * n1)
-    )
-    return _estimate(mmd2, "unbiased", n0, n1)
+def _gram_sums(spec: KernelSpec, Z: np.ndarray, W: np.ndarray, labels=None):
+    """K W, W' K W and W' k(z, z) of checked rows Z (n x d) and weight
+    columns W (n x k), from one square kernel pass.
 
-
-def _pooled_sums(spec: KernelSpec, A: np.ndarray, B: np.ndarray, a=None, b=None):
-    """Gram sums of two samples whose row i stands for a[i] (or b[i]) rows,
-    all ones when not given: a' K_AA a, a' K_AB b, b' K_BB b and the
-    diagonal sums a . k(A, A) and b . k(B, B).
-
-    The three block sums are entries of W' (K W), where K W is one square
-    pass over Z = [A; B] with the weight columns W = [a (+) 0 | 0 (+) b].
-    Its rows are labelled 0 for A and 1 for B, so each column tile is
-    reduced against the columns of the samples it holds only.  Linear rows
-    are first centred on their weighted pooled mean, which changes no
-    estimate read from the sums.
+    ``labels``, when given, labels the rows so that W's column g is nonzero
+    only on the rows labelled g.  A tiled pass then takes the rows in label
+    order (a stable sort) on both sides, so each column tile holds one
+    label, or the few that meet in it, and is reduced against their columns
+    only.  K W comes back in row order; each of its rows depends only on its
+    own input row, so it has the bits of a pass whose rows stay in row
+    order.  For the linear kernel, which forms no tiles, the block and
+    diagonal sums are taken from the rows centred on their weighted mean,
+    and K W stays uncentred: a witness value depends on where its row lies.
     """
-    a = np.ones(A.shape[0]) if a is None else np.asarray(a, dtype=float)
-    b = np.ones(B.shape[0]) if b is None else np.asarray(b, dtype=float)
-    n0, w, Z = a.size, np.concatenate([a, b]), np.vstack([A, B])
+    tiled = labels is not None and spec.family != "linear"
+    order = np.argsort(labels, kind="stable") if tiled else slice(None)
+    Zs = Z[order]
+    KW = np.empty(W.shape)
+    KW[order] = _matmul_unchecked(spec, Zs, Zs, W[order], labels[order] if tiled else None)
     if spec.family == "linear":
-        Z -= w @ Z / w.sum()
-    W = np.zeros((w.size, 2))
-    W[:n0, 0], W[n0:, 1] = a, b
-    KW = _matmul_unchecked(spec, Z, Z, W, np.repeat([0, 1], [n0, b.size]))
-    return ((a * KW[:n0, 0]).sum(), (a * KW[:n0, 1]).sum(), (b * KW[n0:, 1]).sum(),
-            (a * _aligned_unchecked(spec, Z[:n0], Z[:n0])).sum(),
-            (b * _aligned_unchecked(spec, Z[n0:], Z[n0:])).sum())
+        w = W.sum(axis=1)
+        Z = Z - w @ Z / w.sum()
+        per_col = W.T @ Z
+        return KW, per_col @ per_col.T, W.T @ _aligned_unchecked(spec, Z, Z)
+    return KW, W.T @ KW, W.T @ _aligned_unchecked(spec, Z, Z)
+
+
+def _between(totals, p: list, q: list, unbiased: bool, sums) -> MmdEstimate:
+    """The biased (V-statistic) or unbiased (U-statistic) estimate between
+    the union of the columns ``p`` and that of the columns ``q``, where
+    column g stands for ``totals[g]`` rows, from the block sums W' K W and
+    diagonal sums W' k(z, z) that ``sums()`` returns.  ``sums`` is called
+    only once both samples are large enough for the estimator, so a sample
+    too small is refused before any pass."""
+    n0, n1 = int(totals[p].sum()), int(totals[q].sum())
+    u = int(unbiased)  # the U-statistic leaves out the diagonal terms
+    if n0 < 1 + u or n1 < 1 + u:
+        raise SizeError(f"{'un' * u}biased estimator needs >= {1 + u} rows per sample, "
+                        f"got {n0} and {n1}")
+    block, diag = sums()
+    d0, d1 = (diag[p].sum(), diag[q].sum()) if unbiased else (0.0, 0.0)
+    mmd2 = ((block[np.ix_(p, p)].sum() - d0) / (n0 * (n0 - u))
+            + (block[np.ix_(q, q)].sum() - d1) / (n1 * (n1 - u))
+            - 2.0 * block[np.ix_(p, q)].sum() / (n0 * n1))
+    return _estimate(mmd2, "unbiased" if unbiased else "biased", n0, n1)
+
+
+def _two_sample(spec: KernelSpec, A: np.ndarray, B: np.ndarray, unbiased: bool,
+                a=None, b=None) -> MmdEstimate:
+    """The estimate between checked samples A and B whose row i stands for
+    a[i] (or b[i]) rows, all ones when not given: the rows [A; B], labelled
+    0 and 1 by sample, with the columns W = [a (+) 0 | 0 (+) b]."""
+    n0, n1 = A.shape[0], B.shape[0]
+    W = np.zeros((n0 + n1, 2))
+    W[:n0, 0] = 1.0 if a is None else a
+    W[n0:, 1] = 1.0 if b is None else b
+    labels = np.repeat([0, 1], [n0, n1])
+    return _between(W.sum(axis=0), [0], [1], unbiased,
+                    lambda: _gram_sums(spec, np.vstack([A, B]), W, labels)[1:])
 
 
 def mmd2_unbiased(spec: KernelSpec, A, B) -> MmdEstimate:
@@ -146,18 +173,13 @@ def mmd2_unbiased(spec: KernelSpec, A, B) -> MmdEstimate:
         A: (n0, d) sample from the first law, n0 >= 2.
         B: (n1, d) sample from the second law, n1 >= 2.
     """
-    A, B = _checked_pair(spec, A, B)
-    n0, n1 = A.shape[0], B.shape[0]
-    if n0 < 2 or n1 < 2:
-        raise SizeError(f"unbiased estimator needs >= 2 rows per sample, got {n0} and {n1}")
-    return _from_sums(n0, n1, *_pooled_sums(spec, A, B))
+    return _two_sample(spec, *_checked_pair(spec, A, B), unbiased=True)
 
 
 def mmd2_biased(spec: KernelSpec, A, B) -> MmdEstimate:
     """V-statistic (plug-in) estimate: the squared norm of the difference of
     empirical mean embeddings.  Nonnegative up to float rounding."""
-    A, B = _checked_pair(spec, A, B)
-    return _from_sums(A.shape[0], B.shape[0], *_pooled_sums(spec, A, B)[:3])
+    return _two_sample(spec, *_checked_pair(spec, A, B), unbiased=False)
 
 
 def mmd2_linear_time(spec: KernelSpec, A, B, seed: int) -> MmdEstimate:
@@ -211,7 +233,7 @@ def _witness(spec: KernelSpec, A, B) -> tuple[np.ndarray, np.ndarray, float]:
     unit witness of (A, B), whose values are K(., anchors) @ coefficients / r."""
     A, B = _checked_pair(spec, A, B)
     n0, n1 = A.shape[0], B.shape[0]
-    root = _from_sums(n0, n1, *_pooled_sums(spec, A, B)[:3]).mmd
+    root = _two_sample(spec, A, B, unbiased=False).mmd
     if root <= 0.0:
         raise ValidationError("witness undefined: the empirical mean embeddings coincide")
     coefs = np.concatenate([np.full(n0, 1.0 / n0), np.full(n1, -1.0 / n1)])
@@ -232,7 +254,8 @@ def gamma_biased(spec: KernelSpec, A, B) -> float:
 class CellSums:
     """Kernel sums of a labelled dataset against each of its four (s, y) cells.
 
-    Made by :func:`cell_sums` alone, once per dataset and kernel.
+    Made by :func:`cell_sums` alone, once per dataset and kernel, from the
+    Gram-sums routine with one one-hot weight column per cell.
     ``rows[i, c]`` is the sum of k(z_i, z_j) over the rows j of cell c, i.e.
     ``K(Z, Z) @ onehot(cell)`` from one square kernel pass, whose rows and
     columns a tiled kernel takes in cell order (row i's sums run over the
@@ -261,17 +284,10 @@ class CellSums:
     def mmd2(self, p, q, unbiased: bool = False) -> MmdEstimate:
         """Two-sample estimate between the rows of cells ``p`` and of cells
         ``q``: what :func:`mmd2_unbiased` (or :func:`mmd2_biased`) returns
-        for those two row sets, up to float rounding."""
-        P, Q = _cell_ids(p), _cell_ids(q)
-        n0, n1 = int(self.counts[P].sum()), int(self.counts[Q].sum())
-        least = 2 if unbiased else 1
-        if n0 < least or n1 < least:
-            raise SizeError(f"estimator needs >= {least} rows per sample, got {n0} and {n1}")
-        diags = (self.diag[P].sum(), self.diag[Q].sum()) if unbiased else ()
-        return _from_sums(
-            n0, n1, self.block[np.ix_(P, P)].sum(), self.block[np.ix_(P, Q)].sum(),
-            self.block[np.ix_(Q, Q)].sum(), *diags,
-        )
+        for those two row sets, up to float rounding; both are the one
+        reader of Gram sums."""
+        return _between(self.counts, _cell_ids(p), _cell_ids(q), unbiased,
+                        lambda: (self.block, self.diag))
 
     def witness(self, p, q) -> np.ndarray:
         """The unit witness of (cells ``p``, cells ``q``) at every row: what
@@ -295,16 +311,12 @@ def _cell_ids(cells) -> list:
 
 
 def cell_sums(spec: KernelSpec, data: LabeledDataset) -> CellSums:
-    """One kernel pass over ``data.z`` summarized per (s, y) cell.
-
-    A tiled pass takes the rows in cell order (a stable sort of the cells)
-    on both sides, so that each column tile of the pass holds one cell, or
-    the few that meet in it, and is reduced against their columns only (the
-    sorted cells are the pass's groups), and the pass is square, so each
-    pair of tiles is evaluated once.  Its output rows are put back in data
-    order; each depends only on its own input row, so they have the bits of
-    a pass whose rows stay in data order.  The linear kernel, which forms
-    no tiles, keeps data order.
+    """One kernel pass over ``data.z`` summarized per (s, y) cell: the
+    Gram-sums routine with one one-hot weight column per cell and the cells
+    as the rows' labels.  A tiled pass so takes the rows in cell order on
+    both sides, reduces each column tile against the columns of the cells
+    it holds only, and evaluates each pair of tiles once; its output rows
+    have the bits of a pass whose rows stay in data order.
 
     The dataset keeps the result for ``spec``, so every later call with an
     equal spec returns the same object without a pass of its own; its arrays
@@ -312,20 +324,9 @@ def cell_sums(spec: KernelSpec, data: LabeledDataset) -> CellSums:
     """
     if spec in data._kernel_sums:
         return data._kernel_sums[spec]
-    onehot = (data.cell[:, None] == np.arange(4)).astype(float)
-    order = slice(None) if spec.family == "linear" else np.argsort(data.cell, kind="stable")
-    zs = data.z[order]
-    zs, _ = _checked_pair(spec, zs, zs)
-    rows = np.empty(onehot.shape)
-    rows[order] = _matmul_unchecked(spec, zs, zs, onehot[order], data.cell[order])
-    if spec.family == "linear":
-        zc = data.z - np.ones(data.n) @ data.z / data.n
-        per_cell = onehot.T @ zc
-        block, diag = per_cell @ per_cell.T, _aligned_unchecked(spec, zc, zc)
-    else:
-        block, diag = onehot.T @ rows, _aligned_unchecked(spec, data.z, data.z)
-    diag = np.bincount(data.cell, weights=diag, minlength=4)
-    for arr in (rows, block, diag):
+    z, _ = _checked_pair(spec, data.z, data.z)
+    sums = CellSums(spec, *_gram_sums(spec, z, np.eye(4)[data.cell], data.cell), data.counts)
+    for arr in (sums.rows, sums.block, sums.diag):
         arr.flags.writeable = False
-    data._kernel_sums[spec] = CellSums(spec, rows, block, diag, data.counts)
-    return data._kernel_sums[spec]
+    data._kernel_sums[spec] = sums
+    return sums

@@ -21,7 +21,7 @@ from fairmmd import (
 from fairmmd.bounds import _report
 from fairmmd.fairness import GROUP_CELLS, evaluate_batch, witness_scores
 from fairmmd.mmd import cell_sums, gamma_biased
-from conftest import make_population, random_population
+from conftest import STREAMED_SPECS, make_population, random_population
 
 
 def test_report_sign_conventions():
@@ -188,6 +188,31 @@ def test_tvd_dominance_exact_small_support():
         # The rhs, read from the atom counts, is gamma_biased of the groups.
         assert_allclose(rep.rhs, gamma_biased(rbf(0.8), data.z[s == 0], data.z[s == 1]),
                         rtol=1e-12)
+
+
+@pytest.mark.parametrize("family", sorted(STREAMED_SPECS))
+def test_tvd_rhs_is_one_square_pass_over_the_atoms(family, monkeypatch):
+    """The TV check reads its rhs from one square kernel pass over the u
+    distinct rows, weighted by each group's counts, not from a pass over
+    both groups' atoms; it is gamma_biased of the two groups' rows."""
+    from fairmmd import mmd
+
+    spec = STREAMED_SPECS[family]
+    calls, real = [], mmd._matmul_unchecked
+
+    def spying(spec, A, B, M, groups=None):
+        calls.append((A is B, A.shape[0], B.shape[0]))
+        return real(spec, A, B, M, groups)
+
+    monkeypatch.setattr(mmd, "_matmul_unchecked", spying)
+    rng = np.random.default_rng(12)
+    atoms = rng.normal(size=(40, 2))
+    s = rng.integers(0, 2, size=600)
+    ids = np.where(s == 0, rng.integers(0, 30, size=600), rng.integers(10, 40, size=600))
+    data = LabeledDataset(z=atoms[ids], s=s, y=rng.integers(0, 2, size=600))
+    rep = check_tvd_dominance(spec, data)
+    assert calls == [(True, 40, 40)]
+    assert_allclose(rep.rhs, gamma_biased(spec, data.z[s == 0], data.z[s == 1]), rtol=1e-12)
 
 
 def test_tvd_identical_groups_zero_both_sides():

@@ -310,6 +310,21 @@ def test_malformed_input_exits_two_without_report(tmp_path, capsys, command, ext
     assert not (tmp_path / "reports").exists()
 
 
+def test_median_bandwidth_of_one_row_exits_two_with_one_line(tmp_path):
+    """A median bandwidth needs two rows: a one-row dataset CSV exits 2 with
+    one error line that says so, and numpy prints no warning first."""
+    (tmp_path / "one-row.csv").write_text("z_0,z_1,s,y\n0.1,0.2,0,1\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": "one-row.csv", "out": str(tmp_path / "reports"),
+                               "kernel": {"family": "rbf", "sigma": "median"}}))
+    proc = run_python(f"import sys; from fairmmd.cli import main; "
+                      f"sys.exit(main(['eok', '--config', {str(cfg)!r}]))")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "median heuristic needs >= 2 rows" in proc.stderr, \
+        proc.stderr
+    assert not (tmp_path / "reports").exists()
+
+
 @pytest.mark.parametrize("command, extra, allowed", [
     ("eok", {"kernel": {"family": "poly"}}, "'rbf', 'laplacian', 'linear'"),
     ("eok", {"eok": {"method": "nope"}}, "'both', 'plugin', 'bootstrap'"),
@@ -474,9 +489,30 @@ def test_out_of_range_option_names_its_field_before_any_work(tmp_path, capsys, m
     assert err.count("\n") == 1 and f'"{field}"' in err and "expected a value >= " in err, err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sigma_u", -1.0), ("sigma_u", 0.0), ("sigma_y", 1e-170), ("sigma_y", 1e308),
+], ids=["sigma-u-negative", "sigma-u-zero", "sigma-y-reciprocal-overflows",
+        "sigma-y-square-overflows"])
+def test_calibration_bandwidth_names_its_field_before_any_work(tmp_path, capsys, monkeypatch,
+                                                               field, value):
+    """A calibration-chain bandwidth that the rbf kernel refuses is a
+    malformed option: the error names the field, and no rows are read
+    first."""
+    from fairmmd import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before every option was read")
+
+    monkeypatch.setattr(cli, "sample_population", no_work)
+    assert run(["bounds", "--config", write_config(tmp_path, bounds={field: value})]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f'bounds "{field}"' in err and "sigma must" in err, err
+
+
 @pytest.mark.parametrize("command, extra", [
     ("bounds", {"bounds": {"checks": ["biased_lower_bound"], "trials": -1, "n_anchors": 0,
-                           "rate_threshold": -1, "max_support": 0}}),
+                           "rate_threshold": -1, "max_support": 0, "sigma_u": -1,
+                           "sigma_y": 0}}),
     ("concentration", {"n": 0, "concentration": {"grid": GRID, "n_grid": [20, 40],
                                                  "trials": 3, "g_trials": 4}}),
     ("metrics", {"n": 0, "dataset": "data.csv"}),

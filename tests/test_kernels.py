@@ -289,6 +289,20 @@ def test_median_heuristic_small_oracle():
     assert_allclose(median_heuristic(X), 1.0, rtol=1e-12)
 
 
+def test_median_heuristic_refuses_fewer_than_two_rows():
+    """One row, or a subsample of one, has no pairwise distance: it is
+    refused by its own message, before numpy takes the median of no
+    distances and warns."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="got 1 rows and cap 2000"):
+            median_heuristic(np.array([[0.1, 0.2]]))
+        with pytest.raises(ValidationError, match="got 10 rows and cap 1"):
+            median_heuristic(np.arange(20.0).reshape(10, 2), cap=1)
+
+
 def test_median_heuristic_subsampling_is_seeded():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(3000, 2))

@@ -274,10 +274,12 @@ def test_cell_sums_match_dense_kernel(family):
         assert_matches_dense(sums.witness(*groups), witness_eval(spec, z0, z1, data.z))
 
 
-def test_pooled_sums_make_one_square_pass(monkeypatch):
-    """The Gram sums of two weighted samples come from one kernel pass, with
-    the pooled rows passed as both A and B and labelled by sample, and
-    agree with the dense blocks."""
+def test_gram_sums_make_one_square_pass(monkeypatch):
+    """The Gram-sums routine makes one square kernel pass over its rows,
+    labelled in ascending order when labels are given, and its K W, W' K W
+    and W' k(z, z) agree with the dense kernel matrix for every family: for
+    a one-hot W labelled by cell, a two-sample W with multiplicities
+    labelled by sample, and a dense two-column W without labels."""
     from fairmmd import mmd
 
     calls, real = [], mmd._matmul_unchecked
@@ -288,17 +290,31 @@ def test_pooled_sums_make_one_square_pass(monkeypatch):
 
     monkeypatch.setattr(mmd, "_matmul_unchecked", spying)
     rng = np.random.default_rng(19)
-    A, B = rng.normal(size=(300, 2)), rng.normal(size=(170, 2)) + 0.3
-    a, b = rng.integers(1, 4, size=300).astype(float), rng.integers(1, 4, size=170).astype(float)
-    for spec in FAMILIES:
-        calls.clear()
-        sums = mmd._pooled_sums(spec, A, B, a, b)
-        assert [call[:2] for call in calls] == [(True, 470)]
-        np.testing.assert_array_equal(calls[0][2], np.repeat([0, 1], [300, 170]))
-        if spec.family != "linear":  # linear sums are of the centred rows
-            Kaa, Kab, Kbb = pairwise(spec, A, A), pairwise(spec, A, B), pairwise(spec, B, B)
-            assert_allclose(sums, (a @ Kaa @ a, a @ Kab @ b, b @ Kbb @ b,
-                                   a @ np.diag(Kaa), b @ np.diag(Kbb)), rtol=1e-12)
+    n0, n1 = 300, 170
+    Z = rng.normal(size=(n0 + n1, 2)) + np.repeat([[0.0, 0.0], [0.3, 0.1]], [n0, n1], axis=0)
+    cell = rng.integers(0, 4, size=n0 + n1)
+    pooled = np.zeros((n0 + n1, 2))
+    pooled[:n0, 0], pooled[n0:, 1] = rng.integers(1, 4, size=n0), rng.integers(1, 4, size=n1)
+    cases = (((cell[:, None] == np.arange(4)).astype(float), cell),
+             (pooled, np.repeat([0, 1], [n0, n1])),
+             (rng.uniform(0.0, 2.0, size=(n0 + n1, 2)), None))
+    for family, spec in sorted(STREAMED_SPECS.items()):
+        K = pairwise(spec, Z, Z)
+        for W, labels in cases:
+            calls.clear()
+            KW, block, diag = mmd._gram_sums(spec, Z, W, labels)
+            assert [call[:2] for call in calls] == [(True, n0 + n1)]
+            if labels is None or family == "linear":  # the linear kernel forms no tiles
+                assert calls[0][2] is None
+            else:
+                np.testing.assert_array_equal(calls[0][2], np.sort(labels))
+            assert_matches_dense(KW, K @ W)
+            # The linear sums are of the rows centred on their weighted mean.
+            w = W.sum(axis=1)
+            zc = Z - w @ Z / w.sum()
+            Kb = zc @ zc.T if family == "linear" else K
+            assert_matches_dense(block, W.T @ Kb @ W)
+            assert_matches_dense(diag, W.T @ np.diag(Kb))
 
 
 def test_cell_sums_are_kept_per_kernel(monkeypatch):
