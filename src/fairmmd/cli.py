@@ -46,7 +46,7 @@ from .bounds import (
     check_unbiased_equality,
 )
 from .complexity import concentration_check, finite_grid, suggest_radius
-from .eok import eok_hat_bootstrap, eok_hat_plugin
+from .eok import _checked_weights, eok_hat_bootstrap, eok_hat_plugin
 from .errors import ConfigurationError, FairmmdError, ValidationError
 from .fairness import (
     GROUP_CELLS,
@@ -217,10 +217,25 @@ def _seed(value) -> int:
     return seed
 
 
-def _sigma(value):
-    """A bandwidth for :func:`_parse`: a number, or "median" for the median
-    heuristic on the dataset."""
-    return value if value == "median" else _float(value)
+def _accepted(make, convert):
+    """A converter for :func:`_parse` that admits only values of ``convert``
+    that ``make`` accepts, such as a kernel constructor's parameter range;
+    the refusal names what is allowed."""
+    def check(value):
+        value = convert(value)
+        try:
+            make(value)
+        except ValidationError as exc:
+            raise _NotAllowed(str(exc)) from None
+        return value
+    return check
+
+
+def _sigma(make):
+    """A converter for :func:`_parse` of a bandwidth that ``make`` accepts,
+    or "median" for the median heuristic on the dataset."""
+    convert = _accepted(make, _float)
+    return lambda value: value if value == "median" else convert(value)
 
 
 # Options every command reads.  The rows come from an inline ``population``
@@ -233,9 +248,9 @@ _TOP = {"seed": (0, _seed), "out": ("reports", _str), "n": (1000, _int),
 
 # The kernel section: "family" picks the table of its other options.
 _KERNEL = ("family", _REQUIRED, {
-    "rbf": {"sigma": (1.0, _sigma)},
-    "laplacian": {"sigma": (1.0, _sigma)},
-    "linear": {"radius": (_REQUIRED, _float)},
+    "rbf": {"sigma": (1.0, _sigma(rbf))},
+    "laplacian": {"sigma": (1.0, _sigma(laplacian))},
+    "linear": {"radius": (_REQUIRED, _accepted(linear, _float))},
 })
 
 # The metrics.classifier section: "kind" picks the table of its other options.
@@ -560,25 +575,30 @@ _TOLERANCES = {"unbiased_equality": (0.02, _float), "biased_lower_bound": (0.03,
                "tvd_dominance": (1e-9, _float)}
 
 
-def _if_checked(check, ranged, convert):
-    """A converter for a "bounds" option that only the check ``check``
-    reads: ``ranged``, where "checks" names ``check``; elsewhere
+def _if_used(used, ranged, convert):
+    """A converter for an option that only some runs read: ``ranged``
+    where ``used(the options read before it)`` holds; elsewhere
     :func:`_options` reads the option with ``convert`` alone, so an unused
     value is not refused.  It wraps ``ranged`` in a function of its own,
     so that ``given`` is never set on a converter other options share."""
     def checked(value):
         return ranged(value)
-    checked.given = lambda opts: ranged if check in opts["checks"] else convert
+    checked.given = lambda opts: ranged if used(opts) else convert
     return checked
 
 
-def _bandwidth(value) -> float:
-    """An rbf bandwidth for :func:`_parse`: a number that :func:`rbf`
-    accepts, > 0 with 2 sigma^2 and its reciprocal finite."""
-    try:
-        return rbf(_float(value)).sigma
-    except ValidationError as exc:
-        raise _NotAllowed(str(exc)) from None
+def _if_checked(check, ranged, convert):
+    """:func:`_if_used` for a "bounds" option that only the check ``check``
+    reads, where "checks" names it."""
+    return _if_used(lambda opts: check in opts["checks"], ranged, convert)
+
+
+# An rbf bandwidth: > 0 with 2 sigma^2 and its reciprocal finite.
+_bandwidth = _accepted(rbf, _float)
+
+# A bootstrap draw count, read where "method" bootstraps.
+_DRAWS = _if_used(lambda opts: opts["method"] != "plugin",
+                  _optional(_at_least(1, _int)), _optional(_int))
 
 
 # What each command reads, all of it read by ``main`` before the command
@@ -592,8 +612,8 @@ _READS = {
                          "metrics": {"bins": (None, _optional(_at_least(1, _int)))}}),
     "eok": ("rows", {"kernel": _KERNEL, "eok": {
         "method": ("both", _one_of("both", "plugin", "bootstrap")),
-        "weights": (None, _optional(_list_of(_float))), "m0": (None, _optional(_int)),
-        "m1": (None, _optional(_int)), "bootstrap_seed": (_RUN_SEED, _seed)}}),
+        "weights": (None, _optional(_accepted(_checked_weights, _list_of(_float)))),
+        "m0": (None, _DRAWS), "m1": (None, _DRAWS), "bootstrap_seed": (_RUN_SEED, _seed)}}),
     "bounds": ("rows", {"kernel": _KERNEL, "bounds": {
         "checks": (["biased_lower_bound", "ba_bounds", "calibration_chain"],
                    _list_of(_one_of(*_TOLERANCES))),
@@ -607,7 +627,8 @@ _READS = {
         "bounds.tolerances": _TOLERANCES}),
     "concentration": ("population", {"concentration": {
         "grid": (_REQUIRED, _list_of(_list_of(_list_of(_float)))),
-        "radius": (None, _optional(_float)), "n_grid": ([100, 200, 400, 800], _list_of(_int)),
+        "radius": (None, _optional(_accepted(linear, _float))),
+        "n_grid": ([100, 200, 400, 800], _list_of(_int)),
         "trials": (100, _at_least(1, _int)), "delta": (0.05, _float),
         "g_trials": (64, _at_least(2, _int))}}),
     "train": ("rows", {"kernel": _KERNEL, "train": _TRAIN}),

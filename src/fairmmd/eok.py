@@ -99,12 +99,18 @@ class EokEstimate:
 def _resolve_weights(data: LabeledDataset, weights) -> tuple[np.ndarray, str]:
     if weights is None:
         return empirical_weights(data), "empirical"
+    return _checked_weights(weights), "spec-given"
+
+
+def _checked_weights(weights) -> np.ndarray:
+    """Explicit mixture weights as an array, after the one check they need,
+    which reads no data: two nonnegative numbers that sum to 1."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (2,) or np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValidationError("weights must be two nonnegative numbers")
     if abs(w.sum() - 1.0) > 1e-9:
         raise NormalizationError(f"weights must sum to 1, got {w.sum()}")
-    return w, "spec-given"
+    return w
 
 
 def empirical_weights(data: LabeledDataset) -> np.ndarray:

@@ -31,27 +31,30 @@ the two-sample sums of :mod:`fairmmd.mmd` do): each tile is then reduced
 against the columns of the groups it holds only, which leaves out exact
 zeros alone.  A one-hot M whose rows come in cell order so costs about one
 column per tile, whatever the number of cells.  A square pass (``B is A``,
-as in K(Z, Z) @ M) evaluates each pair of tiles once: row tile p forms
-K(A_p, A_b) for the column tiles b >= p only, reduces it for itself, and
+as in K(Z, Z) @ M) evaluates each pair of tiles once: the tile pair
+(p, b) with b >= p forms K(A_p, A_b), reduces it for row tile p, and
 reduces a contiguous transposed copy of it (about 65 us for a 256 x 256
-tile, against about 160 us to evaluate it) against its own column tile's
+tile, against about 160 us to evaluate it) against column tile p's
 coefficients for row tile b.  Every kernel entry is symmetric bit for bit
 ((a - b)^2, |a - b|, a . b, and sums and products of such), so the copy
 has the bits of K(A_b, A_p).
 
-Every pass hands its row tiles out one at a time, from one shared,
-lock-guarded sink: a small pass to the calling thread alone, a pass of at
-least two tiles per CPU also to a small thread pool, one thread per CPU the
-process may use, so a thread that runs slower draws fewer tiles.  Every
-product a tile yields goes to that sink, which adds it to its output rows
-only after the products of every column tile before it; one that arrives
-early waits in buffers the calling thread allocated, as do each thread's
-tiles.  A thread takes a row tile only while it is a few tiles past the
-oldest unfinished one, and stops rather than wait when it is not, so the
-waiting products take O(workers n k) floats, like the output, and no
-thread ever waits for another.  Every output row still sums the same
-tiles in the same order, so results have the same bits whatever the number
-of CPUs and whether the pass is square.
+Every pass hands its tile pairs (t, k), row tile t against column tile k,
+out one at a time in row-major order from one shared, lock-guarded sink:
+a square pass the pairs k >= t, any other pass every pair; a small pass
+to the calling thread alone, a pass of at least two tiles per CPU also to
+a small thread pool, one thread per CPU the process may use, so a thread
+that runs slower draws fewer pairs.  Every product a pair yields goes to
+that sink, which adds it to its output rows only after the products of
+every column tile before it; one that arrives early waits in buffers the
+calling thread allocated, as do each thread's tiles.  Every row tile
+receives its products in hand-out order, so a product waits only behind a
+pair another thread still holds; each thread holds one pair and a pair
+feeds at most two row tiles, so at most 2 * workers * (column tiles - 1)
+products wait, O(workers n k) floats like the output.  No thread ever
+waits for another, and none stops before the pairs run out.  Every output
+row still sums the same tiles in the same order, so results have the same
+bits whatever the number of CPUs and whether the pass is square.
 
 All kernel arithmetic lives in this module: the tiles, :func:`pairwise`
 and the aligned-row evaluation k(A[i], B[i]) that the estimators read
@@ -124,9 +127,9 @@ _DISTANCES = {"rbf": "sqeuclidean", "laplacian": "cityblock"}
 # a full pass over such tiles beat 512 x 512 tiles and full-width row strips.
 TILE = 256
 
-# CPUs this process may run on, read once: :func:`kernel_matmul` splits the
-# output rows of a large pass into this many chunks.  The pool that runs all
-# chunks but the caller's is created on first use.
+# CPUs this process may run on, read once: :func:`kernel_matmul` hands the
+# tile pairs of a large pass out to this many threads.  The pool that runs
+# all of them but the calling thread is created on first use.
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # pragma: no cover - no affinity call on this platform
@@ -309,9 +312,10 @@ def kernel_matmul(spec: KernelSpec, A, B, M) -> np.ndarray:
     Passing the same array as ``A`` and ``B`` makes a square pass, which
     evaluates each pair of tiles once, T(T + 1)/2 tiles for T row tiles in
     place of T^2, with the same bits (see the module docstring).  A pass of
-    at least two tiles per CPU hands its row tiles out to one thread per
-    CPU, a smaller pass to the calling thread alone; the output does not
-    depend on how many CPUs there are.
+    at least two tiles per CPU, over more than one row tile, hands its tile
+    pairs out in row-major order to one thread per CPU, a smaller pass to
+    the calling thread alone; the output does not depend on how many CPUs
+    there are.
 
     Args:
         spec: kernel description.
@@ -354,39 +358,37 @@ def _matmul_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, M: np.ndar
                 [slice(groups[j], groups[min(j + TILE, m) - 1] + 1) for j in starts])
         out = np.zeros((n, Mt.shape[0]))
         small = n * m < 2 * TILE * TILE * _WORKERS
-        _row_tile_pass(spec, A, B, [(c, Mt[c, j : j + TILE]) for c, j in zip(cols, starts)],
-                       out, 1 if small else min(_WORKERS, -(-n // TILE)))
+        _tiled_pass(spec, A, B, [(c, Mt[c, j : j + TILE]) for c, j in zip(cols, starts)],
+                    out, 1 if small else min(_WORKERS, -(-n // TILE)))
     return out.reshape(n) if M.ndim == 1 else out
 
 
-def _tile_pass(spec: KernelSpec, Ai, B, blocks, t, square, sink, bufs, prod, flip) -> None:
-    """Deliver to ``sink`` the products of row tile ``t`` (rows ``Ai``) with
-    the column tiles of the pass, in ascending order: column tile ``k``,
-    whose block is ``blocks[k] = (cols, Mk)``, reduces the tile
-    K(Ai, B[k TILE : (k + 1) TILE]), written into the flat buffers ``bufs``,
-    against Mt's rows ``cols`` (``Mk``), its product written into the flat
-    buffer ``prod``.
+def _tile_pass(spec: KernelSpec, A, B, blocks, t, k, square, sink, bufs, prod, flip) -> None:
+    """Deliver to ``sink`` the product of tile pair (t, k): row tile ``t``
+    of A against column tile ``k`` of B, whose block is ``blocks[k] = (cols,
+    Mk)``.  The tile K(A_t, B_k), written into the flat buffers ``bufs``,
+    is reduced against Mt's rows ``cols`` (``Mk``), the product written into
+    the flat buffer ``prod``.
 
-    In a ``square`` pass the row tile evaluates only the column tiles
-    t, t + 1, ..., and uses each tile past its own twice: for itself, and,
-    copied transposed into the flat buffer ``flip`` and reduced against
-    ``blocks[t]``, for row tile k at position t, which therefore never
-    evaluates it.  Every kernel entry is symmetric bit for bit, so the copy
-    has the bits of the tile row tile k would evaluate, and contiguous like
-    it, so einsum reduces it with the same bits.
+    In a ``square`` pass, where only the pairs k >= t are handed out, a
+    pair with k > t is used twice: for row tile t, and, copied transposed
+    into the flat buffer ``flip`` and reduced against ``blocks[t]``, for
+    row tile k at position t, which pair (k, t) would have evaluated.  Every
+    kernel entry is symmetric bit for bit, so the copy has the bits of that
+    tile, and contiguous like it, so einsum reduces it with the same bits.
 
     Each entry of a product is one dot of a tile row with one row of Mt,
     whatever other rows take part, and a column left out of ``cols`` would
     only add zeros (finite kernel values times zero) to a row; so the sum
     of the products has the bits of reducing every tile against all of Mt.
     """
-    for k in range(t if square else 0, len(blocks)):
-        K = _pairwise_unchecked(spec, Ai, B[k * TILE : (k + 1) * TILE], bufs)
-        sink.deliver(t, k, _reduced(K, blocks[k][1], prod))
-        if square and k > t:
-            mirror = flip[: K.size].reshape(K.shape[::-1])
-            np.copyto(mirror, K.T)
-            sink.deliver(k, t, _reduced(mirror, blocks[t][1], prod))
+    K = _pairwise_unchecked(spec, A[t * TILE : (t + 1) * TILE], B[k * TILE : (k + 1) * TILE],
+                            bufs)
+    sink.deliver(t, k, _reduced(K, blocks[k][1], prod))
+    if square and k > t:
+        mirror = flip[: K.size].reshape(K.shape[::-1])
+        np.copyto(mirror, K.T)
+        sink.deliver(k, t, _reduced(mirror, blocks[t][1], prod))
 
 
 def _reduced(K: np.ndarray, Mj: np.ndarray, prod: np.ndarray) -> np.ndarray:
@@ -396,47 +398,35 @@ def _reduced(K: np.ndarray, Mj: np.ndarray, prod: np.ndarray) -> np.ndarray:
 
 
 class _InOrderSink:
-    """The row tiles of one pass, handed out one at a time, and the products
-    delivered to each, summed into ``out`` in ascending column order.
+    """The tile pairs (t, k) of one pass, handed out one at a time in
+    row-major order, and the products delivered for each row tile, summed
+    into ``out`` in ascending column order.
 
     Row tile t adds the product of column tile k only after those of
     column tiles 0 .. k - 1 (``nxt[t]`` of them); a product that arrives
     early waits in a row of ``slab`` until its turn, and the thread that
-    delivers the missing one adds it.  In a rectangular pass, and on one
-    worker, every product arrives in its turn.
-
-    A split square pass bounds the waiting products: a row tile is handed
-    out only while it is fewer than ``ahead`` tiles past the oldest
-    unfinished one, and a thread that may not take one stops rather than
-    wait for another (the pool is shared by concurrent passes), leaving the
-    rest to the thread of the oldest tile.  The products that row tile t's
-    positions receive come from row tiles that never decrease along its
-    positions, so only the products of the ``ahead - 1`` tiles after the
-    oldest can wait, at most ``2 n_tiles - 1`` each: ``slab`` holds that
-    many rows, O(workers n k) like ``out``, allocated by the calling thread.
+    delivers the missing one adds it.  Every row tile receives its products
+    in hand-out order (in a square pass, column tiles j < t come from the
+    mirrored pairs (j, t), handed out before the pairs (t, j >= t)), so a
+    product waits only behind one that a thread still holds.  Each thread
+    holds one pair and a pair feeds at most two row tiles, so at most
+    2 * workers row tiles have products waiting, at most (column tiles - 1)
+    each: ``slab`` holds that many rows, O(workers n k) like ``out``,
+    allocated by the calling thread.  No thread waits for another, and a
+    thread stops only when the pairs run out.
     """
 
-    def __init__(self, out, blocks, n_tiles: int, ahead: int, slots: int, width: int):
-        self.out, self.blocks, self.n_tiles, self.ahead = out, blocks, n_tiles, ahead
+    def __init__(self, out, blocks, pairs, slots: int, width: int):
+        self.out, self.blocks, self.pairs = out, blocks, pairs
         self.lock = threading.Lock()
-        self.nxt, self.finished = [0] * n_tiles, [False] * n_tiles
-        self.handed = self.oldest = 0
+        self.nxt = [0] * -(-out.shape[0] // TILE)
         self.slab = np.empty((slots, width)) if slots else None
         self.free, self.waiting = list(range(slots)), {}
 
-    def take(self, done=None):
-        """Marks row tile ``done`` finished and hands out the next row tile,
-        or None when there is none this thread may take."""
+    def take(self):
+        """The next tile pair (t, k), or None when there is none left."""
         with self.lock:
-            if done is not None:
-                self.finished[done] = True
-                while self.oldest < self.handed and self.finished[self.oldest]:
-                    self.oldest += 1
-            t = self.handed
-            if t == self.n_tiles or t - self.oldest >= self.ahead:
-                return None
-            self.handed += 1
-            return t
+            return next(self.pairs, None)
 
     def deliver(self, t: int, k: int, part: np.ndarray) -> None:
         """Adds row tile t's product ``part`` with column tile k, and every
@@ -460,42 +450,35 @@ class _InOrderSink:
             self.nxt[t] = k
 
 
-def _row_tile_pass(spec: KernelSpec, A, B, blocks, out, workers: int) -> None:
+def _tiled_pass(spec: KernelSpec, A, B, blocks, out, workers: int) -> None:
     """Add K(A, B) @ Mt' to ``out``, over the column tiles' ``blocks``, on
     ``workers`` threads, the calling thread and ``workers - 1`` pool
-    threads (no pool for one worker), each taking one row tile at a time
+    threads (no pool for one worker), each taking one tile pair at a time
     from one shared :class:`_InOrderSink` and reducing it with
-    :func:`_tile_pass` until none is left for it.
+    :func:`_tile_pass` until none is left.
 
-    A square pass (``B is A``) evaluates each pair of tiles once, for the
-    lower row tile, which hands the transposed product to the other.  Each
-    output row still adds the same column tiles in the same order, so the
-    result has the same bits whatever the number of workers.  The calling
-    thread allocates every worker's buffers and the sink's, since memory a
-    pool thread allocates stays in that thread's malloc arena after it is
-    freed.  numpy's floating-point error settings are per thread, so every
-    worker takes the calling thread's: a split pass warns, or keeps quiet,
-    as the serial one does.
+    A square pass (``B is A``) hands out the pairs k >= t only; each
+    evaluates its tile once and hands the transposed product to the
+    mirrored row tile.  Each output row still adds the same column tiles in
+    the same order, so the result has the same bits whatever the number of
+    workers.  The calling thread allocates every worker's buffers and the
+    sink's, since memory a pool thread allocates stays in that thread's
+    malloc arena after it is freed.  numpy's floating-point error settings
+    are per thread, so every worker takes the calling thread's: a split
+    pass warns, or keeps quiet, as the serial one does.
     """
-    n_tiles = -(-A.shape[0] // TILE)
+    n_tiles, n_cols = -(-A.shape[0] // TILE), len(blocks)
     square = B is A
     tile_rows, cols = min(TILE, A.shape[0]), min(TILE, B.shape[0])
-    # Only a split square pass has products that wait; its threads may run a
-    # few row tiles ahead of the oldest unfinished one.
-    split_square = square and workers > 1
-    ahead = min(3 * workers, n_tiles) if split_square else n_tiles
-    sink = _InOrderSink(out, blocks, n_tiles, ahead,
-                        (ahead - 1) * (2 * n_tiles - 1) if split_square else 0,
+    pairs = ((t, k) for t in range(n_tiles) for k in range(t if square else 0, n_cols))
+    sink = _InOrderSink(out, blocks, pairs, 2 * workers * (n_cols - 1) if workers > 1 else 0,
                         tile_rows * out.shape[1])
     err = np.geterr()
 
     def drain(bufs, prod, flip):
         with np.errstate(**err):
-            t = sink.take()
-            while t is not None:
-                _tile_pass(spec, A[t * TILE : (t + 1) * TILE], B, blocks, t, square,
-                           sink, bufs, prod, flip)
-                t = sink.take(t)
+            for t, k in iter(sink.take, None):
+                _tile_pass(spec, A, B, blocks, t, k, square, sink, bufs, prod, flip)
 
     jobs = [([np.empty(tile_rows * cols) for _ in range(_tiles_needed(spec))],
              np.empty(tile_rows * out.shape[1]),

@@ -417,24 +417,52 @@ def test_training_that_leaves_the_linear_ball_exits_two(tmp_path, capsys):
     assert not (tmp_path / "reports").exists()
 
 
-# One malformed option per command; all but the sweep's were once read only
-# after rows were drawn or a kernel pass was made.  The bounds tolerance is
-# of a check that is not requested.
-BEFORE_WORK = {
-    "generate": {"out": 5},
-    "metrics": {"metrics": {"bins": "x"}},
-    "eok": {"dataset": "data.csv", "eok": {"m0": "x"}},
-    "bounds": {"bounds": {"checks": ["biased_lower_bound"], "tolerances": {"tvd_dominance": "x"}}},
-    "concentration": {"concentration": {"grid": GRID, "g_trials": "x"}},
-    "train": {"train": {"steps": "x"}},
-    "sweep": {"sweep": {"dc_bins": "x"}},
-}
+def _eok_on_csv(name, field, **extra):
+    """A row of BEFORE_WORK, ``eok-<name>``: ``eok`` on a dataset CSV with
+    one malformed option, which names ``field``."""
+    return pytest.param("eok", dict(extra, dataset="data.csv"), field, id=f"eok-{name}")
 
 
-@pytest.mark.parametrize("command", sorted(BEFORE_WORK))
-def test_malformed_option_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+# One malformed option per command, which each row's last entry names; all
+# but the sweep's were once read only after rows were drawn or a kernel pass
+# was made.  The bounds tolerance is of a check that is not requested; the
+# concentration radius was once refused without its name.  The rows after
+# them are ``eok`` runs on a dataset CSV whose kernel parameter (out of its
+# family's range), mixture weights or bootstrap draw count was once refused
+# only after the CSV was read, and the draw counts also only after the
+# plug-in's pass.
+BEFORE_WORK = [
+    pytest.param("generate", {"out": 5}, "out", id="generate"),
+    pytest.param("metrics", {"metrics": {"bins": "x"}}, "bins", id="metrics"),
+    pytest.param("eok", {"dataset": "data.csv", "eok": {"m0": "x"}}, "m0", id="eok"),
+    pytest.param("bounds", {"bounds": {"checks": ["biased_lower_bound"],
+                                       "tolerances": {"tvd_dominance": "x"}}},
+                 "tvd_dominance", id="bounds"),
+    pytest.param("concentration", {"concentration": {"grid": GRID, "g_trials": "x"}},
+                 "g_trials", id="concentration"),
+    pytest.param("concentration", {"concentration": {"grid": GRID, "radius": 0}}, "radius",
+                 id="concentration-radius-0"),
+    pytest.param("train", {"train": {"steps": "x"}}, "steps", id="train"),
+    pytest.param("sweep", {"sweep": {"dc_bins": "x"}}, "dc_bins", id="sweep"),
+    *(_eok_on_csv(f"{family}-sigma-{sigma}", "sigma", kernel={"family": family, "sigma": sigma})
+      for family, sigma in (("rbf", -1), ("rbf", 0), ("rbf", 1e-200),
+                            ("laplacian", -2), ("laplacian", 1e-320))),
+    *(_eok_on_csv(f"linear-radius-{radius}", "radius",
+                  kernel={"family": "linear", "radius": radius})
+      for radius in (-1, 0)),
+    _eok_on_csv("m0-0", "m0", eok={"m0": 0}),
+    _eok_on_csv("m1--3", "m1", eok={"m1": -3}),
+    _eok_on_csv("one-weight", "weights", eok={"weights": [0.5]}),
+    _eok_on_csv("weights-not-summing-to-1", "weights", eok={"weights": [0.7, 0.7]}),
+]
+
+
+@pytest.mark.parametrize("command, extra, field", BEFORE_WORK)
+def test_malformed_option_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                     extra, field):
     """Every command reads all of its options before it reads a CSV, draws
-    rows, makes a kernel pass or writes a file."""
+    rows, makes a kernel pass or writes a file, and the error names the
+    malformed field."""
     from fairmmd import cli, kernels, mmd
 
     def no_work(*args, **kwargs):
@@ -445,14 +473,14 @@ def test_malformed_option_is_refused_before_any_work(tmp_path, capsys, monkeypat
                          (cli, "median_heuristic"), (cli, "suggest_radius"),
                          (cli, "concentration_check"), (cli, "train"), (cli, "lambda_sweep")]:
         monkeypatch.setattr(module, name, no_work)
-    cfg = write_config(tmp_path, **BEFORE_WORK[command])
-    if "dataset" in BEFORE_WORK[command]:
+    cfg = write_config(tmp_path, **extra)
+    if "dataset" in extra:
         cfg_dict = json.loads(cfg.read_text())
         del cfg_dict["population"]
         cfg.write_text(json.dumps(cfg_dict))
     assert run([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f'"{field}"' in err, err
     assert not (tmp_path / "reports").exists()
 
 
@@ -516,11 +544,13 @@ def test_calibration_bandwidth_names_its_field_before_any_work(tmp_path, capsys,
     ("concentration", {"n": 0, "concentration": {"grid": GRID, "n_grid": [20, 40],
                                                  "trials": 3, "g_trials": 4}}),
     ("metrics", {"n": 0, "dataset": "data.csv"}),
-], ids=["bounds-unselected-checks", "concentration-n", "dataset-n"])
+    ("eok", {"eok": {"method": "plugin", "m0": 0, "m1": -3}}),
+], ids=["bounds-unselected-checks", "concentration-n", "dataset-n", "eok-plugin-draws"])
 def test_option_out_of_range_is_refused_only_where_it_is_used(tmp_path, command, extra):
     """A command refuses an option's range only where it reads the option:
-    the "bounds" options of checks it does not run, and ``n`` for a dataset
-    CSV or for "concentration", may hold any integer."""
+    the "bounds" options of checks it does not run, ``n`` for a dataset CSV
+    or for "concentration", and the bootstrap draw counts of a plug-in
+    ``eok``, may hold any integer."""
     from fairmmd.synth import population_from_dict, sample_population, write_csv
 
     write_csv(sample_population(population_from_dict(POPULATION), 200, 0), tmp_path / "data.csv")

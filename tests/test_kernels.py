@@ -636,27 +636,44 @@ def test_square_pass_memory_grows_linearly_with_n(monkeypatch):
     assert peaks[1] <= 2.5 * peaks[0], peaks
 
 
-def test_thread_that_runs_ahead_stops_rather_than_waits(monkeypatch):
-    """While the calling thread holds the oldest row tile, a pool thread
-    takes only a few row tiles past it and then stops instead of waiting;
-    the calling thread reduces the rest, and the pass has the serial bits."""
+def test_slow_thread_does_not_stall_the_pass(monkeypatch):
+    """While the calling thread holds its first tile pair, (0, 0) or, if the
+    pool thread took that one, (0, 1), the pool thread takes every other
+    pair rather than stopping: the products that arrive
+    before their turn wait, never more than 2 workers (column tiles - 1) of
+    them at once, and the pass has the serial bits."""
     rng = np.random.default_rng(44)
-    A, M = rng.normal(size=(12 * TILE, 2)), rng.normal(size=(12 * TILE, 2))
+    T = 12
+    A, M = rng.normal(size=(T * TILE, 2)), rng.normal(size=(T * TILE, 2))
     caller, real = threading.get_ident(), kernels._tile_pass
-    mine = []
+    mine, theirs = [], []
+    caller_holds, rest_done = threading.Event(), threading.Event()
+    real_deliver, peak = kernels._InOrderSink.deliver, [0]
 
-    def slow_first(spec, Ai, *args):
+    def slow_first(spec, A, B, blocks, t, k, *args):
         if threading.get_ident() == caller:
-            if not mine:
-                time.sleep(0.2)  # leaves the pool thread time to run ahead
-            mine.append(Ai.shape[0])
-        return real(spec, Ai, *args)
+            mine.append((t, k))
+            if len(mine) == 1:  # holds its first pair until the pool thread is done
+                caller_holds.set()
+                assert rest_done.wait(60), "the pool thread stopped before the pairs ran out"
+            return real(spec, A, B, blocks, t, k, *args)
+        assert caller_holds.wait(60)
+        real(spec, A, B, blocks, t, k, *args)
+        theirs.append((t, k))
+        if len(theirs) == T * (T + 1) // 2 - 1:
+            rest_done.set()
+
+    def deliver(sink, *args):
+        real_deliver(sink, *args)
+        peak[0] = max(peak[0], len(sink.waiting))
 
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     monkeypatch.setattr(kernels, "_tile_pass", slow_first)
+    monkeypatch.setattr(kernels._InOrderSink, "deliver", deliver)
     got = kernels._matmul_unchecked(rbf(1.0), A, A, M)
     monkeypatch.setattr(kernels, "_tile_pass", real)
-    assert len(mine) > 2
+    assert len(mine) == 1 and mine[0] in ((0, 0), (0, 1)), mine
+    assert 0 < peak[0] <= 2 * 2 * (T - 1), peak
     np.testing.assert_array_equal(got, _tiled_reference(rbf(1.0), A, A, M))
 
 
@@ -682,25 +699,29 @@ def test_small_pass_never_uses_the_pool(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_split_pass_reduces_each_row_tile_once(monkeypatch, workers):
-    """The hand-out gives every row tile to exactly one thread: the rows
-    :func:`kernels._tile_pass` reduces are the row tiles of the pass, each
+def test_split_pass_hands_out_each_tile_pair_once(monkeypatch, workers):
+    """The hand-out gives every tile pair to exactly one thread: the pairs
+    (t, k) :func:`kernels._tile_pass` receives are the upper triangle
+    k >= t of a square pass and every pair of a rectangular one, each
     once, and the result has the serial bits."""
     rng = np.random.default_rng(37)
     A, M = rng.normal(size=(5 * TILE + 17, 2)), rng.normal(size=(5 * TILE + 17, 3))
-    starts, real = [], kernels._tile_pass
-    base = A.__array_interface__["data"][0]
+    B = rng.normal(size=(3 * TILE + 5, 2))
+    pairs, real = [], kernels._tile_pass
 
-    def counting(spec, Ai, *args):
-        starts.append((Ai.__array_interface__["data"][0] - base) // A.strides[0])
-        assert Ai.shape[0] == min(TILE, A.shape[0] - starts[-1])
-        return real(spec, Ai, *args)
+    def counting(spec, A, B, blocks, t, k, *args):
+        pairs.append((t, k))
+        return real(spec, A, B, blocks, t, k, *args)
 
     monkeypatch.setattr(kernels, "_tile_pass", counting)
     monkeypatch.setattr(kernels, "_WORKERS", workers)
     got = kernels._matmul_unchecked(rbf(1.0), A, A, M)
-    assert sorted(starts) == list(range(0, A.shape[0], TILE))
+    assert sorted(pairs) == [(t, k) for t in range(6) for k in range(t, 6)]
     np.testing.assert_array_equal(got, _tiled_reference(rbf(1.0), A, A, M))
+    pairs.clear()
+    got = kernels._matmul_unchecked(rbf(1.0), A, B, M[: B.shape[0]])
+    assert sorted(pairs) == [(t, k) for t in range(6) for k in range(4)]
+    np.testing.assert_array_equal(got, _tiled_reference(rbf(1.0), A, B, M[: B.shape[0]]))
 
 
 def test_error_in_a_pool_thread_reaches_the_caller(monkeypatch):
