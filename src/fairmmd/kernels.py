@@ -66,24 +66,34 @@ other bandwidths differ from a divide by rounding only.  The constructors
 refuse a bandwidth whose scale is not finite.
 
 The rbf and laplacian tiles of rows with d >= 2 and
-:func:`median_heuristic` take their distances from
-``scipy.spatial.distance`` (``cdist`` and ``pdist``), imported where they
-call it rather than at the top of this module: that import costs about
-half a second, and the linear kernel, the concentration certificate,
+:func:`median_heuristic` take their distances from three compiled routines
+of scipy, ``cdist_sqeuclidean``, ``cdist_cityblock`` and
+``pdist_euclidean``: the ones scipy's public ``cdist`` and ``pdist`` call
+for those metrics after ``np.asarray``, so the distances have their bits.
+:func:`_distance_routines` loads them on first use from scipy's
+``spatial/_distance_pybind`` extension file alone and registers that module
+under its own name, so a later ``import scipy.spatial.distance`` reuses
+it.  That import runs ``scipy/spatial/__init__``, which loads
+``scipy.sparse``, the k-d tree and more: 0.32-0.47 s and about 31 MB of
+peak RSS in a process that has numpy loaded, against about 1 ms and under
+1 MB for the extension alone (2-core container, scipy 1.17.1).  If the file is missing, fails to load or
+lacks one of the three names, the public functions are called instead,
+with the same bits.  The linear kernel, the concentration certificate,
 dataset generation and every tile of rows with one coordinate (such as the
-calibration chain's scores and outcomes) never need it.  A one-coordinate
-tile is the squared or absolute difference of the two columns, formed by
-numpy with cdist's bits.  When the first rbf pass of a process is a split
-pass, the calling thread and a pool thread may reach the import together;
-Python's per-module import lock makes the later one wait for the module.
+calibration chain's scores and outcomes) load nothing from scipy.  A
+one-coordinate tile is the squared or absolute difference of the two
+columns, formed by numpy with cdist's bits.  The first load holds a lock:
+the calling thread and a pool thread of a split first pass may both ask
+for the routines, and Python's import lock does not cover a module loaded
+by hand.
 
 scipy stays for d >= 2 because cdist is the faster tile.  A numpy tile
 with cdist's bits (a subtract per coordinate into the tile buffer, square,
 add) takes 266 us for a 256 x 256 rbf tile at d = 2, against cdist's
 138 us (timeit, best of 7, 2-core container).  Over the 400 tiles of an
 n = 5000 pass that would add about 80 ms to an audit cycle of the
-benchmark, and about 0.15 s to a fit cycle; the import it would save costs
-0.27-0.40 s once per process.
+benchmark, and about 0.15 s to a fit cycle, to save a load of about 1 ms
+once per process.
 
 The rbf and laplacian families are characteristic on R^d, so a zero kernel
 discrepancy identifies the distributions; the linear kernel only separates
@@ -93,10 +103,14 @@ families rather than re-derived here.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -121,6 +135,12 @@ __all__ = [
 _FAMILIES = ("rbf", "laplacian", "linear", "product", "sum")
 # The cdist metric whose distances each exponential family scales.
 _DISTANCES = {"rbf": "sqeuclidean", "laplacian": "cityblock"}
+
+# scipy's compiled distance module, loaded alone on first use, and the three
+# of its routines this module calls (see :func:`_distance_routines`).
+_EXTENSION = "scipy.spatial._distance_pybind"
+_ROUTINES: dict | None = None
+_ROUTINES_LOCK = threading.Lock()
 
 # Side of the square tiles :func:`kernel_matmul` streams over.  One 256 x 256
 # float64 tile (512 KB) stays in cache while it is reduced; at n = 5000 (rbf)
@@ -511,14 +531,60 @@ def _pool() -> ThreadPoolExecutor:
 
 
 def _forget_pool() -> None:
-    # A forked child inherits the pool but none of its threads, and the lock
-    # in whatever state another thread left it.
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
+    # A forked child inherits the pool but none of its threads, and the locks
+    # in whatever state another thread left them.
+    global _POOL, _POOL_LOCK, _ROUTINES_LOCK
+    _POOL, _POOL_LOCK, _ROUTINES_LOCK = None, threading.Lock(), threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _distance_routines() -> dict:
+    """``cdist_sqeuclidean``, ``cdist_cityblock`` and ``pdist_euclidean``:
+    the compiled routines that scipy's public ``cdist`` and ``pdist`` call for
+    those metrics, found once per process under a lock, since the two threads
+    of a split first pass may both ask."""
+    global _ROUTINES
+    if _ROUTINES is None:
+        with _ROUTINES_LOCK:
+            if _ROUTINES is None:
+                _ROUTINES = _find_routines()
+    return _ROUTINES
+
+
+def _find_routines() -> dict:
+    try:
+        module = sys.modules.get(_EXTENSION) or _load_extension()
+        return {name: getattr(module, name)
+                for name in ("cdist_sqeuclidean", "cdist_cityblock", "pdist_euclidean")}
+    except (ImportError, AttributeError):
+        # The public functions call the same routines after np.asarray.
+        from scipy.spatial.distance import cdist, pdist
+
+        return {"cdist_sqeuclidean": partial(cdist, metric="sqeuclidean"),
+                "cdist_cityblock": partial(cdist, metric="cityblock"),
+                "pdist_euclidean": partial(pdist, metric="euclidean")}
+
+
+def _load_extension():
+    """scipy's ``spatial/_distance_pybind`` extension, loaded from its file
+    without running ``scipy/__init__`` or ``scipy/spatial/__init__``, and
+    registered under its own name so that a later ``import
+    scipy.spatial.distance`` reuses it."""
+    machinery = importlib.machinery
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    folder = os.path.join(scipy.submodule_search_locations[0], "spatial")
+    spec = machinery.FileFinder(folder, (machinery.ExtensionFileLoader,
+                                         machinery.EXTENSION_SUFFIXES)).find_spec(_EXTENSION)
+    if spec is None:
+        raise ImportError(f"no {_EXTENSION} extension in {folder!r}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sys.modules.setdefault(_EXTENSION, module)
 
 
 def _pairwise_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, bufs=()) -> np.ndarray:
@@ -544,9 +610,8 @@ def _pairwise_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, bufs=())
         D = np.subtract(A, B.T, out=K)
         return _exp_scaled(spec, np.square(D, out=D) if spec.family == "rbf"
                            else np.abs(D, out=D))
-    from scipy.spatial.distance import cdist
-
-    return _exp_scaled(spec, cdist(A, B, _DISTANCES[spec.family], out=K))
+    cdist = _distance_routines()["cdist_" + _DISTANCES[spec.family]]
+    return _exp_scaled(spec, cdist(A, B, out=K))
 
 
 def _aligned_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -619,8 +684,6 @@ def median_heuristic(X, cap: int = 2000, seed: int = 0) -> float:
     the command-line layer only; no bound in this package depends on how the
     bandwidth was chosen.
     """
-    from scipy.spatial.distance import pdist
-
     X = _as_points(X, "X")
     if X.shape[0] < 2 or cap < 2:
         raise ValidationError(f"median heuristic needs >= 2 rows and cap >= 2, got "
@@ -630,7 +693,7 @@ def median_heuristic(X, cap: int = 2000, seed: int = 0) -> float:
 
         idx = rng_for(seed, 981).choice(X.shape[0], size=cap, replace=False)
         X = X[idx]
-    med = float(np.median(pdist(X)))
+    med = float(np.median(_distance_routines()["pdist_euclidean"](X)))
     if not np.isfinite(med) or med <= 0:
         raise ValidationError("median heuristic undefined: all points coincide")
     return med

@@ -248,6 +248,126 @@ def test_one_coordinate_passes_never_import_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def _public_pairwise(spec, A, B):
+    """K(A, B) with every distance from scipy's public ``cdist``."""
+    from scipy.spatial.distance import cdist
+
+    if spec.family == "product":
+        s = spec.split
+        return (_public_pairwise(spec.parts[0], A[:, :s], B[:, :s])
+                * _public_pairwise(spec.parts[1], A[:, s:], B[:, s:]))
+    if spec.family == "sum":
+        return _public_pairwise(spec.parts[0], A, B) + _public_pairwise(spec.parts[1], A, B)
+    return kernels._exp_scaled(spec, cdist(A, B, kernels._DISTANCES[spec.family]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_distance_routines_have_the_bits_of_cdist(d):
+    """The routines loaded from scipy's extension give the public cdist's
+    bits with and without ``out=``, on contiguous rows and on the column
+    slices that the parts of a product or sum kernel get, and pdist's bits."""
+    from scipy.spatial.distance import cdist, pdist
+
+    routines = kernels._distance_routines()
+    rng = np.random.default_rng(45)
+    Z, W = rng.normal(size=(300, d + 3)), rng.normal(size=(TILE + 1, d + 3)) * 2.0
+    for A, B in ((Z[:, :d].copy(), W[:, :d].copy()), (Z[:, 2 : 2 + d], W[:, 1 : 1 + d])):
+        for metric in ("sqeuclidean", "cityblock"):
+            want = cdist(A, B, metric)
+            routine = routines["cdist_" + metric]
+            np.testing.assert_array_equal(routine(A, B), want)
+            out = np.empty((A.shape[0], B.shape[0]))
+            assert routine(A, B, out=out) is out
+            np.testing.assert_array_equal(out, want)
+    X = Z[:, 1:4]
+    np.testing.assert_array_equal(routines["pdist_euclidean"](X), pdist(X))
+    np.testing.assert_array_equal(routines["pdist_euclidean"](X.copy()), pdist(X))
+
+
+@pytest.mark.parametrize("spec", [rbf(0.7), laplacian(1.3),
+                                  product(rbf(1.0), laplacian(2.0), split=2),
+                                  kernel_sum(laplacian(1.3), rbf(0.7))],
+                         ids=["rbf", "laplacian", "product", "sum"])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_tiles_of_several_coordinates_have_the_bits_of_cdist(spec, d):
+    """At d >= 2 (in each part of a product or sum kernel too) ``pairwise``
+    has the bits of the kernel matrix built from the public cdist, and square
+    and rectangular ``kernel_matmul`` passes agree with it."""
+    if spec.family == "product":
+        d += 2
+    rng = np.random.default_rng(46)
+    A, B = rng.normal(size=(TILE + 37, d)), rng.normal(size=(2 * TILE + 5, d)) + 0.3
+    M = rng.uniform(-1.0, 1.0, size=(B.shape[0], 3))
+    for rows in (A, B):
+        K = _public_pairwise(spec, rows, B)
+        np.testing.assert_array_equal(pairwise(spec, rows, B), K)
+        assert_matches_dense(kernel_matmul(spec, rows, B, M), K @ M)
+
+
+@pytest.mark.parametrize("failure", ["missing", "load", "names"])
+def test_distance_routines_fall_back_to_the_public_functions(failure, monkeypatch):
+    """When scipy's extension file is missing, fails to load or lacks a
+    routine, the tiles and the median heuristic call the public ``cdist`` and
+    ``pdist``, with the same bits."""
+    import importlib.machinery
+    import types
+
+    from scipy.spatial.distance import cdist, pdist
+
+    rng = np.random.default_rng(47)
+    A, B = rng.normal(size=(TILE + 37, 3)), rng.normal(size=(40, 3))
+    specs = (rbf(0.7), laplacian(1.3))
+    wants = [pairwise(spec, A, B) for spec in specs] + [median_heuristic(A)]
+
+    def refuse(self, spec):
+        raise ImportError("refused")
+
+    monkeypatch.setattr(kernels, "_ROUTINES", None)
+    if failure == "names":
+        monkeypatch.setitem(sys.modules, kernels._EXTENSION, types.ModuleType(kernels._EXTENSION))
+    else:
+        monkeypatch.delitem(sys.modules, kernels._EXTENSION)
+        if failure == "missing":
+            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        else:
+            monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "create_module", refuse)
+    routines = kernels._distance_routines()
+    assert [routines[name].func for name in sorted(routines)] == [cdist, cdist, pdist]
+    gots = [pairwise(spec, A, B) for spec in specs] + [median_heuristic(A)]
+    for got, want in zip(gots, wants):
+        np.testing.assert_array_equal(got, want)
+
+
+# Run in a fresh interpreter, where scipy is not loaded yet.
+_DISTANCE_PASSES = """
+import sys
+import numpy as np
+from fairmmd import kernels
+
+rng = np.random.default_rng(48)
+Z = rng.normal(size=(2 * kernels.TILE + 5, 2))
+for spec in (kernels.rbf(0.7), kernels.laplacian(1.3)):
+    kernels.kernel_matmul(spec, Z, Z, np.ones(Z.shape[0]))
+kernels.median_heuristic(Z)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert loaded == [kernels._EXTENSION], loaded
+module = sys.modules[kernels._EXTENSION]
+import scipy.spatial.distance
+
+assert scipy.spatial.distance._distance_pybind is module
+assert all(routine is getattr(module, name)
+           for name, routine in kernels._distance_routines().items())
+"""
+
+
+def test_distance_passes_load_only_scipys_extension():
+    """d = 2 rbf and laplacian passes and the median heuristic load scipy's
+    compiled distance module alone, not ``scipy.spatial.distance`` or
+    ``scipy.sparse``, and a later public import reuses that module."""
+    proc = run_python(_DISTANCE_PASSES)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("sigma", [1e-160, 1e-300, 1e-320])
 def test_bandwidth_scale_must_be_finite(sigma):
     """A bandwidth whose kernel scale, 1/(2 sigma^2) for rbf or 1/sigma for
@@ -301,6 +421,25 @@ def test_median_heuristic_refuses_fewer_than_two_rows():
             median_heuristic(np.array([[0.1, 0.2]]))
         with pytest.raises(ValidationError, match="got 10 rows and cap 1"):
             median_heuristic(np.arange(20.0).reshape(10, 2), cap=1)
+
+
+def test_median_heuristic_refusal_loads_no_scipy():
+    """Too few rows or too small a cap is refused before scipy's distance
+    routines are loaded."""
+    proc = run_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "from fairmmd import ValidationError, median_heuristic\n"
+        "for X, cap in ((np.zeros((1, 2)), 2000), (np.zeros((10, 2)), 1)):\n"
+        "    try:\n"
+        "        median_heuristic(X, cap=cap)\n"
+        "    except ValidationError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise AssertionError('not refused')\n"
+        "assert not [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_median_heuristic_subsampling_is_seeded():
@@ -834,21 +973,36 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
             np.testing.assert_array_equal(out, want)
 
 
-# Run in a fresh interpreter: scipy's distance module is not loaded yet, so
-# the calling thread and a pool thread both reach its import in their first
-# tile, and the split pass must still give the serial pass's bits.
+# Run in a fresh interpreter: scipy's distance routines are not loaded yet,
+# so the calling thread and a pool thread both ask for them in their first
+# tile; the extension must be loaded once and the split pass must still give
+# the serial pass's bits.
 _FIRST_PASS_IS_SPLIT = """
 import sys
 import numpy as np
 from fairmmd import kernels
 
 assert "scipy.spatial.distance" not in sys.modules
+assert kernels._EXTENSION not in sys.modules
+# Each load of scipy's extension is counted and held for 50 ms, long enough
+# for the other thread to reach its first tile.
+import importlib.machinery
+import time
+loads = []
+create = importlib.machinery.ExtensionFileLoader.create_module
+def counted(self, spec):
+    if spec.name == kernels._EXTENSION:
+        loads.append(spec.name)
+        time.sleep(0.05)
+    return create(self, spec)
+importlib.machinery.ExtensionFileLoader.create_module = counted
 kernels._WORKERS = 2
 spec = kernels.{family}(1.0)
 rng = np.random.default_rng(36)
 A, M = rng.normal(size=(3 * kernels.TILE, 2)), rng.normal(size=(3 * kernels.TILE, 2))
 split = kernels.kernel_matmul(spec, A, A, M)
 assert kernels._POOL is not None, "the pass ran serially"
+assert len(loads) == 1, loads
 kernels._WORKERS = 1
 serial = kernels.kernel_matmul(spec, A, A, M)
 np.testing.assert_array_equal(split, serial)
