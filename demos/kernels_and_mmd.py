@@ -13,7 +13,6 @@ from fairmmd import (
     kernel_sum,
     laplacian,
     linear,
-    lipschitz_constant,
     median_heuristic,
     mmd2_biased,
     mmd2_linear_time,
@@ -29,11 +28,11 @@ B = rng.normal(0.0, 1.0, size=(600, 2)) + np.array([0.8, 0.0])
 
 # --- kernel constructors ------------------------------------------------
 k = rbf(sigma=1.0)
-print(f"rbf(1.0):        amplitude nu = {k.nu}, lipschitz = {lipschitz_constant(k):.6f}")
+print(f"rbf(1.0):        amplitude nu = {k.nu}, lipschitz = {k.lipschitz:.6f}")
 kl = laplacian(sigma=2.0)
-print(f"laplacian(2.0):  amplitude nu = {kl.nu}, lipschitz = {lipschitz_constant(kl):.6f}")
+print(f"laplacian(2.0):  amplitude nu = {kl.nu}, lipschitz = {kl.lipschitz:.6f}")
 kd = linear(radius=3.0)
-print(f"linear(R=3):     amplitude nu = {kd.nu}, lipschitz = {lipschitz_constant(kd):.6f}")
+print(f"linear(R=3):     amplitude nu = {kd.nu}, lipschitz = {kd.lipschitz:.6f}")
 kp = product(rbf(0.5), rbf(1.0), split=1)
 ks = kernel_sum(linear(2.0), rbf(1.0))
 print(f"product:         nu = {kp.nu};  sum: nu = {ks.nu}")

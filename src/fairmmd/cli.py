@@ -45,7 +45,8 @@ from .bounds import (
     check_tvd_dominance,
     check_unbiased_equality,
 )
-from .complexity import concentration_check, finite_grid, suggest_radius
+from .complexity import (_check_delta, _checked_n_grid, concentration_check, finite_grid,
+                         suggest_radius)
 from .eok import _checked_weights, eok_hat_bootstrap, eok_hat_plugin
 from .errors import ConfigurationError, FairmmdError, ValidationError
 from .fairness import (
@@ -65,7 +66,7 @@ from .fairness import (
     sup_dp,
     witness_scores,
 )
-from .frl import TrainConfig, lambda_sweep, train
+from .frl import TrainConfig, _check_lambda, _check_step_size, lambda_sweep, train
 from .kernels import KernelSpec, laplacian, linear, median_heuristic, rbf
 from .mmd import cell_sums
 from .synth import (
@@ -563,10 +564,14 @@ def _cmd_sweep(top: dict, opts: dict, pop, spec, scores) -> tuple[dict, list, in
     return result, lines, 0
 
 
+# A penalty weight: finite and >= 0.
+_lambda = _accepted(_check_lambda, _float)
+
 # The train section; apart from "lambda" (TrainConfig's ``lam``) each key
 # names a TrainConfig field.
-_TRAIN = {"lambda": (1.0, _float), "steps": (200, _at_least(1, _int)),
-          "step_size": (0.5, _float), "encoder_dim": (2, _at_least(1, _int)),
+_TRAIN = {"lambda": (1.0, _lambda), "steps": (200, _at_least(1, _int)),
+          "step_size": (0.5, _accepted(_check_step_size, _float)),
+          "encoder_dim": (2, _at_least(1, _int)),
           "batch": (None, _optional(_at_least(8, _int))), "init_scale": (0.1, _float)}
 
 # Each bound check by name, with its default tolerance.
@@ -628,12 +633,12 @@ _READS = {
     "concentration": ("population", {"concentration": {
         "grid": (_REQUIRED, _list_of(_list_of(_list_of(_float)))),
         "radius": (None, _optional(_accepted(linear, _float))),
-        "n_grid": ([100, 200, 400, 800], _list_of(_int)),
-        "trials": (100, _at_least(1, _int)), "delta": (0.05, _float),
+        "n_grid": ([100, 200, 400, 800], _accepted(_checked_n_grid, _list_of(_int))),
+        "trials": (100, _at_least(1, _int)), "delta": (0.05, _accepted(_check_delta, _float)),
         "g_trials": (64, _at_least(2, _int))}}),
     "train": ("rows", {"kernel": _KERNEL, "train": _TRAIN}),
     "sweep": ("population", {"kernel": _KERNEL, "train": _TRAIN, "sweep": {
-        "lambdas": ([0.0, 0.1, 1.0, 10.0], _list_of(_float)),
+        "lambdas": ([0.0, 0.1, 1.0, 10.0], _list_of(_lambda)),
         "dc_bins": (20, _optional(_at_least(1, _int)))}}),
 }
 

@@ -313,6 +313,17 @@ def _grid_mmd2(spec: KernelSpec, maps: np.ndarray, z0: np.ndarray, z1: np.ndarra
 _BLOCK_ENTRIES = 2**17
 
 
+def _checked_n_grid(n_grid) -> list[int]:
+    """The sample sizes of :func:`concentration_check` as integers: at least
+    two of them, for a slope, each even and >= 8."""
+    n_grid = [int(n) for n in n_grid]
+    if len(n_grid) < 2:
+        raise ValidationError("need at least two sample sizes for a slope")
+    if any(n < 8 or n % 2 for n in n_grid):
+        raise ValidationError(f"sample sizes must be even and >= 8, got {n_grid}")
+    return n_grid
+
+
 def concentration_check(
     population: PopulationSpec,
     grid,
@@ -367,11 +378,7 @@ def concentration_check(
     family = finite_grid(grid)
     if family.maps[0].shape[1] != population.dim:
         raise ValidationError("grid maps must accept the population's dimension")
-    n_grid = [int(n) for n in n_grid]
-    if len(n_grid) < 2:
-        raise ValidationError("need at least two sample sizes for a slope")
-    if any(n < 8 or n % 2 for n in n_grid):
-        raise ValidationError(f"sample sizes must be even and >= 8, got {n_grid}")
+    n_grid = _checked_n_grid(n_grid)
     if trials < 1:
         raise SizeError(f"need >= 1 trial per sample size, got {trials}")
     _check_delta(delta)

@@ -42,7 +42,6 @@ from ._rng import rng_for
 from .errors import (
     EmptyCellError,
     StratificationError,
-    UnsupportedError,
     ValidationError,
 )
 from .kernels import KernelSpec, kernel_matmul
@@ -59,7 +58,6 @@ __all__ = [
     "constant_classifier",
     "logistic_head_classifier",
     "external_scores_classifier",
-    "evaluate",
     "evaluate_batch",
     "dp",
     "dopp",
@@ -245,13 +243,6 @@ def witness_scores(sums: CellSums, p, q) -> np.ndarray:
     spec, z[p], z[q]), z)``, without a kernel pass of its own.
     """
     return _ball_scores(sums.witness(p, q) / np.sqrt(sums.spec.nu))
-
-
-def evaluate(h: Classifier, z) -> float:
-    """Score a single point (undefined for external_scores)."""
-    if h.kind == "external_scores":
-        raise UnsupportedError("external scores are row-aligned; single-point eval is undefined")
-    return float(evaluate_batch(h, np.atleast_2d(np.asarray(z, dtype=float)))[0])
 
 
 # ---------------------------------------------------------------------------

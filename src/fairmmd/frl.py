@@ -73,6 +73,16 @@ __all__ = [
 _LOG_EPS = 1e-12
 
 
+def _check_lambda(lam: float) -> None:
+    if lam < 0 or not np.isfinite(lam):
+        raise ValidationError(f"lambda must be finite and >= 0, got {lam}")
+
+
+def _check_step_size(step_size: float) -> None:
+    if not 0 < step_size < np.inf:
+        raise ValidationError(f"step_size must be finite and > 0, got {step_size}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyper-parameters of one training run."""
@@ -87,12 +97,10 @@ class TrainConfig:
     init_scale: float = 0.1
 
     def __post_init__(self):
-        if self.lam < 0 or not np.isfinite(self.lam):
-            raise ValidationError(f"lambda must be finite and >= 0, got {self.lam}")
+        _check_lambda(self.lam)
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
-        if self.step_size <= 0:
-            raise ValidationError(f"step_size must be > 0, got {self.step_size}")
+        _check_step_size(self.step_size)
         if self.encoder_dim < 1:
             raise ValidationError(f"encoder_dim must be >= 1, got {self.encoder_dim}")
         if self.batch is not None and self.batch < 8:
@@ -293,27 +301,28 @@ def lambda_sweep(
     (binned by default for readability), the plug-in eok2, the dp supremum,
     and beta_hat (the S=1 group's outcome-conditional discrepancy) — the
     quantity whose product with the outcome-rate gap floors sup_dp.
-    ``dc_bins`` must be None or >= 1; it, the lambdas and, when one of them
-    is positive, the kernel's penalty gradient are checked before the first
-    training run.
+    ``dc_bins`` must be None or >= 1; it and the lambdas are checked before
+    the data are sampled, and, when a lambda is positive, the kernel's
+    penalty gradient before the first training run.
     """
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
         raise ValidationError("need at least one lambda")
     if dc_bins is not None and not dc_bins >= 1:
         raise ValidationError(f"dc_bins must be None or >= 1, got {dc_bins!r}")
+    configs = [replace(cfg, lam=lam) for lam in lambdas]
     data = sample_population(population, n, seed)
     if any(lam > 0 for lam in lambdas):
         _penalty_weights(cfg.kernel, data, None, gradient=True)
     rows = []
-    for lam in lambdas:
-        res = train(data, replace(cfg, lam=lam))
+    for config in configs:
+        res = train(data, config)
         encoded = LabeledDataset(z=data.z @ res.encoder.T, s=data.s, y=data.y)
         t = evaluate_batch(logistic_head_classifier(res.head_w, res.head_b), encoded.z)
         head = external_scores_classifier(t)
         yf = encoded.y.astype(float)
         rows.append({
-            "lambda": lam,
+            "lambda": config.lam,
             "accuracy": float(np.mean(t * yf + (1.0 - t) * (1.0 - yf))),
             "balanced_accuracy": balanced_accuracy(head, encoded, "y"),
             "dp": dp(head, encoded),

@@ -39,22 +39,10 @@ coefficients for row tile b.  Every kernel entry is symmetric bit for bit
 ((a - b)^2, |a - b|, a . b, and sums and products of such), so the copy
 has the bits of K(A_b, A_p).
 
-Every pass hands its tile pairs (t, k), row tile t against column tile k,
-out one at a time in row-major order from one shared, lock-guarded sink:
-a square pass the pairs k >= t, any other pass every pair; a small pass
-to the calling thread alone, a pass of at least two tiles per CPU also to
-a small thread pool, one thread per CPU the process may use, so a thread
-that runs slower draws fewer pairs.  Every product a pair yields goes to
-that sink, which adds it to its output rows only after the products of
-every column tile before it; one that arrives early waits in buffers the
-calling thread allocated, as do each thread's tiles.  Every row tile
-receives its products in hand-out order, so a product waits only behind a
-pair another thread still holds; each thread holds one pair and a pair
-feeds at most two row tiles, so at most 2 * workers * (column tiles - 1)
-products wait, O(workers n k) floats like the output.  No thread ever
-waits for another, and none stops before the pairs run out.  Every output
-row still sums the same tiles in the same order, so results have the same
-bits whatever the number of CPUs and whether the pass is square.
+A large pass hands its tile pairs out in order, one at a time, to one
+thread per CPU; :class:`_InOrderSink` says how, and why the waiting
+products stay bounded and the results keep their bits whatever the number
+of CPUs.
 
 All kernel arithmetic lives in this module: the tiles, :func:`pairwise`
 and the aligned-row evaluation k(A[i], B[i]) that the estimators read
@@ -118,7 +106,6 @@ from .errors import DomainError, ValidationError
 
 __all__ = [
     "KernelSpec",
-    "GramMatrix",
     "rbf",
     "laplacian",
     "linear",
@@ -127,8 +114,6 @@ __all__ = [
     "eval_kernel",
     "pairwise",
     "kernel_matmul",
-    "gram",
-    "lipschitz_constant",
     "median_heuristic",
 ]
 
@@ -231,18 +216,6 @@ def kernel_sum(k1: KernelSpec, k2: KernelSpec) -> KernelSpec:
                       lipschitz=k1.lipschitz + k2.lipschitz)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Kernel matrix ``values[i, j] = k(A[i], B[j])`` plus the spec that built it."""
-
-    values: np.ndarray
-    spec: KernelSpec
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
 def _check_positive(name: str, value) -> None:
     if not np.isscalar(value) or not np.isfinite(value) or value <= 0:
         raise ValidationError(f"{name} must be a finite positive scalar, got {value!r}")
@@ -308,11 +281,12 @@ def _checked_pair(spec: KernelSpec, A, B) -> tuple[np.ndarray, np.ndarray]:
 def pairwise(spec: KernelSpec, A, B) -> np.ndarray:
     """Dense kernel matrix between row sets ``A`` (n x d) and ``B`` (m x d).
 
-    This is the single evaluation path shared by :func:`gram`,
-    :func:`eval_kernel`, and the tiles of :func:`kernel_matmul`, so a value
-    computed anywhere in the package is the same number everywhere; the
-    aligned-row evaluation k(A[i], B[i]) uses the same arithmetic, with the
-    same bits for d <= 2 and equal to rounding otherwise.
+    The package's one dense entry point, for small inputs.  It is the
+    single evaluation path shared by :func:`eval_kernel` and the tiles of
+    :func:`kernel_matmul`, so a value computed anywhere in the package is
+    the same number everywhere; the aligned-row evaluation k(A[i], B[i])
+    uses the same arithmetic, with the same bits for d <= 2 and equal to
+    rounding otherwise.
     """
     return _pairwise_unchecked(spec, *_checked_pair(spec, A, B))
 
@@ -331,11 +305,10 @@ def kernel_matmul(spec: KernelSpec, A, B, M) -> np.ndarray:
 
     Passing the same array as ``A`` and ``B`` makes a square pass, which
     evaluates each pair of tiles once, T(T + 1)/2 tiles for T row tiles in
-    place of T^2, with the same bits (see the module docstring).  A pass of
-    at least two tiles per CPU, over more than one row tile, hands its tile
-    pairs out in row-major order to one thread per CPU, a smaller pass to
-    the calling thread alone; the output does not depend on how many CPUs
-    there are.
+    place of T^2, with the same bits (see the module docstring).  The tile
+    pairs of a large pass are handed out in order to one thread per CPU
+    (see :class:`_InOrderSink`); the output does not depend on how many
+    CPUs there are.
 
     Args:
         spec: kernel description.
@@ -422,6 +395,14 @@ class _InOrderSink:
     row-major order, and the products delivered for each row tile, summed
     into ``out`` in ascending column order.
 
+    This is the one account of how a pass hands out its work.  The pairs
+    are row tile t against column tile k: a square pass hands out the pairs
+    k >= t, any other pass every pair.  A pass of fewer than two tiles per
+    CPU, or of one row tile, runs on the calling thread alone; a larger one
+    also on a small thread pool, one thread per CPU the process may use,
+    each thread taking the next pair when it is done with its last, so a
+    thread that runs slower draws fewer pairs.
+
     Row tile t adds the product of column tile k only after those of
     column tiles 0 .. k - 1 (``nxt[t]`` of them); a product that arrives
     early waits in a row of ``slab`` until its turn, and the thread that
@@ -433,7 +414,9 @@ class _InOrderSink:
     2 * workers row tiles have products waiting, at most (column tiles - 1)
     each: ``slab`` holds that many rows, O(workers n k) like ``out``,
     allocated by the calling thread.  No thread waits for another, and a
-    thread stops only when the pairs run out.
+    thread stops only when the pairs run out.  Every output row still sums
+    the same tiles in the same order, so the result has the same bits
+    whatever the number of workers and whether the pass is square.
     """
 
     def __init__(self, out, blocks, pairs, slots: int, width: int):
@@ -473,19 +456,15 @@ class _InOrderSink:
 def _tiled_pass(spec: KernelSpec, A, B, blocks, out, workers: int) -> None:
     """Add K(A, B) @ Mt' to ``out``, over the column tiles' ``blocks``, on
     ``workers`` threads, the calling thread and ``workers - 1`` pool
-    threads (no pool for one worker), each taking one tile pair at a time
-    from one shared :class:`_InOrderSink` and reducing it with
-    :func:`_tile_pass` until none is left.
+    threads (no pool for one worker), each taking tile pairs from one
+    shared :class:`_InOrderSink` (which says how they are handed out) and
+    reducing them with :func:`_tile_pass` until none is left.
 
-    A square pass (``B is A``) hands out the pairs k >= t only; each
-    evaluates its tile once and hands the transposed product to the
-    mirrored row tile.  Each output row still adds the same column tiles in
-    the same order, so the result has the same bits whatever the number of
-    workers.  The calling thread allocates every worker's buffers and the
-    sink's, since memory a pool thread allocates stays in that thread's
-    malloc arena after it is freed.  numpy's floating-point error settings
-    are per thread, so every worker takes the calling thread's: a split
-    pass warns, or keeps quiet, as the serial one does.
+    The calling thread allocates every worker's buffers and the sink's,
+    since memory a pool thread allocates stays in that thread's malloc
+    arena after it is freed.  numpy's floating-point error settings are per
+    thread, so every worker takes the calling thread's: a split pass warns,
+    or keeps quiet, as the serial one does.
     """
     n_tiles, n_cols = -(-A.shape[0] // TILE), len(blocks)
     square = B is A
@@ -650,31 +629,6 @@ def _exp_scaled(spec: KernelSpec, D: np.ndarray) -> np.ndarray:
 def eval_kernel(spec: KernelSpec, a, b) -> float:
     """Evaluate k(a, b) for two points."""
     return float(pairwise(spec, np.atleast_1d(a), np.atleast_1d(b))[0, 0])
-
-
-def gram(spec: KernelSpec, A, B=None) -> GramMatrix:
-    """Kernel matrix between two point sets (``B`` defaults to ``A``).
-
-    Args:
-        spec: kernel description.
-        A: (n, d) array of row vectors.
-        B: optional (m, d) array; when omitted the symmetric PSD Gram of
-            ``A`` with itself is returned.
-
-    Returns:
-        GramMatrix with ``values`` of shape (n, m).
-    """
-    values = pairwise(spec, A, A if B is None else B)
-    return GramMatrix(values=values, spec=spec)
-
-
-def lipschitz_constant(spec: KernelSpec) -> float:
-    """Lipschitz constant of z -> k(z, anchor), in the family's native metric.
-
-    See the module docstring for the per-family derivations; the constant is
-    computed at construction time and merely read back here.
-    """
-    return spec.lipschitz
 
 
 def median_heuristic(X, cap: int = 2000, seed: int = 0) -> float:

@@ -1,0 +1,118 @@
+"""End-to-end check that reports do not depend on CPUs or BLAS threads.
+
+Runs every ``fairmmd`` subcommand, each in a fresh process, under four
+settings: the CPU masks ``taskset -c 0`` and ``taskset -c 0,1`` (the first
+two CPUs this process may use), each with ``OPENBLAS_NUM_THREADS`` and
+``OMP_NUM_THREADS`` unset and with ``OPENBLAS_NUM_THREADS=1``.  The configs
+sample n = 1000 rows, so every square kernel pass over them splits across
+two threads where two CPUs are allowed, and BLAS enters through the
+training steps, the Gram sums' W'KW and the linear closed forms.
+
+The reports of each command must agree apart from ``timing`` and the paths
+they name, with the same exit status, and ``dataset.csv`` and ``sweep.csv``
+byte for byte.  Exits 0 when everything agrees and 1 otherwise, printing
+each difference.  pytest does not collect this file; run it with
+
+    python3 tests/determinism.py
+
+It needs ``taskset`` and at least two CPUs.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+POPULATION = {
+    "pi_s": 0.5,
+    "p_y_given_s": [[0.7, 0.3], [0.3, 0.7]],
+    "cells": {
+        "0,0": {"mean": [0.0, 0.0], "cov": [[0.25, 0.0], [0.0, 0.25]]},
+        "0,1": {"mean": [1.5, 0.0], "cov": [[0.25, 0.0], [0.0, 0.25]]},
+        "1,0": {"mean": [0.6, 0.8], "cov": [[0.25, 0.0], [0.0, 0.25]]},
+        "1,1": {"mean": [2.0, 0.5], "cov": [[0.25, 0.0], [0.0, 0.25]]},
+    },
+}
+
+# One config per command, on top of CONFIG.
+CONFIG = {"seed": 3, "n": 1000, "population": POPULATION,
+          "kernel": {"family": "rbf", "sigma": 1.0}}
+COMMANDS = {
+    "generate": {},
+    "metrics": {},
+    "eok": {},
+    "bounds": {},
+    "concentration": {"kernel": {"family": "linear", "radius": 10.0},
+                      "concentration": {"grid": [[[1, 0], [0, 1]], [[0.5, 0.5], [0, 1]]],
+                                        "n_grid": [100, 200], "trials": 20}},
+    "train": {"train": {"steps": 20}},
+    "sweep": {"train": {"steps": 10}, "sweep": {"lambdas": [0.0, 1.0]}},
+}
+# Files a command writes besides its report, compared byte for byte.
+WRITES = {"generate": "dataset.csv", "sweep": "sweep.csv"}
+# Report keys that hold a path into the run's output directory.
+PATHS = ("path", "csv_path")
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def settings():
+    """(name, CPU mask, extra environment) of each setting."""
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        sys.exit(f"determinism.py needs two CPUs, this process may use {cpus}")
+    for mask in (f"{cpus[0]}", f"{cpus[0]},{cpus[1]}"):
+        for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            name = f"taskset -c {mask}" + "".join(f" {k}={v}" for k, v in blas.items())
+            yield name, mask, blas
+
+
+def comparable(report: dict) -> str:
+    """The report without ``timing`` and the paths it names."""
+    report = dict(report, result={k: v for k, v in report["result"].items() if k not in PATHS})
+    del report["timing"]
+    return json.dumps(report, sort_keys=True, indent=2)
+
+
+def run(command: str, cfg_path: Path, out: Path, mask: str, blas: dict) -> tuple:
+    """Exit status, comparable report and written file of one command."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env.update(blas, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(["taskset", "-c", mask, sys.executable, "-m", "fairmmd", command,
+                           "--config", str(cfg_path), "--out", str(out), "--format", "json"],
+                          env=env, capture_output=True, text=True, timeout=600)
+    if proc.returncode == 2:
+        return proc.returncode, proc.stderr, None
+    report = comparable(json.loads((out / f"{command}.json").read_text()))
+    written = (out / WRITES[command]).read_bytes() if command in WRITES else None
+    return proc.returncode, report, written
+
+
+def main() -> int:
+    failures = []
+    runs = list(settings())
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for command, extra in COMMANDS.items():
+            cfg_path = tmp / f"{command}.json"
+            cfg_path.write_text(json.dumps(dict(CONFIG, **extra)))
+            results = [run(command, cfg_path, tmp / f"{command}-{i}", mask, blas)
+                       for i, (_, mask, blas) in enumerate(runs)]
+            first = results[0]
+            if first[0] == 2:
+                failures.append(f"{command}: exit 2: {first[1].strip()}")
+            failures += [f"{command}: {what} under {name} differs from {runs[0][0]}"
+                         for (name, _, _), result in zip(runs[1:], results[1:])
+                         for what, a, b in zip(("exit status", "report", WRITES.get(command)),
+                                               first, result) if a != b]
+            print(f"{command}: {len(runs)} runs, exit {first[0]}")
+    print("\n".join(failures + [f"determinism: {len(failures)} difference(s)"]))
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -430,7 +430,11 @@ def _eok_on_csv(name, field, **extra):
 # them are ``eok`` runs on a dataset CSV whose kernel parameter (out of its
 # family's range), mixture weights or bootstrap draw count was once refused
 # only after the CSV was read, and the draw counts also only after the
-# plug-in's pass.
+# plug-in's pass.  The last six, a negative lambda among the sweep's, a
+# training step size (negative or NaN) or lambda out of range, and a
+# concentration delta or sample-size grid that the certificate refuses, were
+# once refused only after rows were drawn, training runs ran or a radius was
+# suggested; the NaN step size was once refused only when training diverged.
 BEFORE_WORK = [
     pytest.param("generate", {"out": 5}, "out", id="generate"),
     pytest.param("metrics", {"metrics": {"bins": "x"}}, "bins", id="metrics"),
@@ -454,6 +458,16 @@ BEFORE_WORK = [
     _eok_on_csv("m1--3", "m1", eok={"m1": -3}),
     _eok_on_csv("one-weight", "weights", eok={"weights": [0.5]}),
     _eok_on_csv("weights-not-summing-to-1", "weights", eok={"weights": [0.7, 0.7]}),
+    pytest.param("sweep", {"n": 2000, "sweep": {"lambdas": [0, 0.1, 1, -1]}}, "lambdas",
+                 id="sweep-negative-lambda"),
+    pytest.param("train", {"train": {"step_size": -0.5}}, "step_size", id="train-step-size"),
+    pytest.param("train", {"train": {"step_size": float("nan")}}, "step_size",
+                 id="train-step-size-nan"),
+    pytest.param("train", {"train": {"lambda": -1}}, "lambda", id="train-negative-lambda"),
+    pytest.param("concentration", {"concentration": {"grid": GRID, "delta": 2}}, "delta",
+                 id="concentration-delta"),
+    pytest.param("concentration", {"concentration": {"grid": GRID, "n_grid": [100, 7]}},
+                 "n_grid", id="concentration-n-grid"),
 ]
 
 

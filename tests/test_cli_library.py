@@ -3,16 +3,26 @@
 The commands' reports must carry exactly the numbers of the public API:
 every classifier kind of ``metrics``, the linear kernel in each command that
 takes a ``kernel`` section, and the TV check on a CSV with few distinct rows.
+The option tables' defaults must be the library's own.
 """
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from fairmmd.bounds import check_ba_bounds, check_biased_lower_bound, check_tvd_dominance
+from fairmmd import bounds, cli
+from fairmmd.bounds import (
+    check_ba_bounds,
+    check_biased_lower_bound,
+    check_calibration_chain,
+    check_tvd_dominance,
+    check_unbiased_equality,
+)
 from fairmmd.cli import main
+from fairmmd.complexity import concentration_check
 from fairmmd.eok import eok_hat_bootstrap, eok_hat_plugin
 from fairmmd.fairness import (
     GROUP_CELLS,
@@ -31,7 +41,7 @@ from fairmmd.fairness import (
     witness_scores,
 )
 from fairmmd.frl import TrainConfig, lambda_sweep, train
-from fairmmd.kernels import linear, rbf
+from fairmmd.kernels import laplacian, linear, rbf
 from fairmmd.mmd import cell_sums
 from fairmmd.synth import (
     LabeledDataset,
@@ -172,3 +182,48 @@ def test_tvd_bounds_on_few_distinct_rows_match_the_library(tmp_path):
     report = check_tvd_dominance(rbf(1.0), rows, tol=1e-9, max_support=18)
     assert result["clauses"] == as_json([report.as_dict()])
     assert result["all_hold"] is True
+
+
+# Every option default in the CLI's tables that restates a library default:
+# (section, option, library function or dataclass, its parameter).
+REPEATED_DEFAULTS = [
+    *(("bounds.tolerances", check, getattr(bounds, f"check_{check}"), "tol")
+      for check in cli._TOLERANCES),
+    ("bounds", "rate_threshold", check_unbiased_equality, "rate_threshold"),
+    ("bounds", "trials", check_ba_bounds, "trials"),
+    ("bounds", "n_anchors", check_ba_bounds, "n_anchors"),
+    ("bounds", "sigma_u", check_calibration_chain, "sigma_u"),
+    ("bounds", "sigma_y", check_calibration_chain, "sigma_y"),
+    ("bounds", "max_support", check_tvd_dominance, "max_support"),
+    *(("train", option, TrainConfig, "lam" if option == "lambda" else option)
+      for option in cli._TRAIN),
+    ("concentration", "trials", concentration_check, "trials"),
+    ("concentration", "delta", concentration_check, "delta"),
+    ("concentration", "g_trials", concentration_check, "g_trials"),
+    ("sweep", "dc_bins", lambda_sweep, "dc_bins"),
+    *(("metrics", "bins", metric, "bins") for metric in (dpc, dnc, dc)),
+    ("eok", "m0", eok_hat_bootstrap, "m0"),
+    ("eok", "m1", eok_hat_bootstrap, "m1"),
+    ("eok", "weights", eok_hat_plugin, "weights"),
+    ("eok", "weights", eok_hat_bootstrap, "weights"),
+    ("kernel.rbf", "sigma", rbf, "sigma"),
+    ("kernel.laplacian", "sigma", laplacian, "sigma"),
+]
+
+
+def cli_table(section):
+    """The option table ``fairmmd.cli`` reads ``section`` with; for a
+    variant section, "kernel.rbf" names the table of kernel family rbf."""
+    if section.startswith("kernel."):
+        return cli._KERNEL[2][section.split(".")[1]]
+    return next(tables[section] for _, tables in cli._READS.values() if section in tables)
+
+
+@pytest.mark.parametrize("section, option, library, parameter", REPEATED_DEFAULTS,
+                         ids=[f"{s}.{o}-{f.__name__}" for s, o, f, _ in REPEATED_DEFAULTS])
+def test_cli_defaults_are_the_library_defaults(section, option, library, parameter):
+    """An option the config leaves out runs with the library's default, so
+    the two cannot drift apart silently."""
+    default = inspect.signature(library).parameters[parameter].default
+    assert default is not inspect.Parameter.empty
+    assert cli_table(section)[option][0] == default

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from fairmmd import (
     EmptyCellError,
     LabeledDataset,
-    UnsupportedError,
     ValidationError,
     balanced_accuracy,
     ball_classifier,
@@ -17,7 +16,6 @@ from fairmmd import (
     dp,
     dpc,
     dr,
-    evaluate,
     external_scores_classifier,
     group_stats,
     linear,
@@ -105,7 +103,6 @@ def test_logistic_head_scores():
     t = evaluate_batch(h, data.z)
     expected = 1.0 / (1.0 + np.exp(-(data.z @ [1.0, -1.0] + 0.5)))
     assert_allclose(t, expected, rtol=1e-14)
-    assert isinstance(evaluate(h, data.z[0]), float)
 
 
 def test_external_scores_validation():
@@ -114,8 +111,6 @@ def test_external_scores_validation():
     data, h = hand_dataset()
     with pytest.raises(ValidationError):
         dp(h, LabeledDataset(z=data.z[:4], s=data.s[:4], y=data.y[:4]))
-    with pytest.raises(UnsupportedError):
-        evaluate(h, data.z[0])
 
 
 def test_scores_stay_in_unit_interval(unbiased_pop):

@@ -238,6 +238,20 @@ def test_lambda_sweep_refuses_bad_bins_before_training(unbiased_pop, monkeypatch
         lambda_sweep(unbiased_pop, [0.0, 1.0], _cfg(), n=200, dc_bins=bins)
 
 
+def test_lambda_sweep_refuses_a_negative_lambda_before_any_work(unbiased_pop, monkeypatch):
+    """A negative lambda listed after a valid one is refused before the data
+    are sampled, not after the runs of the lambdas before it."""
+    from fairmmd import frl
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the lambdas were checked")
+
+    monkeypatch.setattr(frl, "sample_population", no_work)
+    monkeypatch.setattr(frl, "train", no_work)
+    with pytest.raises(ValidationError, match="lambda must be finite and >= 0"):
+        lambda_sweep(unbiased_pop, [0.0, -1.0], _cfg(), n=200)
+
+
 def test_lambda_sweep_refuses_a_kernel_without_gradient_before_training(unbiased_pop,
                                                                        monkeypatch):
     """A laplacian sweep whose lambdas include a positive one exits before the

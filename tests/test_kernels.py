@@ -12,12 +12,10 @@ from fairmmd import (
     DomainError,
     ValidationError,
     eval_kernel,
-    gram,
     kernel_matmul,
     kernel_sum,
     laplacian,
     linear,
-    lipschitz_constant,
     median_heuristic,
     pairwise,
     product,
@@ -120,7 +118,6 @@ def test_lipschitz_constants_documented_values():
     p = product(linear(2.0), rbf(1.0), split=1)
     # l = l1 * nu2 + l2 * nu1 with nu1 = 4, nu2 = 1
     assert_allclose(p.lipschitz, 2.0 * 1.0 + np.exp(-0.5) * 4.0, rtol=1e-15)
-    assert lipschitz_constant(p) == p.lipschitz
 
 
 def test_kernel_function_lipschitz_property():
@@ -157,13 +154,6 @@ def test_sum_adds_values():
         pairwise(linear(1.0), X, X) + pairwise(rbf(0.4), X, X),
         rtol=1e-13,
     )
-
-
-def test_gram_carries_spec():
-    X = np.zeros((3, 2))
-    g = gram(rbf(1.0), X)
-    assert g.values.shape == (3, 3)
-    assert g.spec.family == "rbf"
 
 
 def test_eval_kernel_scalar():
