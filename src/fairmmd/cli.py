@@ -66,7 +66,8 @@ from .fairness import (
     sup_dp,
     witness_scores,
 )
-from .frl import TrainConfig, _check_lambda, _check_step_size, lambda_sweep, train
+from .frl import (TrainConfig, _check_init_scale, _check_lambda, _check_step_size,
+                  lambda_sweep, train)
 from .kernels import KernelSpec, laplacian, linear, median_heuristic, rbf
 from .mmd import cell_sums
 from .synth import (
@@ -572,7 +573,8 @@ _lambda = _accepted(_check_lambda, _float)
 _TRAIN = {"lambda": (1.0, _lambda), "steps": (200, _at_least(1, _int)),
           "step_size": (0.5, _accepted(_check_step_size, _float)),
           "encoder_dim": (2, _at_least(1, _int)),
-          "batch": (None, _optional(_at_least(8, _int))), "init_scale": (0.1, _float)}
+          "batch": (None, _optional(_at_least(8, _int))),
+          "init_scale": (0.1, _accepted(_check_init_scale, _float))}
 
 # Each bound check by name, with its default tolerance.
 _TOLERANCES = {"unbiased_equality": (0.02, _float), "biased_lower_bound": (0.03, _float),

@@ -152,30 +152,34 @@ def _mixture_draws(data: LabeledDataset, m0: int, m1: int, seed: int, weights):
     # A stable sort keeps each cell's rows in ascending order, which fixes
     # the row each draw picks; numpy sorts the int8 cells by radix.
     order = np.argsort(data.cell, kind="stable")
-    return _resample_rows(rng_for(seed), w[1], data.counts, order, (m0, m1)), w, source
+    return (_resample_rows(rng_for(seed), w[1], data.counts.tolist(), order, (m0, m1)),
+            w, source)
 
 
 def _resample_rows(
-    rng: np.random.Generator, w1: float, counts: np.ndarray, order: np.ndarray, sizes
+    rng: np.random.Generator, w1: float, counts: list, order: np.ndarray, sizes,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Row indices of one stratified resample, group after group, drawn from
     ``rng`` in a fixed order: for group s, its ``sizes[s]`` outcome draws
     (outcome 1 with probability ``w1``), then for each outcome y hit, the
     hits' uniform picks among the ``counts[2 s + y]`` rows of cell (s, y).
-    ``order`` lists the rows of cell 0, then cell 1, and so on.  Callers
-    check first that every cell whose outcome has weight has rows."""
-    start = np.cumsum(counts) - counts
-    idx = np.empty(sum(sizes), dtype=np.int64)
-    pos = 0
+    ``counts`` holds the four cell sizes as Python ints, which numpy's
+    ``integers`` takes faster than numpy integers, and ``order`` lists the
+    rows of cell 0, then cell 1, and so on.  The indices go into ``out``
+    (length sum(sizes)) when given, else into a new array.  Callers check
+    first that every cell whose outcome has weight has rows."""
+    idx = np.empty(sum(sizes), dtype=np.int64) if out is None else out
+    pos = start = 0
     for s, m in enumerate(sizes):
         hit = rng.random(m) < w1
-        out = idx[pos:pos + m]
-        for y, mask in ((0, ~hit), (1, hit)):
-            k = np.count_nonzero(mask)
-            if k == 0:
-                continue
-            c = 2 * s + y
-            out[mask] = order[start[c] + rng.integers(0, counts[c], size=k)]
+        part = idx[pos:pos + m]
+        k1 = int(np.count_nonzero(hit))
+        for mask, k, n_c in ((~hit, m - k1, counts[2 * s]), (hit, k1, counts[2 * s + 1])):
+            if k:
+                # The same stream words as start + rng.integers(0, n_c, size=k).
+                part[mask] = order[rng.integers(start, start + n_c, size=k)]
+            start += n_c
         pos += m
     return idx
 

@@ -83,6 +83,11 @@ def _check_step_size(step_size: float) -> None:
         raise ValidationError(f"step_size must be finite and > 0, got {step_size}")
 
 
+def _check_init_scale(init_scale: float) -> None:
+    if not np.isfinite(init_scale):
+        raise ValidationError(f"init_scale must be finite, got {init_scale}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyper-parameters of one training run."""
@@ -101,6 +106,7 @@ class TrainConfig:
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
         _check_step_size(self.step_size)
+        _check_init_scale(self.init_scale)
         if self.encoder_dim < 1:
             raise ValidationError(f"encoder_dim must be >= 1, got {self.encoder_dim}")
         if self.batch is not None and self.batch < 8:

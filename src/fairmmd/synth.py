@@ -185,27 +185,27 @@ def sample_population(spec: PopulationSpec, n: int, seed: int) -> LabeledDataset
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    u_s, u_y, eps = np.empty(n), np.empty(n), np.empty((n, spec.dim))
-    _draw(rng_for(seed), u_s, u_y, eps)
-    z, s, y = _rows(spec, u_s, u_y, eps)
+    u, eps = np.empty((2, n)), np.empty((n, spec.dim))
+    _draw(rng_for(seed), u, eps)
+    z, s, y = _rows(spec, u, eps)
     return LabeledDataset(z=z, s=s, y=y)
 
 
-def _draw(rng: np.random.Generator, u_s: np.ndarray, u_y: np.ndarray, eps: np.ndarray) -> None:
-    """Fill one dataset's raw draws in their fixed order: a uniform per row
-    for its group label, then one for its outcome, then its standard normals."""
-    rng.random(out=u_s)
-    rng.random(out=u_y)
+def _draw(rng: np.random.Generator, u: np.ndarray, eps: np.ndarray) -> None:
+    """Fill one dataset's raw draws in their fixed order: ``u`` (2, n) takes
+    a uniform per row for its group label, then one per row for its outcome,
+    from one call; then ``eps`` takes the rows' standard normals."""
+    rng.random(out=u)
     rng.standard_normal(out=eps)
 
 
-def _rows(spec: PopulationSpec, u_s: np.ndarray, u_y: np.ndarray, eps: np.ndarray):
+def _rows(spec: PopulationSpec, u: np.ndarray, eps: np.ndarray):
     """Rows (z, s, y) from the raw draws of :func:`_draw`, for any number of
-    datasets stacked along leading axes (``u_s`` and ``u_y`` of one shape,
-    ``eps`` of that shape plus the dimension); every row is transformed
-    alone, so a stacked dataset gets the bits it gets on its own."""
-    s = (u_s < spec.pi_s).astype(np.int64)
-    y = (u_y < spec.p_y_given_s[:, 1].take(s)).astype(np.int64)
+    datasets stacked along leading axes (``u`` of shape (..., 2, n), ``eps``
+    of shape (..., n, dim)); every row is transformed alone, so a stacked
+    dataset gets the bits it gets on its own."""
+    s = (u[..., 0, :] < spec.pi_s).astype(np.int64)
+    y = (u[..., 1, :] < spec.p_y_given_s[:, 1].take(s)).astype(np.int64)
     cid = (2 * s + y).ravel()
     means = np.stack([spec.cells[c].mean for c in CELLS])
     chols = np.stack([spec.cells[c]._chol for c in CELLS])

@@ -17,6 +17,7 @@ from fairmmd import (
     rbf,
     sample_population,
 )
+from fairmmd._rng import rng_for
 from fairmmd.kernels import TILE
 
 # One spec per kernel family, for checks of the streamed paths against dense
@@ -57,6 +58,21 @@ def make_population(pi_s=0.5, p=((0.5, 0.5), (0.5, 0.5)), means=None, var=0.25, 
         for cell, mu in means.items()
     }
     return PopulationSpec(pi_s=pi_s, p_y_given_s=np.asarray(p, dtype=float), cells=cells)
+
+
+def masked_sample(spec, n, seed):
+    """Reference sampler: the same draws, pushed through each cell's
+    Cholesky factor (computed on the spot) one boolean mask at a time."""
+    rng = rng_for(seed)
+    s = (rng.random(n) < spec.pi_s).astype(np.int64)
+    y = (rng.random(n) < spec.p_y_given_s[s, 1]).astype(np.int64)
+    eps = rng.standard_normal((n, spec.dim))
+    z = np.empty((n, spec.dim))
+    for (cs, cy), cell in spec.cells.items():
+        mask = (s == cs) & (y == cy)
+        L = np.linalg.cholesky(cell.cov + 1e-12 * np.eye(spec.dim))
+        z[mask] = cell.mean + eps[mask] @ L.T
+    return z, s, y
 
 
 def random_population(rng, biased=False, dim=2, spread=2.0, var_range=(0.1, 0.5)):

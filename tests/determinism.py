@@ -6,7 +6,10 @@ two CPUs this process may use), each with ``OPENBLAS_NUM_THREADS`` and
 ``OMP_NUM_THREADS`` unset and with ``OPENBLAS_NUM_THREADS=1``.  The configs
 sample n = 1000 rows, so every square kernel pass over them splits across
 two threads where two CPUs are allowed, and BLAS enters through the
-training steps, the Gram sums' W'KW and the linear closed forms.
+training steps, the Gram sums' W'KW and the linear closed forms.  The
+concentration config runs 20 trials at n = 100 and n = 3200, in two blocks
+at n = 3200, so the check's one encoding product per block of trials runs
+under every setting too.
 
 The reports of each command must agree apart from ``timing`` and the paths
 they name, with the same exit status, and ``dataset.csv`` and ``sweep.csv``
@@ -48,7 +51,7 @@ COMMANDS = {
     "bounds": {},
     "concentration": {"kernel": {"family": "linear", "radius": 10.0},
                       "concentration": {"grid": [[[1, 0], [0, 1]], [[0.5, 0.5], [0, 1]]],
-                                        "n_grid": [100, 200], "trials": 20}},
+                                        "n_grid": [100, 3200], "trials": 20}},
     "train": {"train": {"steps": 20}},
     "sweep": {"train": {"steps": 10}, "sweep": {"lambdas": [0.0, 1.0]}},
 }

@@ -464,6 +464,10 @@ BEFORE_WORK = [
     pytest.param("train", {"train": {"step_size": float("nan")}}, "step_size",
                  id="train-step-size-nan"),
     pytest.param("train", {"train": {"lambda": -1}}, "lambda", id="train-negative-lambda"),
+    *(pytest.param(command, {"train": {"init_scale": scale}}, "init_scale",
+                   id=f"{command}-init-scale-{scale}")
+      for command, scale in (("train", float("nan")), ("train", float("inf")),
+                             ("sweep", float("-inf")))),
     pytest.param("concentration", {"concentration": {"grid": GRID, "delta": 2}}, "delta",
                  id="concentration-delta"),
     pytest.param("concentration", {"concentration": {"grid": GRID, "n_grid": [100, 7]}},

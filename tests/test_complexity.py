@@ -260,18 +260,26 @@ def block_budget(request, monkeypatch):
     [np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.3, -0.7], [1.1, 0.2]]),
      0.5 * np.ones((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]]), np.diag([2.0, 0.5])],
     [np.array([[1.0, 0.5]]), np.array([[-0.2, 0.9]])],
-], ids=["six-2x2-maps", "two-1x2-maps"])
+    [np.array([[1.0, 0.2, -0.3], [0.0, 0.8, 0.5], [-0.4, 0.1, 1.1]]), 0.5 * np.eye(3),
+     np.array([[0.3, -0.7, 0.0], [1.1, 0.2, -0.6], [0.0, 0.0, 0.9]])],
+    [np.array([[0.6, -0.2, 0.9]]), np.array([[-0.5, 1.0, 0.3]])],
+], ids=["six-2x2-maps", "two-1x2-maps", "three-3x3-maps-3d", "two-1x3-maps-3d"])
 def test_block_trials_match_trial_by_trial(biased_pop, block_budget, grid):
     """Twelve trials at n = 1000 and 2000 cross block boundaries (blocks of
     10 and 5 trials under six 2 x 2 maps); every deviation summary equals the
-    trial-by-trial loop's, bit for bit."""
-    spec = linear(suggest_radius(biased_pop, grid))
+    trial-by-trial loop's, bit for bit.  The 3 x 3 and 1 x 3 maps encode a
+    three-coordinate population."""
+    pop = biased_pop if grid[0].shape[1] == 2 else make_population(
+        p=((0.7, 0.3), (0.3, 0.7)), dim=3,
+        means={(0, 0): [0.0, 0.0, 0.3], (0, 1): [1.5, 0.0, -0.4],
+               (1, 0): [0.6, 0.8, 0.0], (1, 1): [2.0, 0.5, 1.0]})
+    spec = linear(suggest_radius(pop, grid))
     n_grid, trials, delta = [1000, 2000], 12, 0.1
     if block_budget == "budget" and len(grid) == 6:
         assert complexity._BLOCK_ENTRIES // (1000 * 12) == 10
-    rep = concentration_check(biased_pop, grid, spec, n_grid, trials=trials, delta=delta,
+    rep = concentration_check(pop, grid, spec, n_grid, trials=trials, delta=delta,
                               seed=3, g_trials=2, g_repeats=1)
-    want = trial_by_trial_devs(biased_pop, grid, spec, n_grid, trials, delta, seed=3)
+    want = trial_by_trial_devs(pop, grid, spec, n_grid, trials, delta, seed=3)
     assert_array_equal([(r["mean_dev"], r["quantile_dev"]) for r in rep.rows], want)
 
 

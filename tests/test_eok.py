@@ -24,7 +24,7 @@ from fairmmd import (
 from fairmmd import mmd
 from fairmmd._rng import rng_for
 from fairmmd.synth import cell_rows
-from conftest import STREAMED_SPECS, make_population, random_population
+from conftest import STREAMED_SPECS, make_population, masked_sample, random_population
 
 
 def test_empirical_weights_come_from_reference_group():
@@ -111,10 +111,10 @@ def test_reweight_sample_draws_from_correct_cells():
     assert set(np.unique(rs.z1)) <= {2.0, 3.0}
 
 
-def _flatnonzero_resample(data, m0, m1, seed):
+def _flatnonzero_resample(data, m0, m1, seed, weights=None):
     """Reference resampler: the same draws from cell pools listed by
     flatnonzero scans; returns the resampled row indices of both groups."""
-    w = empirical_weights(data)
+    w = empirical_weights(data) if weights is None else np.asarray(weights, dtype=float)
     pools = {(s, y): np.flatnonzero((data.s == s) & (data.y == y))
              for s in (0, 1) for y in (0, 1)}
     for (s, y), pool in pools.items():
@@ -155,6 +155,32 @@ def test_reweight_sample_matches_flatnonzero_reference():
                 assert_array_equal(rs.z0[:, 0].astype(np.int64), want[0])
                 assert_array_equal(rs.z1[:, 0].astype(np.int64), want[1])
     assert refused > 0
+
+
+@pytest.mark.parametrize("w1", [0.0, 1.0, 0.35], ids=["w1-0", "w1-1", "w1-0.35"])
+@pytest.mark.parametrize("n, one_row_cell", [(301, None), (40, 1)],
+                         ids=["n-301", "one-row-cell"])
+def test_draws_are_plain_numpy_calls_in_the_documented_order(w1, n, one_row_cell):
+    """sample_population's rows and reweight_sample's indices equal their
+    rebuild from rng_for(seed) with plain numpy calls in the documented
+    order, for outcome-1 weights 0, 1 and in between; in the one-row case
+    cell (0, 1) holds a single row, whose picks draw nothing from the
+    stream.  The cells' covariances are diagonal, so the masked reference's
+    rows have the sampler's bits."""
+    pop = make_population(p=((0.9, 0.1), (0.3, 0.7)))
+    seed = next(sd for sd in range(7, 200)
+                if (counts := sample_population(pop, n, sd).counts).min() >= 1
+                and (one_row_cell is None or counts[one_row_cell] == 1))
+    data = sample_population(pop, n, seed)
+    z, s, y = masked_sample(pop, n, seed)
+    assert_array_equal(data.z, z)
+    assert_array_equal(data.s, s)
+    assert_array_equal(data.y, y)
+    weights = (1.0 - w1, w1)
+    want = _flatnonzero_resample(data, n // 2, n // 3, seed + 1, weights)
+    rs = reweight_sample(data, n // 2, n // 3, seed + 1, weights=weights)
+    assert_array_equal(rs.z0, data.z[want[0]])
+    assert_array_equal(rs.z1, data.z[want[1]])
 
 
 def test_bootstrap_seeded_and_near_plugin(unbiased_pop):

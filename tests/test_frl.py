@@ -189,6 +189,12 @@ def test_minibatch_training_refuses_an_empty_cell(unbiased_pop):
         _stratified_batch(data, 16, rng_for(0, 7))
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+def test_config_refuses_a_non_finite_init_scale(scale):
+    with pytest.raises(ValidationError, match="init_scale"):
+        _cfg(init_scale=scale)
+
+
 def test_divergence_raises_training_error(unbiased_pop, monkeypatch):
     """A diverging run ends in TrainingError alone, with no numpy warning,
     also when its kernel passes are split across threads."""

@@ -19,8 +19,7 @@ from fairmmd import (
     sample_population,
     write_csv,
 )
-from fairmmd._rng import rng_for
-from conftest import make_population
+from conftest import make_population, masked_sample
 
 
 def test_cell_gaussian_rejects_non_spd():
@@ -106,21 +105,6 @@ def test_labeled_dataset_rejects_non_binary_labels(bad):
     assert_array_equal(data.y, [1, 0, 1])
 
 
-def _masked_sample(spec, n, seed):
-    """Reference sampler: the same draws, pushed through each cell's
-    Cholesky factor (computed on the spot) one boolean mask at a time."""
-    rng = rng_for(seed)
-    s = (rng.random(n) < spec.pi_s).astype(np.int64)
-    y = (rng.random(n) < spec.p_y_given_s[s, 1]).astype(np.int64)
-    eps = rng.standard_normal((n, spec.dim))
-    z = np.empty((n, spec.dim))
-    for (cs, cy), cell in spec.cells.items():
-        mask = (s == cs) & (y == cy)
-        L = np.linalg.cholesky(cell.cov + 1e-12 * np.eye(spec.dim))
-        z[mask] = cell.mean + eps[mask] @ L.T
-    return z, s, y
-
-
 def _correlated_population(rng, dim=3):
     cells = {}
     for cell in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -138,7 +122,7 @@ def test_sampling_matches_masked_reference(n):
     for seed in range(4):
         for pop in (diagonal, correlated):
             data = sample_population(pop, n, seed)
-            z, s, y = _masked_sample(pop, n, seed)
+            z, s, y = masked_sample(pop, n, seed)
             assert_array_equal(data.s, s)
             assert_array_equal(data.y, y)
             if pop is diagonal:
