@@ -220,7 +220,7 @@ def evaluate_batch(h: Classifier, Z) -> np.ndarray:
             raise ValidationError(
                 f"logistic head expects d={h.weights.size}, got {Z.shape[1]}"
             )
-        return 1.0 / (1.0 + np.exp(-(Z @ h.weights + h.bias)))
+        return _sigmoid(Z @ h.weights + h.bias)
     if h.kind == "external_scores":
         if Z.shape[0] != h.scores.size:
             raise ValidationError(
@@ -228,6 +228,13 @@ def evaluate_batch(h: Classifier, Z) -> np.ndarray:
             )
         return h.scores.copy()
     raise ValidationError(f"unknown classifier kind {h.kind!r}")  # pragma: no cover
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), which saturates to 0 without a warning where
+    exp(-x) overflows, and has those bits wherever it is finite."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _ball_scores(g: np.ndarray) -> np.ndarray:

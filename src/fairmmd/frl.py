@@ -15,11 +15,12 @@ weights are *not* recomputed per batch.  The penalty is the quadratic form
 v' K v in the per-row coefficients v, which a run computes once from the
 frozen weights and the batch's cells.  Both gradient components are
 analytic: the cross-entropy part in closed form, the penalty part through
-the code of :func:`fairmmd.eok.eok_gradient_plugin`.  Every step makes one
-kernel pass, K @ [v, X v] when lambda > 0 and K @ v when lambda = 0, and
-reads the penalty value from its first column.  A run checks its data,
-kernel and weights once; each step then works on the batch's rows as plain
-arrays, with the formulas of :func:`objective_gradient`.  The per-step trace
+the code of :func:`fairmmd.eok.eok_gradient_plugin`.  Every step of
+:func:`train` makes one kernel pass, K @ [v, X v] when lambda > 0 and K @ v
+when lambda = 0, and reads the penalty value from its first column.  A run
+checks its data, kernel and weights once; each step then works on the
+batch's rows as plain arrays, with the formulas of
+:func:`objective_gradient`.  The per-step trace
 records the objective at the pre-update parameters, and total = sup +
 lambda * penalty holds exactly by construction.
 
@@ -33,7 +34,15 @@ in that error alone.
 :func:`lambda_sweep` maps the accuracy/fairness frontier: one dataset, one
 training run per penalty weight, and a metrics row per run (computed on the
 training rows — the frontier describes what the optimizer trades off, not
-generalization).
+generalization).  Its runs share the seed, so one after another they would
+start from the same parameters and draw the same batches; they train in
+lockstep instead, through the one training loop that :func:`train` runs for
+one run.  Each step draws its stratified batch and gathers its rows once
+for all runs.  A sweep keeps no objective trace, so a lambda = 0 run, whose
+penalty feeds only that trace, makes no kernel pass, unless the kernel has
+a linear part (whose penalty could overflow where the encoded rows do
+not).  The rows and any error raised are those of the runs one after
+another.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from .eok import (_cell_coefficients, _check_cells, _penalty_and_gradient, _pena
                   eok_hat_plugin)
 from .errors import DomainError, TrainingError, ValidationError
 from .fairness import (
+    _sigmoid,
     balanced_accuracy,
     dc,
     dodds,
@@ -164,15 +174,25 @@ def objective_gradient(
     return _step(cfg, data.z, data.y.astype(float), v, W, w, head_b)
 
 
-def _step(cfg: TrainConfig, X, y, v, W, w, b) -> ObjectiveEval:
+def _step(cfg: TrainConfig, X, y, v, W, w, b, with_penalty: bool = True) -> ObjectiveEval:
     """:func:`objective_gradient` on checked arrays: rows ``X``, outcomes
-    ``y`` as floats and the penalty's per-row coefficients ``v``."""
+    ``y`` as floats and the penalty's per-row coefficients ``v``.
+
+    Without ``with_penalty`` (for lambda = 0 and a kernel without a linear
+    part only) the step makes no kernel pass.  Its penalty then reads 0 when
+    the encoded rows are finite, where the kernel's values lie in [0, nu]
+    and the computed penalty is finite too, and NaN otherwise, as the
+    computed one would: so the total is finite exactly when the computed
+    one would be."""
     Z = X @ W.T
-    p = 1.0 / (1.0 + np.exp(-(Z @ w + b)))
+    p = _sigmoid(Z @ w + b)
     ce = float(-np.mean(y * np.log(p + _LOG_EPS) + (1.0 - y) * np.log(1.0 - p + _LOG_EPS)))
     resid = (p - y) / X.shape[0]
     d_enc = np.outer(w, X.T @ resid)
-    penalty, d_pen = _penalty_and_gradient(cfg.kernel, X, Z, v, gradient=cfg.lam > 0)
+    if with_penalty:
+        penalty, d_pen = _penalty_and_gradient(cfg.kernel, X, Z, v, gradient=cfg.lam > 0)
+    else:
+        penalty, d_pen = (0.0 if np.isfinite(Z).all() else np.nan), None
     return ObjectiveEval(
         sup=ce, penalty=penalty, total=float(ce + cfg.lam * penalty),
         d_encoder=d_enc if d_pen is None else d_enc + cfg.lam * d_pen,
@@ -232,7 +252,6 @@ def _check_step(spec: KernelSpec, X, step: int, option: str, W, *values) -> None
         raise TrainingError(f"training step {step}: {fault}", step=step)
 
 
-@np.errstate(all="ignore")
 def train(data: LabeledDataset, cfg: TrainConfig) -> TrainResult:
     """Gradient-descent run; deterministic given (data, cfg).
 
@@ -245,12 +264,44 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> TrainResult:
     out of the ball of a linear part of the kernel — typically a step size
     too large for the data scale.  The run computes with numpy's
     floating-point warnings off, so such a value ends in that error alone.
+    It is the one-run case of the loop :func:`lambda_sweep` runs.
     """
+    traces = np.empty((3, cfg.steps))
+    params, frozen, failure = _lockstep(data, [cfg], traces)
+    if failure is not None:
+        raise failure
+    (W, w, b), = params
+    sup_t, pen_t, tot_t = traces
+    return TrainResult(
+        encoder=W, head_w=w, head_b=float(b), weights=frozen,
+        sup_trace=sup_t, penalty_trace=pen_t, total_trace=tot_t, config=cfg,
+    )
+
+
+@np.errstate(all="ignore")
+def _lockstep(data: LabeledDataset, configs: list, traces=None) -> tuple:
+    """One training run per config, all in one loop: the parameters (W, w,
+    b) of every run that finished, the frozen weights, and the TrainingError
+    of the first run that failed (None when none did).
+
+    The configs differ in ``lam`` alone, so their runs, one after another,
+    would start from the same parameters and draw the same batches.  Here
+    they step in lockstep: each step draws its batch and gathers its rows
+    once for all of them, and the memory stays that of one batch.  The
+    data and weights are checked as the first run's :func:`train` checks
+    them, and in its order; :func:`lambda_sweep` checks the penalty
+    gradient that a later run needs before.  When a run fails, it
+    and the runs after it stop, and the runs before it go on, since one of
+    them may fail at a later step: the error returned is the one the runs
+    in turn would have raised first, and every run before it has finished.
+    ``traces``, when given, is a (3, steps) array that receives the first
+    run's objective per step; without it, a lambda = 0 run of a kernel
+    without a linear part makes no kernel pass (see :func:`_step`).
+    """
+    cfg = configs[0]
     rng = rng_for(cfg.seed, 7)
     W = cfg.init_scale * rng.standard_normal((cfg.encoder_dim, data.dim)) / np.sqrt(data.dim)
     w = cfg.init_scale * rng.standard_normal(cfg.encoder_dim)
-    b = 0.0
-    sup_t, pen_t, tot_t = np.empty((3, cfg.steps))
     X, y, cell, counts = data.z, data.y.astype(float), data.cell, data.counts
     if cfg.batch is not None:
         pools = _cell_pools(data)
@@ -260,20 +311,29 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> TrainResult:
     v = _cell_coefficients(frozen, counts)[cell]
     ball = data.z if _has_ball(cfg.kernel) else None
     _check_step(cfg.kernel, ball, 0, "init_scale", W, w)
+    runs = [(config, W, w, 0.0) for config in configs]
+    penalty = traces is not None or ball is not None
+    failure = None
     for step in range(cfg.steps):
+        if not runs:
+            break
         if cfg.batch is not None:
             idx = _batch_rows(pools, takes, rng)
             X, y = data.z[idx], data.y[idx].astype(float)
-        ev = _step(cfg, X, y, v, W, w, b)
-        sup_t[step], pen_t[step], tot_t[step] = ev.sup, ev.penalty, ev.total
-        W = W - cfg.step_size * ev.d_encoder
-        w = w - cfg.step_size * ev.d_head_w
-        b = b - cfg.step_size * ev.d_head_b
-        _check_step(cfg.kernel, ball, step, "step_size", W, w, b, ev.total)
-    return TrainResult(
-        encoder=W, head_w=w, head_b=float(b), weights=frozen,
-        sup_trace=sup_t, penalty_trace=pen_t, total_trace=tot_t, config=cfg,
-    )
+        for r, (config, W, w, b) in enumerate(runs):
+            ev = _step(config, X, y, v, W, w, b, penalty or config.lam > 0)
+            if traces is not None:
+                traces[:, step] = ev.sup, ev.penalty, ev.total
+            W = W - config.step_size * ev.d_encoder
+            w = w - config.step_size * ev.d_head_w
+            b = b - config.step_size * ev.d_head_b
+            try:
+                _check_step(config.kernel, ball, step, "step_size", W, w, b, ev.total)
+            except TrainingError as exc:
+                failure, runs = exc, runs[:r]
+                break
+            runs[r] = config, W, w, b
+    return [run[1:] for run in runs], frozen, failure
 
 
 @dataclass(frozen=True)
@@ -310,6 +370,12 @@ def lambda_sweep(
     ``dc_bins`` must be None or >= 1; it and the lambdas are checked before
     the data are sampled, and, when a lambda is positive, the kernel's
     penalty gradient before the first training run.
+
+    The runs are those of :func:`train` for each lambda, but trained in
+    lockstep (see :func:`_lockstep`): each step draws one batch for all of
+    them, and, since a sweep keeps no objective trace, a lambda = 0 run of a
+    kernel without a linear part makes no kernel pass.  The rows, and any
+    error raised, are those of the runs trained and tabulated in turn.
     """
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
@@ -320,22 +386,30 @@ def lambda_sweep(
     data = sample_population(population, n, seed)
     if any(lam > 0 for lam in lambdas):
         _penalty_weights(cfg.kernel, data, None, gradient=True)
-    rows = []
-    for config in configs:
-        res = train(data, config)
-        encoded = LabeledDataset(z=data.z @ res.encoder.T, s=data.s, y=data.y)
-        t = evaluate_batch(logistic_head_classifier(res.head_w, res.head_b), encoded.z)
-        head = external_scores_classifier(t)
-        yf = encoded.y.astype(float)
-        rows.append({
-            "lambda": config.lam,
-            "accuracy": float(np.mean(t * yf + (1.0 - t) * (1.0 - yf))),
-            "balanced_accuracy": balanced_accuracy(head, encoded, "y"),
-            "dp": dp(head, encoded),
-            "dodds": dodds(head, encoded),
-            "dc": dc(head, encoded, bins=dc_bins),
-            "eok2": eok_hat_plugin(cfg.kernel, encoded).eok2,
-            "sup_dp": sup_dp(cfg.kernel, encoded),
-            "beta_hat": cell_sums(cfg.kernel, encoded).mmd2(((1, 0),), ((1, 1),)).mmd,
-        })
+    params, _, failure = _lockstep(data, configs)
+    rows = [_sweep_row(cfg.kernel, data, lam, W, w, b, dc_bins)
+            for lam, (W, w, b) in zip(lambdas, params)]
+    if failure is not None:
+        raise failure
     return SweepResult(rows=tuple(rows), lambdas=tuple(lambdas), n=n, seed=seed)
+
+
+def _sweep_row(spec: KernelSpec, data: LabeledDataset, lam: float, W, w, b,
+               dc_bins: int | None) -> dict:
+    """The :func:`lambda_sweep` row of the run with penalty weight ``lam``
+    that ended at encoder ``W`` and head (``w``, ``b``)."""
+    encoded = LabeledDataset(z=data.z @ W.T, s=data.s, y=data.y)
+    t = evaluate_batch(logistic_head_classifier(w, float(b)), encoded.z)
+    head = external_scores_classifier(t)
+    yf = encoded.y.astype(float)
+    return {
+        "lambda": lam,
+        "accuracy": float(np.mean(t * yf + (1.0 - t) * (1.0 - yf))),
+        "balanced_accuracy": balanced_accuracy(head, encoded, "y"),
+        "dp": dp(head, encoded),
+        "dodds": dodds(head, encoded),
+        "dc": dc(head, encoded, bins=dc_bins),
+        "eok2": eok_hat_plugin(spec, encoded).eok2,
+        "sup_dp": sup_dp(spec, encoded),
+        "beta_hat": cell_sums(spec, encoded).mmd2(((1, 0),), ((1, 1),)).mmd,
+    }

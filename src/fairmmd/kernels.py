@@ -33,11 +33,14 @@ zeros alone.  A one-hot M whose rows come in cell order so costs about one
 column per tile, whatever the number of cells.  A square pass (``B is A``,
 as in K(Z, Z) @ M) evaluates each pair of tiles once: the tile pair
 (p, b) with b >= p forms K(A_p, A_b), reduces it for row tile p, and
-reduces a contiguous transposed copy of it (about 65 us for a 256 x 256
-tile, against about 160 us to evaluate it) against column tile p's
+reduces a contiguous transposed copy of it against column tile p's
 coefficients for row tile b.  Every kernel entry is symmetric bit for bit
 ((a - b)^2, |a - b|, a . b, and sums and products of such), so the copy
-has the bits of K(A_b, A_p).
+has the bits of K(A_b, A_p).  A full-width tile with b > p is evaluated
+with 8 padding columns, so that its rows are not a power of two apart:
+its transposed copy then takes about 32 us for a 256 x 256 tile, against
+about 80 us unpadded and about 160 us to evaluate the tile
+(:func:`_tile_pass` has the measurements).
 
 A large pass hands its tile pairs out in order, one at a time, to one
 thread per CPU; :class:`_InOrderSink` says how, and why the waiting
@@ -131,6 +134,9 @@ _ROUTINES_LOCK = threading.Lock()
 # float64 tile (512 KB) stays in cache while it is reduced; at n = 5000 (rbf)
 # a full pass over such tiles beat 512 x 512 tiles and full-width row strips.
 TILE = 256
+# Columns a square pass adds to a full-width mirrored tile, so that its rows
+# are not 2048 bytes apart (see :func:`_tile_pass`).
+_PAD = 8
 
 # CPUs this process may run on, read once: :func:`kernel_matmul` hands the
 # tile pairs of a large pass out to this many threads.  The pool that runs
@@ -356,7 +362,8 @@ def _matmul_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, M: np.ndar
     return out.reshape(n) if M.ndim == 1 else out
 
 
-def _tile_pass(spec: KernelSpec, A, B, blocks, t, k, square, sink, bufs, prod, flip) -> None:
+def _tile_pass(spec: KernelSpec, A, B, blocks, t, k, square, sink, bufs, prod, flip,
+               pad) -> None:
     """Deliver to ``sink`` the product of tile pair (t, k): row tile ``t``
     of A against column tile ``k`` of B, whose block is ``blocks[k] = (cols,
     Mk)``.  The tile K(A_t, B_k), written into the flat buffers ``bufs``,
@@ -370,15 +377,34 @@ def _tile_pass(spec: KernelSpec, A, B, blocks, t, k, square, sink, bufs, prod, f
     kernel entry is symmetric bit for bit, so the copy has the bits of that
     tile, and contiguous like it, so einsum reduces it with the same bits.
 
+    A full-width column tile of such a pair is evaluated against B_k and
+    ``_PAD`` copies of its last row, held in the (TILE + _PAD, d) buffer
+    ``pad``, into a (rows, TILE + _PAD) tile whose first TILE columns are
+    K(A_t, B_k), entry for entry.  A row of TILE doubles is 2048 bytes, a
+    power of two, so reading a column of an unpadded tile maps every other
+    row to the same cache sets: its transposed copy took 78-86 us for a
+    256 x 256 tile, against 31-33 us from the padded one and 46 us for the
+    tile's exp (timeit, best of 9, 2-core container).  The padded columns
+    are computed, not written through a strided view: cdist refuses a
+    non-contiguous ``out``, and an exp or multiply into such a view costs
+    20-28 us more.  einsum reduces each row of the [:, :TILE] view with the
+    bits of the contiguous tile, whatever the row stride
+    (``tests/test_kernels.py`` checks this assumption by name), in about
+    20 us more for three columns, less than the copy saves.
+
     Each entry of a product is one dot of a tile row with one row of Mt,
     whatever other rows take part, and a column left out of ``cols`` would
     only add zeros (finite kernel values times zero) to a row; so the sum
     of the products has the bits of reducing every tile against all of Mt.
     """
-    K = _pairwise_unchecked(spec, A[t * TILE : (t + 1) * TILE], B[k * TILE : (k + 1) * TILE],
-                            bufs)
+    Bk, mirrored = B[k * TILE : (k + 1) * TILE], square and k > t
+    if mirrored and Bk.shape[0] == TILE:
+        pad[:TILE] = Bk
+        pad[TILE:] = Bk[-1]
+        Bk = pad
+    K = _pairwise_unchecked(spec, A[t * TILE : (t + 1) * TILE], Bk, bufs)[:, :TILE]
     sink.deliver(t, k, _reduced(K, blocks[k][1], prod))
-    if square and k > t:
+    if mirrored:
         mirror = flip[: K.size].reshape(K.shape[::-1])
         np.copyto(mirror, K.T)
         sink.deliver(k, t, _reduced(mirror, blocks[t][1], prod))
@@ -468,20 +494,23 @@ def _tiled_pass(spec: KernelSpec, A, B, blocks, out, workers: int) -> None:
     """
     n_tiles, n_cols = -(-A.shape[0] // TILE), len(blocks)
     square = B is A
+    mirrors = square and n_tiles > 1
     tile_rows, cols = min(TILE, A.shape[0]), min(TILE, B.shape[0])
     pairs = ((t, k) for t in range(n_tiles) for k in range(t if square else 0, n_cols))
     sink = _InOrderSink(out, blocks, pairs, 2 * workers * (n_cols - 1) if workers > 1 else 0,
                         tile_rows * out.shape[1])
     err = np.geterr()
 
-    def drain(bufs, prod, flip):
+    def drain(bufs, prod, flip, pad):
         with np.errstate(**err):
             for t, k in iter(sink.take, None):
-                _tile_pass(spec, A, B, blocks, t, k, square, sink, bufs, prod, flip)
+                _tile_pass(spec, A, B, blocks, t, k, square, sink, bufs, prod, flip, pad)
 
-    jobs = [([np.empty(tile_rows * cols) for _ in range(_tiles_needed(spec))],
+    width = cols + _PAD if mirrors else cols
+    jobs = [([np.empty(tile_rows * width) for _ in range(_tiles_needed(spec))],
              np.empty(tile_rows * out.shape[1]),
-             np.empty(tile_rows * cols) if square and n_tiles > 1 else None)
+             np.empty(tile_rows * cols) if mirrors else None,
+             np.empty((TILE + _PAD, A.shape[1])) if mirrors else None)
             for _ in range(workers)]
     futures = [_pool().submit(drain, *job) for job in jobs[1:]]
     try:

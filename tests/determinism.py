@@ -3,10 +3,20 @@
 Runs every ``fairmmd`` subcommand, each in a fresh process, under four
 settings: the CPU masks ``taskset -c 0`` and ``taskset -c 0,1`` (the first
 two CPUs this process may use), each with ``OPENBLAS_NUM_THREADS`` and
-``OMP_NUM_THREADS`` unset and with ``OPENBLAS_NUM_THREADS=1``.  The configs
-sample n = 1000 rows, so every square kernel pass over them splits across
-two threads where two CPUs are allowed, and BLAS enters through the
-training steps, the Gram sums' W'KW and the linear closed forms.  The
+``OMP_NUM_THREADS`` unset and with ``OPENBLAS_NUM_THREADS=1``.  Every
+square kernel pass over the sampled rows splits across two threads where
+two CPUs are allowed, and BLAS enters through the training steps, the Gram
+sums' W'KW and the linear closed forms.
+
+``eok``, ``metrics`` and ``bounds`` sample n = 8000 rows, so that each
+(s, y) cell spans at least five column tiles of the cell-sums pass.  At
+n = 1000 each cell spans at most two, so every output entry of that pass
+sums at most two tile products, and a + b = b + a exactly: a split pass
+that added its products in arrival order would still give the same bits.
+With such a sink, at n = 4000 (three or more tiles a cell) an audit
+command differed in 7 of 12 runs, and at n = 8000 in 7 of 7.
+``train`` and both sweeps sample n = 1000 rows; the mini-batch sweep (batch
+64) runs its lambdas in lockstep on one batch draw per step.  The
 concentration config runs 20 trials at n = 100 and n = 3200, in two blocks
 at n = 3200, so the check's one encoding product per block of trials runs
 under every setting too.
@@ -41,19 +51,23 @@ POPULATION = {
     },
 }
 
-# One config per command, on top of CONFIG.
+# One run per name: its command and its config on top of CONFIG.
 CONFIG = {"seed": 3, "n": 1000, "population": POPULATION,
           "kernel": {"family": "rbf", "sigma": 1.0}}
-COMMANDS = {
-    "generate": {},
-    "metrics": {},
-    "eok": {},
-    "bounds": {},
-    "concentration": {"kernel": {"family": "linear", "radius": 10.0},
-                      "concentration": {"grid": [[[1, 0], [0, 1]], [[0.5, 0.5], [0, 1]]],
-                                        "n_grid": [100, 3200], "trials": 20}},
-    "train": {"train": {"steps": 20}},
-    "sweep": {"train": {"steps": 10}, "sweep": {"lambdas": [0.0, 1.0]}},
+AUDIT_N = 8000
+RUNS = {
+    "generate": ("generate", {}),
+    "metrics": ("metrics", {"n": AUDIT_N}),
+    "eok": ("eok", {"n": AUDIT_N}),
+    "bounds": ("bounds", {"n": AUDIT_N}),
+    "concentration": ("concentration", {
+        "kernel": {"family": "linear", "radius": 10.0},
+        "concentration": {"grid": [[[1, 0], [0, 1]], [[0.5, 0.5], [0, 1]]],
+                          "n_grid": [100, 3200], "trials": 20}}),
+    "train": ("train", {"train": {"steps": 20}}),
+    "sweep": ("sweep", {"train": {"steps": 10}, "sweep": {"lambdas": [0.0, 1.0]}}),
+    "sweep-batch": ("sweep", {"train": {"steps": 10, "batch": 64},
+                              "sweep": {"lambdas": [0.0, 0.3, 1.0]}}),
 }
 # Files a command writes besides its report, compared byte for byte.
 WRITES = {"generate": "dataset.csv", "sweep": "sweep.csv"}
@@ -100,19 +114,19 @@ def main() -> int:
     runs = list(settings())
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for command, extra in COMMANDS.items():
-            cfg_path = tmp / f"{command}.json"
+        for label, (command, extra) in RUNS.items():
+            cfg_path = tmp / f"{label}.json"
             cfg_path.write_text(json.dumps(dict(CONFIG, **extra)))
-            results = [run(command, cfg_path, tmp / f"{command}-{i}", mask, blas)
+            results = [run(command, cfg_path, tmp / f"{label}-{i}", mask, blas)
                        for i, (_, mask, blas) in enumerate(runs)]
             first = results[0]
             if first[0] == 2:
-                failures.append(f"{command}: exit 2: {first[1].strip()}")
-            failures += [f"{command}: {what} under {name} differs from {runs[0][0]}"
+                failures.append(f"{label}: exit 2: {first[1].strip()}")
+            failures += [f"{label}: {what} under {name} differs from {runs[0][0]}"
                          for (name, _, _), result in zip(runs[1:], results[1:])
                          for what, a, b in zip(("exit status", "report", WRITES.get(command)),
                                                first, result) if a != b]
-            print(f"{command}: {len(runs)} runs, exit {first[0]}")
+            print(f"{label}: {len(runs)} runs, exit {first[0]}")
     print("\n".join(failures + [f"determinism: {len(failures)} difference(s)"]))
     return 1 if failures else 0
 

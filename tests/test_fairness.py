@@ -105,6 +105,16 @@ def test_logistic_head_scores():
     assert_allclose(t, expected, rtol=1e-14)
 
 
+def test_logistic_head_saturates_without_a_warning():
+    """Logits far beyond exp's range score exactly 0 or 1 with no overflow
+    warning (which pytest turns into an error), and the other scores keep
+    the bits of 1 / (1 + exp(-x))."""
+    Z = np.array([[1.0, 1.0], [0.3, -0.2], [-1.0, -1.0], [0.709, 0.0]])
+    t = evaluate_batch(logistic_head_classifier([-1000.0, -1000.0], 0.0), Z)
+    finite = 1.0 / (1.0 + np.exp(-(Z[1:3] @ [-1000.0, -1000.0])))
+    np.testing.assert_array_equal(t, [0.0, *finite, 1.0 / (1.0 + np.exp(709.0))])
+
+
 def test_external_scores_validation():
     with pytest.raises(ValidationError):
         external_scores_classifier([0.2, 1.4])

@@ -227,6 +227,15 @@ def test_lambda_sweep_shape_and_frontier():
     assert d["lambdas"] == [0.0, 1.0, 6.0]
 
 
+def test_lambda_sweep_of_a_saturated_head_warns_nothing():
+    """Runs that start at init_scale 1e150 finish training with logits far
+    beyond exp's range; their rows' head scores saturate with no numpy
+    warning, which pytest turns into an error."""
+    res = lambda_sweep(make_population(p=((0.7, 0.3), (0.3, 0.7))), [0.0, 1.0],
+                       _cfg(steps=20, batch=64, init_scale=1e150), n=300)
+    assert all(np.isfinite(row["accuracy"]) for row in res.rows)
+
+
 def test_lambda_sweep_needs_lambdas(unbiased_pop):
     with pytest.raises(ValidationError):
         lambda_sweep(unbiased_pop, [], _cfg(), n=200)
@@ -240,6 +249,7 @@ def test_lambda_sweep_refuses_bad_bins_before_training(unbiased_pop, monkeypatch
         raise AssertionError("a training run started before dc_bins was checked")
 
     monkeypatch.setattr(frl, "train", no_training)
+    monkeypatch.setattr(frl, "_lockstep", no_training)
     with pytest.raises(ValidationError, match="dc_bins"):
         lambda_sweep(unbiased_pop, [0.0, 1.0], _cfg(), n=200, dc_bins=bins)
 
@@ -254,6 +264,7 @@ def test_lambda_sweep_refuses_a_negative_lambda_before_any_work(unbiased_pop, mo
 
     monkeypatch.setattr(frl, "sample_population", no_work)
     monkeypatch.setattr(frl, "train", no_work)
+    monkeypatch.setattr(frl, "_lockstep", no_work)
     with pytest.raises(ValidationError, match="lambda must be finite and >= 0"):
         lambda_sweep(unbiased_pop, [0.0, -1.0], _cfg(), n=200)
 
@@ -268,6 +279,7 @@ def test_lambda_sweep_refuses_a_kernel_without_gradient_before_training(unbiased
         raise AssertionError("a training run started before the kernel was checked")
 
     monkeypatch.setattr(frl, "train", no_training)
+    monkeypatch.setattr(frl, "_lockstep", no_training)
     with pytest.raises(UnsupportedError, match="gradient"):
         lambda_sweep(unbiased_pop, [0.0, 0.1], _cfg(kernel=laplacian(1.0)), n=200)
 
@@ -368,3 +380,97 @@ def test_training_stops_at_the_step_that_leaves_the_linear_ball(biased_pop, monk
 
     monkeypatch.setattr(frl, "_check_domain", no_check)
     train(data, replace(cfg, kernel=rbf(1.0), steps=5))
+
+
+# Sweeps whose lambda lists hold repeats and 0, as the lockstep runs must
+# keep each run apart; on the quick-start population with unequal outcome
+# rates.
+_SWEEP_POP = make_population(p=((0.7, 0.3), (0.3, 0.7)))
+_SWEEP_LAMBDAS = [0.0, 1.0, 0.0, 3.0, 1.0]
+
+
+def _sweep_one_by_one(lambdas, cfg, n, seed):
+    """The sweep's rows from one :func:`train` call per lambda, tabulated in
+    turn, or the first error that such a loop raises."""
+    from fairmmd import frl
+
+    data = sample_population(_SWEEP_POP, n, seed)
+    rows = []
+    for lam in lambdas:
+        res = train(data, replace(cfg, lam=lam))
+        rows.append(frl._sweep_row(cfg.kernel, data, lam, res.encoder, res.head_w,
+                                   res.head_b, 20))
+    return rows
+
+
+@pytest.mark.parametrize("kernel", [rbf(1.0), linear(50.0)], ids=["rbf", "linear"])
+@pytest.mark.parametrize("batch", [None, 64], ids=["full", "batch-64"])
+def test_lambda_sweep_rows_equal_one_train_per_lambda(kernel, batch):
+    """The runs trained in lockstep give the rows of one train() run per
+    lambda, bit for bit, with repeated lambdas and lambda = 0 in the list."""
+    cfg = _cfg(kernel=kernel, batch=batch, steps=15, step_size=0.1)
+    got = lambda_sweep(_SWEEP_POP, _SWEEP_LAMBDAS, cfg, n=300, seed=5)
+    assert list(got.rows) == _sweep_one_by_one(_SWEEP_LAMBDAS, cfg, 300, 5)
+
+
+@pytest.mark.parametrize("batch", [None, 64], ids=["full", "batch-64"])
+def test_lambda_sweep_draws_one_batch_per_step(monkeypatch, batch):
+    """A mini-batch sweep draws one batch per step for all its runs, and a
+    full-batch one draws none."""
+    from fairmmd import frl
+
+    draws, real = [], frl._batch_rows
+
+    def counting(*args):
+        draws.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(frl, "_batch_rows", counting)
+    lambda_sweep(_SWEEP_POP, _SWEEP_LAMBDAS, _cfg(batch=batch, steps=7), n=300, seed=5)
+    assert len(draws) == (0 if batch is None else 7)
+
+
+@pytest.mark.parametrize("batch", [None, 64], ids=["full", "batch-64"])
+def test_lambda_sweep_makes_no_pass_for_an_unpenalized_run(monkeypatch, batch):
+    """A sweep keeps no objective trace, so its lambda = 0 runs make no
+    kernel pass: only the steps of the lambda > 0 runs do."""
+    from fairmmd import eok
+
+    passes, real = [], eok._matmul_unchecked
+
+    def counting(*args):
+        passes.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(eok, "_matmul_unchecked", counting)
+    lambda_sweep(_SWEEP_POP, _SWEEP_LAMBDAS, _cfg(batch=batch, steps=7), n=300, seed=5)
+    assert len(passes) == 3 * 7
+    passes.clear()
+    lambda_sweep(_SWEEP_POP, [0.0, 0.0], _cfg(batch=batch, steps=7), n=300, seed=5)
+    assert passes == []
+
+
+@pytest.mark.parametrize("kernel, step_size, lambdas", [
+    (linear(10.0), 3.0, [0.0, 0.3, 0.0, 1.0, 0.3]),
+    (rbf(1.0), 1e100, [0.0, 1e10, 0.0, 1e10]),
+], ids=["linear", "rbf"])
+@pytest.mark.parametrize("batch", [None, 64], ids=["full", "batch-64"])
+def test_lambda_sweep_raises_the_first_error_of_the_runs_in_turn(kernel, step_size, lambdas,
+                                                                 batch):
+    """When several runs diverge, and a run listed later diverges at an
+    earlier step, the sweep raises the error that the runs trained one after
+    another raise first: same step, same message."""
+    cfg = _cfg(kernel=kernel, step_size=step_size, batch=batch, steps=40, init_scale=1.0)
+    data = sample_population(_SWEEP_POP, 300, 5)
+    failed = []
+    for lam in lambdas:
+        try:
+            train(data, replace(cfg, lam=lam))
+        except TrainingError as exc:
+            failed.append(exc.step)
+    assert len(failed) >= 2 and min(failed[1:]) < failed[0], failed
+    with pytest.raises(TrainingError) as want:
+        _sweep_one_by_one(lambdas, cfg, 300, 5)
+    with pytest.raises(TrainingError) as got:
+        lambda_sweep(_SWEEP_POP, lambdas, cfg, n=300, seed=5)
+    assert (got.value.step, str(got.value)) == (want.value.step, str(want.value))
