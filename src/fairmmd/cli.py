@@ -22,6 +22,12 @@ comparing runs should drop.
 Exit status: 0 on success (for ``bounds``/``concentration`` this requires
 every clause to hold), 1 when a checked bound fails, 2 on configuration or
 validation errors.
+
+A process runs one command, so it pays the import of each module the
+command loads.  This module imports ``errors`` and ``synth``, which every
+command needs; every other module loads on first use, when a command or an
+option check of its own tables first calls into it.  So ``generate`` loads
+``synth`` alone, and no command loads a module it does not call into.
 """
 
 from __future__ import annotations
@@ -29,55 +35,64 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import importlib
 import json
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    check_ba_bounds,
-    check_biased_lower_bound,
-    check_calibration_chain,
-    check_tvd_dominance,
-    check_unbiased_equality,
-)
-from .complexity import (_check_delta, _checked_n_grid, concentration_check, finite_grid,
-                         suggest_radius)
-from .eok import _checked_weights, eok_hat_bootstrap, eok_hat_plugin
 from .errors import ConfigurationError, FairmmdError, ValidationError
-from .fairness import (
-    GROUP_CELLS,
-    balanced_accuracy,
-    constant_classifier,
-    dc,
-    dnc,
-    dodds,
-    dopp,
-    dp,
-    dpc,
-    dr,
-    evaluate_batch,
-    external_scores_classifier,
-    logistic_head_classifier,
-    sup_dp,
-    witness_scores,
-)
-from .frl import (TrainConfig, _check_init_scale, _check_lambda, _check_step_size,
-                  lambda_sweep, train)
-from .kernels import KernelSpec, laplacian, linear, median_heuristic, rbf
-from .mmd import cell_sums
-from .synth import (
-    CELLS,
-    LabeledDataset,
-    population_from_dict,
-    read_csv,
-    sample_population,
-    write_csv,
-)
+from .synth import (CELLS, LabeledDataset, population_from_dict, read_csv, sample_population,
+                    write_csv)
+
+if TYPE_CHECKING:
+    from .kernels import KernelSpec
+
+
+def _sibling(module: str, name: str):
+    """A stand-in for ``fairmmd.<module>.<name>`` that imports the module on
+    its first call, so a command imports only the modules it calls into.
+
+    Each call looks the function up on its module.  A call that finds the
+    module's own function there, not a wrapper put in its place, also binds
+    ``name`` here to it while ``name`` still holds the stand-in, as an import
+    at the top of this module would have; later calls go to it directly.
+    """
+    path = f"{__package__}.{module}"
+
+    def call(*args, **kwargs):
+        fn = getattr(importlib.import_module(path), name)
+        if globals().get(name) is call and getattr(fn, "__module__", None) == path:
+            globals()[name] = fn
+        return fn(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# The functions this module calls in the modules other than ``errors`` and
+# ``synth``, which every command needs; each name is bound to its stand-in.
+_SIBLINGS = {
+    "bounds": ("check_ba_bounds", "check_biased_lower_bound", "check_calibration_chain",
+               "check_tvd_dominance", "check_unbiased_equality"),
+    "complexity": ("_check_delta", "_checked_n_grid", "concentration_check", "finite_grid",
+                   "suggest_radius"),
+    "eok": ("_checked_weights", "eok_hat_bootstrap", "eok_hat_plugin"),
+    "fairness": ("balanced_accuracy", "constant_classifier", "dc", "dnc", "dodds", "dopp", "dp",
+                 "dpc", "dr", "evaluate_batch", "external_scores_classifier",
+                 "logistic_head_classifier", "sup_dp", "witness_scores"),
+    "frl": ("TrainConfig", "_check_init_scale", "_check_lambda", "_check_step_size",
+            "lambda_sweep", "train"),
+    "kernels": ("laplacian", "linear", "median_heuristic", "rbf"),
+    "mmd": ("cell_sums",),
+}
+globals().update((name, _sibling(module, name))
+                 for module, names in _SIBLINGS.items() for name in names)
 
 SCHEMA_VERSION = 1
 
@@ -415,6 +430,8 @@ def _cmd_metrics(top: dict, opts: dict, data, spec, scores) -> tuple[dict, list,
     c, bins = opts["metrics.classifier"], opts["metrics"]["bins"]
     h = _classifier(c, scores)
     if h is None:
+        from .fairness import GROUP_CELLS
+
         t = witness_scores(cell_sums(spec, data), GROUP_CELLS[1], GROUP_CELLS[0])
     else:
         t = evaluate_batch(h, data.z)

@@ -260,6 +260,11 @@ def analytic_mmd2_rbf_gaussians(g1: CellGaussian, g2: CellGaussian, sigma: float
 # serialization
 
 
+# Rows that write_csv formats in one operation: all of them up to 65536 rows,
+# and beyond that blocks whose text and Python floats take about 12 MB (d = 2).
+_CSV_BLOCK_ROWS = 1 << 16
+
+
 def write_csv(data: LabeledDataset, path, scores: np.ndarray | None = None) -> None:
     """Write a dataset as ``z_0,...,z_{d-1},s,y[,score]`` with full precision."""
     cols = [f"z_{j}" for j in range(data.dim)] + ["s", "y"]
@@ -272,8 +277,14 @@ def write_csv(data: LabeledDataset, path, scores: np.ndarray | None = None) -> N
         cols.append("score")
         table.append(scores)
         fmt.append("%.17g")
-    np.savetxt(path, np.column_stack(table), fmt=fmt, delimiter=",",
-               header=",".join(cols), comments="")
+    table, row = np.column_stack(table), ",".join(fmt) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for start in range(0, data.n, _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            # One format operation over the block: the bytes np.savetxt
+            # writes with the same formats, without its loop over the rows.
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_csv(path) -> tuple[LabeledDataset, np.ndarray | None]:

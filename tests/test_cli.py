@@ -661,6 +661,55 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def package_modules(prefix="") -> str:
+    """Code that prints, as its last line of output, the JSON list of the
+    package modules loaded so far, with ``prefix`` run first."""
+    return (prefix + "import json, sys\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'fairmmd')))\n")
+
+
+def test_import_loads_no_module_and_star_import_binds_every_name():
+    """``import fairmmd`` loads none of its modules; ``from fairmmd import *``
+    then binds every name of ``fairmmd.__all__``."""
+    proc = run_python(package_modules("import fairmmd\n")
+                      + "ns = {}\nexec('from fairmmd import *', ns)\n"
+                      + "print(json.dumps(sorted(set(fairmmd.__all__) - set(ns))))\n")
+    assert proc.returncode == 0, proc.stderr
+    loaded, unbound = map(json.loads, proc.stdout.splitlines()[-2:])
+    assert loaded == ["fairmmd"]
+    assert unbound == []
+
+
+# The package modules each command loads when it runs cold, besides the
+# package, fairmmd.cli and the modules every command needs.
+EVERY_COMMAND = {"fairmmd", "fairmmd.cli", "fairmmd._rng", "fairmmd.errors", "fairmmd.synth"}
+COMMAND_MODULES = {
+    "generate": set(),
+    "metrics": {"kernels", "mmd", "fairness"},
+    "eok": {"kernels", "mmd", "eok"},
+    "bounds": {"kernels", "mmd", "eok", "fairness", "bounds"},
+    "concentration": {"kernels", "mmd", "eok", "complexity"},
+    "train": {"kernels", "mmd", "eok", "fairness", "frl"},
+    "sweep": {"kernels", "mmd", "eok", "fairness", "frl"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_command_loads_only_the_modules_it_runs(tmp_path, command):
+    """A command run cold, its options checked and its work done, has loaded
+    no package module beyond those it calls into."""
+    cfg = write_config(tmp_path, n=200, bounds={"trials": 3}, train={"steps": 3},
+                       sweep={"lambdas": [0.0, 1.0]},
+                       concentration={"grid": GRID, "n_grid": [20, 40], "trials": 3,
+                                      "g_trials": 4})
+    proc = run_python(package_modules(
+        "from fairmmd import cli\n"
+        f"assert cli.main([{command!r}, '--config', {str(cfg)!r}]) in (0, 1)\n"))
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert set(loaded) == EVERY_COMMAND | {f"fairmmd.{m}" for m in COMMAND_MODULES[command]}
+
+
 def test_generate_and_linear_concentration_run_without_scipy(tmp_path):
     """With every scipy import made to fail, the data path and the linear
     concentration certificate still run to exit 0."""

@@ -19,6 +19,7 @@ from fairmmd import (
     sample_population,
     write_csv,
 )
+from fairmmd import synth
 from conftest import make_population, masked_sample
 
 
@@ -244,6 +245,33 @@ def test_csv_round_trip_with_scores(tmp_path, small_data):
     assert_array_equal(got, scores)
     header = path.read_text().splitlines()[0]
     assert header == "z_0,z_1,s,y,score"
+
+
+@pytest.mark.parametrize("block_rows", [None, 3], ids=["one-block", "blocks-of-3"])
+@pytest.mark.parametrize("with_scores", [False, True], ids=["no-score", "score"])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_csv_bytes_match_savetxt(tmp_path, monkeypatch, d, with_scores, block_rows):
+    """write_csv writes the bytes of ``np.savetxt`` with its column formats,
+    signed zeros, subnormals, the largest doubles and integral values
+    included, in one block or across several."""
+    if block_rows is not None:
+        monkeypatch.setattr(synth, "_CSV_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(d)
+    n = 40
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 3.0, -7.0,
+                        2.0 ** 53, 0.1])
+    z = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+    z.flat[rng.permutation(n * d)[:special.size]] = special
+    data = LabeledDataset(z=z, s=rng.integers(0, 2, n), y=rng.integers(0, 2, n))
+    scores = rng.permutation(np.r_[special, rng.uniform(size=n - special.size)])
+    extra = ([scores], ["%.17g"], ["score"]) if with_scores else ([], [], [])
+    table = [data.z, data.s, data.y] + extra[0]
+    fmt = ["%.17g"] * d + ["%d", "%d"] + extra[1]
+    header = ",".join([f"z_{j}" for j in range(d)] + ["s", "y"] + extra[2])
+    np.savetxt(tmp_path / "ref.csv", np.column_stack(table), fmt=fmt, delimiter=",",
+               header=header, comments="")
+    write_csv(data, tmp_path / "got.csv", scores if with_scores else None)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_csv_rejects_bad_labels(tmp_path):
