@@ -80,6 +80,7 @@ from .fairness import (
 from .kernels import (
     KernelSpec,
     _checked_pair,
+    _matmul_unchecked,
     kernel_matmul,
     kernel_sum,
     linear,
@@ -307,14 +308,20 @@ def _tensor_gamma(k_u: KernelSpec, k_y: KernelSpec, scores: np.ndarray, data: La
     The outcome is binary, so over the rows of cells c and c' the tensor
     kernel sums to k_y(y_c, y_c') (S[c, c'] + T_c T_c'), where S is the cell-
     block of Gram sums of the scores under the second part and T_c the score
-    total of cell c: one pass of that part over the scores, with the cell
-    one-hot as its weight columns, replaces a pass of the product kernel.
-    The pairs still get the product kernel's shape and domain checks.
+    total of cell c: one square pass of that part over the scores in cell
+    order, with the cell one-hot as its weight columns, replaces a pass of
+    the product kernel.  Only the pass's block sums are read, so its tiles
+    are reduced by BLAS (``row_stable=False``) and its rows stay in cell
+    order.  The pairs still get the product kernel's shape and domain
+    checks.
     """
     k_t = product(k_u, k_y, split=1)
     pairs = np.column_stack([scores, data.y.astype(float)])
     _checked_pair(k_t, pairs[data.s == 0], pairs[data.s == 1])
-    S = _gram_sums(k_u.parts[1], pairs[:, :1], np.eye(4)[data.cell], data.cell)[1]
+    order = np.argsort(data.cell, kind="stable")
+    u, cells = pairs[order, :1], data.cell[order]
+    onehot = np.eye(4)[cells]
+    S = onehot.T @ _matmul_unchecked(k_u.parts[1], u, u, onehot, cells, row_stable=False)
     totals = np.bincount(data.cell, weights=scores, minlength=4)
     y_cell = np.array([[y] for (_, y) in CELLS], dtype=float)
     block = pairwise(k_y, y_cell, y_cell) * (S + np.outer(totals, totals))

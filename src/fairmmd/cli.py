@@ -37,6 +37,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -106,9 +107,13 @@ def _load_config(path: str) -> dict:
     if not p.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     try:
-        cfg = json.loads(p.read_text())
+        cfg = json.loads(p.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigurationError("config is nested too deeply to parse") from None
     if not isinstance(cfg, dict):
         raise ConfigurationError("config must be a JSON object")
     cfg["_dir"] = str(p.parent)
@@ -225,6 +230,19 @@ def _float(value) -> float:
     return float(value)
 
 
+def _out_dir(value) -> str:
+    """An output directory for :func:`_parse`.  It need not exist, but its
+    nearest existing ancestor (itself, if it exists) must be a directory:
+    a file there would fail the report's write only after the work."""
+    path = Path(_str(value))
+    for p in (path, *path.parents):
+        if os.path.lexists(p):
+            if not p.is_dir():
+                raise _NotAllowed(f"{str(p)!r} exists and is not a directory")
+            break
+    return value
+
+
 def _seed(value) -> int:
     """A seed for :func:`_parse`: numpy seeds its generators from
     non-negative integers only."""
@@ -259,7 +277,7 @@ def _sigma(make):
 # or from a ``dataset`` CSV, whose path is relative to the config file.  A
 # dataset CSV and "concentration" leave ``n`` unused, so its range (>= 1) is
 # checked by ``sample_population``, before it draws a row.
-_TOP = {"seed": (0, _seed), "out": ("reports", _str), "n": (1000, _int),
+_TOP = {"seed": (0, _seed), "out": ("reports", _out_dir), "n": (1000, _int),
         "dataset": (None, _optional(_str)),
         "population": (None, _optional(population_from_dict))}
 

@@ -38,7 +38,10 @@ Two estimation routes are kept deliberately distinct:
   rounding, and differentiable — :func:`eok_gradient_plugin` gives its exact
   gradient with respect to a linear encoder.  The penalized trainer reads
   the value, and when it needs it the gradient, from one pass K @ [v, X v]
-  (or K @ v alone) over the encoded rows of each step.
+  (or K @ v alone) over the encoded rows of each step.  It only sums that
+  pass's rows, so the pass reduces its tiles by BLAS rather than row by
+  row (:func:`fairmmd.kernels._tile_pass` says what that saves, and what
+  its bits depend on).
 
 Weights default to the empirical S=0 outcome rates; passing explicit weights
 (e.g. the population's) is supported for oracle comparisons and flagged in
@@ -283,7 +286,9 @@ def _penalty_and_gradient(spec: KernelSpec, X, Z, v,
     coefficients ``v`` (which sum to zero), and its encoder gradient (None
     when ``gradient`` is false), from the one kernel pass of
     :func:`eok_gradient_plugin` (whose docstring has the formulas); without
-    the gradient that pass is K @ v alone, for any kernel family.
+    the gradient that pass is K @ v alone, for any kernel family.  Both
+    read the pass's rows only through sums over them, so its tiles are
+    reduced by BLAS (``row_stable=False``).
 
     The linear closed form centres Z and X on their means first: v sums to
     zero, so no value changes, but rows far from the origin keep their
@@ -295,8 +300,8 @@ def _penalty_and_gradient(spec: KernelSpec, X, Z, v,
         d_pen = 2.0 * np.outer(zv, (X - ones @ X / n).T @ v) if gradient else None
         return float(zv @ zv), d_pen
     if not gradient:
-        return float(v @ _matmul_unchecked(spec, Z, Z, v)), None
-    KM = _matmul_unchecked(spec, Z, Z, np.column_stack([v, X * v[:, None]]))
+        return float(v @ _matmul_unchecked(spec, Z, Z, v, row_stable=False)), None
+    KM = _matmul_unchecked(spec, Z, Z, np.column_stack([v, X * v[:, None]]), row_stable=False)
     Kv = KM[:, 0]
     term_diag = (Z * (v * Kv)[:, None]).T @ X
     term_full = (Z * v[:, None]).T @ KM[:, 1:]

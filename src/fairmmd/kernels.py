@@ -33,14 +33,31 @@ zeros alone.  A one-hot M whose rows come in cell order so costs about one
 column per tile, whatever the number of cells.  A square pass (``B is A``,
 as in K(Z, Z) @ M) evaluates each pair of tiles once: the tile pair
 (p, b) with b >= p forms K(A_p, A_b), reduces it for row tile p, and
-reduces a contiguous transposed copy of it against column tile p's
-coefficients for row tile b.  Every kernel entry is symmetric bit for bit
-((a - b)^2, |a - b|, a . b, and sums and products of such), so the copy
-has the bits of K(A_b, A_p).  A full-width tile with b > p is evaluated
-with 8 padding columns, so that its rows are not a power of two apart:
-its transposed copy then takes about 32 us for a 256 x 256 tile, against
-about 80 us unpadded and about 160 us to evaluate the tile
-(:func:`_tile_pass` has the measurements).
+reduces its transpose against column tile p's coefficients for row tile
+b.  Every kernel entry is symmetric bit for bit ((a - b)^2, |a - b|,
+a . b, and sums and products of such), so the transpose has the bits of
+K(A_b, A_p).
+
+A pass reduces its tiles in one of two ways, chosen by what its caller
+reads (:func:`_tile_pass` has the measurements):
+
+* By default a pass is row-stable: einsum reduces each tile one output
+  row at a time, so each output row's bits depend on its input row alone,
+  wherever that row sits in a tile.  The witness rows of
+  :func:`fairmmd.mmd.cell_sums`, the ball probes' scores and
+  :func:`kernel_matmul`'s output are read row by row and rely on that;
+  the two-sample and total-variation sums keep this route too, so their
+  reports keep their bits.  Its mirrored tiles are copied transposed into a
+  contiguous buffer; a full-width one is evaluated with 8 padding columns,
+  so that its rows are not a power of two apart and the copy stays cheap.
+* A caller that only sums the output's rows passes ``row_stable=False``
+  to :func:`_matmul_unchecked`: each tile, and a mirrored tile through its
+  transposed view, is reduced by one BLAS product, with no padding or
+  copy, about three times as fast as einsum for three columns.  BLAS
+  blocks its sums by the shapes it is handed, so these bits are fixed by
+  n and the tile shapes, not by each row alone.  The training step's
+  penalty and gradient (:mod:`fairmmd.eok`) and the calibration chain's
+  cell-block sums (:mod:`fairmmd.bounds`) take this route.
 
 A large pass hands its tile pairs out in order, one at a time, to one
 thread per CPU; :class:`_InOrderSink` says how, and why the waiting
@@ -337,13 +354,16 @@ def kernel_matmul(spec: KernelSpec, A, B, M) -> np.ndarray:
 
 
 def _matmul_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, M: np.ndarray,
-                      groups=None) -> np.ndarray:
+                      groups=None, *, row_stable: bool = True) -> np.ndarray:
     """K(A, B) @ M on checked rows.  ``groups``, when given, holds ascending
     labels of B's rows, where M's column g is nonzero only on the rows
     labelled g: column tile j is then reduced against the columns from the
     label of its first row to that of its last only, which adds the same
-    products and leaves out exact zeros.  The linear kernel forms no tiles
-    and does not read ``groups``."""
+    products and leaves out exact zeros.  ``row_stable`` picks how each
+    tile is reduced (see :func:`_tile_pass`): by einsum, so that each output
+    row's bits depend on its input row alone, or, when false, for a caller
+    that only sums the output's rows, by BLAS.  The linear kernel forms no
+    tiles and reads neither ``groups`` nor ``row_stable``."""
     # Columns of M as contiguous rows, so every output entry is one dot
     # product over contiguous memory; einsum, unlike BLAS, reduces every
     # output row in the same order wherever the row sits in the tile.
@@ -358,51 +378,76 @@ def _matmul_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, M: np.ndar
         out = np.zeros((n, Mt.shape[0]))
         small = n * m < 2 * TILE * TILE * _WORKERS
         _tiled_pass(spec, A, B, [(c, Mt[c, j : j + TILE]) for c, j in zip(cols, starts)],
-                    out, 1 if small else min(_WORKERS, -(-n // TILE)))
+                    out, 1 if small else min(_WORKERS, -(-n // TILE)), row_stable)
     return out.reshape(n) if M.ndim == 1 else out
 
 
 def _tile_pass(spec: KernelSpec, A, B, blocks, t, k, square, sink, bufs, prod, flip,
-               pad) -> None:
+               pad, row_stable: bool) -> None:
     """Deliver to ``sink`` the product of tile pair (t, k): row tile ``t``
     of A against column tile ``k`` of B, whose block is ``blocks[k] = (cols,
     Mk)``.  The tile K(A_t, B_k), written into the flat buffers ``bufs``,
     is reduced against Mt's rows ``cols`` (``Mk``), the product written into
-    the flat buffer ``prod``.
+    the flat buffer ``prod``.  In a ``square`` pass, where only the pairs
+    k >= t are handed out, a pair with k > t is used twice: for row tile t,
+    and, transposed and reduced against ``blocks[t]``, for row tile k at
+    position t, which pair (k, t) would have evaluated.  Every kernel entry
+    is symmetric bit for bit, so the transpose has the bits of that tile.
 
-    In a ``square`` pass, where only the pairs k >= t are handed out, a
-    pair with k > t is used twice: for row tile t, and, copied transposed
-    into the flat buffer ``flip`` and reduced against ``blocks[t]``, for
-    row tile k at position t, which pair (k, t) would have evaluated.  Every
-    kernel entry is symmetric bit for bit, so the copy has the bits of that
-    tile, and contiguous like it, so einsum reduces it with the same bits.
+    There are two reductions, for two kinds of caller.  A ``row_stable``
+    pass reduces by einsum: each entry of a product is one dot of a tile
+    row with one row of Mt, so an output row has the same bits wherever its
+    input row sits and whatever rows share its tile.  Callers that read
+    output rows one by one need that: the witness rows of the cell sums,
+    the ball probes' scores, :func:`kernel_matmul`, and the test reference
+    that pins the tiled loop.  A pass that is not row-stable reduces each
+    tile with one BLAS product, K @ Mk' (:func:`_blas_reduced`), and a
+    mirrored pair through the transposed view K' with no copy or padding.
+    Against three columns, a 256 x 256 tile's product takes 22 us against
+    72 us for einsum, and a mirrored pair's two products 47 us against
+    185 us for einsum's two and the copy (timeit, best of 9, 2-core
+    container).  BLAS blocks its sums by the shapes it is handed,
+    so an entry's bits depend on the tile's shape and on where its row
+    sits in it, which n and the column ranges fix; the training step's
+    v' K v and encoder gradient and the calibration chain's cell-block
+    sums only add the rows up, so they take this route.  Either way the
+    sink adds the products in column order, so the output does not depend
+    on the number of CPUs.
 
-    A full-width column tile of such a pair is evaluated against B_k and
-    ``_PAD`` copies of its last row, held in the (TILE + _PAD, d) buffer
-    ``pad``, into a (rows, TILE + _PAD) tile whose first TILE columns are
-    K(A_t, B_k), entry for entry.  A row of TILE doubles is 2048 bytes, a
-    power of two, so reading a column of an unpadded tile maps every other
-    row to the same cache sets: its transposed copy took 78-86 us for a
-    256 x 256 tile, against 31-33 us from the padded one and 46 us for the
-    tile's exp (timeit, best of 9, 2-core container).  The padded columns
-    are computed, not written through a strided view: cdist refuses a
-    non-contiguous ``out``, and an exp or multiply into such a view costs
-    20-28 us more.  einsum reduces each row of the [:, :TILE] view with the
-    bits of the contiguous tile, whatever the row stride
-    (``tests/test_kernels.py`` checks this assumption by name), in about
-    20 us more for three columns, less than the copy saves.
+    In a row-stable pass, the mirrored tile is copied transposed into the
+    flat buffer ``flip``, contiguous like the tile, so einsum reduces it
+    with the same bits.  A full-width column tile of such a pair is
+    evaluated against B_k and ``_PAD`` copies of its last row, held in the
+    (TILE + _PAD, d) buffer ``pad``, into a (rows, TILE + _PAD) tile whose
+    first TILE columns are K(A_t, B_k), entry for entry.  A row of TILE
+    doubles is 2048 bytes, a power of two, so reading a column of an
+    unpadded tile maps every other row to the same cache sets: its
+    transposed copy took 78-86 us for a 256 x 256 tile, against 31-33 us
+    from the padded one and 46 us for the tile's exp (timeit, best of 9,
+    2-core container).  The padded columns are computed, not written
+    through a strided view: cdist refuses a non-contiguous ``out``, and an
+    exp or multiply into such a view costs 20-28 us more.  einsum reduces
+    each row of the [:, :TILE] view with the bits of the contiguous tile,
+    whatever the row stride (``tests/test_kernels.py`` checks this
+    assumption by name), in about 20 us more for three columns, less than
+    the copy saves.
 
-    Each entry of a product is one dot of a tile row with one row of Mt,
-    whatever other rows take part, and a column left out of ``cols`` would
-    only add zeros (finite kernel values times zero) to a row; so the sum
-    of the products has the bits of reducing every tile against all of Mt.
+    A column left out of ``cols`` would only add zeros (finite kernel
+    values times zero) to a row; so in a row-stable pass the sum of the
+    products has the bits of reducing every tile against all of Mt.
     """
-    Bk, mirrored = B[k * TILE : (k + 1) * TILE], square and k > t
+    At, Bk, mirrored = A[t * TILE : (t + 1) * TILE], B[k * TILE : (k + 1) * TILE], square and k > t
+    if not row_stable:
+        K = _pairwise_unchecked(spec, At, Bk, bufs)
+        sink.deliver(t, k, _blas_reduced(K, blocks[k][1], prod))
+        if mirrored:
+            sink.deliver(k, t, _blas_reduced(K.T, blocks[t][1], prod))
+        return
     if mirrored and Bk.shape[0] == TILE:
         pad[:TILE] = Bk
         pad[TILE:] = Bk[-1]
         Bk = pad
-    K = _pairwise_unchecked(spec, A[t * TILE : (t + 1) * TILE], Bk, bufs)[:, :TILE]
+    K = _pairwise_unchecked(spec, At, Bk, bufs)[:, :TILE]
     sink.deliver(t, k, _reduced(K, blocks[k][1], prod))
     if mirrored:
         mirror = flip[: K.size].reshape(K.shape[::-1])
@@ -414,6 +459,13 @@ def _reduced(K: np.ndarray, Mj: np.ndarray, prod: np.ndarray) -> np.ndarray:
     """K @ Mj' by einsum, written into the flat buffer ``prod``."""
     rows = K.shape[0]
     return np.einsum("ij,kj->ik", K, Mj, out=prod[: rows * Mj.shape[0]].reshape(rows, -1))
+
+
+def _blas_reduced(K: np.ndarray, Mj: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """K @ Mj' by one BLAS product, written into the flat buffer ``prod``;
+    ``K`` may be a transposed view."""
+    rows = K.shape[0]
+    return np.matmul(K, Mj.T, out=prod[: rows * Mj.shape[0]].reshape(rows, -1))
 
 
 class _InOrderSink:
@@ -479,12 +531,13 @@ class _InOrderSink:
             self.nxt[t] = k
 
 
-def _tiled_pass(spec: KernelSpec, A, B, blocks, out, workers: int) -> None:
+def _tiled_pass(spec: KernelSpec, A, B, blocks, out, workers: int, row_stable: bool) -> None:
     """Add K(A, B) @ Mt' to ``out``, over the column tiles' ``blocks``, on
     ``workers`` threads, the calling thread and ``workers - 1`` pool
     threads (no pool for one worker), each taking tile pairs from one
     shared :class:`_InOrderSink` (which says how they are handed out) and
-    reducing them with :func:`_tile_pass` until none is left.
+    reducing them with :func:`_tile_pass` until none is left; only a
+    ``row_stable`` square pass needs the mirror and padding buffers.
 
     The calling thread allocates every worker's buffers and the sink's,
     since memory a pool thread allocates stays in that thread's malloc
@@ -494,7 +547,7 @@ def _tiled_pass(spec: KernelSpec, A, B, blocks, out, workers: int) -> None:
     """
     n_tiles, n_cols = -(-A.shape[0] // TILE), len(blocks)
     square = B is A
-    mirrors = square and n_tiles > 1
+    mirrors = row_stable and square and n_tiles > 1
     tile_rows, cols = min(TILE, A.shape[0]), min(TILE, B.shape[0])
     pairs = ((t, k) for t in range(n_tiles) for k in range(t if square else 0, n_cols))
     sink = _InOrderSink(out, blocks, pairs, 2 * workers * (n_cols - 1) if workers > 1 else 0,
@@ -504,7 +557,8 @@ def _tiled_pass(spec: KernelSpec, A, B, blocks, out, workers: int) -> None:
     def drain(bufs, prod, flip, pad):
         with np.errstate(**err):
             for t, k in iter(sink.take, None):
-                _tile_pass(spec, A, B, blocks, t, k, square, sink, bufs, prod, flip, pad)
+                _tile_pass(spec, A, B, blocks, t, k, square, sink, bufs, prod, flip, pad,
+                           row_stable)
 
     width = cols + _PAD if mirrors else cols
     jobs = [([np.empty(tile_rows * width) for _ in range(_tiles_needed(spec))],

@@ -5,8 +5,9 @@ settings: the CPU masks ``taskset -c 0`` and ``taskset -c 0,1`` (the first
 two CPUs this process may use), each with ``OPENBLAS_NUM_THREADS`` and
 ``OMP_NUM_THREADS`` unset and with ``OPENBLAS_NUM_THREADS=1``.  Every
 square kernel pass over the sampled rows splits across two threads where
-two CPUs are allowed, and BLAS enters through the training steps, the Gram
-sums' W'KW and the linear closed forms.
+two CPUs are allowed, and BLAS enters through the tile products of the
+training steps and of the calibration chain's score pass, the Gram sums'
+W'KW and the linear closed forms.
 
 ``eok``, ``metrics`` and ``bounds`` sample n = 8000 rows, so that each
 (s, y) cell spans at least five column tiles of the cell-sums pass.  At
@@ -16,7 +17,15 @@ that added its products in arrival order would still give the same bits.
 With such a sink, at n = 4000 (three or more tiles a cell) an audit
 command differed in 7 of 12 runs, and at n = 8000 in 7 of 7.
 ``train`` and both sweeps sample n = 1000 rows; the mini-batch sweep (batch
-64) runs its lambdas in lockstep on one batch draw per step.  The
+64) runs its lambdas in lockstep on one batch draw per step.  A training
+step reduces its kernel tiles by BLAS, against 1 + d columns for rows
+with d coordinates.  The OpenBLAS that numpy loads (0.3.31) keeps a
+256 x 256 tile's product on one thread up to 7 columns and splits it
+across two from 8 on (256 * 256 * 8 multiply-adds, twice its per-thread
+threshold of 65536 * 4; a timing probe read process CPU time at 1.0 and
+1.8-2.2 times wall time), so ``train-wide`` trains on a population with
+d = 8, 9 columns, and BLAS's own threads enter under the unset
+``OPENBLAS_NUM_THREADS`` with two CPUs allowed.  The
 concentration config runs 20 trials at n = 100 and n = 3200, in two blocks
 at n = 3200, so the check's one encoding product per block of trials runs
 under every setting too.
@@ -51,6 +60,14 @@ POPULATION = {
     },
 }
 
+# POPULATION with WIDE_D coordinates: the means padded with zeros, the
+# covariance isotropic as before.
+WIDE_D = 8
+WIDE_POPULATION = dict(POPULATION, cells={
+    key: {"mean": cell["mean"] + [0.0] * (WIDE_D - 2),
+          "cov": [[0.25 if i == j else 0.0 for j in range(WIDE_D)] for i in range(WIDE_D)]}
+    for key, cell in POPULATION["cells"].items()})
+
 # One run per name: its command and its config on top of CONFIG.
 CONFIG = {"seed": 3, "n": 1000, "population": POPULATION,
           "kernel": {"family": "rbf", "sigma": 1.0}}
@@ -65,6 +82,7 @@ RUNS = {
         "concentration": {"grid": [[[1, 0], [0, 1]], [[0.5, 0.5], [0, 1]]],
                           "n_grid": [100, 3200], "trials": 20}}),
     "train": ("train", {"train": {"steps": 20}}),
+    "train-wide": ("train", {"population": WIDE_POPULATION, "train": {"steps": 20}}),
     "sweep": ("sweep", {"train": {"steps": 10}, "sweep": {"lambdas": [0.0, 1.0]}}),
     "sweep-batch": ("sweep", {"train": {"steps": 10, "batch": 64},
                               "sweep": {"lambdas": [0.0, 0.3, 1.0]}}),

@@ -177,6 +177,42 @@ def test_config_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()  # errors went to stderr, keep the terminal clean
 
 
+@pytest.mark.parametrize("case", ["not-utf8", "nested-too-deep", "out-a-file",
+                                  "out-under-a-file", "out-flag-under-a-file"])
+def test_unreadable_config_or_unusable_out_exits_two_before_any_work(tmp_path, capsys,
+                                                                      monkeypatch, case):
+    """A config file that is not UTF-8 or is nested too deeply to parse, and
+    an output directory that is an existing file or lies under one (from the
+    config or from --out), exit 2 with one error line before any rows are
+    read or drawn, where they used to end in a traceback and exit 1 (the
+    output directory only once the work was done)."""
+    from fairmmd import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config and out were checked")
+
+    for name in ("sample_population", "read_csv"):
+        monkeypatch.setattr(cli, name, no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    cfg, args = tmp_path / "cfg.json", []
+    if case == "not-utf8":
+        cfg.write_bytes(b'{"seed": 1, "x": "\xff"}')
+    elif case == "nested-too-deep":
+        cfg.write_text("[" * 100_000)
+    elif case == "out-flag-under-a-file":
+        cfg, args = write_config(tmp_path), ["--out", taken / "reports"]
+    else:
+        cfg = write_config(tmp_path, out=str(taken if case == "out-a-file" else taken / "x"))
+    assert run(["generate", "--config", cfg, *args]) == 2
+    err = capsys.readouterr().err
+    want = {"not-utf8": "not UTF-8", "nested-too-deep": "nested too deeply"}.get(
+        case, f"{str(taken)!r} exists and is not a directory")
+    assert err.startswith("error: ") and err.count("\n") == 1 and want in err, err
+    assert taken.read_text() == "not a directory"
+    assert not (tmp_path / "reports").exists()
+
+
 GRID = [[[1.0, 0.0], [0.0, 1.0]]]
 
 

@@ -341,15 +341,16 @@ def test_unpenalized_step_reports_the_plugin_estimate(biased_pop, kernel):
     (rbf(0.8), 0.0, 1), (laplacian(1.3), 0.0, 1), (rbf(0.8), 1.5, 3),
 ], ids=["rbf-lam-0", "laplacian-lam-0", "rbf-lam-1.5"])
 def test_step_makes_one_pass_of_one_shape(biased_pop, monkeypatch, kernel, lam, columns):
-    """A step makes one kernel pass: K @ v without the gradient, and
-    K @ [v, X v] with it."""
+    """A step makes one kernel pass, reduced by BLAS since the step only
+    sums its rows: K @ v without the gradient, and K @ [v, X v] with it."""
     from fairmmd import eok
 
     shapes, real = [], eok._matmul_unchecked
 
-    def counted(spec, A, B, M):
+    def counted(spec, A, B, M, **kw):
+        assert kw == {"row_stable": False}
         shapes.append(M.reshape(M.shape[0], -1).shape[1])
-        return real(spec, A, B, M)
+        return real(spec, A, B, M, **kw)
 
     monkeypatch.setattr(eok, "_matmul_unchecked", counted)
     data = sample_population(biased_pop, 301, seed=23)
@@ -438,9 +439,9 @@ def test_lambda_sweep_makes_no_pass_for_an_unpenalized_run(monkeypatch, batch):
 
     passes, real = [], eok._matmul_unchecked
 
-    def counting(*args):
+    def counting(*args, **kw):
         passes.append(1)
-        return real(*args)
+        return real(*args, **kw)
 
     monkeypatch.setattr(eok, "_matmul_unchecked", counting)
     lambda_sweep(_SWEEP_POP, _SWEEP_LAMBDAS, _cfg(batch=batch, steps=7), n=300, seed=5)

@@ -853,6 +853,43 @@ def test_slow_thread_does_not_stall_the_pass(monkeypatch):
     np.testing.assert_array_equal(got, _tiled_reference(rbf(1.0), A, A, M))
 
 
+@pytest.mark.parametrize("family", sorted(STREAMED_SPECS))
+def test_blas_reduced_pass_matches_the_dense_product(family, monkeypatch):
+    """A square pass that is not row-stable (tiles reduced by BLAS) equals
+    the dense product pairwise(spec, A, A) @ M to rounding, with and without
+    ``groups``, for n from 1 to 3 TILE + 41 and 1-5 columns, and has the same
+    bits on 1, 2 and 3 workers, without an einsum reduction.  The linear
+    kernel keeps its closed form, bit for bit."""
+    spec = STREAMED_SPECS[family]
+    rng = np.random.default_rng(50)
+    real_reduced = kernels._reduced
+
+    def no_einsum(*args):
+        raise AssertionError("a BLAS-reduced pass reduced a tile by einsum")
+
+    for n in (1, TILE - 1, TILE, TILE + 1, 3 * TILE + 41):
+        A = rng.normal(size=(n, 3))
+        K = pairwise(spec, A, A)
+        for k in range(1, 6):
+            groups = np.sort(rng.integers(0, k, size=n))
+            dense = rng.normal(size=(n, k))
+            for M, labels in ((dense, None),
+                              (np.where(groups[:, None] == np.arange(k), dense, 0.0), groups)):
+                got = []
+                monkeypatch.setattr(kernels, "_reduced", no_einsum)
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(kernels, "_WORKERS", workers)
+                    got.append(kernels._matmul_unchecked(spec, A, A, M, labels, row_stable=False))
+                    np.testing.assert_array_equal(got[-1], got[0],
+                                                  err_msg=f"n={n}, k={k}, {workers} workers")
+                monkeypatch.setattr(kernels, "_reduced", real_reduced)
+                if family == "linear":
+                    np.testing.assert_array_equal(got[0], kernels._matmul_unchecked(spec, A, A, M))
+                else:
+                    assert_allclose(got[0], K @ M, rtol=1e-12,
+                                    atol=1e-12 * (np.abs(K) @ np.abs(M)).max())
+
+
 def test_small_pass_never_uses_the_pool(monkeypatch):
     """Below two tiles of work per worker, or with a single row tile, a pass
     runs serially and never asks for the pool."""
