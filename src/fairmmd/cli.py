@@ -140,7 +140,7 @@ _REQUIRED = object()  # the default of a key that its section must set
 _RUN_SEED = object()  # the default of a key that takes the run's seed
 
 
-def _options(cfg: dict, section: str, table) -> dict:
+def _options(cfg: dict, section: str, table, admit=()) -> dict:
     """Every option of one config section, read before any work is done.
 
     ``section`` is the section's dotted path in ``cfg`` ("" for the top
@@ -154,17 +154,34 @@ def _options(cfg: dict, section: str, table) -> dict:
     other options.  A converter with a ``given`` attribute is replaced by
     ``given(options read before it)``, so that a range is checked only
     where the option is used.
+
+    A key of the section that is neither in ``table``, in ``admit`` nor a
+    section that some command reads (one config file may serve several
+    commands) is refused by name, before any value is read: a misspelled key
+    would otherwise leave its option at the default without a word.  A
+    variant section admits the options of the variant it picks alone
+    (``admit`` None leaves the check to the caller).
     """
     if isinstance(table, tuple):
         key, default, tables = table
-        kind = _options(cfg, section, {key: (default, _one_of(*tables))})[key]
-        return dict(_options(cfg, section, tables[kind]), **{key: kind})
+        kind = _options(cfg, section, {key: (default, _one_of(*tables))}, None)[key]
+        return dict(_options(cfg, section, tables[kind], (key,)), **{key: kind})
     opts, path = cfg, []
     for key in section.split(".") if section else ():
         path.append(key)
         opts = opts.get(key, {})
         if not isinstance(opts, dict):
             raise ConfigurationError(f'"{".".join(path)}" in config must be an object, got {opts!r}')
+    if admit is not None:
+        prefix = f"{section}." if section else ""
+        allowed = set(table).union(admit, (
+            name[len(prefix):].split(".")[0] for _, tables in _READS.values()
+            for name in tables if name.startswith(prefix)))
+        unknown = sorted(set(opts) - allowed)
+        if unknown:
+            where = f'in section "{section}"' if section else "at the top level"
+            raise ConfigurationError(f"unknown key {unknown[0]!r} {where} of the config; "
+                                     f"allowed keys: {', '.join(sorted(allowed))}")
     out = {}
     for key, (default, convert) in table.items():
         convert = getattr(convert, "given", lambda _: convert)(out)
@@ -384,11 +401,18 @@ def _config_digest(eff: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _out_file(top: dict, name: str) -> Path:
-    """``<out>/<name>``, creating the output directory if needed."""
-    out_dir = Path(top["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / name
+def _write_out(top: dict, name: str, write) -> Path:
+    """``<out>/<name>``, written by ``write(path)`` after the output
+    directory is created if needed.  An OSError there (a directory in the
+    file's place, a directory the user may not write to, a full disk)
+    becomes a ConfigurationError naming the path, so the run exits 2."""
+    path = Path(top["out"]) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return path
 
 
 def _write_report(command: str, eff: dict, top: dict, result: dict, started: float,
@@ -404,9 +428,8 @@ def _write_report(command: str, eff: dict, top: dict, result: dict, started: flo
         },
         "result": _jsonify(result),
     }
-    path = _out_file(top, f"{command}.json")
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return report, path
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return report, _write_out(top, f"{command}.json", lambda path: path.write_text(text))
 
 
 def _emit(report: dict, path: Path, fmt: str, table_lines) -> None:
@@ -428,8 +451,7 @@ def _emit(report: dict, path: Path, fmt: str, table_lines) -> None:
 def _cmd_generate(top: dict, opts: dict, pop, spec, scores) -> tuple[dict, list, int]:
     """sample a dataset from a population spec, write dataset.csv"""
     data = sample_population(pop, top["n"], top["seed"])
-    csv_path = _out_file(top, "dataset.csv")
-    write_csv(data, csv_path)
+    csv_path = _write_out(top, "dataset.csv", lambda path: write_csv(data, path))
     result = {
         "path": str(csv_path),
         "n": data.n,
@@ -586,10 +608,10 @@ def _cmd_sweep(top: dict, opts: dict, pop, spec, scores) -> tuple[dict, list, in
     res = lambda_sweep(pop, o["lambdas"], config, n=top["n"], seed=top["seed"],
                        dc_bins=o["dc_bins"])
     rho = _spearman(res.lambdas, [r["eok2"] for r in res.rows])
-    csv_path = _out_file(top, "sweep.csv")
     cols = list(res.rows[0].keys())
-    np.savetxt(csv_path, [[row[c] for c in cols] for row in res.rows], fmt="%.17g",
-               delimiter=",", header=",".join(cols), comments="")
+    csv_path = _write_out(top, "sweep.csv", lambda path: np.savetxt(
+        path, [[row[c] for c in cols] for row in res.rows], fmt="%.17g", delimiter=",",
+        header=",".join(cols), comments=""))
     result = dict(res.as_dict(), kernel=_kernel_dict(spec), spearman_lambda_eok2=rho,
                   csv_path=str(csv_path))
     header = "  ".join(f"{c:>10s}" for c in cols)

@@ -38,7 +38,14 @@ generalization).  Its runs share the seed, so one after another they would
 start from the same parameters and draw the same batches; they train in
 lockstep instead, through the one training loop that :func:`train` runs for
 one run.  Each step draws its stratified batch and gathers its rows once
-for all runs.  A sweep keeps no objective trace, so a lambda = 0 run, whose
+for all runs, and steps them as one stacked array program: one step
+function takes the R runs' parameters as (R, e, d) encoders and their
+logits as an (R, n) array, and runs the elementwise work and per-row
+reductions (sigmoid, cross-entropy, residuals, updates, finiteness checks)
+once on the stack.  Each run keeps its own BLAS products and its own
+kernel pass, so its bits do not depend on the runs beside it;
+:func:`objective_gradient` and :func:`train` call the same function with
+R = 1.  A sweep keeps no objective trace, so a lambda = 0 run, whose
 penalty feeds only that trace, makes no kernel pass, unless the kernel has
 a linear part (whose penalty could overflow where the encoded rows do
 not).  The rows and any error raised are those of the runs one after
@@ -171,33 +178,52 @@ def objective_gradient(
         raise ValidationError(f"head weights must be ({cfg.encoder_dim},)")
     weights, _ = _penalty_weights(cfg.kernel, data, weights, gradient=cfg.lam > 0)
     v = _cell_coefficients(weights, data.counts)[data.cell]
-    return _step(cfg, data.z, data.y.astype(float), v, W, w, head_b)
+    sup, penalty, total, d_W, d_w, d_b = _step(
+        cfg.kernel, np.array([cfg.lam]), data.z, data.y.astype(float), v, W[None], w[None],
+        np.array([head_b], dtype=float), np.ones(1, dtype=bool))
+    return ObjectiveEval(sup=float(sup[0]), penalty=float(penalty[0]), total=float(total[0]),
+                         d_encoder=d_W[0], d_head_w=d_w[0], d_head_b=float(d_b[0]))
 
 
-def _step(cfg: TrainConfig, X, y, v, W, w, b, with_penalty: bool = True) -> ObjectiveEval:
-    """:func:`objective_gradient` on checked arrays: rows ``X``, outcomes
-    ``y`` as floats and the penalty's per-row coefficients ``v``.
+def _step(spec: KernelSpec, lams, X, y, v, W, w, b, passes) -> tuple:
+    """The objective of :func:`objective_gradient` and its gradients for R
+    runs that share one batch: rows ``X``, outcomes ``y`` as floats and the
+    penalty's per-row coefficients ``v``, with run r's penalty weight
+    ``lams[r]``, encoder ``W[r]`` (W is (R, e, d)) and head (``w[r]``,
+    ``b[r]``).  Returns the stacked (sup, penalty, total, d_encoder,
+    d_head_w, d_head_b), one entry per run.
 
-    Without ``with_penalty`` (for lambda = 0 and a kernel without a linear
-    part only) the step makes no kernel pass.  Its penalty then reads 0 when
-    the encoded rows are finite, where the kernel's values lie in [0, nu]
-    and the computed penalty is finite too, and NaN otherwise, as the
-    computed one would: so the total is finite exactly when the computed
-    one would be."""
-    Z = X @ W.T
-    p = _sigmoid(Z @ w + b)
-    ce = float(-np.mean(y * np.log(p + _LOG_EPS) + (1.0 - y) * np.log(1.0 - p + _LOG_EPS)))
-    resid = (p - y) / X.shape[0]
-    d_enc = np.outer(w, X.T @ resid)
-    if with_penalty:
-        penalty, d_pen = _penalty_and_gradient(cfg.kernel, X, Z, v, gradient=cfg.lam > 0)
-    else:
-        penalty, d_pen = (0.0 if np.isfinite(Z).all() else np.nan), None
-    return ObjectiveEval(
-        sup=ce, penalty=penalty, total=float(ce + cfg.lam * penalty),
-        d_encoder=d_enc if d_pen is None else d_enc + cfg.lam * d_pen,
-        d_head_w=Z.T @ resid, d_head_b=float(resid.sum()),
-    )
+    The elementwise work and the per-row reductions (the sigmoid, the
+    cross-entropy, the residuals, the head bias's gradient) run once on the
+    (R, n) logits.  Each BLAS product (X W', Z w, X' r, Z' r) and each
+    kernel pass stays one call per run, so a run's bits do not depend on
+    which runs share its step.  Run r makes its pass only where
+    ``passes[r]``; one without (for lambda = 0 and a kernel without a linear
+    part only) reads a penalty of 0 when its encoded rows are finite, where
+    the kernel's values lie in [0, nu] and the computed penalty is finite
+    too, and NaN otherwise, as the computed one would: so its total is
+    finite exactly when the computed one would be."""
+    n = X.shape[0]
+    Z = np.empty((len(W), n, W.shape[1]))
+    logits = np.empty((len(W), n))
+    for r in range(len(W)):
+        np.matmul(X, W[r].T, out=Z[r])
+        np.matmul(Z[r], w[r], out=logits[r])
+    logits += b[:, None]
+    p = _sigmoid(logits)
+    sup = -np.mean(y * np.log(p + _LOG_EPS) + (1.0 - y) * np.log(1.0 - p + _LOG_EPS), axis=1)
+    resid = (p - y) / n
+    d_x, d_w = np.empty((len(W), X.shape[1])), np.empty(w.shape)
+    for r in range(len(W)):
+        np.matmul(X.T, resid[r], out=d_x[r])
+        np.matmul(Z[r].T, resid[r], out=d_w[r])
+    d_W = w[:, :, None] * d_x[:, None, :]
+    penalty = np.where(np.isfinite(Z).all(axis=(1, 2)), 0.0, np.nan)
+    for r in np.flatnonzero(passes):
+        penalty[r], d_pen = _penalty_and_gradient(spec, X, Z[r], v, gradient=lams[r] > 0)
+        if d_pen is not None:
+            d_W[r] += lams[r] * d_pen
+    return sup, penalty, sup + lams * penalty, d_W, d_w, resid.sum(axis=1)
 
 
 def _cell_pools(data: LabeledDataset) -> list:
@@ -234,22 +260,29 @@ def _stratified_batch(
     return LabeledDataset(z=data.z[idx], s=data.s[idx], y=data.y[idx])
 
 
-def _check_step(spec: KernelSpec, X, step: int, option: str, W, *values) -> None:
-    """Raise TrainingError naming ``step`` when the encoder ``W`` or another
+def _failed_run(spec: KernelSpec, X, step: int, option: str, W, *values) -> tuple:
+    """The first of R runs that fails after ``step``, and its TrainingError
+    naming the step, or (R, None) when none does.  Run r fails when its
+    encoder ``W[r]`` (W is (R, e, d)) or its entry of another stacked
     parameter or objective value in ``values`` is not finite, or (when rows
-    ``X`` are given) when ``W`` encodes a row of ``X`` outside the ball of a
-    linear part of ``spec``; the latter also names the config ``option`` to
-    lower and the kernel radius to raise."""
-    fault = None
-    if not all(np.isfinite(x).all() for x in (W, *values)):
-        fault = "the objective or the parameters diverged"
-    elif X is not None:
-        try:
-            _check_domain(spec, X @ W.T, "the encoder")
-        except DomainError as exc:
-            fault = f"{exc}; try a smaller train.{option} or a larger kernel radius"
-    if fault is not None:
-        raise TrainingError(f"training step {step}: {fault}", step=step)
+    ``X`` are given) when ``W[r]`` encodes a row of ``X`` outside the ball
+    of a linear part of ``spec``; the latter also names the config
+    ``option`` to lower and the kernel radius to raise."""
+    finite = np.isfinite(W).all(axis=(1, 2))
+    for x in values:
+        finite &= np.isfinite(x).reshape(len(W), -1).all(axis=1)
+    for r in range(len(W)):
+        fault = None
+        if not finite[r]:
+            fault = "the objective or the parameters diverged"
+        elif X is not None:
+            try:
+                _check_domain(spec, X @ W[r].T, "the encoder")
+            except DomainError as exc:
+                fault = f"{exc}; try a smaller train.{option} or a larger kernel radius"
+        if fault is not None:
+            return r, TrainingError(f"training step {step}: {fault}", step=step)
+    return len(W), None
 
 
 def train(data: LabeledDataset, cfg: TrainConfig) -> TrainResult:
@@ -288,6 +321,9 @@ def _lockstep(data: LabeledDataset, configs: list, traces=None) -> tuple:
     would start from the same parameters and draw the same batches.  Here
     they step in lockstep: each step draws its batch and gathers its rows
     once for all of them, and the memory stays that of one batch.  The
+    runs' parameters are stacked, (R, e, d) encoders, (R, e) head weights
+    and (R,) biases, and each step is one :func:`_step` on the stack, with
+    one update and one finiteness check for all runs.  The
     data and weights are checked as the first run's :func:`train` checks
     them, and in its order; :func:`lambda_sweep` checks the penalty
     gradient that a later run needs before.  When a run fails, it
@@ -310,30 +346,29 @@ def _lockstep(data: LabeledDataset, configs: list, traces=None) -> tuple:
     frozen, _ = _penalty_weights(cfg.kernel, data, None, gradient=cfg.lam > 0)
     v = _cell_coefficients(frozen, counts)[cell]
     ball = data.z if _has_ball(cfg.kernel) else None
-    _check_step(cfg.kernel, ball, 0, "init_scale", W, w)
-    runs = [(config, W, w, 0.0) for config in configs]
-    penalty = traces is not None or ball is not None
-    failure = None
+    _, failure = _failed_run(cfg.kernel, ball, 0, "init_scale", W[None], w[None])
+    if failure is not None:
+        raise failure
+    lams = np.array([config.lam for config in configs])
+    W, w, b = np.stack([W] * len(lams)), np.stack([w] * len(lams)), np.zeros(len(lams))
+    passes = (lams > 0) | (traces is not None or ball is not None)
     for step in range(cfg.steps):
-        if not runs:
+        if not len(lams):
             break
         if cfg.batch is not None:
             idx = _batch_rows(pools, takes, rng)
             X, y = data.z[idx], data.y[idx].astype(float)
-        for r, (config, W, w, b) in enumerate(runs):
-            ev = _step(config, X, y, v, W, w, b, penalty or config.lam > 0)
-            if traces is not None:
-                traces[:, step] = ev.sup, ev.penalty, ev.total
-            W = W - config.step_size * ev.d_encoder
-            w = w - config.step_size * ev.d_head_w
-            b = b - config.step_size * ev.d_head_b
-            try:
-                _check_step(config.kernel, ball, step, "step_size", W, w, b, ev.total)
-            except TrainingError as exc:
-                failure, runs = exc, runs[:r]
-                break
-            runs[r] = config, W, w, b
-    return [run[1:] for run in runs], frozen, failure
+        sup, penalty, total, d_W, d_w, d_b = _step(cfg.kernel, lams, X, y, v, W, w, b, passes)
+        if traces is not None:
+            traces[:, step] = sup[0], penalty[0], total[0]
+        W = W - cfg.step_size * d_W
+        w = w - cfg.step_size * d_w
+        b = b - cfg.step_size * d_b
+        r, fault = _failed_run(cfg.kernel, ball, step, "step_size", W, w, b, total)
+        if fault is not None:
+            failure = fault
+            W, w, b, lams, passes = W[:r], w[:r], b[:r], lams[:r], passes[:r]
+    return list(zip(W, w, b)), frozen, failure
 
 
 @dataclass(frozen=True)

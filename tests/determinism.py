@@ -16,8 +16,12 @@ sums at most two tile products, and a + b = b + a exactly: a split pass
 that added its products in arrival order would still give the same bits.
 With such a sink, at n = 4000 (three or more tiles a cell) an audit
 command differed in 7 of 12 runs, and at n = 8000 in 7 of 7.
-``train`` and both sweeps sample n = 1000 rows; the mini-batch sweep (batch
-64) runs its lambdas in lockstep on one batch draw per step.  A training
+``train`` and the three sweeps sample n = 1000 rows; the mini-batch sweeps
+run their lambdas in lockstep, as one stacked step, on one batch draw per
+step.  ``sweep-batch`` (batch 64) makes one-tile passes, which run on the
+calling thread with no sink; ``sweep-tile`` (batch 260, which the
+stratified draw keeps at 260 rows, just over one tile) makes two-tile
+square passes through the tile loop and its sink.  A training
 step reduces its kernel tiles by BLAS, against 1 + d columns for rows
 with d coordinates.  The OpenBLAS that numpy loads (0.3.31) keeps a
 256 x 256 tile's product on one thread up to 7 columns and splits it
@@ -86,6 +90,8 @@ RUNS = {
     "sweep": ("sweep", {"train": {"steps": 10}, "sweep": {"lambdas": [0.0, 1.0]}}),
     "sweep-batch": ("sweep", {"train": {"steps": 10, "batch": 64},
                               "sweep": {"lambdas": [0.0, 0.3, 1.0]}}),
+    "sweep-tile": ("sweep", {"train": {"steps": 10, "batch": 260},
+                             "sweep": {"lambdas": [0.0, 0.3, 1.0]}}),
 }
 # Files a command writes besides its report, compared byte for byte.
 WRITES = {"generate": "dataset.csv", "sweep": "sweep.csv"}

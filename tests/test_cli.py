@@ -213,6 +213,45 @@ def test_unreadable_config_or_unusable_out_exits_two_before_any_work(tmp_path, c
     assert not (tmp_path / "reports").exists()
 
 
+@pytest.mark.parametrize("extra, named", [
+    ({"kernal": 3}, "'kernal' at the top level"),
+    ({"bounds": {"check": ["tvd_dominance"]}}, """'check' in section "bounds\""""),
+])
+def test_an_unknown_key_exits_two_before_any_rows(tmp_path, capsys, monkeypatch, extra, named):
+    """A misspelled key, which used to be ignored without a word, exits 2
+    before any rows are drawn, naming the key, its section and the allowed
+    keys; a section of another command is allowed."""
+    from fairmmd import cli
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows were drawn before the keys were checked")
+
+    monkeypatch.setattr(cli, "sample_population", no_rows)
+    cfg = write_config(tmp_path, concentration={"trials": 3}, **extra)
+    assert run(["bounds", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown key {named} of the config; allowed keys: ")
+    assert ("checks, " if "bounds" in extra else "bounds, concentration, ") in err, err
+
+
+@pytest.mark.parametrize("command, name", [
+    ("generate", "generate.json"), ("generate", "dataset.csv"), ("sweep", "sweep.csv"),
+])
+def test_a_failed_write_exits_two_naming_the_path(tmp_path, capsys, command, name):
+    """A write that fails with an OSError (here a directory where the report,
+    dataset.csv or sweep.csv goes) exits 2 with one error line naming the
+    path and writes no report, where it used to end in a traceback and
+    exit 1."""
+    blocked = tmp_path / "reports" / name
+    blocked.mkdir(parents=True)
+    cfg = write_config(tmp_path, n=200, train={"steps": 2}, sweep={"lambdas": [0.0, 1.0]})
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocked}: ") and err.count("\n") == 1, err
+    assert blocked.is_dir() and not list(blocked.iterdir())
+    assert not (tmp_path / "reports" / f"{command}.json").is_file()
+
+
 GRID = [[[1.0, 0.0], [0.0, 1.0]]]
 
 

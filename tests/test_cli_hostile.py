@@ -5,7 +5,9 @@ Each case sets one key of a small valid config to a hostile value: counts
 get -1 and 0, numbers -1, 0, 1e308 and 1e-320, and every key ``true``,
 ``"x"``, ``[]``, ``{}`` and ``null``.  A key's kind is read from its
 converter: one that takes 0.5 reads a number, one that takes only integers
-a count.  No case asks for a huge count, so none can run for long.
+a count.  No case asks for a huge count, so none can run for long.  Each
+section the command reads, and the top level, also gets one key that no
+table names, which must exit 2 and be named.
 """
 
 import json
@@ -38,6 +40,8 @@ SECTIONS = {
     "train": {"steps": 3},
     "sweep": {"lambdas": [0.0, 1.0]},
 }
+# A key that no option table names.
+UNKNOWN = "no_such_key"
 # Values for the keys a table requires.
 REQUIRED = {"radius": 9.1, "weights": [1.0, 0.0], "bias": 0.0, "grid": GRID}
 
@@ -94,6 +98,7 @@ def cases(command: str):
     for section, table in [("", cli._TOP), *cli._READS[command][1].items()]:
         for key, value, cfg in _table_cases(base, section, table):
             yield f"{command}:{section}:{key}={json.dumps(value)}", cfg
+        yield f"{command}:{section}:{UNKNOWN}=1", _with(base, section, UNKNOWN, 1)
 
 
 def _not_strict_json(constant):
@@ -105,7 +110,7 @@ def test_hostile_option_values_keep_the_exit_contract(tmp_path, monkeypatch, cap
     """Exit 0 or 2, or 1 only for ``bounds``/``concentration`` with a report
     whose verdict is false; ``main`` returns rather than raises; a report is
     written exactly when the exit code is not 2, and it is strict JSON (no
-    NaN or Infinity)."""
+    NaN or Infinity).  An unknown key exits 2 and is named."""
     verdict = {"bounds": "all_hold", "concentration": "holds"}
     for i, (case, cfg) in enumerate(cases(command)):
         work = tmp_path / str(i)
@@ -116,9 +121,11 @@ def test_hostile_option_values_keep_the_exit_contract(tmp_path, monkeypatch, cap
             code = cli.main([command, "--config", "cfg.json"])
         except BaseException as exc:
             pytest.fail(f"{case}: main raised {exc!r}")
-        capsys.readouterr()
+        err = capsys.readouterr().err
         reports = list(work.rglob(f"{command}.json"))
         assert code in (0, 1, 2), case
+        if UNKNOWN in case:
+            assert code == 2 and f"unknown key {UNKNOWN!r}" in err, (case, err)
         assert (code != 2) == (len(reports) == 1), (case, code, reports)
         for report in reports:
             try:

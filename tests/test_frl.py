@@ -404,14 +404,20 @@ def _sweep_one_by_one(lambdas, cfg, n, seed):
     return rows
 
 
-@pytest.mark.parametrize("kernel", [rbf(1.0), linear(50.0)], ids=["rbf", "linear"])
+@pytest.mark.parametrize("kernel, lambdas", [
+    (rbf(1.0), _SWEEP_LAMBDAS), (linear(50.0), _SWEEP_LAMBDAS),
+    (kernel_sum(linear(50.0), rbf(0.7)), [0.0, 0.0, 0.0]),
+], ids=["rbf", "linear", "kernel_sum"])
 @pytest.mark.parametrize("batch", [None, 64], ids=["full", "batch-64"])
-def test_lambda_sweep_rows_equal_one_train_per_lambda(kernel, batch):
+def test_lambda_sweep_rows_equal_one_train_per_lambda(kernel, lambdas, batch):
     """The runs trained in lockstep give the rows of one train() run per
-    lambda, bit for bit, with repeated lambdas and lambda = 0 in the list."""
+    lambda, bit for bit, with repeated lambdas and lambda = 0 in the list.
+    The kernel sum has no penalty gradient, so its runs are unpenalized;
+    its linear part still gives each run a ball check and a kernel pass
+    per step."""
     cfg = _cfg(kernel=kernel, batch=batch, steps=15, step_size=0.1)
-    got = lambda_sweep(_SWEEP_POP, _SWEEP_LAMBDAS, cfg, n=300, seed=5)
-    assert list(got.rows) == _sweep_one_by_one(_SWEEP_LAMBDAS, cfg, 300, 5)
+    got = lambda_sweep(_SWEEP_POP, lambdas, cfg, n=300, seed=5)
+    assert list(got.rows) == _sweep_one_by_one(lambdas, cfg, 300, 5)
 
 
 @pytest.mark.parametrize("batch", [None, 64], ids=["full", "batch-64"])

@@ -890,6 +890,49 @@ def test_blas_reduced_pass_matches_the_dense_product(family, monkeypatch):
                                     atol=1e-12 * (np.abs(K) @ np.abs(M)).max())
 
 
+@pytest.mark.parametrize("family", sorted(STREAMED_SPECS))
+def test_one_tile_pass_runs_inline_with_the_bits_of_the_tile_loop(family, monkeypatch):
+    """A pass of one tile pair, square or rectangular, with and without
+    ``groups``, for 1, 2, TILE - 1 and TILE rows on each side, builds no
+    sink and never asks for the pool, and has the bits of the tile loop:
+    ``_tiled_reference`` when row-stable, one BLAS product of the dense
+    tile when not.  Rows have one and two coordinates (for the product
+    kernel, each part gets one and two).  The linear kernel forms no tile
+    and matches the dense product to rounding."""
+
+    def not_inline(*args, **kwargs):
+        raise AssertionError("a one-tile pass built a sink or asked for the pool")
+
+    monkeypatch.setattr(kernels, "_pool", not_inline)
+    monkeypatch.setattr(kernels, "_InOrderSink", not_inline)
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    spec = STREAMED_SPECS[family]
+    rng = np.random.default_rng(51)
+    sizes = (1, 2, TILE - 1, TILE)
+    for d in (1, 2):
+        d += spec.split or 0
+        for n, m in [(n, None) for n in sizes] + [(n, m) for n in sizes for m in sizes]:
+            A = rng.normal(size=(n, d))
+            B = A if m is None else rng.normal(size=(m, d))
+            groups = np.sort(rng.integers(0, 3, size=B.shape[0]))
+            dense = rng.normal(size=(B.shape[0], 3))
+            for M, labels in ((dense, None),
+                              (np.where(groups[:, None] == np.arange(3), dense, 0.0), groups)):
+                K, where = pairwise(spec, A, B), f"d={d}, n={n}, m={m}, groups={labels is not None}"
+                stable = kernels._matmul_unchecked(spec, A, B, M, labels)
+                blas = kernels._matmul_unchecked(spec, A, B, M, labels, row_stable=False)
+                if family == "linear":
+                    assert_matches_dense(stable, K @ M)
+                    np.testing.assert_array_equal(blas, stable, err_msg=where)
+                    continue
+                cols = slice(None) if labels is None else slice(labels[0], labels[-1] + 1)
+                want = np.zeros((A.shape[0], M.shape[1]))
+                want[:, cols] += K @ np.ascontiguousarray(M.T)[cols].T
+                np.testing.assert_array_equal(stable, _tiled_reference(spec, A, B, M),
+                                              err_msg=where)
+                np.testing.assert_array_equal(blas, want, err_msg=where)
+
+
 def test_small_pass_never_uses_the_pool(monkeypatch):
     """Below two tiles of work per worker, or with a single row tile, a pass
     runs serially and never asks for the pool."""
