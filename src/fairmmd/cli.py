@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import importlib
 import json
@@ -401,18 +402,26 @@ def _config_digest(eff: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _write_out(top: dict, name: str, write) -> Path:
-    """``<out>/<name>``, written by ``write(path)`` after the output
-    directory is created if needed.  An OSError there (a directory in the
-    file's place, a directory the user may not write to, a full disk)
-    becomes a ConfigurationError naming the path, so the run exits 2."""
+def _write_out(top: dict, name: str, write) -> tuple[Path, Path]:
+    """``<out>/<name>`` and the temporary file ``<out>/.<name>.<pid>.tmp``
+    that ``write(path)`` writes it to, after the output directory is created
+    if needed.  The pair is recorded in ``top["staged"]``; ``main`` moves
+    every staged file into place once the report is written, and removes
+    them all if the run fails, so an exit 2 leaves no file of that run.  An
+    OSError (a directory in the file's place, a directory the user may not
+    write to, a full disk) becomes a ConfigurationError naming the path, so
+    the run exits 2."""
     path = Path(top["out"]) / name
+    staged = path.with_name(f".{name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        write(path)
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        top["staged"].append((staged, path))
+        write(staged)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    return path
+    return path, staged
 
 
 def _write_report(command: str, eff: dict, top: dict, result: dict, started: float,
@@ -429,7 +438,7 @@ def _write_report(command: str, eff: dict, top: dict, result: dict, started: flo
         "result": _jsonify(result),
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    return report, _write_out(top, f"{command}.json", lambda path: path.write_text(text))
+    return report, _write_out(top, f"{command}.json", lambda path: path.write_text(text))[0]
 
 
 def _emit(report: dict, path: Path, fmt: str, table_lines) -> None:
@@ -451,13 +460,13 @@ def _emit(report: dict, path: Path, fmt: str, table_lines) -> None:
 def _cmd_generate(top: dict, opts: dict, pop, spec, scores) -> tuple[dict, list, int]:
     """sample a dataset from a population spec, write dataset.csv"""
     data = sample_population(pop, top["n"], top["seed"])
-    csv_path = _write_out(top, "dataset.csv", lambda path: write_csv(data, path))
+    csv_path, staged = _write_out(top, "dataset.csv", lambda path: write_csv(data, path))
     result = {
         "path": str(csv_path),
         "n": data.n,
         "dim": data.dim,
         "cell_counts": {f"{s},{y}": int(count) for (s, y), count in zip(CELLS, data.counts)},
-        "csv_sha256": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+        "csv_sha256": hashlib.sha256(staged.read_bytes()).hexdigest(),
     }
     return result, [
         f"wrote {csv_path} ({data.n} rows, dim {data.dim})",
@@ -609,7 +618,7 @@ def _cmd_sweep(top: dict, opts: dict, pop, spec, scores) -> tuple[dict, list, in
                        dc_bins=o["dc_bins"])
     rho = _spearman(res.lambdas, [r["eok2"] for r in res.rows])
     cols = list(res.rows[0].keys())
-    csv_path = _write_out(top, "sweep.csv", lambda path: np.savetxt(
+    csv_path, _ = _write_out(top, "sweep.csv", lambda path: np.savetxt(
         path, [[row[c] for c in cols] for row in res.rows], fmt="%.17g", delimiter=",",
         header=",".join(cols), comments=""))
     result = dict(res.as_dict(), kernel=_kernel_dict(spec), spearman_lambda_eok2=rho,
@@ -732,12 +741,16 @@ def main(argv=None) -> int:
     """Run one subcommand.  This function does all config work before the
     command runs, in a fixed order (every option, then the command's input,
     then its kernel); the command computes its result, table lines and exit
-    status; only this function times it, writes its report and prints."""
+    status; only this function times it, writes its report and prints.
+    Every file the run writes, the report last, is staged under a temporary
+    name (see :func:`_write_out`) and moved into place only once all of them
+    are written; a run that fails removes the staged files."""
     args = _build_parser().parse_args(argv)
+    staged = []
     try:
         cfg = _load_config(args.config)
         eff = _effective(cfg, args)
-        top = _options(eff, "", _TOP)
+        top = dict(_options(eff, "", _TOP), staged=staged)
         reads, tables = _READS[args.command]
         opts = {section: _options(eff, section, table) for section, table in tables.items()}
         started = time.time()
@@ -746,12 +759,18 @@ def main(argv=None) -> int:
         result, lines, status = _COMMANDS[args.command](top, opts, data, spec, scores)
         report, path = _write_report(args.command, eff, top, result, started,
                                      time.time() - started)
+        for tmp, final in staged:
+            os.replace(tmp, final)
+        staged.clear()
     except FairmmdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
     _emit(report, path, args.format, lines)
     return status
 

@@ -48,14 +48,14 @@ reads (:func:`_tile_pass` has the measurements):
   :func:`kernel_matmul`'s output are read row by row and rely on that;
   the two-sample and total-variation sums keep this route too, so their
   reports keep their bits.  Its mirrored tiles are copied transposed into a
-  contiguous buffer; a full-width one is evaluated with 8 padding columns,
-  so that its rows are not a power of two apart and the copy stays cheap.
+  contiguous buffer.  TILE is 264, not 256, so that a tile's rows are not
+  a power of two of bytes apart, which keeps that copy cheap (see TILE).
 * A caller that only sums the output's rows passes ``row_stable=False``
   to :func:`_matmul_unchecked`: each tile, and a mirrored tile through its
-  transposed view, is reduced by one BLAS product, with no padding or
-  copy, about three times as fast as einsum for three columns.  BLAS
-  blocks its sums by the shapes it is handed, so these bits are fixed by
-  n and the tile shapes, not by each row alone.  The training step's
+  transposed view, is reduced by BLAS, with no copy, about three times as
+  fast as einsum for three columns.  BLAS blocks its sums by the shapes it
+  is handed, so these bits are fixed by n and the tile shapes, not by each
+  row alone.  The training step's
   penalty and gradient (:mod:`fairmmd.eok`) and the calibration chain's
   cell-block sums (:mod:`fairmmd.bounds`) take this route.
 
@@ -150,13 +150,16 @@ _EXTENSION = "scipy.spatial._distance_pybind"
 _ROUTINES: dict | None = None
 _ROUTINES_LOCK = threading.Lock()
 
-# Side of the square tiles :func:`kernel_matmul` streams over.  One 256 x 256
-# float64 tile (512 KB) stays in cache while it is reduced; at n = 5000 (rbf)
-# a full pass over such tiles beat 512 x 512 tiles and full-width row strips.
-TILE = 256
-# Columns a square pass adds to a full-width mirrored tile, so that its rows
-# are not 2048 bytes apart (see :func:`_tile_pass`).
-_PAD = 8
+# Side of the square tiles :func:`kernel_matmul` streams over.  One 264 x 264
+# float64 tile (545 KB) stays in cache while it is reduced; at n = 5000 (rbf)
+# a full pass over 256-wide tiles beat 512 x 512 tiles and full-width row
+# strips.  A row of 264 doubles is 2112 bytes, 33 cache lines: 64-byte
+# aligned, but not a power of two.  With 2048-byte rows (TILE = 256) every
+# other row of a tile maps to the same cache sets: the transposed copy of a
+# 256 x 256 mirrored tile took 85 us, against 36 us for a 264 x 264 one
+# (timeit, best of 9, 2-core container).  A side of 255 also breaks the power
+# of two, but its rows are not 64-byte aligned and a fit cycle ran 2.9% slower.
+TILE = 264
 
 # CPUs this process may run on, read once: :func:`kernel_matmul` hands the
 # tile pairs of a large pass out to this many threads.  The pool that runs
@@ -386,7 +389,7 @@ def _matmul_unchecked(spec: KernelSpec, A: np.ndarray, B: np.ndarray, M: np.ndar
 
 
 def _tile_pass(spec: KernelSpec, A, B, blocks, t, k, square, sink, bufs, prod, flip,
-               pad, row_stable: bool) -> None:
+               row_stable: bool) -> None:
     """Deliver to ``sink`` the product of tile pair (t, k): row tile ``t``
     of A against column tile ``k`` of B, whose block is ``blocks[k] = (cols,
     Mk)``.  The tile K(A_t, B_k), written into the flat buffers ``bufs``,
@@ -403,54 +406,32 @@ def _tile_pass(spec: KernelSpec, A, B, blocks, t, k, square, sink, bufs, prod, f
     input row sits and whatever rows share its tile.  Callers that read
     output rows one by one need that: the witness rows of the cell sums,
     the ball probes' scores, :func:`kernel_matmul`, and the test reference
-    that pins the tiled loop.  A pass that is not row-stable reduces each
-    tile with one BLAS product, K @ Mk' (:func:`_blas_reduced`), and a
-    mirrored pair through the transposed view K' with no copy or padding.
-    Against three columns, a 256 x 256 tile's product takes 22 us against
-    72 us for einsum, and a mirrored pair's two products 47 us against
-    185 us for einsum's two and the copy (timeit, best of 9, 2-core
-    container).  BLAS blocks its sums by the shapes it is handed,
-    so an entry's bits depend on the tile's shape and on where its row
-    sits in it, which n and the column ranges fix; the training step's
-    v' K v and encoder gradient and the calibration chain's cell-block
-    sums only add the rows up, so they take this route.  Either way the
-    sink adds the products in column order, so the output does not depend
-    on the number of CPUs.
-
-    In a row-stable pass, the mirrored tile is copied transposed into the
-    flat buffer ``flip``, contiguous like the tile, so einsum reduces it
-    with the same bits.  A full-width column tile of such a pair is
-    evaluated against B_k and ``_PAD`` copies of its last row, held in the
-    (TILE + _PAD, d) buffer ``pad``, into a (rows, TILE + _PAD) tile whose
-    first TILE columns are K(A_t, B_k), entry for entry.  A row of TILE
-    doubles is 2048 bytes, a power of two, so reading a column of an
-    unpadded tile maps every other row to the same cache sets: its
-    transposed copy took 78-86 us for a 256 x 256 tile, against 31-33 us
-    from the padded one and 46 us for the tile's exp (timeit, best of 9,
-    2-core container).  The padded columns are computed, not written
-    through a strided view: cdist refuses a non-contiguous ``out``, and an
-    exp or multiply into such a view costs 20-28 us more.  einsum reduces
-    each row of the [:, :TILE] view with the bits of the contiguous tile,
-    whatever the row stride (``tests/test_kernels.py`` checks this
-    assumption by name), in about 20 us more for three columns, less than
-    the copy saves.
+    that pins the tiled loop.  Its mirrored tile is copied transposed into
+    the flat buffer ``flip``, contiguous like the tile, so einsum reduces it
+    with the same bits.  A pass that is not row-stable reduces each tile by
+    BLAS, K @ Mk' (:func:`_blas_reduced`), and a mirrored pair through the
+    transposed view K' with no copy.  Against three columns, a 256 x 256
+    tile's product takes 22 us against 72 us for einsum, and a mirrored
+    pair's two products 47 us against 185 us for einsum's two and the copy
+    (timeit, best of 9, 2-core container).  BLAS blocks its sums by the
+    shapes it is handed, so an entry's bits depend on the tile's shape and
+    on where its row sits in it, which n and the column ranges fix; the
+    training step's v' K v and encoder gradient and the calibration chain's
+    cell-block sums only add the rows up, so they take this route.  Either
+    way the sink adds the products in column order, so the output does not
+    depend on the number of CPUs.
 
     A column left out of ``cols`` would only add zeros (finite kernel
     values times zero) to a row; so in a row-stable pass the sum of the
     products has the bits of reducing every tile against all of Mt.
     """
     At, Bk, mirrored = A[t * TILE : (t + 1) * TILE], B[k * TILE : (k + 1) * TILE], square and k > t
+    K = _pairwise_unchecked(spec, At, Bk, bufs)
     if not row_stable:
-        K = _pairwise_unchecked(spec, At, Bk, bufs)
         sink.deliver(t, k, _blas_reduced(K, blocks[k][1], prod))
         if mirrored:
             sink.deliver(k, t, _blas_reduced(K.T, blocks[t][1], prod))
         return
-    if mirrored and Bk.shape[0] == TILE:
-        pad[:TILE] = Bk
-        pad[TILE:] = Bk[-1]
-        Bk = pad
-    K = _pairwise_unchecked(spec, At, Bk, bufs)[:, :TILE]
     sink.deliver(t, k, _reduced(K, blocks[k][1], prod))
     if mirrored:
         mirror = flip[: K.size].reshape(K.shape[::-1])
@@ -465,10 +446,20 @@ def _reduced(K: np.ndarray, Mj: np.ndarray, prod: np.ndarray) -> np.ndarray:
 
 
 def _blas_reduced(K: np.ndarray, Mj: np.ndarray, prod: np.ndarray) -> np.ndarray:
-    """K @ Mj' by one BLAS product, written into the flat buffer ``prod``;
-    ``K`` may be a transposed view."""
+    """K @ Mj' by BLAS, written into the flat buffer ``prod``; ``K`` may be
+    a transposed view.  Each product takes at most 7 rows of Mj, so that
+    it stays on one BLAS thread: OpenBLAS splits a product of more than
+    2 x 65536 x 4 multiply-adds across its own threads, which 8 columns of
+    a full tile pass and 7 x 264 x 264 do not.  Split products inside the
+    pool's threads oversubscribed the CPUs: an n = 3000, d = 8 rbf pass
+    (9 columns) on 2 workers took 39-46 ms, against 22 ms with one BLAS
+    thread, and takes 23 ms either way in chunks (best of 7, 2-core
+    container)."""
     rows = K.shape[0]
-    return np.matmul(K, Mj.T, out=prod[: rows * Mj.shape[0]].reshape(rows, -1))
+    out = prod[: rows * Mj.shape[0]].reshape(rows, -1)
+    for c in range(0, Mj.shape[0], 7):
+        np.matmul(K, Mj[c : c + 7].T, out=out[:, c : c + 7])
+    return out
 
 
 class _InOrderSink:
@@ -540,11 +531,11 @@ def _tiled_pass(spec: KernelSpec, A, B, blocks, out, workers: int, row_stable: b
     threads (no pool for one worker), each taking tile pairs from one
     shared :class:`_InOrderSink` (which says how they are handed out) and
     reducing them with :func:`_tile_pass` until none is left; only a
-    ``row_stable`` square pass needs the mirror and padding buffers.  A pass
-    of one tile pair skips all of that, which cost it about 30 us against
-    about 140 us for a 256 x 256 rbf tile itself (timeit, 2-core
-    container): the calling thread evaluates the tile and adds its product
-    to ``out`` by the same calls, so with the same bits.
+    ``row_stable`` square pass needs the mirror buffer.  A pass of one tile
+    pair skips all of that, which cost it about 30 us against about 140 us
+    for a 256 x 256 rbf tile itself (timeit, 2-core container): the calling
+    thread evaluates the tile and adds its product to ``out`` by the same
+    calls, so with the same bits.
 
     The calling thread allocates every worker's buffers and the sink's,
     since memory a pool thread allocates stays in that thread's malloc
@@ -566,17 +557,14 @@ def _tiled_pass(spec: KernelSpec, A, B, blocks, out, workers: int, row_stable: b
                         tile_rows * out.shape[1])
     err = np.geterr()
 
-    def drain(bufs, prod, flip, pad):
+    def drain(bufs, prod, flip):
         with np.errstate(**err):
             for t, k in iter(sink.take, None):
-                _tile_pass(spec, A, B, blocks, t, k, square, sink, bufs, prod, flip, pad,
-                           row_stable)
+                _tile_pass(spec, A, B, blocks, t, k, square, sink, bufs, prod, flip, row_stable)
 
-    width = cols + _PAD if mirrors else cols
-    jobs = [([np.empty(tile_rows * width) for _ in range(_tiles_needed(spec))],
+    jobs = [([np.empty(tile_rows * cols) for _ in range(_tiles_needed(spec))],
              np.empty(tile_rows * out.shape[1]),
-             np.empty(tile_rows * cols) if mirrors else None,
-             np.empty((TILE + _PAD, A.shape[1])) if mirrors else None)
+             np.empty(tile_rows * cols) if mirrors else None)
             for _ in range(workers)]
     futures = [_pool().submit(drain, *job) for job in jobs[1:]]
     try:

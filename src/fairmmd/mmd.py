@@ -121,8 +121,10 @@ def _gram_sums(spec: KernelSpec, Z: np.ndarray, W: np.ndarray, labels=None):
     tiled = labels is not None and spec.family != "linear"
     order = np.argsort(labels, kind="stable") if tiled else slice(None)
     Zs = Z[order]
+    sorted_kw = _matmul_unchecked(spec, Zs, Zs, W[order], labels[order] if tiled else None)
+    # Allocated after the pass, so that it is not live beside the pass's tiles.
     KW = np.empty(W.shape)
-    KW[order] = _matmul_unchecked(spec, Zs, Zs, W[order], labels[order] if tiled else None)
+    KW[order] = sorted_kw
     if spec.family == "linear":
         w = W.sum(axis=1)
         Z = Z - w @ Z / w.sum()

@@ -19,17 +19,18 @@ command differed in 7 of 12 runs, and at n = 8000 in 7 of 7.
 ``train`` and the three sweeps sample n = 1000 rows; the mini-batch sweeps
 run their lambdas in lockstep, as one stacked step, on one batch draw per
 step.  ``sweep-batch`` (batch 64) makes one-tile passes, which run on the
-calling thread with no sink; ``sweep-tile`` (batch 260, which the
-stratified draw keeps at 260 rows, just over one tile) makes two-tile
-square passes through the tile loop and its sink.  A training
-step reduces its kernel tiles by BLAS, against 1 + d columns for rows
-with d coordinates.  The OpenBLAS that numpy loads (0.3.31) keeps a
-256 x 256 tile's product on one thread up to 7 columns and splits it
-across two from 8 on (256 * 256 * 8 multiply-adds, twice its per-thread
+calling thread with no sink; ``sweep-tile`` (batch 280, which the
+stratified draw keeps at 280 rows, one full tile of 264 and 16 more)
+makes two-tile square passes through the tile loop and its sink.  A
+training step reduces its kernel tiles by BLAS, against 1 + d columns for
+rows with d coordinates.  The OpenBLAS that numpy loads (0.3.31) keeps a
+full tile's product on one thread up to 7 columns and splits it across
+two from 8 on (264 * 264 * 8 multiply-adds pass twice its per-thread
 threshold of 65536 * 4; a timing probe read process CPU time at 1.0 and
-1.8-2.2 times wall time), so ``train-wide`` trains on a population with
-d = 8, 9 columns, and BLAS's own threads enter under the unset
-``OPENBLAS_NUM_THREADS`` with two CPUs allowed.  The
+1.8-2.2 times wall time), so the tile reduction multiplies in chunks of
+at most 7 columns.  ``train-wide`` trains on a population with d = 8, so
+its steps reduce 9 columns in two chunks, 7 and 2: it checks that the
+chunked route gives the same bits under every setting.  The
 concentration config runs 20 trials at n = 100 and n = 3200, in two blocks
 at n = 3200, so the check's one encoding product per block of trials runs
 under every setting too.
@@ -90,7 +91,7 @@ RUNS = {
     "sweep": ("sweep", {"train": {"steps": 10}, "sweep": {"lambdas": [0.0, 1.0]}}),
     "sweep-batch": ("sweep", {"train": {"steps": 10, "batch": 64},
                               "sweep": {"lambdas": [0.0, 0.3, 1.0]}}),
-    "sweep-tile": ("sweep", {"train": {"steps": 10, "batch": 260},
+    "sweep-tile": ("sweep", {"train": {"steps": 10, "batch": 280},
                              "sweep": {"lambdas": [0.0, 0.3, 1.0]}}),
 }
 # Files a command writes besides its report, compared byte for byte.

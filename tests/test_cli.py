@@ -236,20 +236,27 @@ def test_an_unknown_key_exits_two_before_any_rows(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("command, name", [
     ("generate", "generate.json"), ("generate", "dataset.csv"), ("sweep", "sweep.csv"),
+    ("sweep", "sweep.json"),
 ])
 def test_a_failed_write_exits_two_naming_the_path(tmp_path, capsys, command, name):
     """A write that fails with an OSError (here a directory where the report,
     dataset.csv or sweep.csv goes) exits 2 with one error line naming the
-    path and writes no report, where it used to end in a traceback and
-    exit 1."""
-    blocked = tmp_path / "reports" / name
+    path, where it used to end in a traceback and exit 1.  The run leaves
+    no file behind: no report, no CSV and no staged temporary file, and the
+    files an earlier run wrote there keep their contents."""
+    reports = tmp_path / "reports"
+    blocked = reports / name
     blocked.mkdir(parents=True)
+    csv = {"generate": "dataset.csv", "sweep": "sweep.csv"}[command]
+    earlier = {f: f"{f} of an earlier run\n" for f in (f"{command}.json", csv) if f != name}
+    for f, text in earlier.items():
+        (reports / f).write_text(text)
     cfg = write_config(tmp_path, n=200, train={"steps": 2}, sweep={"lambdas": [0.0, 1.0]})
     assert run([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {blocked}: ") and err.count("\n") == 1, err
     assert blocked.is_dir() and not list(blocked.iterdir())
-    assert not (tmp_path / "reports" / f"{command}.json").is_file()
+    assert {p.name: p.read_text() for p in reports.iterdir() if p != blocked} == earlier
 
 
 GRID = [[[1.0, 0.0], [0.0, 1.0]]]

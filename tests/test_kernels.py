@@ -652,51 +652,14 @@ def test_tiles_are_symmetric_bit_for_bit(family):
             np.testing.assert_array_equal(pairwise(spec, X, Y), pairwise(spec, Y, X).T)
 
 
-def test_einsum_reduces_a_row_padded_view_with_the_bits_of_the_contiguous_tile():
-    """einsum "ij,kj->ik" on the first columns of a tile whose rows are
-    kernels._PAD entries longer has the bits of the same tile copied
-    contiguous, which lets a square pass reduce its padded mirrored tiles
-    in place: 200 random shapes up to TILE + 37 rows and columns, 1-5 rows
-    of coefficients, one-hot and dense, entries of magnitude 1e-8 to 1e8."""
-    rng = np.random.default_rng(48)
-    for case in range(200):
-        rows, cols, k = rng.integers(1, TILE + 38), rng.integers(1, TILE + 38), rng.integers(1, 6)
-        padded = rng.random((rows, cols + kernels._PAD)) * 10.0 ** rng.uniform(-8, 8, (rows, 1))
-        tile = padded[:, :cols]
-        if case % 2:
-            M = (rng.integers(0, k, cols) == np.arange(k)[:, None]).astype(float)
-        else:
-            M = rng.normal(size=(k, cols)) * 10.0 ** rng.uniform(-8, 8, (k, cols))
-        np.testing.assert_array_equal(np.einsum("ij,kj->ik", tile, M),
-                                      np.einsum("ij,kj->ik", np.ascontiguousarray(tile), M),
-                                      err_msg=f"{rows} x {cols}, {k} columns")
-
-
-def test_square_pass_pads_its_full_width_mirrored_tiles(monkeypatch):
-    """A square pass evaluates each mirrored pair (t, k > t) whose column
-    tile is full width against B_k and kernels._PAD copies of its last row,
-    and every other tile against B_k alone, with the serial bits."""
-    seen, real = [], kernels._pairwise_unchecked
-
-    def spying(spec, A, B, bufs=()):
-        seen.append(B.shape[0])
-        if B.shape[0] > TILE:
-            np.testing.assert_array_equal(B[TILE:], np.repeat(B[TILE - 1 : TILE], kernels._PAD, 0))
-        return real(spec, A, B, bufs)
-
-    monkeypatch.setattr(kernels, "_pairwise_unchecked", spying)
-    rng = np.random.default_rng(49)
-    A, M = rng.normal(size=(3 * TILE + 37, 2)), rng.normal(size=(3 * TILE + 37, 3))
-    for workers in (1, 2):
-        monkeypatch.setattr(kernels, "_WORKERS", workers)
-        seen.clear()
-        got = kernels._matmul_unchecked(rbf(1.0), A, A, M)
-        # Pairs (0, 1), (0, 2), (1, 2) are padded; the diagonal and the
-        # pairs with the 37-row column tile are not.
-        assert sorted(seen) == [37] * 4 + [TILE] * 3 + [TILE + kernels._PAD] * 3
-        monkeypatch.setattr(kernels, "_pairwise_unchecked", real)
-        np.testing.assert_array_equal(got, _tiled_reference(rbf(1.0), A, A, M))
-        monkeypatch.setattr(kernels, "_pairwise_unchecked", spying)
+def test_tile_rows_are_cache_line_aligned_and_not_a_power_of_two_apart():
+    """A row of TILE doubles is a whole number of 64-byte cache lines but
+    not a power of two of bytes: with 2048-byte rows (TILE = 256) every
+    other row of a tile maps to the same cache sets, and the transposed copy
+    of a square pass's mirrored tile took two to three times as long."""
+    row_bytes = TILE * 8
+    assert row_bytes % 64 == 0
+    assert row_bytes & (row_bytes - 1) != 0
 
 
 # The product kernel splits at 1, so its rows need d >= 2.
