@@ -80,7 +80,6 @@ from .fairness import (
 from .kernels import (
     KernelSpec,
     _checked_pair,
-    _matmul_unchecked,
     kernel_matmul,
     kernel_sum,
     linear,
@@ -240,7 +239,8 @@ def check_ba_bounds(
     if trials:
         # Probe t is random_ball_classifier(spec, anchors, seed * 100003 + t),
         # bit for bit for tiled kernels; the linear kernel's norms come from
-        # one product of all columns, so they match it to rounding only.
+        # one product of all columns, so they match it to rounding only
+        # (tests/test_bounds.py::test_ba_probes_are_random_ball_classifiers).
         coefs = np.column_stack([_random_coefs(int(seed) * 100003 + t, anchors.shape[0])
                                  for t in range(trials)])
         coefs *= _ball_scales(spec, anchors, coefs)
@@ -308,26 +308,23 @@ def _tensor_gamma(k_u: KernelSpec, k_y: KernelSpec, scores: np.ndarray, data: La
     The outcome is binary, so over the rows of cells c and c' the tensor
     kernel sums to k_y(y_c, y_c') (S[c, c'] + T_c T_c'), where S is the cell-
     block of Gram sums of the scores under the second part and T_c the score
-    total of cell c: one square pass of that part over the scores in cell
-    order, with the cell one-hot as its weight columns, replaces a pass of
-    the product kernel.  Only the pass's block sums are read, so its tiles
-    are reduced by BLAS (``row_stable=False``) and its rows stay in cell
-    order.  The pairs still get the product kernel's shape and domain
+    total of cell c.  S is the block sums of :func:`fairmmd.mmd._gram_sums`
+    over the scores with the cell one-hot as weight columns, one square pass
+    of that part in place of a pass of the product kernel; only the block
+    sums are read, so the pass reduces its tiles by BLAS
+    (``row_stable=False``).  The root is the two-sample reader
+    :func:`fairmmd.mmd._between` of the cell blocks, groups as unions of
+    cells.  The pairs still get the product kernel's shape and domain
     checks.
     """
-    k_t = product(k_u, k_y, split=1)
     pairs = np.column_stack([scores, data.y.astype(float)])
-    _checked_pair(k_t, pairs[data.s == 0], pairs[data.s == 1])
-    order = np.argsort(data.cell, kind="stable")
-    u, cells = pairs[order, :1], data.cell[order]
-    onehot = np.eye(4)[cells]
-    S = onehot.T @ _matmul_unchecked(k_u.parts[1], u, u, onehot, cells, row_stable=False)
+    _checked_pair(product(k_u, k_y, split=1), pairs[data.s == 0], pairs[data.s == 1])
+    S = _gram_sums(k_u.parts[1], scores[:, None], np.eye(4)[data.cell], data.cell,
+                   row_stable=False)[1]
     totals = np.bincount(data.cell, weights=scores, minlength=4)
     y_cell = np.array([[y] for (_, y) in CELLS], dtype=float)
     block = pairwise(k_y, y_cell, y_cell) * (S + np.outer(totals, totals))
-    group = np.array([s for (s, _) in CELLS])
-    coef = (1 - 2 * group) / np.bincount(group, weights=data.counts)[group]
-    return float(np.sqrt(max(coef @ block @ coef, 0.0)))
+    return _between(data.counts, [0, 1], [2, 3], False, lambda: (block, None)).mmd
 
 
 def check_tvd_dominance(

@@ -259,12 +259,18 @@ def suggest_radius(population: PopulationSpec, maps, safety: float = 14.0) -> fl
     encoder grid.  At the default 14 sigma a Gaussian excursion beyond the
     radius has vanishing probability at any realistic sample size, so a
     linear kernel declared with this radius never sees an out-of-domain
-    point in practice.
+    point in practice.  A cell whose mean norm plus reach is beyond the
+    float range raises ValidationError naming the cell.
     """
     r_x = 0.0
-    for cell in population.cells.values():
+    for key, cell in population.cells.items():
         top = float(np.linalg.eigvalsh(cell.cov).max())
-        r_x = max(r_x, float(np.linalg.norm(cell.mean)) + safety * np.sqrt(top))
+        with np.errstate(over="ignore"):
+            reach = float(np.linalg.norm(cell.mean)) + safety * np.sqrt(top)
+        if not np.isfinite(reach):
+            raise ValidationError(f"population cell {key}: its mean and covariance make the "
+                                  "suggested radius infinite")
+        r_x = max(r_x, reach)
     op = max(float(np.linalg.norm(np.asarray(W, dtype=float), 2)) for W in maps)
     return op * r_x
 

@@ -108,8 +108,8 @@ class Classifier:
     """Score function dispatched on ``kind``.
 
     kinds and payloads:
-      rkhs_witness     kernel spec + anchor rows + coefficients + scale;
-                       g(z) = scale * sum_i coefs[i] k(z, anchors[i]),
+      rkhs_witness     kernel spec + anchor rows + coefficients;
+                       g(z) = sum_i coefs[i] k(z, anchors[i]),
                        h(z) = (clip(g, -1, 1) + 1) / 2
       constant         h(z) = value
       logistic_head    h(z) = sigmoid(weights . z + bias)
@@ -120,7 +120,6 @@ class Classifier:
     spec: KernelSpec | None = None
     anchors: np.ndarray | None = None
     coefs: np.ndarray | None = None
-    scale: float = 1.0
     value: float | None = None
     weights: np.ndarray | None = None
     bias: float | None = None
@@ -135,26 +134,24 @@ def witness_classifier(spec: KernelSpec, A, B) -> Classifier:
     (oriented so E[h over A] >= E[h over B]).
     """
     anchors, coefs, root = _witness(spec, A, B)
-    return Classifier(
-        kind="rkhs_witness", spec=spec, anchors=anchors, coefs=coefs,
-        scale=float(1.0 / (np.sqrt(spec.nu) * root)),
-    )
+    return Classifier(kind="rkhs_witness", spec=spec, anchors=anchors,
+                      coefs=coefs * (1.0 / (np.sqrt(spec.nu) * root)))
 
 
 def ball_classifier(spec: KernelSpec, anchors, coefs) -> Classifier:
     """Classifier from an explicit kernel expansion, normalized into the ball.
 
     g0 = sum_i coefs[i] k(., anchors[i]) has ||g0||^2 = coefs' K coefs; the
-    stored scale rescales it to norm exactly nu^(-1/2).
+    classifier stores coefs times the scale that brings g0 to norm exactly
+    nu^(-1/2), so g(z) = sum_i coefs[i] k(z, anchors[i]) with the stored
+    coefs.
     """
     anchors = np.asarray(anchors, dtype=float)
     coefs = np.asarray(coefs, dtype=float)
     if coefs.shape != (anchors.shape[0],):
         raise ValidationError("coefs must align with anchor rows")
-    return Classifier(
-        kind="rkhs_witness", spec=spec, anchors=anchors, coefs=coefs,
-        scale=float(_ball_scales(spec, anchors, coefs[:, None])[0]),
-    )
+    return Classifier(kind="rkhs_witness", spec=spec, anchors=anchors,
+                      coefs=coefs * _ball_scales(spec, anchors, coefs[:, None])[0])
 
 
 def _ball_scales(spec: KernelSpec, anchors: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -212,7 +209,7 @@ def evaluate_batch(h: Classifier, Z) -> np.ndarray:
     if Z.ndim != 2:
         raise ValidationError("Z must be an (n, d) array")
     if h.kind == "rkhs_witness":
-        return _ball_scores(kernel_matmul(h.spec, Z, h.anchors, h.coefs) * h.scale)
+        return _ball_scores(kernel_matmul(h.spec, Z, h.anchors, h.coefs))
     if h.kind == "constant":
         return np.full(Z.shape[0], h.value)
     if h.kind == "logistic_head":

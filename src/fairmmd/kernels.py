@@ -57,7 +57,8 @@ reads (:func:`_tile_pass` has the measurements):
   is handed, so these bits are fixed by n and the tile shapes, not by each
   row alone.  The training step's
   penalty and gradient (:mod:`fairmmd.eok`) and the calibration chain's
-  cell-block sums (:mod:`fairmmd.bounds`) take this route.
+  cell-block sums (:mod:`fairmmd.bounds`, through
+  :func:`fairmmd.mmd._gram_sums`) take this route.
 
 A large pass hands its tile pairs out in order, one at a time, to one
 thread per CPU; :class:`_InOrderSink` says how, and why the waiting
@@ -417,7 +418,8 @@ def _tile_pass(spec: KernelSpec, A, B, blocks, t, k, square, sink, bufs, prod, f
     shapes it is handed, so an entry's bits depend on the tile's shape and
     on where its row sits in it, which n and the column ranges fix; the
     training step's v' K v and encoder gradient and the calibration chain's
-    cell-block sums only add the rows up, so they take this route.  Either
+    cell-block sums (read through :func:`fairmmd.mmd._gram_sums`) only add
+    the rows up, so they take this route.  Either
     way the sink adds the products in column order, so the output does not
     depend on the number of CPUs.
 

@@ -48,7 +48,10 @@ size.  The diagonal sums and the linear-time pairs read aligned rows from
 formula.  For the linear kernel the block and diagonal sums are taken from
 the rows centred on their weighted mean (every estimate here is
 translation invariant under it), so data far from the origin do not
-cancel away their digits.
+cancel away their digits.  The calibration chain of :mod:`fairmmd.bounds`
+takes its score sums from the same routine; it reads only the block sums,
+so its pass reduces tiles by BLAS (``row_stable=False``), and its root
+from the same reader.
 
 :class:`CellSums` keeps those sums for a labelled dataset: every estimate
 between unions of cells, and the witness between them at the dataset's own
@@ -104,9 +107,14 @@ def _estimate(mmd2: float, variant: str, n0: int, n1: int) -> MmdEstimate:
     )
 
 
-def _gram_sums(spec: KernelSpec, Z: np.ndarray, W: np.ndarray, labels=None):
+def _gram_sums(spec: KernelSpec, Z: np.ndarray, W: np.ndarray, labels=None, *,
+               row_stable: bool = True):
     """K W, W' K W and W' k(z, z) of checked rows Z (n x d) and weight
-    columns W (n x k), from one square kernel pass.
+    columns W (n x k), from one square kernel pass.  ``row_stable=False``
+    lets the pass reduce its tiles by BLAS (see
+    :func:`fairmmd.kernels._matmul_unchecked`), for a caller that reads only
+    the block and diagonal sums: K W's rows then lose the bits of a
+    row-stable pass.
 
     ``labels``, when given, labels the rows so that W's column g is nonzero
     only on the rows labelled g.  A tiled pass then takes the rows in label
@@ -121,7 +129,11 @@ def _gram_sums(spec: KernelSpec, Z: np.ndarray, W: np.ndarray, labels=None):
     tiled = labels is not None and spec.family != "linear"
     order = np.argsort(labels, kind="stable") if tiled else slice(None)
     Zs = Z[order]
-    sorted_kw = _matmul_unchecked(spec, Zs, Zs, W[order], labels[order] if tiled else None)
+    # W's rows in label order as the transpose of a contiguous (k, n) copy:
+    # the pass reads M through its transpose, which is then that copy itself.
+    Ws = np.ascontiguousarray(W.T[:, order]).T
+    sorted_kw = _matmul_unchecked(spec, Zs, Zs, Ws, labels[order] if tiled else None,
+                                  row_stable=row_stable)
     # Allocated after the pass, so that it is not live beside the pass's tiles.
     KW = np.empty(W.shape)
     KW[order] = sorted_kw

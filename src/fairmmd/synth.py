@@ -72,7 +72,9 @@ class CellGaussian:
             raise ValidationError("cell parameters must be finite")
         if not np.allclose(cov, cov.T, atol=1e-10):
             raise ValidationError("cell covariance must be symmetric")
-        if np.linalg.eigvalsh((cov + cov.T) / 2.0).min() <= 0.0:
+        # eigvalsh reads the lower triangle, as the Cholesky factor below
+        # does, so no symmetrizing sum (which overflows near the float range).
+        if np.linalg.eigvalsh(cov).min() <= 0.0:
             raise ValidationError("cell covariance must be positive definite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)

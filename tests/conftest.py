@@ -38,6 +38,36 @@ def assert_matches_dense(got, want):
     assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+@pytest.fixture
+def dense_oracle():
+    """``dense_oracle(fn, *args)`` runs ``fn(*args)`` with every kernel pass
+    made densely: ``_matmul_unchecked`` in ``fairmmd.kernels``, ``mmd`` and
+    ``eok`` becomes ``pairwise(spec, A, B) @ M``, whatever its groups and its
+    reduction.  ``dense_oracle.sites`` collects (file name, line) of every
+    frame inside the package on the stack at each dense pass, so a test can
+    see which call sites ran under it."""
+    from fairmmd import eok, kernels, mmd
+
+    package = os.path.dirname(kernels.__file__)
+
+    def dense(spec, A, B, M, groups=None, *, row_stable=True):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if os.path.dirname(frame.f_code.co_filename) == package:
+                oracle.sites.add((os.path.basename(frame.f_code.co_filename), frame.f_lineno))
+            frame = frame.f_back
+        return kernels.pairwise(spec, A, B) @ M
+
+    def oracle(fn, *args, **kw):
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (kernels, mmd, eok):
+                mp.setattr(module, "_matmul_unchecked", dense)
+            return fn(*args, **kw)
+
+    oracle.sites = set()
+    return oracle
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     """``code`` in a fresh interpreter that imports fairmmd from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -43,16 +43,31 @@ each difference.  pytest does not collect this file; run it with
     python3 tests/determinism.py
 
 It needs ``taskset`` and at least two CPUs.
+
+    python3 tests/determinism.py --against PATH
+
+compares this checkout with another one at PATH instead: the same configs,
+plus the benchmark's audit and fit plans at seeds 0 and 7 (from
+``bench/workloads.py``'s ``plan``), each run once with ``PYTHONPATH`` at
+this tree's ``src`` and once at PATH's, under the first setting above.  For
+each command it prints ``identical``, or else the number of report leaves
+that differ, the largest relative change and its JSON path, and each
+differing leaf (the ten largest); and whether ``dataset.csv`` and
+``sweep.csv`` are byte-equal.  A leaf that is not a number on both sides
+counts as an infinite change.  This mode reports and always exits 0.
 """
 
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 POPULATION = {
     "pi_s": 0.5,
@@ -99,6 +114,10 @@ WRITES = {"generate": "dataset.csv", "sweep": "sweep.csv"}
 # Report keys that hold a path into the run's output directory.
 PATHS = ("path", "csv_path")
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# A leaf that one of two compared reports lacks, and how many differing
+# leaves --against lists per command.
+MISSING = object()
+SHOWN = 10
 
 
 def settings():
@@ -119,11 +138,12 @@ def comparable(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2)
 
 
-def run(command: str, cfg_path: Path, out: Path, mask: str, blas: dict) -> tuple:
-    """Exit status, comparable report and written file of one command."""
+def run(command: str, cfg_path: Path, out: Path, mask: str, blas: dict, src: Path = SRC) -> tuple:
+    """Exit status, comparable report and written file of one command, with
+    the package imported from ``src``."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
     env.update(blas, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(["taskset", "-c", mask, sys.executable, "-m", "fairmmd", command,
                            "--config", str(cfg_path), "--out", str(out), "--format", "json"],
                           env=env, capture_output=True, text=True, timeout=600)
@@ -156,5 +176,88 @@ def main() -> int:
     return 1 if failures else 0
 
 
+def plans() -> dict:
+    """Each config of RUNS as a plan of one command, and the benchmark's audit
+    and fit plans at seeds 0 and 7: plan name -> [(command, config)], run in
+    order in one directory, so that a config naming ``dataset`` reads the
+    CSV of its plan's ``generate``."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    out = {label: [(command, dict(CONFIG, **extra))] for label, (command, extra) in RUNS.items()}
+    for workload in ("audit", "fit"):
+        for seed in (0, 7):
+            plan = workloads.plan(workload, "full", seed)
+            out[f"{workload}-{seed}"] = plan["setup"] + plan["ops"]
+    return out
+
+
+def _leaves(obj, path: str = ""):
+    """(JSON path, value) of every leaf of a parsed report."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _leaves(obj[key], f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def changes(a, b) -> list:
+    """(relative change, JSON path) of each leaf where a and b differ, the
+    largest first; a leaf that is not a number on both sides, or that only
+    one side has, counts as an infinite change."""
+    la, lb = dict(_leaves(a)), dict(_leaves(b))
+    out = []
+    for path in la.keys() | lb.keys():
+        x, y = la.get(path, MISSING), lb.get(path, MISSING)
+        if type(x) is type(y) and x == y:
+            continue
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+        out.append((abs(x - y) / max(abs(x), abs(y)) if numbers and x != y
+                    else 0.0 if numbers else math.inf, path))
+    return sorted(out, reverse=True)
+
+
+def against(other: Path) -> int:
+    """Run every plan with this tree's package and with ``other``'s, and
+    print how each command's report and written file differ."""
+    other_src = other.resolve() / "src"
+    if not (other_src / "fairmmd").is_dir():
+        sys.exit(f"determinism.py: no src/fairmmd package under {other}")
+    name, mask, blas = next(settings())
+    print(f"{SRC} against {other_src}, under {name}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, jobs in plans().items():
+            results = []
+            for tree, src in (("here", SRC), ("other", other_src)):
+                work = Path(tmp) / tree / label
+                work.mkdir(parents=True)
+                results.append([])
+                for i, (command, cfg) in enumerate(jobs):
+                    cfg_path = work / f"{i}-{command}.json"
+                    cfg_path.write_text(json.dumps(cfg))
+                    results[-1].append(run(command, cfg_path, work, mask, blas, src))
+            for (command, _), here, there in zip(jobs, *results):
+                # An exit 2 leaves stderr in place of the report.
+                diffs = changes(*({"exit status": code, "report": report if code == 2
+                                   else json.loads(report)} for code, report, _ in (here, there)))
+                line = f"{label}:{command}: " + (
+                    "identical" if not diffs else
+                    f"{len(diffs)} leaves differ, largest relative change {diffs[0][0]:.2g} "
+                    f"at {diffs[0][1]}")
+                if command in WRITES:
+                    line += f"; {WRITES[command]} " + (
+                        "byte-equal" if here[2] == there[2] else "differs")
+                print(line + "".join(f"\n    {rel:.2g}  {path}" for rel, path in diffs[:SHOWN])
+                      + (f"\n    and {len(diffs) - SHOWN} more" if len(diffs) > SHOWN else ""))
+    return 0
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", type=Path, metavar="PATH",
+                        help="compare this checkout's reports with those of the checkout at PATH")
+    args = parser.parse_args()
+    sys.exit(main() if args.against is None else against(args.against))

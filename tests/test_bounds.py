@@ -15,6 +15,7 @@ from fairmmd import (
     linear,
     logistic_head_classifier,
     product,
+    random_ball_classifier,
     rbf,
     sample_population,
 )
@@ -105,6 +106,41 @@ def test_ba_bounds_norm_every_probe_in_one_pass(unbiased_pop, monkeypatch):
         monkeypatch.setattr(module, "kernel_matmul", counted)
     check_ba_bounds(spec, data, trials=30, seed=5, n_anchors=40)
     assert sorted(calls) == [40, 600]
+
+
+@pytest.mark.parametrize("family", sorted(STREAMED_SPECS))
+def test_ba_probes_are_random_ball_classifiers(family, monkeypatch):
+    """check_ba_bounds's batched probe t scores every row as
+    random_ball_classifier(spec, anchors, seed * 100003 + t) does: bit for
+    bit for the tiled families, to rounding for the linear kernel, whose
+    norms come from one product of all probes' columns."""
+    from fairmmd import bounds
+
+    spec = STREAMED_SPECS[family]
+    data = sample_population(random_population(np.random.default_rng(40), biased=True, dim=3),
+                             600, seed=41)
+    passes, probes = [], []
+
+    def scored(*args, _real=bounds.kernel_matmul):
+        passes.append(args[2])
+        return _real(*args)
+
+    def oriented(t, data, label, _real=bounds._best_balanced_accuracy):
+        probes.append(t)
+        return _real(t, data, label)
+
+    monkeypatch.setattr(bounds, "kernel_matmul", scored)
+    monkeypatch.setattr(bounds, "_best_balanced_accuracy", oriented)
+    seed, trials = 3, 7
+    check_ba_bounds(spec, data, trials=trials, seed=seed, n_anchors=300)
+    [anchors] = passes
+    assert anchors.shape[0] == 300 and len(probes) == 1 + trials
+    for t, got in enumerate(probes[1:]):
+        want = evaluate_batch(random_ball_classifier(spec, anchors, seed * 100003 + t), data.z)
+        if family == "linear":
+            assert_allclose(got, want, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(got, want)
 
 
 def test_ba_upper_survives_adversarial_probes(biased_pop):
@@ -200,9 +236,9 @@ def test_tvd_rhs_is_one_square_pass_over_the_atoms(family, monkeypatch):
     spec = STREAMED_SPECS[family]
     calls, real = [], mmd._matmul_unchecked
 
-    def spying(spec, A, B, M, groups=None):
+    def spying(spec, A, B, M, groups=None, **kw):
         calls.append((A is B, A.shape[0], B.shape[0]))
-        return real(spec, A, B, M, groups)
+        return real(spec, A, B, M, groups, **kw)
 
     monkeypatch.setattr(mmd, "_matmul_unchecked", spying)
     rng = np.random.default_rng(12)

@@ -3,11 +3,14 @@ CLI's own option tables.
 
 Each case sets one key of a small valid config to a hostile value: counts
 get -1 and 0, numbers -1, 0, 1e308 and 1e-320, and every key ``true``,
-``"x"``, ``[]``, ``{}`` and ``null``.  A key's kind is read from its
-converter: one that takes 0.5 reads a number, one that takes only integers
-a count.  No case asks for a huge count, so none can run for long.  Each
-section the command reads, and the top level, also gets one key that no
-table names, which must exit 2 and be named.
+``"x"``, ``[]``, ``{}`` and ``null``.  The numbers also go to each numeric
+leaf of ``population``: ``pi_s``, each ``p_y_given_s`` entry, and each
+entry of one cell's mean and covariance (the four cells are read alike).
+A key's kind is read from its converter: one that takes 0.5 reads a
+number, one that takes only integers a count.  No case asks for a huge
+count, so none can run for long.  Each section the command reads, and the
+top level, also gets one key that no table names, which must exit 2 and be
+named.
 """
 
 import json
@@ -91,6 +94,24 @@ def _table_cases(cfg: dict, section: str, table):
             yield key, value, _with(cfg, section, key, value)
 
 
+# The numeric leaves of POPULATION, as paths of keys and indices.
+POPULATION_LEAVES = ([("pi_s",)] + [("p_y_given_s", s, y) for s in range(2) for y in range(2)]
+                     + [("cells", "0,0", "mean", i) for i in range(2)]
+                     + [("cells", "0,0", "cov", i, j) for i in range(2) for j in range(2)])
+
+
+def _population_cases(cfg: dict):
+    """(leaf, value, config) for each of NUMBERS at each population leaf."""
+    for path in POPULATION_LEAVES:
+        for value in NUMBERS:
+            new = json.loads(json.dumps(cfg))
+            node = new["population"]
+            for part in path[:-1]:
+                node = node[part]
+            node[path[-1]] = value
+            yield ".".join(map(str, path)), value, new
+
+
 def cases(command: str):
     """(case id, config) for every hostile value of every key ``command``
     reads, the top-level keys included."""
@@ -99,6 +120,8 @@ def cases(command: str):
         for key, value, cfg in _table_cases(base, section, table):
             yield f"{command}:{section}:{key}={json.dumps(value)}", cfg
         yield f"{command}:{section}:{UNKNOWN}=1", _with(base, section, UNKNOWN, 1)
+    for leaf, value, cfg in _population_cases(base):
+        yield f"{command}:population.{leaf}={json.dumps(value)}", cfg
 
 
 def _not_strict_json(constant):

@@ -209,9 +209,9 @@ def test_bootstrap_is_the_u_statistic_of_the_drawn_rows(family, monkeypatch):
     data = sample_population(pop, 700, seed=17)
     entries, real = [], mmd._matmul_unchecked
 
-    def counted(spec, A, B, M, groups=None):
+    def counted(spec, A, B, M, groups=None, **kw):
         entries.append(A.shape[0] * B.shape[0])
-        return real(spec, A, B, M, groups)
+        return real(spec, A, B, M, groups, **kw)
 
     monkeypatch.setattr(mmd, "_matmul_unchecked", counted)
     for m0, m1, weights in ((None, None, None), (300, 41, None), (64, 257, [0.2, 0.8])):

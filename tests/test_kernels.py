@@ -733,9 +733,9 @@ def test_cell_sums_make_a_square_pass_with_the_bits_of_the_data_order_pass(monke
 
     squares, real = [], mmd._matmul_unchecked
 
-    def spying(spec, A, B, M, groups=None):
+    def spying(spec, A, B, M, groups=None, **kw):
         squares.append(A is B)
-        return real(spec, A, B, M, groups)
+        return real(spec, A, B, M, groups, **kw)
 
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     data = sample_population(make_population(p=((0.7, 0.3), (0.3, 0.7))), 3 * TILE + 41, seed=4)

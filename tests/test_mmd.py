@@ -284,9 +284,9 @@ def test_gram_sums_make_one_square_pass(monkeypatch):
 
     calls, real = [], mmd._matmul_unchecked
 
-    def spying(spec, A, B, M, groups=None):
+    def spying(spec, A, B, M, groups=None, **kw):
         calls.append((A is B, A.shape[0], groups))
-        return real(spec, A, B, M, groups)
+        return real(spec, A, B, M, groups, **kw)
 
     monkeypatch.setattr(mmd, "_matmul_unchecked", spying)
     rng = np.random.default_rng(19)
@@ -324,9 +324,9 @@ def test_cell_sums_are_kept_per_kernel(monkeypatch):
 
     passes, real = [], mmd._matmul_unchecked
 
-    def counted(*args):
+    def counted(*args, **kw):
         passes.append(args[0])
-        return real(*args)
+        return real(*args, **kw)
 
     monkeypatch.setattr(mmd, "_matmul_unchecked", counted)
     rng = np.random.default_rng(15)
