@@ -55,7 +55,7 @@ from :func:`fairmmd.fairness.sup_dp`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -114,11 +114,7 @@ class BoundReport:
     inputs_digest: str
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name, "kind": self.kind, "lhs": self.lhs, "rhs": self.rhs,
-            "slack": self.slack, "tolerance": self.tolerance, "holds": self.holds,
-            "inputs_digest": self.inputs_digest,
-        }
+        return asdict(self)
 
 
 def _digest(data: LabeledDataset, spec: KernelSpec, *extra) -> str:

@@ -509,12 +509,12 @@ def _cmd_eok(top: dict, opts: dict, data, spec, scores) -> tuple[dict, list, int
     lines = []
     if o["method"] in ("both", "plugin"):
         est = eok_hat_plugin(spec, data, weights=o["weights"])
-        result["plugin"] = dataclasses.asdict(est)
+        result["plugin"] = est
         lines.append(f"plugin     eok2={est.eok2:.6f}  eok={est.eok:.6f}  weights={est.weights}")
     if o["method"] in ("both", "bootstrap"):
         est = eok_hat_bootstrap(spec, data, m0=o["m0"], m1=o["m1"], seed=o["bootstrap_seed"],
                                 weights=o["weights"])
-        result["bootstrap"] = dataclasses.asdict(est)
+        result["bootstrap"] = est
         lines.append(f"bootstrap  eok2={est.eok2:.6f}  eok={est.eok:.6f}  weights={est.weights}")
     return result, lines, 0
 
@@ -539,7 +539,7 @@ def _cmd_bounds(top: dict, opts: dict, data, spec, scores) -> tuple[dict, list, 
             reports.append(check_tvd_dominance(
                 spec, data, tol=tol[name], max_support=o["max_support"]))
     all_hold = all(r.holds for r in reports)
-    result = {"clauses": [r.as_dict() for r in reports], "all_hold": all_hold,
+    result = {"clauses": reports, "all_hold": all_hold,
               "kernel": _kernel_dict(spec), "n": data.n}
     lines = [
         f"{r.name:>26s}  {r.kind}  lhs={r.lhs: .6f}  rhs={r.rhs: .6f}  "
@@ -556,7 +556,7 @@ def _cmd_concentration(top: dict, opts: dict, pop, spec, scores) -> tuple[dict, 
     spec = linear(suggest_radius(pop, grid) if o["radius"] is None else o["radius"])
     rep = concentration_check(pop, grid, spec, n_grid=o["n_grid"], trials=o["trials"],
                               delta=o["delta"], seed=top["seed"], g_trials=o["g_trials"])
-    result = dict(rep.as_dict(), kernel=_kernel_dict(spec))
+    result = dict(_jsonify(rep), kernel=_kernel_dict(spec))
     lines = [
         f"n={r['n']:>6d}  mean_dev={r['mean_dev']:.5f}  "
         f"q{100 * (1 - rep.delta):.0f}={r['quantile_dev']:.5f}  bound={r['bound']:.3f}"
@@ -621,7 +621,7 @@ def _cmd_sweep(top: dict, opts: dict, pop, spec, scores) -> tuple[dict, list, in
     csv_path, _ = _write_out(top, "sweep.csv", lambda path: np.savetxt(
         path, [[row[c] for c in cols] for row in res.rows], fmt="%.17g", delimiter=",",
         header=",".join(cols), comments=""))
-    result = dict(res.as_dict(), kernel=_kernel_dict(spec), spearman_lambda_eok2=rho,
+    result = dict(_jsonify(res), kernel=_kernel_dict(spec), spearman_lambda_eok2=rho,
                   csv_path=str(csv_path))
     header = "  ".join(f"{c:>10s}" for c in cols)
     lines = [header] + [

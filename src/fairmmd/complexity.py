@@ -35,7 +35,7 @@ mean deviation (the n^(-1/2) signature).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -260,9 +260,10 @@ def suggest_radius(population: PopulationSpec, maps, safety: float = 14.0) -> fl
     radius has vanishing probability at any realistic sample size, so a
     linear kernel declared with this radius never sees an out-of-domain
     point in practice.  A cell whose mean norm plus reach is beyond the
-    float range raises ValidationError naming the cell.
+    float range, or whose reach makes a radius with an infinite square (the
+    linear kernel's nu), raises ValidationError naming the cell.
     """
-    r_x = 0.0
+    r_x, widest = 0.0, None
     for key, cell in population.cells.items():
         top = float(np.linalg.eigvalsh(cell.cov).max())
         with np.errstate(over="ignore"):
@@ -270,9 +271,15 @@ def suggest_radius(population: PopulationSpec, maps, safety: float = 14.0) -> fl
         if not np.isfinite(reach):
             raise ValidationError(f"population cell {key}: its mean and covariance make the "
                                   "suggested radius infinite")
-        r_x = max(r_x, reach)
+        if reach > r_x:
+            r_x, widest = reach, key
     op = max(float(np.linalg.norm(np.asarray(W, dtype=float), 2)) for W in maps)
-    return op * r_x
+    with np.errstate(over="ignore"):
+        radius = op * r_x
+        if not radius * radius < np.inf:
+            raise ValidationError(f"population cell {widest}: its mean and covariance make the "
+                                  f"suggested radius {radius:.3g}, whose square is infinite")
+    return radius
 
 
 @dataclass(frozen=True)
@@ -286,10 +293,7 @@ class ConcentrationReport:
     trials: int
 
     def as_dict(self) -> dict:
-        return {
-            "rows": [dict(r) for r in self.rows], "slope": self.slope,
-            "holds": self.holds, "delta": self.delta, "trials": self.trials,
-        }
+        return dict(asdict(self), rows=[dict(r) for r in self.rows])
 
 
 def _grid_mmd2(spec: KernelSpec, maps: np.ndarray, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:

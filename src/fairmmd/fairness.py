@@ -2,10 +2,11 @@
 
 A classifier here is a score function h mapping representations to [0, 1],
 read as h(z) = P(Yhat = 1 | z).  All metrics are phrased as expectations of
-h over conditional empirical laws, never as thresholded counts.  dodds and
-dc score the classifier once and hand the scores to their two parts as
-``external_scores_classifier(scores)``; callers that compute many metrics
-do the same:
+h over conditional empirical laws, never as thresholded counts.  dodds
+scores the classifier once and hands the scores to its two parts as
+``external_scores_classifier(scores)``, and dc reads both of its parts
+from one table of rows per (group, outcome, score atom); callers that
+compute many metrics score once and wrap the scores the same way:
 
   dp     | E[h | S=1] - E[h | S=0] |                  (demographic parity)
   dopp   | E[h | Y=1, S=1] - E[h | Y=1, S=0] |        (opportunity)
@@ -235,8 +236,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _ball_scores(g: np.ndarray) -> np.ndarray:
-    """Scores h = (clip(g, -1, 1) + 1) / 2 of ball members with values g."""
-    return (np.clip(g, -1.0, 1.0) + 1.0) / 2.0
+    """Scores h = (clip(g, -1, 1) + 1) / 2 of ball members with values g,
+    computed in place in ``g``, which the caller must hold alone."""
+    np.clip(g, -1.0, 1.0, out=g)
+    g += 1.0
+    g /= 2.0
+    return g
 
 
 def witness_scores(sums: CellSums, p, q) -> np.ndarray:
@@ -310,17 +315,16 @@ def _score_atoms(t: np.ndarray, bins: int | None) -> np.ndarray:
     return np.clip(np.digitize(t, edges[1:-1]), 0, bins - 1)
 
 
-def _calibration_gap(h: Classifier, data: LabeledDataset, y: int, bins: int | None) -> float:
-    t = _scores(h, data)
-    ids = _score_atoms(t, bins)
+def _calibration_gaps(h: Classifier, data: LabeledDataset, bins: int | None) -> tuple[float, float]:
+    """(dnc, dpc) from one table of rows per (s, y) cell and score atom."""
+    ids = _score_atoms(_scores(h, data), bins)
     k = int(ids.max()) + 1
-    joint = []
-    for s in (0, 1):
-        size = data.counts[2 * s] + data.counts[2 * s + 1]
-        if size == 0:
-            raise StratificationError("calibration gaps need rows in both S-groups")
-        joint.append(np.bincount(ids[data.cell == 2 * s + y], minlength=k) / size)
-    return 0.5 * float(np.abs(joint[1] - joint[0]).sum())
+    sizes = data.counts.reshape(2, 2).sum(axis=1)
+    if (sizes == 0).any():
+        raise StratificationError("calibration gaps need rows in both S-groups")
+    table = np.bincount(data.cell.astype(np.intp) * k + ids, minlength=4 * k).reshape(2, 2, k)
+    joint = table / sizes[:, None, None]
+    return tuple(0.5 * float(np.abs(joint[1, y] - joint[0, y]).sum()) for y in (0, 1))
 
 
 def dpc(h: Classifier, data: LabeledDataset, bins: int | None = None) -> float:
@@ -331,18 +335,18 @@ def dpc(h: Classifier, data: LabeledDataset, bins: int | None = None) -> float:
     joint laws of (Y, h(Z)) given S — the identity the calibration bound
     checker relies on.  Binning trades that exactness for stability.
     """
-    return _calibration_gap(h, data, 1, bins)
+    return _calibration_gaps(h, data, bins)[1]
 
 
 def dnc(h: Classifier, data: LabeledDataset, bins: int | None = None) -> float:
     """Negative-class calibration gap (Y=0 side of dpc)."""
-    return _calibration_gap(h, data, 0, bins)
+    return _calibration_gaps(h, data, bins)[0]
 
 
 def dc(h: Classifier, data: LabeledDataset, bins: int | None = None) -> float:
-    """Calibration gap: mean of dpc and dnc."""
-    h = external_scores_classifier(_scores(h, data))
-    return 0.5 * (dpc(h, data, bins) + dnc(h, data, bins))
+    """Calibration gap: mean of dpc and dnc, read from one atom table."""
+    neg, pos = _calibration_gaps(h, data, bins)
+    return 0.5 * (pos + neg)
 
 
 def balanced_accuracy(h: Classifier, data: LabeledDataset, label: str) -> float:

@@ -54,7 +54,7 @@ another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -381,10 +381,7 @@ class SweepResult:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "rows": [dict(r) for r in self.rows],
-            "lambdas": list(self.lambdas), "n": self.n, "seed": self.seed,
-        }
+        return dict(asdict(self), rows=[dict(r) for r in self.rows], lambdas=list(self.lambdas))
 
 
 def lambda_sweep(

@@ -23,7 +23,11 @@ Families
                function with RKHS norm at most 1, which is what the
                calibration bound checker relies on.
 
-Every kernel sum in the package streams through :func:`kernel_matmul`.
+Every kernel sum in the package streams through :func:`_matmul_unchecked`;
+:func:`kernel_matmul` is its checked public entry, and
+:func:`fairmmd.mmd._gram_sums` and the training step's penalty and
+gradient (:func:`fairmmd.eok._penalty_and_gradient`) call it directly on
+rows they have already checked.
 A pass evaluates every TILE x TILE tile of K and reduces it against all of
 M's columns, unless its caller labels B's rows with ascending groups, where
 M's column g is nonzero only on the rows labelled g (as the cell sums and
@@ -75,7 +79,8 @@ values scale their distances by a multiply with the negated reciprocal of
 2 sigma^2 (or of sigma); that gives the bits of a divide whenever that
 scale is a power of two (sigma = 1 or 0.5 for rbf, 1 for laplacian), and
 other bandwidths differ from a divide by rounding only.  The constructors
-refuse a bandwidth whose scale is not finite.
+refuse a bandwidth whose scale is not finite, and a linear radius whose
+square (the kernel's nu) is not finite and positive.
 
 The rbf and laplacian tiles of rows with d >= 2 and
 :func:`median_heuristic` take their distances from three compiled routines
@@ -222,6 +227,8 @@ def linear(radius: float) -> KernelSpec:
     """Linear kernel <a, b> on the ball ||a|| <= radius."""
     _check_positive("radius", radius)
     r = float(radius)
+    if not 0.0 < r * r < np.inf:
+        raise ValidationError(f"radius must keep radius^2 finite and > 0, got {radius!r}")
     return KernelSpec("linear", radius=r, nu=r * r, lipschitz=r)
 
 

@@ -584,6 +584,27 @@ def test_malformed_option_is_refused_before_any_work(tmp_path, capsys, monkeypat
     assert not (tmp_path / "reports").exists()
 
 
+def test_concentration_names_the_cell_whose_suggested_radius_overflows(tmp_path, capsys,
+                                                                        monkeypatch):
+    """Cell (0, 0) with covariance 1e308 I makes a suggested radius whose
+    square, the linear kernel's nu, is infinite: one error line names the
+    cell before any rows are drawn."""
+    from fairmmd import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("rows were drawn before the radius was refused")
+
+    monkeypatch.setattr(cli, "concentration_check", no_work)
+    monkeypatch.setattr(cli, "sample_population", no_work)
+    population = json.loads(json.dumps(POPULATION))
+    population["cells"]["0,0"]["cov"] = [[1e308, 0.0], [0.0, 1e308]]
+    cfg = write_config(tmp_path, population=population, concentration={"grid": GRID})
+    assert run(["concentration", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: population cell (0, 0)") and err.count("\n") == 1, err
+    assert not (tmp_path / "reports").exists()
+
+
 @pytest.mark.parametrize("command, extra, field", [
     ("bounds", {"bounds": {"checks": ["tvd_dominance"], "max_support": -1}}, "max_support"),
     ("bounds", {"bounds": {"checks": ["unbiased_equality"], "rate_threshold": -1}},

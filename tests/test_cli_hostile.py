@@ -131,7 +131,8 @@ def _not_strict_json(constant):
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_hostile_option_values_keep_the_exit_contract(tmp_path, monkeypatch, capsys, command):
     """Exit 0 or 2, or 1 only for ``bounds``/``concentration`` with a report
-    whose verdict is false; ``main`` returns rather than raises; a report is
+    whose verdict is false; ``main`` returns rather than raises; exit 2
+    prints one stderr line, which starts with ``error: ``; a report is
     written exactly when the exit code is not 2, and it is strict JSON (no
     NaN or Infinity).  An unknown key exits 2 and is named."""
     verdict = {"bounds": "all_hold", "concentration": "holds"}
@@ -147,6 +148,8 @@ def test_hostile_option_values_keep_the_exit_contract(tmp_path, monkeypatch, cap
         err = capsys.readouterr().err
         reports = list(work.rglob(f"{command}.json"))
         assert code in (0, 1, 2), case
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
         if UNKNOWN in case:
             assert code == 2 and f"unknown key {UNKNOWN!r}" in err, (case, err)
         assert (code != 2) == (len(reports) == 1), (case, code, reports)

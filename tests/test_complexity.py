@@ -24,6 +24,7 @@ from fairmmd import (
 from fairmmd import complexity
 from fairmmd._rng import rng_for, subseed
 from fairmmd.complexity import _grid_mmd2, concentration_check, fnn_apply, sample_fnn_grid
+from fairmmd.synth import CellGaussian, PopulationSpec
 from conftest import make_population
 
 
@@ -182,6 +183,17 @@ def test_suggest_radius_contains_encoded_samples(unbiased_pop):
     for W in grid:
         norms = np.linalg.norm(data.z @ W.T, axis=1)
         assert norms.max() <= R
+
+
+def test_suggest_radius_names_the_cell_whose_radius_squares_to_infinity(unbiased_pop):
+    """Cell (0, 0) with covariance 1e308 I reaches 14 * 1e154 (finite), but
+    the linear kernel's nu, that radius squared, would be infinite."""
+    cells = dict(unbiased_pop.cells)
+    cells[(0, 0)] = CellGaussian(np.zeros(2), 1e308 * np.eye(2))
+    wide = PopulationSpec(pi_s=unbiased_pop.pi_s, p_y_given_s=unbiased_pop.p_y_given_s,
+                          cells=cells)
+    with pytest.raises(ValidationError, match=r"population cell \(0, 0\)"):
+        suggest_radius(wide, [np.eye(2)])
 
 
 def test_concentration_check_small_run(unbiased_pop):

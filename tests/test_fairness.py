@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from fairmmd import (
     EmptyCellError,
     LabeledDataset,
+    StratificationError,
     ValidationError,
     balanced_accuracy,
     ball_classifier,
@@ -30,6 +31,7 @@ from fairmmd import (
 from fairmmd.fairness import GROUP_CELLS, evaluate_batch, witness_scores
 from fairmmd.kernels import TILE
 from fairmmd.mmd import cell_sums
+from conftest import make_population
 
 
 def hand_dataset():
@@ -87,6 +89,35 @@ def test_calibration_gaps_binned():
     assert_allclose(dc(h, data, bins=2), 0.125, atol=1e-15)
     with pytest.raises(ValidationError):
         dpc(h, data, bins=0)
+
+
+def test_dc_finds_its_score_atoms_once(monkeypatch):
+    """dc reads dpc and dnc from one table of rows per (s, y) cell and score
+    atom: it sorts the scores into atoms once, and equals the mean of its
+    parts bit for bit.  Bins are checked before the S-groups."""
+    from fairmmd import fairness
+
+    rng = np.random.default_rng(8)
+    data = sample_population(make_population(p=((0.7, 0.3), (0.3, 0.7))), 400, seed=8)
+    h = external_scores_classifier(np.round(rng.random(data.n), 2))
+    calls = []
+
+    def spy(t, bins, _real=fairness._score_atoms):
+        calls.append(bins)
+        return _real(t, bins)
+
+    monkeypatch.setattr(fairness, "_score_atoms", spy)
+    for bins in (None, 7):
+        calls.clear()
+        got = dc(h, data, bins)
+        assert calls == [bins]
+        assert got == 0.5 * (dpc(h, data, bins) + dnc(h, data, bins))
+    one_group = LabeledDataset(z=np.zeros((4, 2)), s=np.zeros(4, int), y=np.array([0, 1, 0, 1]))
+    h = constant_classifier(0.5)
+    with pytest.raises(ValidationError, match="bins"):
+        dc(h, one_group, bins=0)
+    with pytest.raises(StratificationError, match="both S-groups"):
+        dc(h, one_group)
 
 
 def test_constant_classifier_has_no_gaps():

@@ -384,6 +384,14 @@ def test_radius_must_be_positive():
         linear(0.0)
 
 
+def test_radius_must_keep_its_square_finite():
+    """nu = radius^2; a radius whose square overflows is refused by name,
+    as a bandwidth whose scale overflows is."""
+    with pytest.raises(ValidationError, match="radius"):
+        linear(1e155)
+    assert linear(1e154).nu == 1e154 * 1e154
+
+
 def test_shape_validation():
     with pytest.raises(ValidationError):
         pairwise(rbf(1.0), np.zeros((2, 2)), np.zeros((2, 3)))
