@@ -85,8 +85,8 @@ _SIBLINGS = {
     "complexity": ("_check_delta", "_checked_n_grid", "concentration_check", "finite_grid",
                    "suggest_radius"),
     "eok": ("_checked_weights", "eok_hat_bootstrap", "eok_hat_plugin"),
-    "fairness": ("balanced_accuracy", "constant_classifier", "dc", "dnc", "dodds", "dopp", "dp",
-                 "dpc", "dr", "evaluate_batch", "external_scores_classifier",
+    "fairness": ("_calibration_gaps", "balanced_accuracy", "constant_classifier", "dodds", "dopp",
+                 "dp", "dr", "evaluate_batch", "external_scores_classifier",
                  "logistic_head_classifier", "sup_dp", "witness_scores"),
     "frl": ("TrainConfig", "_check_init_scale", "_check_lambda", "_check_step_size",
             "lambda_sweep", "train"),
@@ -261,15 +261,6 @@ def _out_dir(value) -> str:
     return value
 
 
-def _seed(value) -> int:
-    """A seed for :func:`_parse`: numpy seeds its generators from
-    non-negative integers only."""
-    seed = _int(value)
-    if seed < 0:
-        raise ValueError("seeds must be non-negative")
-    return seed
-
-
 def _accepted(make, convert):
     """A converter for :func:`_parse` that admits only values of ``convert``
     that ``make`` accepts, such as a kernel constructor's parameter range;
@@ -291,6 +282,9 @@ def _sigma(make):
     return lambda value: value if value == "median" else convert(value)
 
 
+# A seed: numpy seeds its generators from non-negative integers only.
+_seed = _at_least(0, _int)
+
 # Options every command reads.  The rows come from an inline ``population``
 # or from a ``dataset`` CSV, whose path is relative to the config file.  A
 # dataset CSV and "concentration" leave ``n`` unused, so its range (>= 1) is
@@ -309,8 +303,11 @@ _KERNEL = ("family", _REQUIRED, {
 # The metrics.classifier section: "kind" picks the table of its other options.
 _CLASSIFIER = ("kind", "witness", {
     "witness": {},
-    "constant": {"value": (0.5, _float)},
-    "logistic_head": {"weights": (_REQUIRED, _list_of(_float)), "bias": (_REQUIRED, _float)},
+    "constant": {"value": (0.5, _accepted(constant_classifier, _float))},
+    "logistic_head": {
+        "weights": (_REQUIRED, _accepted(lambda w: logistic_head_classifier(w, 0.0),
+                                         _list_of(_float))),
+        "bias": (_REQUIRED, _accepted(lambda b: logistic_head_classifier([], b), _float))},
     "external_scores": {},
 })
 
@@ -360,20 +357,24 @@ def _kernel_dict(spec: KernelSpec) -> dict:
     return {k: v for k, v in dataclasses.asdict(spec).items() if v is not None}
 
 
-def _classifier(c: dict, csv_scores):
-    """The classifier of the "metrics.classifier" options; None stands for
-    the group witness, whose scores are read from the dataset's cell sums."""
-    if c["kind"] == "constant":
-        return constant_classifier(c["value"])
-    if c["kind"] == "logistic_head":
-        return logistic_head_classifier(c["weights"], c["bias"])
+def _metric_scores(c: dict, data: LabeledDataset, spec: KernelSpec, csv_scores) -> np.ndarray:
+    """The scores on ``data``'s rows of the classifier of the
+    "metrics.classifier" options: the group witness's read from the
+    dataset's cell sums, the dataset CSV's score column as it is, and a
+    constant's or a logistic head's from ``evaluate_batch``."""
+    if c["kind"] == "witness":
+        from .fairness import GROUP_CELLS
+
+        return witness_scores(cell_sums(spec, data), GROUP_CELLS[1], GROUP_CELLS[0])
     if c["kind"] == "external_scores":
         if csv_scores is None:
             raise ConfigurationError(
                 "external_scores classifier needs a dataset CSV with a score column"
             )
-        return external_scores_classifier(csv_scores)
-    return None
+        return csv_scores
+    if c["kind"] == "constant":
+        return evaluate_batch(constant_classifier(c["value"]), data.z)
+    return evaluate_batch(logistic_head_classifier(c["weights"], c["bias"]), data.z)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +426,8 @@ def _write_out(top: dict, name: str, write) -> tuple[Path, Path]:
 
 
 def _write_report(command: str, eff: dict, top: dict, result: dict, started: float,
-                  elapsed: float) -> tuple[dict, Path]:
+                  elapsed: float) -> tuple[str, Path]:
+    """The report's JSON text, written to ``<out>/<command>.json``, and its path."""
     report = {
         "command": command,
         "versions": {"fairmmd": __version__, "report_schema": SCHEMA_VERSION},
@@ -438,16 +440,7 @@ def _write_report(command: str, eff: dict, top: dict, result: dict, started: flo
         "result": _jsonify(result),
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    return report, _write_out(top, f"{command}.json", lambda path: path.write_text(text))[0]
-
-
-def _emit(report: dict, path: Path, fmt: str, table_lines) -> None:
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in table_lines:
-            print(line)
-    print(f"report written to {path}", file=sys.stderr)
+    return text, _write_out(top, f"{command}.json", lambda path: path.write_text(text))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -477,22 +470,15 @@ def _cmd_generate(top: dict, opts: dict, pop, spec, scores) -> tuple[dict, list,
 def _cmd_metrics(top: dict, opts: dict, data, spec, scores) -> tuple[dict, list, int]:
     """fairness metrics of a classifier on a dataset"""
     c, bins = opts["metrics.classifier"], opts["metrics"]["bins"]
-    h = _classifier(c, scores)
-    if h is None:
-        from .fairness import GROUP_CELLS
-
-        t = witness_scores(cell_sums(spec, data), GROUP_CELLS[1], GROUP_CELLS[0])
-    else:
-        t = evaluate_batch(h, data.z)
-    t = external_scores_classifier(t)
+    t = external_scores_classifier(_metric_scores(c, data, spec, scores))
     metrics = {
         "dp": dp(t, data),
         "dopp": dopp(t, data),
         "dr": dr(t, data),
         "dodds": dodds(t, data),
-        "dpc": dpc(t, data, bins),
-        "dnc": dnc(t, data, bins),
-        "dc": dc(t, data, bins),
+        "dpc": (gaps := _calibration_gaps(t, data, bins))[1],
+        "dnc": gaps[0],
+        "dc": gaps[2],
         "balanced_accuracy_s": balanced_accuracy(t, data, "s"),
         "balanced_accuracy_y": balanced_accuracy(t, data, "y"),
         "sup_dp": sup_dp(spec, data),
@@ -569,34 +555,28 @@ def _cmd_train(top: dict, opts: dict, data, spec, scores) -> tuple[dict, list, i
     """one penalized training run with its objective trace"""
     t = opts["train"]
     res = train(data, TrainConfig(kernel=spec, seed=top["seed"], lam=t.pop("lambda"), **t))
+    trace = {"sup": res.sup_trace, "penalty": res.penalty_trace, "total": res.total_trace}
     result = {
-        "final": {"sup": res.sup_trace[-1], "penalty": res.penalty_trace[-1],
-                  "total": res.total_trace[-1]},
-        "trace": {"sup": res.sup_trace, "penalty": res.penalty_trace,
-                  "total": res.total_trace},
+        "final": {name: values[-1] for name, values in trace.items()},
+        "trace": trace,
         "encoder": res.encoder,
         "head": {"weights": res.head_w, "bias": res.head_b},
         "mixture_weights": res.weights,
         "kernel": _kernel_dict(spec),
         "n": data.n,
     }
-    return result, [
-        f"step {0:>5d}: sup={res.sup_trace[0]:.6f} penalty={res.penalty_trace[0]:.6f} "
-        f"total={res.total_trace[0]:.6f}",
-        f"step {len(res.sup_trace) - 1:>5d}: sup={res.sup_trace[-1]:.6f} "
-        f"penalty={res.penalty_trace[-1]:.6f} total={res.total_trace[-1]:.6f}",
-    ], 0
+    lines = []
+    for step in (0, len(res.sup_trace) - 1):
+        values = " ".join(f"{name}={trace[name][step]:.6f}" for name in trace)
+        lines.append(f"step {step:>5d}: {values}")
+    return result, lines, 0
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n of ``x``, tied values sharing the mean of their ranks."""
-    order = np.argsort(x, kind="mergesort")
-    xs = x[order]
-    first = np.r_[True, xs[1:] != xs[:-1]]
-    bounds = np.r_[np.flatnonzero(first), x.size]
-    ranks = np.empty(x.size)
-    ranks[order] = (0.5 * (bounds[1:] + bounds[:-1] + 1))[np.cumsum(first) - 1]
-    return ranks
+    _, atom, count = np.unique(x, return_inverse=True, return_counts=True)
+    # A run of c tied values that ends at rank e shares rank e - (c - 1) / 2.
+    return (np.cumsum(count) - 0.5 * (count - 1))[atom]
 
 
 def _spearman(a, b) -> float | None:
@@ -757,8 +737,8 @@ def main(argv=None) -> int:
         data, scores = _inputs(top, args.command, reads, cfg["_dir"])
         spec = _resolve_kernel(opts["kernel"], data, top["seed"]) if "kernel" in opts else None
         result, lines, status = _COMMANDS[args.command](top, opts, data, spec, scores)
-        report, path = _write_report(args.command, eff, top, result, started,
-                                     time.time() - started)
+        text, path = _write_report(args.command, eff, top, result, started,
+                                   time.time() - started)
         for tmp, final in staged:
             os.replace(tmp, final)
         staged.clear()
@@ -771,7 +751,12 @@ def main(argv=None) -> int:
     finally:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
-    _emit(report, path, args.format, lines)
+    if args.format == "json":
+        print(text, end="")
+    else:
+        for line in lines:
+            print(line)
+    print(f"report written to {path}", file=sys.stderr)
     return status
 
 

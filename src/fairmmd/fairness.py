@@ -218,7 +218,14 @@ def evaluate_batch(h: Classifier, Z) -> np.ndarray:
             raise ValidationError(
                 f"logistic head expects d={h.weights.size}, got {Z.shape[1]}"
             )
-        return _sigmoid(Z @ h.weights + h.bias)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = Z @ h.weights + h.bias
+        overflowed = np.count_nonzero(~np.isfinite(logits))
+        if overflowed:
+            raise ValidationError(
+                f"logistic head logits overflow on {overflowed} of {Z.shape[0]} rows"
+            )
+        return _sigmoid(logits)
     if h.kind == "external_scores":
         if Z.shape[0] != h.scores.size:
             raise ValidationError(
@@ -315,8 +322,10 @@ def _score_atoms(t: np.ndarray, bins: int | None) -> np.ndarray:
     return np.clip(np.digitize(t, edges[1:-1]), 0, bins - 1)
 
 
-def _calibration_gaps(h: Classifier, data: LabeledDataset, bins: int | None) -> tuple[float, float]:
-    """(dnc, dpc) from one table of rows per (s, y) cell and score atom."""
+def _calibration_gaps(h: Classifier, data: LabeledDataset,
+                      bins: int | None) -> tuple[float, float, float]:
+    """(dnc, dpc, dc): the negative- and positive-class calibration gaps and
+    their mean, all from one table of rows per (s, y) cell and score atom."""
     ids = _score_atoms(_scores(h, data), bins)
     k = int(ids.max()) + 1
     sizes = data.counts.reshape(2, 2).sum(axis=1)
@@ -324,7 +333,8 @@ def _calibration_gaps(h: Classifier, data: LabeledDataset, bins: int | None) -> 
         raise StratificationError("calibration gaps need rows in both S-groups")
     table = np.bincount(data.cell.astype(np.intp) * k + ids, minlength=4 * k).reshape(2, 2, k)
     joint = table / sizes[:, None, None]
-    return tuple(0.5 * float(np.abs(joint[1, y] - joint[0, y]).sum()) for y in (0, 1))
+    neg, pos = (0.5 * float(np.abs(joint[1, y] - joint[0, y]).sum()) for y in (0, 1))
+    return neg, pos, 0.5 * (pos + neg)
 
 
 def dpc(h: Classifier, data: LabeledDataset, bins: int | None = None) -> float:
@@ -345,8 +355,7 @@ def dnc(h: Classifier, data: LabeledDataset, bins: int | None = None) -> float:
 
 def dc(h: Classifier, data: LabeledDataset, bins: int | None = None) -> float:
     """Calibration gap: mean of dpc and dnc, read from one atom table."""
-    neg, pos = _calibration_gaps(h, data, bins)
-    return 0.5 * (pos + neg)
+    return _calibration_gaps(h, data, bins)[2]
 
 
 def balanced_accuracy(h: Classifier, data: LabeledDataset, label: str) -> float:

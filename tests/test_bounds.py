@@ -136,23 +136,21 @@ def test_ba_probes_are_random_ball_classifiers(family, monkeypatch):
     spec = STREAMED_SPECS[family]
     data = sample_population(random_population(np.random.default_rng(40), biased=True, dim=3),
                              600, seed=41)
-    passes, probes = [], []
+    passes = []
 
+    # The probes' scores are read from the array the probe pass returns,
+    # which check_ba_bounds scores in place.
     def scored(*args, _real=bounds.kernel_matmul):
-        passes.append(args[2])
-        return _real(*args)
-
-    def oriented(t, data, label, _real=bounds._best_balanced_accuracy):
-        probes.append(t)
-        return _real(t, data, label)
+        out = _real(*args)
+        passes.append((args[2], out))
+        return out
 
     monkeypatch.setattr(bounds, "kernel_matmul", scored)
-    monkeypatch.setattr(bounds, "_best_balanced_accuracy", oriented)
     seed, trials = 3, 7
     check_ba_bounds(spec, data, trials=trials, seed=seed, n_anchors=300)
-    [anchors] = passes
-    assert anchors.shape[0] == 300 and len(probes) == 1 + trials
-    for t, got in enumerate(probes[1:]):
+    [(anchors, probes)] = passes
+    assert anchors.shape[0] == 300 and probes.shape == (data.n, trials)
+    for t, got in enumerate(probes.T):
         want = evaluate_batch(random_ball_classifier(spec, anchors, seed * 100003 + t), data.z)
         if family == "linear":
             assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -517,6 +517,9 @@ def _eok_on_csv(name, field, **extra):
 # concentration delta or sample-size grid that the certificate refuses, were
 # once refused only after rows were drawn, training runs ran or a radius was
 # suggested; the NaN step size was once refused only when training diverged.
+# The metrics classifier's constant value out of [0, 1] and a logistic head's
+# non-finite weight or bias were once refused only after rows were drawn,
+# without the field's name.
 BEFORE_WORK = [
     pytest.param("generate", {"out": 5}, "out", id="generate"),
     pytest.param("metrics", {"metrics": {"bins": "x"}}, "bins", id="metrics"),
@@ -554,6 +557,14 @@ BEFORE_WORK = [
                  id="concentration-delta"),
     pytest.param("concentration", {"concentration": {"grid": GRID, "n_grid": [100, 7]}},
                  "n_grid", id="concentration-n-grid"),
+    pytest.param("metrics", {"metrics": {"classifier": {"kind": "constant", "value": 2}}},
+                 "value", id="metrics-constant-value-2"),
+    pytest.param("metrics", {"metrics": {"classifier": {
+        "kind": "logistic_head", "weights": [float("inf"), 0.0], "bias": 0.0}}},
+        "weights", id="metrics-logistic-weights-inf"),
+    pytest.param("metrics", {"metrics": {"classifier": {
+        "kind": "logistic_head", "weights": [1.0, 0.0], "bias": float("nan")}}},
+        "bias", id="metrics-logistic-bias-nan"),
 ]
 
 
@@ -581,6 +592,41 @@ def test_malformed_option_is_refused_before_any_work(tmp_path, capsys, monkeypat
     assert run([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and f'"{field}"' in err, err
+    assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("classifier", [
+    {"kind": "witness"}, {"kind": "constant", "value": 0.3},
+    {"kind": "logistic_head", "weights": [1.0, -0.5], "bias": 0.2},
+], ids=["witness", "constant", "logistic_head"])
+def test_metrics_finds_its_score_atoms_once(tmp_path, monkeypatch, classifier):
+    """A metrics run scores its classifier once and reads dpc, dnc and dc
+    from one table of rows per (s, y) cell and score atom: it sorts its
+    scores into atoms once."""
+    from fairmmd import fairness
+
+    calls = []
+
+    def spy(t, bins, _real=fairness._score_atoms):
+        calls.append(t.size)
+        return _real(t, bins)
+
+    monkeypatch.setattr(fairness, "_score_atoms", spy)
+    cfg = write_config(tmp_path, metrics={"classifier": classifier, "bins": 10})
+    assert run(["metrics", "--config", cfg]) == 0
+    assert calls == [500]
+    m = load_report(tmp_path, "metrics")["result"]["metrics"]
+    assert m["dc"] == 0.5 * (m["dpc"] + m["dnc"])
+
+
+def test_metrics_refuses_a_logistic_head_whose_logits_overflow(tmp_path, capsys):
+    """Weights of 1e308 overflow the logits of the quick-start rows: one
+    error line names the logistic head, and no report is written."""
+    cfg = write_config(tmp_path, metrics={"classifier": {
+        "kind": "logistic_head", "weights": [1e308, 1e308], "bias": 0.0}})
+    assert run(["metrics", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: logistic head") and err.count("\n") == 1, err
     assert not (tmp_path / "reports").exists()
 
 

@@ -3,9 +3,11 @@ CLI's own option tables.
 
 Each case sets one key of a small valid config to a hostile value: counts
 get -1 and 0, numbers -1, 0, 1e308 and 1e-320, and every key ``true``,
-``"x"``, ``[]``, ``{}`` and ``null``.  The numbers also go to each numeric
-leaf of ``population``: ``pi_s``, each ``p_y_given_s`` entry, and each
-entry of one cell's mean and covariance (the four cells are read alike).
+``"x"``, ``[]``, ``{}`` and ``null``.  A key that takes a flat list of
+numbers also gets a valid list whose first entry is each of the numbers.
+The numbers also go to each numeric leaf of ``population``: ``pi_s``, each
+``p_y_given_s`` entry, and each entry of one cell's mean and covariance
+(the four cells are read alike).
 A key's kind is read from its converter: one that takes 0.5 reads a
 number, one that takes only integers a count.  No case asks for a huge
 count, so none can run for long.  Each section the command reads, and the
@@ -45,6 +47,8 @@ SECTIONS = {
 }
 # A key that no option table names.
 UNKNOWN = "no_such_key"
+# A valid value of each key that takes a flat list of numbers.
+LIST = [0.5, 0.5]
 # Values for the keys a table requires.
 REQUIRED = {"radius": 9.1, "weights": [1.0, 0.0], "bias": 0.0, "grid": GRID}
 
@@ -92,6 +96,10 @@ def _table_cases(cfg: dict, section: str, table):
     for key, (_, convert) in table.items():
         for value in hostile_values(convert):
             yield key, value, _with(cfg, section, key, value)
+        if _accepts(convert, LIST):
+            for value in NUMBERS:
+                entries = [value, *LIST[1:]]
+                yield key, entries, _with(cfg, section, key, entries)
 
 
 # The numeric leaves of POPULATION, as paths of keys and indices.

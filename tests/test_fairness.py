@@ -120,6 +120,20 @@ def test_dc_finds_its_score_atoms_once(monkeypatch):
         dc(h, one_group)
 
 
+@pytest.mark.parametrize("rows", [[[1e308, 1e308]], [[0.0, 0.0], [1e308, 1e308], [1.0, 1.0]]])
+def test_logistic_head_refuses_logits_that_overflow(rows):
+    """A row whose logit overflows is refused, alone or among other rows,
+    with no warning: BLAS gives it -inf in one batch and +inf in another, so
+    its score would depend on its batch."""
+    import warnings
+
+    h = logistic_head_classifier([10.0, -10.0], 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"logistic head .* 1 of {len(rows)} rows"):
+            evaluate_batch(h, np.array(rows))
+
+
 def test_constant_classifier_has_no_gaps():
     data, _ = hand_dataset()
     h = constant_classifier(0.3)
